@@ -25,12 +25,6 @@ from .linalg import fit_least_squares, orthonormal_basis, project
 from .objectives import (
     Objective,
     ObjectiveTerms,
-    assemble,
-    cross_entropy,
-    r_new_fixed_target,
-    r_new_subspace,
-    r_old,
-    r_prior,
     semantic_targets,
 )
 from .protocol import (
@@ -55,8 +49,7 @@ __all__ = [
     "LinearMap", "MemoryBuffer", "OrthonormalBasis", "RunConfig", "SessionStream",
     "WeightMatrix", "WeightSnapshots", "update_memory", "EngineError",
     "fit_least_squares", "orthonormal_basis", "project",
-    "Objective", "ObjectiveTerms", "assemble", "cross_entropy",
-    "r_new_fixed_target", "r_new_subspace", "r_old", "r_prior", "semantic_targets",
+    "Objective", "ObjectiveTerms", "semantic_targets",
     "Episode", "EpisodeResult", "SessionResult", "SingleSessionResult",
     "confusion_matrix", "delta_metric", "predict",
     "run_multi_session", "run_single_session", "sample_episode",

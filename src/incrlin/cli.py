@@ -124,7 +124,7 @@ def cmd_run_single(args) -> int:
     result = run_single_session(base_store, novel_store, base_weights, cfg,
                                 n_episodes=args.episodes, n_way=args.n_way,
                                 k_shot=args.k_shot, n_query=args.n_query,
-                                embeddings=embeddings, jobs=args.jobs,
+                                embeddings=embeddings,
                                 keep_episodes=args.keep_episodes)
     label = args.label or Path(args.out).stem
     payload = _resolved_payload(cfg, {
@@ -268,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-way", type=int, default=5)
     p.add_argument("--k-shot", type=int, default=1)
     p.add_argument("--n-query", type=int, default=50)
-    p.add_argument("--jobs", type=int, default=1, help="concurrent episode workers")
     p.add_argument("--keep-episodes", action="store_true",
                    help="include per-episode records in the output")
     p.add_argument("--label", help="run label used in reports")

@@ -91,6 +91,12 @@ class Batch:
         ids = np.array([ex.class_id for ex in examples], dtype=np.int64)
         return cls(feats, ids)
 
+    @classmethod
+    def concat(cls, batches: Sequence["Batch"]) -> "Batch":
+        """Rows of every batch, in the given order."""
+        return cls(np.concatenate([b.features for b in batches]),
+                   np.concatenate([b.class_ids for b in batches]))
+
     def __len__(self) -> int:
         return self.features.shape[0]
 
@@ -100,7 +106,8 @@ class Batch:
 
 
 def coerce_batch(data) -> Batch:
-    """Accept a Batch or a sequence of LabeledExample."""
+    """Accept a Batch or a sequence of LabeledExample (the public training and
+    objective entry points take either)."""
     if isinstance(data, Batch):
         return data
     return Batch.from_examples(list(data))
@@ -202,9 +209,10 @@ class FeatureStore:
                             {c: self._support[c] for c in ids},
                             {c: self._query[c] for c in ids})
 
-    def support_examples(self, class_ids: Iterable[int], k: int | None = None) -> list[LabeledExample]:
-        """Support examples for the given classes; first ``k`` per class if set."""
-        out: list[LabeledExample] = []
+    def support_examples(self, class_ids: Iterable[int], k: int | None = None) -> Batch:
+        """Support examples of the given classes, stacked in ascending class
+        order; the first ``k`` per class if set."""
+        pools = []
         for c in sorted(set(class_ids)):
             rows = self.support(c)
             if k is not None:
@@ -212,21 +220,14 @@ class FeatureStore:
                     raise MissingExampleError(
                         f"class {c} has {rows.shape[0]} support examples, need {k}")
                 rows = rows[:k]
-            out.extend(LabeledExample(c, row) for row in rows)
-        if not out:
+            pools.append((c, rows))
+        if not any(rows.shape[0] for _, rows in pools):
             raise MissingExampleError("no support examples for the requested classes")
-        return out
+        return _stack(pools)
 
     def query_batch(self, class_ids: Iterable[int]) -> Batch:
         """All query examples of the given classes, stacked in ascending class order."""
-        ids = sorted(set(class_ids))
-        feats = []
-        labels = []
-        for c in ids:
-            rows = self.query(c)
-            feats.append(rows)
-            labels.append(np.full(rows.shape[0], c, dtype=np.int64))
-        return Batch(np.concatenate(feats, axis=0), np.concatenate(labels))
+        return _stack([(c, self.query(c)) for c in sorted(set(class_ids))])
 
     def iter_rows(self):
         """Yield (class_id, split, feature-row) in a stable order, for serialization."""
@@ -235,6 +236,12 @@ class FeatureStore:
                 yield c, "support", row
             for row in self._query[c]:
                 yield c, "query", row
+
+
+def _stack(pools: Sequence[tuple[int, np.ndarray]]) -> Batch:
+    """One batch from (class_id, rows) pairs, rows kept in the given order."""
+    return Batch(np.concatenate([rows for _, rows in pools]),
+                 np.concatenate([np.full(rows.shape[0], c, dtype=np.int64) for c, rows in pools]))
 
 
 class ClassRegistry:
@@ -418,24 +425,6 @@ class WeightSnapshots:
         except KeyError:
             raise MissingSnapshotError(f"no snapshot for session {session}") from None
 
-    @property
-    def sessions(self) -> tuple[int, ...]:
-        return tuple(sorted(self._by_session))
-
-    def __contains__(self, session: int) -> bool:
-        return session in self._by_session
-
-    def introduced_at(self, class_id: int) -> int:
-        """Session whose snapshot first contains the class (= the session that added it)."""
-        for t in self.sessions:
-            if class_id in self._by_session[t]:
-                return t
-        raise MissingSnapshotError(f"class {class_id} absent from all snapshots")
-
-    def anchor(self, class_id: int) -> np.ndarray:
-        """Weight row at the end of the session that introduced the class."""
-        return self._by_session[self.introduced_at(class_id)].row(class_id)
-
 
 class OrthonormalBasis:
     """Matrix with orthonormal columns spanning a weight subspace."""
@@ -507,27 +496,26 @@ class EmbeddingTable:
 
 
 class MemoryBuffer:
-    """Examples retained from earlier sessions: exactly one per archived class."""
+    """Examples retained from earlier sessions: exactly one per archived class,
+    in archive order. ``batch`` is None while the buffer is empty."""
 
-    def __init__(self, examples: Sequence[LabeledExample] = ()):
-        self.examples: tuple[LabeledExample, ...] = tuple(examples)
-        seen: set[int] = set()
-        for ex in self.examples:
-            if ex.class_id in seen:
-                raise ValidationError(f"memory holds more than one example of class {ex.class_id}")
-            seen.add(ex.class_id)
-        self.classes: frozenset[int] = frozenset(seen)
+    def __init__(self, batch: Batch | None = None):
+        self.batch = batch
+        ids = [] if batch is None else batch.class_ids.tolist()
+        self.classes: frozenset[int] = frozenset(ids)
+        if len(self.classes) != len(ids):
+            dup = sorted(c for c in self.classes if ids.count(c) > 1)
+            raise ValidationError(f"memory holds more than one example of classes {dup}")
 
     @classmethod
     def empty(cls) -> "MemoryBuffer":
         return cls()
 
     def __len__(self) -> int:
-        return len(self.examples)
+        return len(self.classes)
 
 
-def update_memory(buffer: MemoryBuffer, support: Sequence[LabeledExample],
-                  rng: np.random.Generator,
+def update_memory(buffer: MemoryBuffer, support: Batch, rng: np.random.Generator,
                   expected_classes: Iterable[int] | None = None) -> MemoryBuffer:
     """Archive one uniformly chosen support example per new class.
 
@@ -535,21 +523,20 @@ def update_memory(buffer: MemoryBuffer, support: Sequence[LabeledExample],
     all later sessions). ``expected_classes``, when given, is the class set
     the support must cover.
     """
-    by_class: dict[int, list[LabeledExample]] = {}
-    for ex in support:
-        by_class.setdefault(ex.class_id, []).append(ex)
+    present = np.unique(support.class_ids).tolist()
     if expected_classes is not None:
-        missing = [c for c in sorted(set(expected_classes)) if not by_class.get(c)]
+        missing = sorted(set(expected_classes) - set(present))
         if missing:
             raise MissingExampleError(f"no support examples for classes {missing}")
-    overlap = sorted(set(by_class) & buffer.classes)
+    overlap = sorted(set(present) & buffer.classes)
     if overlap:
         raise ValidationError(f"classes {overlap} already archived in memory")
-    picked: list[LabeledExample] = []
-    for c in sorted(by_class):
-        pool = by_class[c]
-        picked.append(pool[int(rng.integers(len(pool)))])
-    return MemoryBuffer(buffer.examples + tuple(picked))
+    picked = []
+    for c in present:
+        pool = np.flatnonzero(support.class_ids == c)
+        picked.append(pool[int(rng.integers(pool.size))])
+    new = Batch(support.features[picked], support.class_ids[picked])
+    return MemoryBuffer(new if buffer.batch is None else Batch.concat([buffer.batch, new]))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -632,11 +619,7 @@ class SessionStream:
         self.k_shot = k_shot
         self.memory = MemoryBuffer.empty()
 
-    @property
-    def n_incremental_sessions(self) -> int:
-        return self.registry.last_session
-
-    def support_examples(self, session: int) -> list[LabeledExample]:
+    def support_examples(self, session: int) -> Batch:
         classes = self.registry.classes_in(session)
         k = None if session == 0 else self.k_shot
         return self.store.support_examples(classes, k=k)

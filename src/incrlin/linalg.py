@@ -77,16 +77,6 @@ def project(v: np.ndarray, basis: OrthonormalBasis) -> np.ndarray:
     return p @ (p.T @ vec)
 
 
-def project_rows(rows: np.ndarray, basis: OrthonormalBasis) -> np.ndarray:
-    """Row-wise projection: each row of (n, d) mapped to its nearest span point."""
-    m = np.asarray(rows, dtype=np.float64)
-    if m.ndim != 2 or m.shape[1] != basis.dimension:
-        raise DimensionMismatchError(
-            f"rows shape {m.shape} does not match basis dimension {basis.dimension}")
-    p = basis.matrix
-    return (m @ p) @ p.T
-
-
 def fit_least_squares(embeddings: Sequence[np.ndarray], targets: Sequence[np.ndarray],
                       ridge: float | None = None) -> LinearMap:
     """Affine least squares: minimize sum_j ||t_j - (A e_j + b)||^2 + ridge ||A||_F^2.

@@ -1,17 +1,16 @@
-"""Objective assembly: softmax cross-entropy plus the weight regularizers.
+"""The session objective: softmax cross-entropy plus the weight regularizers.
 
-All terms report both a value and the exact gradient with respect to the
-trainable weight rows. The total is a minimization objective: negative mean
-log-likelihood plus the scaled penalties.
+One evaluation reports every term's value and the exact gradient with
+respect to the trainable weight rows. The total is a minimization objective:
+negative mean log-likelihood plus the scaled penalties.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping
 
 import numpy as np
 
 from .datamodel import (
-    Batch,
     ClassRegistry,
     OrthonormalBasis,
     RunConfig,
@@ -42,91 +41,6 @@ def _softmax_ce(m: np.ndarray, feats: np.ndarray, label_pos: np.ndarray):
     p = expl / z[:, None]
     p[rows, label_pos] -= 1.0
     return value, p.T @ feats / n
-
-
-def _grad_dict(class_ids: Sequence[int], grad: np.ndarray) -> dict[int, np.ndarray]:
-    return {c: grad[i].copy() for i, c in enumerate(class_ids)}
-
-
-def cross_entropy(weights: WeightMatrix, batch, active_classes: Iterable[int]):
-    """Mean cross-entropy of the batch under softmax over the active classes.
-
-    Returns (value, gradient per active class). Logits are bias-free inner
-    products of weight rows with features.
-    """
-    b = coerce_batch(batch)
-    order = sorted(set(active_classes))
-    index = {c: i for i, c in enumerate(order)}
-    unknown = sorted(set(int(c) for c in b.class_ids) - set(order))
-    if unknown:
-        raise ValidationError(f"batch classes {unknown} not among the active classes")
-    m = weights.subset(order)
-    if b.dimension != m.shape[1]:
-        raise DimensionMismatchError(
-            f"batch dimension {b.dimension} != weight dimension {m.shape[1]}")
-    label_pos = np.array([index[int(c)] for c in b.class_ids], dtype=np.int64)
-    value, grad = _softmax_ce(m, b.features, label_pos)
-    return value, _grad_dict(order, grad)
-
-
-def r_prior(weights: WeightMatrix):
-    """Squared Euclidean magnitude of all trainable rows; gradient 2*row."""
-    m = weights.matrix
-    value = float((m * m).sum())
-    return value, _grad_dict(weights.class_ids, 2.0 * m)
-
-
-def r_old(weights: WeightMatrix, snapshots: WeightSnapshots,
-          beta_base: float, beta_prev_novel: float,
-          old_classes: Iterable[int] | None = None):
-    """Anchoring penalty for previously learned classes.
-
-    Each archived class is pulled toward its row at the end of the session
-    that introduced it, weighted ``beta_base`` for base classes and
-    ``beta_prev_novel`` for novel classes of earlier sessions. Classes absent
-    from every snapshot contribute nothing (they are this session's novel
-    rows). The returned value carries the beta weights.
-    """
-    if old_classes is not None:
-        for c in sorted(set(old_classes)):
-            snapshots.introduced_at(c)  # raises MissingSnapshotError if absent
-    grad = np.zeros_like(weights.matrix)
-    value = 0.0
-    known = set()
-    for t in snapshots.sessions:
-        known.update(snapshots.get(t).class_ids)
-    for i, c in enumerate(weights.class_ids):
-        if c not in known:
-            continue
-        t = snapshots.introduced_at(c)
-        beta = beta_base if t == 0 else beta_prev_novel
-        diff = weights.matrix[i] - snapshots.get(t).row(c)
-        value += beta * float(diff @ diff)
-        grad[i] = 2.0 * beta * diff
-    return value, _grad_dict(weights.class_ids, grad)
-
-
-def r_new_subspace(weights: WeightMatrix, novel_classes: Iterable[int],
-                   basis: OrthonormalBasis):
-    """Distance of each novel row from the base-weight subspace.
-
-    Value sum ||eta_c - P P^T eta_c||^2, gradient 2(eta_c - P P^T eta_c);
-    the projector is symmetric idempotent, so treating the projection as a
-    constant or differentiating through it gives the same gradient.
-    """
-    novel = sorted(set(novel_classes))
-    if weights.dimension != basis.dimension:
-        raise DimensionMismatchError(
-            f"weight dimension {weights.dimension} != basis dimension {basis.dimension}")
-    p = basis.matrix
-    grad = np.zeros_like(weights.matrix)
-    value = 0.0
-    for c in novel:
-        row = weights.row(c)
-        resid = row - p @ (p.T @ row)
-        value += float(resid @ resid)
-        grad[weights.class_ids.index(c)] = 2.0 * resid
-    return value, _grad_dict(weights.class_ids, grad)
 
 
 def semantic_targets(novel_embeddings: Mapping[int, np.ndarray],
@@ -161,21 +75,6 @@ def semantic_targets(novel_embeddings: Mapping[int, np.ndarray],
     return targets
 
 
-def r_new_fixed_target(weights: WeightMatrix, targets: Mapping[int, np.ndarray],
-                       novel_classes: Iterable[int] | None = None):
-    """Squared distance of novel rows from fixed (static) target vectors."""
-    classes = sorted(targets) if novel_classes is None else sorted(set(novel_classes))
-    grad = np.zeros_like(weights.matrix)
-    value = 0.0
-    for c in classes:
-        if c not in targets:
-            raise MissingTargetError(f"class {c} has no regularization target")
-        diff = weights.row(c) - np.asarray(targets[c], dtype=np.float64)
-        value += float(diff @ diff)
-        grad[weights.class_ids.index(c)] = 2.0 * diff
-    return value, _grad_dict(weights.class_ids, grad)
-
-
 class ObjectiveTerms:
     """Loss decomposition and total gradient for one evaluation.
 
@@ -199,7 +98,8 @@ class ObjectiveTerms:
     @property
     def gradient(self) -> dict[int, np.ndarray]:
         if self._gradient_dict is None:
-            self._gradient_dict = _grad_dict(self.class_ids, self.gradient_matrix)
+            self._gradient_dict = {c: self.gradient_matrix[i].copy()
+                                   for i, c in enumerate(self.class_ids)}
         return self._gradient_dict
 
 
@@ -274,9 +174,6 @@ class Objective:
             raise DimensionMismatchError(f"inconsistent component dimensions {sorted(dims)}")
         self._dimension = dims.pop() if dims else None
 
-    def position_of(self, class_id: int) -> int:
-        return self._index[class_id]
-
     def label_positions(self, class_ids: np.ndarray) -> np.ndarray:
         try:
             return np.array([self._index[int(c)] for c in class_ids], dtype=np.int64)
@@ -325,11 +222,3 @@ class Objective:
                 f"batch dimension {b.dimension} != weight dimension {weights.dimension}")
         m = weights.subset(self.class_ids)
         return self.evaluate_dense(m, b.features, self.label_positions(b.class_ids))
-
-
-def assemble(config: RunConfig, weights: WeightMatrix, batch, registry: ClassRegistry,
-             session: int, snapshots: WeightSnapshots,
-             basis: OrthonormalBasis | None = None,
-             targets: Mapping[int, np.ndarray] | None = None) -> ObjectiveTerms:
-    """One-shot evaluation of the full session objective."""
-    return Objective(config, registry, session, snapshots, basis, targets).evaluate(weights, batch)

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import dataclasses
 from collections.abc import Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -16,17 +15,24 @@ from .datamodel import (
     ClassRegistry,
     EmbeddingTable,
     FeatureStore,
-    LabeledExample,
+    LinearMap,
     MemoryBuffer,
+    OrthonormalBasis,
     RunConfig,
     SessionStream,
     WeightMatrix,
     WeightSnapshots,
     update_memory,
 )
-from .errors import ConfigError, EngineError, MissingExampleError, ValidationError
+from .errors import (
+    ConfigError,
+    EngineError,
+    MissingEmbeddingError,
+    MissingExampleError,
+    ValidationError,
+)
 from .linalg import fit_least_squares, orthonormal_basis
-from .objectives import Objective, semantic_targets
+from .objectives import FIXED_TARGET_KINDS, Objective, semantic_targets
 from .trainer import fine_tune, init_novel_weights, train_base
 
 
@@ -67,21 +73,23 @@ class Confusion:
         return float(self.counts[:, cols].sum()) / max(1, self.total)
 
 
-def confusion_matrix(weights: WeightMatrix, query, active_classes: Iterable[int]) -> Confusion:
-    """Gold-versus-predicted counts for the query set under the active classes."""
-    batch = query if isinstance(query, Batch) else Batch.from_examples(list(query))
-    order = sorted(set(active_classes))
-    index = {c: i for i, c in enumerate(order)}
-    unknown = sorted(set(int(c) for c in batch.class_ids) - set(order))
-    if unknown:
-        raise ValidationError(f"query classes {unknown} are not active")
-    preds = predict(weights, batch.features, order)
+def _count_confusion(golds: np.ndarray, preds: np.ndarray, order: Sequence[int]) -> Confusion:
+    """Confusion counts of predictions; ``order`` is ascending and holds every
+    gold and predicted class."""
     k = len(order)
     counts = np.zeros((k, k), dtype=np.int64)
-    gold_pos = np.array([index[int(c)] for c in batch.class_ids])
-    pred_pos = np.array([index[int(c)] for c in preds])
-    np.add.at(counts, (gold_pos, pred_pos), 1)
+    np.add.at(counts, (np.searchsorted(order, golds), np.searchsorted(order, preds)), 1)
     return Confusion(tuple(order), counts)
+
+
+def confusion_matrix(weights: WeightMatrix, query: Batch,
+                     active_classes: Iterable[int]) -> Confusion:
+    """Gold-versus-predicted counts for the query set under the active classes."""
+    order = sorted(set(active_classes))
+    unknown = sorted(set(query.class_ids.tolist()) - set(order))
+    if unknown:
+        raise ValidationError(f"query classes {unknown} are not active")
+    return _count_confusion(query.class_ids, predict(weights, query.features, order), order)
 
 
 def weighted_accuracy(acc_base: float, acc_novel: float | None,
@@ -140,23 +148,82 @@ def _evaluate_session(weights: WeightMatrix, query: Batch, registry: ClassRegist
         mask = golds == c
         if mask.any():
             per_class[c] = accuracy(golds[mask], preds[mask])
-    conf = confusion_matrix(weights, query, active) if collect_confusion else None
+    conf = _count_confusion(golds, preds, active) if collect_confusion else None
     return SessionResult(session, acc_base, acc_novel, acc_w, per_class, conf, len(query))
 
 
-def _session_targets(kind: str, novel: Sequence[int], base: Sequence[int],
-                     snapshot0: WeightMatrix, embeddings: EmbeddingTable | None,
-                     linear_map, tau: float):
-    if kind in ("semantic", "description"):
+# --- the session step both protocols share ----------------------------------
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class RunSetup:
+    """What every session of a run shares: the config, the base weights
+    (snapshot 0) and the fixed parts of the new-class regularizer."""
+
+    config: RunConfig
+    snapshot0: WeightMatrix
+    basis: OrthonormalBasis | None = None
+    linear_map: LinearMap | None = None
+    embeddings: EmbeddingTable | None = None
+
+    def targets(self, novel: Sequence[int]) -> dict[int, np.ndarray] | None:
+        """Static regularization targets of the novel classes (None unless the
+        regularizer is a fixed-target kind)."""
+        kind = self.config.regularizer_kind
+        if kind in ("semantic", "description"):
+            return semantic_targets(self.embeddings.subset(novel),
+                                    self.embeddings.subset(self.snapshot0.class_ids),
+                                    self.snapshot0, self.config.tau)
+        if kind == "linmap":
+            return {c: self.linear_map.apply(self.embeddings.vector(c)) for c in novel}
+        return None
+
+
+def prepare_run(config: RunConfig, base_weights: WeightMatrix, base_classes: Iterable[int],
+                embeddings: EmbeddingTable | None = None,
+                novel_classes: Iterable[int] = ()) -> RunSetup:
+    """Check a run's inputs up front and build its shared set-up.
+
+    The base weights must cover every base class. An embedding-driven
+    regularizer needs an embedding for every base class and every class of
+    the novel pool. The subspace basis and the linear map are fitted here,
+    once per run.
+    """
+    base = sorted(base_classes)
+    missing = [c for c in base if c not in base_weights]
+    if missing:
+        raise ValidationError(f"base weights lack rows for classes {missing}")
+    snapshot0 = WeightMatrix(base, base_weights.subset(base))
+    kind = config.regularizer_kind
+    if kind in FIXED_TARGET_KINDS:
         if embeddings is None:
             raise ConfigError(f"{kind} regularization needs an embedding table")
-        return semantic_targets(embeddings.subset(novel), embeddings.subset(base),
-                                snapshot0, tau)
-    if kind == "linmap":
-        if embeddings is None:
-            raise ConfigError("linear-map regularization needs an embedding table")
-        return {c: linear_map.apply(embeddings.vector(c)) for c in novel}
-    return None
+        missing = [c for c in base + sorted(novel_classes) if c not in embeddings]
+        if missing:
+            raise MissingEmbeddingError(f"classes {missing} have no embedding")
+    basis = linear_map = None
+    base_rows = [snapshot0.row(c) for c in base]
+    if kind == "subspace":
+        basis = orthonormal_basis(base_rows)
+    elif kind == "linmap":
+        linear_map = fit_least_squares([embeddings.vector(c) for c in base], base_rows)
+    return RunSetup(config, snapshot0, basis, linear_map, embeddings)
+
+
+def fit_session(setup: RunSetup, weights: WeightMatrix, registry: ClassRegistry, session: int,
+                snapshots: WeightSnapshots, support: Batch, rng: np.random.Generator,
+                memory: Batch | None = None) -> WeightMatrix:
+    """Learn one session's novel classes: imprint their rows from the support
+    set, then fine-tune every row seen so far on the session objective over
+    the support examples followed by the memory examples."""
+    novel = registry.classes_in(session)
+    weights = weights.with_rows(
+        init_novel_weights(support, setup.snapshot0.norms(), rng, classes=novel))
+    objective = Objective(setup.config, registry, session, snapshots,
+                          basis=setup.basis, targets=setup.targets(novel))
+    data = support if memory is None else Batch.concat([support, memory])
+    weights, _ = fine_tune(weights, objective, data, setup.config, rng)
+    return weights
 
 
 def run_multi_session(stream: SessionStream, config: RunConfig | None = None,
@@ -177,54 +244,21 @@ def run_multi_session(stream: SessionStream, config: RunConfig | None = None,
 
     if base_weights is None:
         base_weights, _ = train_base(stream.store, registry.base_classes, config, rng=rng)
-    base = sorted(registry.base_classes)
-    missing = [c for c in base if c not in base_weights]
-    if missing:
-        raise ValidationError(f"base weights lack rows for classes {missing}")
-    snapshot0 = WeightMatrix(base, base_weights.subset(base))
+    setup = prepare_run(config, base_weights, registry.base_classes, stream.embeddings,
+                        [c for c in registry.all_classes if registry.session_of(c) > 0])
 
     snapshots = WeightSnapshots()
-    snapshots.store(0, snapshot0)
-    results = [_evaluate_session(snapshot0, stream.query_batch_up_to(0), registry, 0,
-                                 collect_confusion)]
-    if on_session_end is not None:
-        on_session_end(0, snapshot0.frozen())
-
-    kind = config.regularizer_kind
-    basis = None
-    linear_map = None
-    if kind == "subspace":
-        basis = orthonormal_basis([snapshot0.row(c) for c in base])
-    elif kind == "linmap":
-        if stream.embeddings is None:
-            raise ConfigError("linear-map regularization needs an embedding table")
-        linear_map = fit_least_squares([stream.embeddings.vector(c) for c in base],
-                                       [snapshot0.row(c) for c in base])
-    base_norms = snapshot0.norms()
-
-    weights = snapshot0.copy()
+    weights = setup.snapshot0
     stream.memory = MemoryBuffer.empty()
-    for t in range(1, registry.n_sessions):
-        if config.memory_enabled and registry.classes_in(t - 1):
+    results = []
+    for t in range(registry.n_sessions):
+        if t > 0 and config.memory_enabled and registry.classes_in(t - 1):
             stream.memory = update_memory(stream.memory, stream.support_examples(t - 1),
                                           rng, expected_classes=registry.classes_in(t - 1))
-        novel = registry.classes_in(t)
-        if not novel:
-            snapshots.store(t, weights)
-            results.append(_evaluate_session(weights, stream.query_batch_up_to(t),
-                                             registry, t, collect_confusion))
-            if on_session_end is not None:
-                on_session_end(t, weights.frozen())
-            continue
-        support = stream.support_examples(t)
-        weights = weights.with_rows(
-            init_novel_weights(support, base_norms, rng, classes=novel))
-        targets = _session_targets(kind, novel, base, snapshot0, stream.embeddings,
-                                   linear_map, config.tau)
-        objective = Objective(config, registry, t, snapshots, basis=basis, targets=targets)
-        data = (list(support) + list(stream.memory.examples)
-                if config.memory_enabled else support)
-        weights, _ = fine_tune(weights, objective, data, config, rng)
+        if t > 0 and registry.classes_in(t):
+            memory = stream.memory.batch if config.memory_enabled else None
+            weights = fit_session(setup, weights, registry, t, snapshots,
+                                  stream.support_examples(t), rng, memory=memory)
         snapshots.store(t, weights)
         results.append(_evaluate_session(weights, stream.query_batch_up_to(t),
                                          registry, t, collect_confusion))
@@ -241,7 +275,7 @@ class Episode:
     """One sampled incremental dataset: novel support plus a mixed query set."""
 
     novel_classes: tuple[int, ...]
-    support: tuple[LabeledExample, ...]
+    support: Batch
     query: Batch
 
 
@@ -259,14 +293,13 @@ def sample_episode(base_store: FeatureStore, novel_store: FeatureStore,
     if n_query < 1:
         raise ValidationError(f"n_query must be >= 1, got {n_query}")
     chosen = np.sort(rng.choice(np.array(novel_store.classes), size=n_way, replace=False))
-    support: list[LabeledExample] = []
+    support = []
     for c in chosen:
         pool = novel_store.support(int(c))
         if pool.shape[0] < k_shot or novel_store.query_count(int(c)) < 1:
             raise MissingExampleError(
                 f"class {int(c)} lacks {k_shot} support + query examples")
-        idx = rng.choice(pool.shape[0], size=k_shot, replace=False)
-        support.extend(LabeledExample(int(c), pool[i]) for i in idx)
+        support.append(pool[rng.choice(pool.shape[0], size=k_shot, replace=False)])
 
     base_classes = base_store.classes
     groups = rng.integers(0, 2, size=n_query)
@@ -284,7 +317,9 @@ def sample_episode(base_store: FeatureStore, novel_store: FeatureStore,
             pool = novel_store.query(c)
         feats[i] = pool[int(u[i] * pool.shape[0])]
         labels[i] = c
-    return Episode(tuple(int(c) for c in chosen), tuple(support), Batch(feats, labels))
+    return Episode(tuple(int(c) for c in chosen),
+                   Batch(np.concatenate(support), np.repeat(chosen, k_shot)),
+                   Batch(feats, labels))
 
 
 def delta_metric(base_joint: float, base_individual: float,
@@ -306,24 +341,14 @@ class EpisodeResult:
         return dataclasses.asdict(self)
 
 
-def run_episode(base_weights: WeightMatrix, episode: Episode, config: RunConfig,
-                rng: np.random.Generator, basis=None,
-                embeddings: EmbeddingTable | None = None,
-                linear_map=None) -> EpisodeResult:
+def run_episode(setup: RunSetup, episode: Episode,
+                rng: np.random.Generator) -> EpisodeResult:
     """Fine-tune fresh weights on one episode and score joint vs individual."""
-    base = sorted(base_weights.class_ids)
+    base = list(setup.snapshot0.class_ids)
     registry = ClassRegistry([base, episode.novel_classes])
     snapshots = WeightSnapshots()
-    snapshot0 = WeightMatrix(base, base_weights.subset(base))
-    snapshots.store(0, snapshot0)
-
-    weights = snapshot0.copy().with_rows(
-        init_novel_weights(episode.support, snapshot0.norms(), rng,
-                           classes=episode.novel_classes))
-    targets = _session_targets(config.regularizer_kind, list(episode.novel_classes),
-                               base, snapshot0, embeddings, linear_map, config.tau)
-    objective = Objective(config, registry, 1, snapshots, basis=basis, targets=targets)
-    weights, _ = fine_tune(weights, objective, episode.support, config, rng)
+    snapshots.store(0, setup.snapshot0)
+    weights = fit_session(setup, setup.snapshot0, registry, 1, snapshots, episode.support, rng)
 
     q = episode.query
     base_mask = np.isin(q.class_ids, base)
@@ -391,56 +416,36 @@ def run_single_session(base_store: FeatureStore, novel_store: FeatureStore,
                        base_weights: WeightMatrix, config: RunConfig,
                        n_episodes: int = 2000, n_way: int = 5, k_shot: int = 1,
                        n_query: int = 50, embeddings: EmbeddingTable | None = None,
-                       jobs: int = 1, keep_episodes: bool = False) -> SingleSessionResult:
+                       keep_episodes: bool = False) -> SingleSessionResult:
     """Average episodic evaluation: every episode restarts from the base
     weights, fine-tunes on its own support set, and is scored jointly and per
-    group. Failed episodes are excluded from the aggregates but counted."""
+    group. The base weights must cover exactly the base store's classes.
+    Failed episodes are excluded from the aggregates but counted."""
     if config.memory_enabled:
         raise ConfigError("memory replay applies to the multi-session protocol only")
     if n_episodes < 1:
         raise ValidationError(f"n_episodes must be >= 1, got {n_episodes}")
-    base = sorted(base_weights.class_ids)
-    missing = [c for c in base if c not in base_store.classes]
+    missing = [c for c in sorted(base_weights.class_ids) if c not in base_store.classes]
     if missing:
         raise MissingExampleError(f"base classes {missing} have no query pool")
+    setup = prepare_run(config, base_weights, base_store.classes, embeddings,
+                        novel_store.classes)
 
-    kind = config.regularizer_kind
-    basis = None
-    linear_map = None
-    snapshot0 = WeightMatrix(base, base_weights.subset(base))
-    if kind == "subspace":
-        basis = orthonormal_basis([snapshot0.row(c) for c in base])
-    elif kind in ("semantic", "description"):
-        if embeddings is None:
-            raise ConfigError(f"{kind} regularization needs an embedding table")
-    elif kind == "linmap":
-        if embeddings is None:
-            raise ConfigError("linear-map regularization needs an embedding table")
-        linear_map = fit_least_squares([embeddings.vector(c) for c in base],
-                                       [snapshot0.row(c) for c in base])
-
-    def one(i: int):
+    ok = []
+    for i in range(n_episodes):
         ss = np.random.SeedSequence(entropy=(config.rng_seed, i))
         rng_sample, rng_train = (np.random.default_rng(s) for s in ss.spawn(2))
         try:
             episode = sample_episode(base_store, novel_store, n_way=n_way,
                                      k_shot=k_shot, n_query=n_query, rng=rng_sample)
-            return run_episode(snapshot0, episode, config, rng_train, basis=basis,
-                               embeddings=embeddings, linear_map=linear_map)
+            ok.append(run_episode(setup, episode, rng_train))
         except EngineError:
-            return None
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(one, range(n_episodes)))
-    else:
-        outcomes = [one(i) for i in range(n_episodes)]
-
-    ok = [r for r in outcomes if r is not None]
+            pass
     n_failed = n_episodes - len(ok)
     if not ok:
         raise EngineError(f"all {n_episodes} episodes failed")
-    agg = SingleSessionResult(
+    delta = _aggregate([r.delta for r in ok])
+    return SingleSessionResult(
         n_episodes=n_episodes,
         n_failed=n_failed,
         acc=_aggregate([r.acc_joint_mean for r in ok]),
@@ -448,8 +453,7 @@ def run_single_session(base_store: FeatureStore, novel_store: FeatureStore,
         acc_novel_joint=_aggregate([r.acc_novel_joint for r in ok]),
         acc_base_individual=_aggregate([r.acc_base_individual for r in ok]),
         acc_novel_individual=_aggregate([r.acc_novel_individual for r in ok]),
-        delta=_aggregate([r.delta for r in ok]),
-        abs_delta=abs(_aggregate([r.delta for r in ok]).mean),
+        delta=delta,
+        abs_delta=abs(delta.mean),
         episodes=tuple(ok) if keep_episodes else None,
     )
-    return agg

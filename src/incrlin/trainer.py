@@ -1,16 +1,16 @@
 """SGD fine-tuning per session: novel-row initialization, the epoch loop with
-its convergence rule, and end-of-session snapshots."""
+its convergence rule, and base-class training."""
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 import numpy as np
 
 from .datamodel import (
+    Batch,
     ClassRegistry,
     FeatureStore,
-    LabeledExample,
     RunConfig,
     WeightMatrix,
     WeightSnapshots,
@@ -35,7 +35,7 @@ class TrainReport:
     converged: bool
 
 
-def init_novel_weights(support: Sequence[LabeledExample], snapshot0_norms,
+def init_novel_weights(support: Batch, snapshot0_norms,
                        rng: np.random.Generator,
                        classes: Iterable[int] | None = None) -> dict[int, np.ndarray]:
     """Initial weight rows for this session's classes.
@@ -45,16 +45,13 @@ def init_novel_weights(support: Sequence[LabeledExample], snapshot0_norms,
     back to a small random direction, 1% of that norm.
     """
     rho = float(np.mean(snapshot0_norms))
-    by_class: dict[int, list[np.ndarray]] = {}
-    for ex in support:
-        by_class.setdefault(ex.class_id, []).append(ex.feature)
-    wanted = sorted(by_class) if classes is None else sorted(set(classes))
+    present = np.unique(support.class_ids).tolist()
+    wanted = present if classes is None else sorted(set(classes))
     rows: dict[int, np.ndarray] = {}
     for c in wanted:
-        feats = by_class.get(c)
-        if not feats:
+        stacked = support.features[support.class_ids == c]
+        if stacked.shape[0] == 0:
             raise MissingExampleError(f"class {c} has no support examples to initialize from")
-        stacked = np.stack(feats)
         mean = stacked.mean(axis=0)
         scale = float(np.abs(stacked).max())
         norm = float(np.linalg.norm(mean))
@@ -115,11 +112,6 @@ def fine_tune(weights: WeightMatrix, objective: Objective, data,
 
     return (WeightMatrix(objective.class_ids, w),
             TrainReport(len(trace), trace[-1], trace, converged))
-
-
-def take_snapshot(snapshots: WeightSnapshots, weights: WeightMatrix, session: int) -> None:
-    """Freeze the end-of-session weights under the session index."""
-    snapshots.store(session, weights)
 
 
 def train_base(store: FeatureStore, base_classes: Iterable[int], config: RunConfig,

@@ -78,7 +78,8 @@ def test_session_of_and_contains():
 
 def _support(classes, shots, d=4, seed=0):
     rng = np.random.default_rng(seed)
-    return [LabeledExample(c, rng.standard_normal(d)) for c in classes for _ in range(shots)]
+    ids = np.repeat(np.asarray(classes, dtype=np.int64), shots)
+    return Batch(rng.standard_normal((ids.size, d)), ids)
 
 
 def test_update_memory_grows_by_one_per_class():
@@ -88,18 +89,12 @@ def test_update_memory_grows_by_one_per_class():
     assert buf.classes == frozenset(range(5))
 
 
-def test_update_memory_empty_support_unchanged():
-    buf = update_memory(MemoryBuffer.empty(), [], np.random.default_rng(0))
-    assert len(buf) == 0
-
-
 def test_update_memory_deterministic_under_seed():
     support = _support(range(5), 7)
     a = update_memory(MemoryBuffer.empty(), support, np.random.default_rng(3))
     b = update_memory(MemoryBuffer.empty(), support, np.random.default_rng(3))
-    for ea, eb in zip(a.examples, b.examples):
-        assert ea.class_id == eb.class_id
-        np.testing.assert_array_equal(ea.feature, eb.feature)
+    np.testing.assert_array_equal(a.batch.class_ids, b.batch.class_ids)
+    np.testing.assert_array_equal(a.batch.features, b.batch.features)
 
 
 def test_update_memory_missing_class_error():
@@ -120,11 +115,10 @@ def test_memory_size_invariant_and_persistence():
         buf = update_memory(buf, _support(classes, 4, seed=total), rng)
         total += len(classes)
         assert len(buf) == total
-        snapshots.append([(e.class_id, e.feature.copy()) for e in buf.examples])
-    first = snapshots[0]
-    for cid_feat, entry in zip(first, buf.examples[: len(first)]):
-        assert cid_feat[0] == entry.class_id
-        np.testing.assert_array_equal(cid_feat[1], entry.feature)
+        snapshots.append((buf.batch.class_ids.copy(), buf.batch.features.copy()))
+    first_ids, first_feats = snapshots[0]
+    np.testing.assert_array_equal(buf.batch.class_ids[: len(first_ids)], first_ids)
+    np.testing.assert_array_equal(buf.batch.features[: len(first_ids)], first_feats)
 
 
 def test_memory_rejects_rearchiving_class():
@@ -176,16 +170,6 @@ def test_snapshot_bytes_stable_across_later_sessions():
     assert snaps.get(0).matrix.tobytes() == checksum
 
 
-def test_snapshots_introduced_at_and_anchor():
-    snaps = WeightSnapshots()
-    snaps.store(0, WeightMatrix([0, 1], np.eye(2)))
-    snaps.store(1, WeightMatrix([0, 1, 2], np.arange(6.0).reshape(3, 2)))
-    assert snaps.introduced_at(1) == 0
-    assert snaps.introduced_at(2) == 1
-    np.testing.assert_array_equal(snaps.anchor(1), [0.0, 1.0])
-    np.testing.assert_array_equal(snaps.anchor(2), [4.0, 5.0])
-
-
 # --- feature store -------------------------------------------------------------
 
 def test_store_requires_query_examples():
@@ -218,6 +202,18 @@ def test_store_support_examples_k_limit():
         store.support_examples([0], k=9)
 
 
+def test_store_support_examples_stack_in_class_order():
+    store = FeatureStore(2, {5: np.full((2, 2), 5.0), 1: np.arange(6.0).reshape(3, 2),
+                             3: np.empty((0, 2))},
+                         {c: np.ones((1, 2)) for c in (1, 3, 5)})
+    got = store.support_examples([5, 3, 1])
+    np.testing.assert_array_equal(got.class_ids, [1, 1, 1, 5, 5])
+    np.testing.assert_array_equal(got.features,
+                                  np.vstack([np.arange(6.0).reshape(3, 2), np.full((2, 2), 5.0)]))
+    with pytest.raises(MissingExampleError):
+        store.support_examples([3])
+
+
 def test_store_from_rows_rejects_bad_split():
     with pytest.raises(ValidationError):
         FeatureStore.from_rows(2, [(0, "train", np.ones(2))])
@@ -228,6 +224,14 @@ def test_batch_from_examples_and_empty():
     assert len(batch) == 1 and batch.dimension == 2
     with pytest.raises(ValidationError):
         Batch.from_examples([])
+
+
+def test_batch_concat_keeps_row_order():
+    a = Batch(np.zeros((2, 3)), np.array([4, 1]))
+    b = Batch(np.ones((1, 3)), np.array([0]))
+    both = Batch.concat([a, b])
+    np.testing.assert_array_equal(both.class_ids, [4, 1, 0])
+    np.testing.assert_array_equal(both.features, np.vstack([a.features, b.features]))
 
 
 # --- misc types ----------------------------------------------------------------

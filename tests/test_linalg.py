@@ -3,7 +3,7 @@ import pytest
 
 from incrlin.datamodel import LinearMap
 from incrlin.errors import DegenerateBasisError, DimensionMismatchError, ValidationError
-from incrlin.linalg import fit_least_squares, orthonormal_basis, project, project_rows
+from incrlin.linalg import fit_least_squares, orthonormal_basis, project
 
 
 # --- basis extraction ----------------------------------------------------------
@@ -94,8 +94,6 @@ def test_project_idempotent_and_annihilates_complement():
 def test_project_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         project(np.ones(4), _xy_basis())
-    with pytest.raises(DimensionMismatchError):
-        project_rows(np.ones((2, 4)), _xy_basis())
 
 
 def test_project_minimality():

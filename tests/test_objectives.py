@@ -1,3 +1,10 @@
+"""The session objective, one term at a time.
+
+Each term is isolated by zeroing the coefficients of the other penalties.
+The data batch is a single all-zero feature row wherever a test reads a
+penalty's gradient: its logits are all zero, so the cross-entropy gradient
+is exactly zero and the total gradient is the penalty's own.
+"""
 import numpy as np
 import pytest
 from conftest import fd_gradient, grad_matrix, rel_err
@@ -17,16 +24,21 @@ from incrlin.errors import (
     ValidationError,
 )
 from incrlin.linalg import orthonormal_basis
-from incrlin.objectives import (
-    Objective,
-    assemble,
-    cross_entropy,
-    r_new_fixed_target,
-    r_new_subspace,
-    r_old,
-    r_prior,
-    semantic_targets,
-)
+from incrlin.objectives import Objective, semantic_targets
+
+_ZERO = dict(alpha=0.0, beta_base=0.0, beta_prev_novel=0.0, gamma=0.0)
+
+
+def _terms(kind, registry, session, snaps, weights, batch, basis=None, targets=None,
+           **coeffs):
+    """Evaluate the session objective with every coefficient zero but ``coeffs``."""
+    cfg = RunConfig(regularizer_kind=kind, **{**_ZERO, **coeffs})
+    obj = Objective(cfg, registry, session, snaps, basis=basis, targets=targets)
+    return obj.evaluate(weights, batch)
+
+
+def _null_batch(d, label):
+    return Batch(np.zeros((1, d)), np.array([label]))
 
 
 def _xy_basis():
@@ -35,13 +47,19 @@ def _xy_basis():
 
 # --- cross entropy ------------------------------------------------------------
 
+def _ce(weights, batch):
+    """Data term alone: the base session of the weights' classes, no penalties."""
+    registry = ClassRegistry([weights.class_ids])
+    return _terms("finetune", registry, 0, WeightSnapshots(), weights, batch)
+
+
 def test_cross_entropy_uniform_softmax():
     w = WeightMatrix([0, 1], np.zeros((2, 3)))
     f = np.array([2.0, -1.0, 0.5])
-    value, grad = cross_entropy(w, [LabeledExample(0, f)], [0, 1])
-    assert value == pytest.approx(np.log(2.0), rel=1e-12)
-    np.testing.assert_allclose(grad[0], -f / 2, atol=1e-12)
-    np.testing.assert_allclose(grad[1], f / 2, atol=1e-12)
+    terms = _ce(w, [LabeledExample(0, f)])
+    assert terms.data_loss == pytest.approx(np.log(2.0), rel=1e-12)
+    np.testing.assert_allclose(terms.gradient[0], -f / 2, atol=1e-12)
+    np.testing.assert_allclose(terms.gradient[1], f / 2, atol=1e-12)
 
 
 def test_cross_entropy_shift_invariance():
@@ -50,9 +68,9 @@ def test_cross_entropy_shift_invariance():
     m = rng.standard_normal((4, 5))
     f = rng.standard_normal(5)
     batch = [LabeledExample(2, f)]
-    v1, _ = cross_entropy(WeightMatrix(range(4), m), batch, range(4))
+    v1 = _ce(WeightMatrix(range(4), m), batch).data_loss
     shift = 3.7 / (f @ f)
-    v2, _ = cross_entropy(WeightMatrix(range(4), m + shift * f), batch, range(4))
+    v2 = _ce(WeightMatrix(range(4), m + shift * f), batch).data_loss
     assert v2 == pytest.approx(v1, rel=1e-9)
 
 
@@ -63,34 +81,39 @@ def test_cross_entropy_gradient_finite_difference():
     batch = Batch(rng.standard_normal((10, 6)), rng.integers(0, 5, size=10))
 
     def fn(w):
-        return cross_entropy(WeightMatrix(ids, w), batch, ids)[0]
+        return _ce(WeightMatrix(ids, w), batch).data_loss
 
-    _, grad = cross_entropy(WeightMatrix(ids, m), batch, ids)
+    grad = _ce(WeightMatrix(ids, m), batch).gradient
     assert rel_err(grad_matrix(grad, ids), fd_gradient(fn, m)) < 1e-4
 
 
 def test_cross_entropy_errors():
     w = WeightMatrix([0, 1], np.zeros((2, 3)))
     with pytest.raises(ValidationError):
-        cross_entropy(w, [], [0, 1])
+        _ce(w, [])
     with pytest.raises(ValidationError):
-        cross_entropy(w, [LabeledExample(9, np.ones(3))], [0, 1])
+        _ce(w, [LabeledExample(9, np.ones(3))])
 
 
 # --- r_prior -------------------------------------------------------------------
 
+def _prior(m):
+    ids = list(range(m.shape[0]))
+    return _terms("finetune", ClassRegistry([ids]), 0, WeightSnapshots(),
+                  WeightMatrix(ids, m), _null_batch(m.shape[1], 0), alpha=1.0)
+
+
 def test_r_prior_values():
-    assert r_prior(WeightMatrix([0, 1], np.zeros((2, 4))))[0] == 0.0
-    value, grad = r_prior(WeightMatrix([0], np.array([[3.0, 4.0]])))
-    assert value == 25.0
-    np.testing.assert_array_equal(grad[0], [6.0, 8.0])
+    assert _prior(np.zeros((2, 4))).r_prior == 0.0
+    terms = _prior(np.array([[3.0, 4.0]]))
+    assert terms.r_prior == 25.0
+    np.testing.assert_array_equal(terms.gradient[0], [6.0, 8.0])
 
 
 def test_r_prior_homogeneity():
     rng = np.random.default_rng(2)
     m = rng.standard_normal((3, 4))
-    assert r_prior(WeightMatrix(range(3), 2 * m))[0] == pytest.approx(
-        4 * r_prior(WeightMatrix(range(3), m))[0], rel=1e-12)
+    assert _prior(2 * m).r_prior == pytest.approx(4 * _prior(m).r_prior, rel=1e-12)
 
 
 # --- r_old ----------------------------------------------------------------------
@@ -102,60 +125,79 @@ def _snaps_two_sessions():
     return snaps
 
 
+def _r_old(sessions, snaps, w, beta_base, beta_prev_novel):
+    """Anchor term of the last session of ``sessions`` (a registry plan)."""
+    return _terms("finetune", ClassRegistry(sessions), len(sessions) - 1, snaps, w,
+                  _null_batch(w.dimension, 0), beta_base=beta_base,
+                  beta_prev_novel=beta_prev_novel)
+
+
 def test_r_old_zero_at_snapshots():
     snaps = _snaps_two_sessions()
     w = WeightMatrix([0, 1, 2], np.vstack([np.eye(2), [5.0, 5.0]]))
-    value, grad = r_old(w, snaps, 0.2, 0.1)
-    assert value == 0.0
-    assert all(np.allclose(g, 0.0) for g in grad.values())
+    terms = _r_old([(0, 1), (2,), ()], snaps, w, 0.2, 0.1)
+    assert terms.r_old == 0.0
+    assert all(np.allclose(g, 0.0) for g in terms.gradient.values())
 
 
 def test_r_old_unit_displacement_base_beta():
     snaps = WeightSnapshots()
     snaps.store(0, WeightMatrix([0], np.array([[1.0, 0.0]])))
     w = WeightMatrix([0], np.array([[1.0, 1.0]]))  # displaced by a unit vector
-    value, grad = r_old(w, snaps, 0.2, 0.1)
-    assert value == pytest.approx(0.2, rel=1e-12)
-    np.testing.assert_allclose(grad[0], [0.0, 0.4], atol=1e-12)
+    terms = _r_old([(0,), ()], snaps, w, 0.2, 0.1)
+    assert terms.r_old == pytest.approx(0.2, rel=1e-12)
+    np.testing.assert_allclose(terms.gradient[0], [0.0, 0.4], atol=1e-12)
 
 
 def test_r_old_first_session_only_base_terms():
     snaps = WeightSnapshots()
     snaps.store(0, WeightMatrix([0, 1], np.eye(2)))
     w = WeightMatrix([0, 1, 2], np.vstack([np.eye(2) + 1.0, [3.0, 3.0]]))
-    value, grad = r_old(w, snaps, 0.5, 99.0)
-    # novel class 2 is in no snapshot: zero contribution regardless of beta
-    assert value == pytest.approx(0.5 * (2 + 1 + 1), rel=1e-12)
-    np.testing.assert_array_equal(grad[2], [0.0, 0.0])
+    terms = _r_old([(0, 1), (2,)], snaps, w, 0.5, 99.0)
+    # novel class 2 has no anchor yet: zero contribution regardless of beta
+    assert terms.r_old == pytest.approx(0.5 * (2 + 1 + 1), rel=1e-12)
+    np.testing.assert_array_equal(terms.gradient[2], [0.0, 0.0])
 
 
 def test_r_old_anchors_to_introducing_session():
     snaps = _snaps_two_sessions()
     w = WeightMatrix([0, 1, 2], np.vstack([np.eye(2), [6.0, 5.0]]))
-    value, _ = r_old(w, snaps, 0.2, 0.1)
-    assert value == pytest.approx(0.1 * 1.0, rel=1e-12)  # class 2 vs its session-1 row
+    terms = _r_old([(0, 1), (2,), ()], snaps, w, 0.2, 0.1)
+    assert terms.r_old == pytest.approx(0.1 * 1.0, rel=1e-12)  # class 2 vs its session-1 row
 
 
 def test_r_old_missing_snapshot_error():
     snaps = WeightSnapshots()
     snaps.store(0, WeightMatrix([0], np.ones((1, 2))))
+    # class 1 was introduced in session 1, which has no snapshot
     with pytest.raises(MissingSnapshotError):
-        r_old(WeightMatrix([0, 1], np.ones((2, 2))), snaps, 0.2, 0.1, old_classes=[0, 1])
+        _r_old([(0,), (1,), ()], snaps, WeightMatrix([0, 1], np.ones((2, 2))), 0.2, 0.1)
 
 
 # --- r_new subspace ----------------------------------------------------------------
 
+_BASE = 100  # the one base class, distinct from every novel id used below
+
+
+def _r_new(kind, novel_ids, rows, basis=None, targets=None):
+    """New-class term of session 1 at gamma=1, over one base class with no anchor weight."""
+    d = rows.shape[1]
+    snaps = WeightSnapshots()
+    snaps.store(0, WeightMatrix([_BASE], np.ones((1, d))))
+    w = WeightMatrix([*novel_ids, _BASE], np.vstack([rows, np.ones((1, d))]))
+    return _terms(kind, ClassRegistry([(_BASE,), novel_ids]), 1, snaps, w,
+                  _null_batch(d, _BASE), basis=basis, targets=targets, gamma=1.0)
+
+
 def test_r_new_subspace_hand_example():
-    w = WeightMatrix([5], np.array([[1.0, 2.0, 3.0]]))
-    value, grad = r_new_subspace(w, [5], _xy_basis())
-    assert value == pytest.approx(9.0, rel=1e-12)
-    np.testing.assert_allclose(grad[5], [0.0, 0.0, 6.0], atol=1e-12)
+    terms = _r_new("subspace", [5], np.array([[1.0, 2.0, 3.0]]), basis=_xy_basis())
+    assert terms.r_new == pytest.approx(9.0, rel=1e-12)
+    np.testing.assert_allclose(terms.gradient[5], [0.0, 0.0, 6.0], atol=1e-12)
 
 
 def test_r_new_subspace_zero_in_span():
-    w = WeightMatrix([5], np.array([[1.0, -2.0, 0.0]]))
-    value, _ = r_new_subspace(w, [5], _xy_basis())
-    assert value == pytest.approx(0.0, abs=1e-12)
+    terms = _r_new("subspace", [5], np.array([[1.0, -2.0, 0.0]]), basis=_xy_basis())
+    assert terms.r_new == pytest.approx(0.0, abs=1e-12)
 
 
 def test_r_new_subspace_stop_gradient_equivalence():
@@ -165,8 +207,8 @@ def test_r_new_subspace_stop_gradient_equivalence():
     basis = orthonormal_basis(list(rng.standard_normal((3, 6))))
     ids = [0, 1]
     m = rng.standard_normal((2, 6))
-    _, grad = r_new_subspace(WeightMatrix(ids, m), ids, basis)
-    analytic = grad_matrix(grad, ids)
+    terms = _r_new("subspace", ids, m, basis=basis)
+    analytic = grad_matrix(terms.gradient, ids)
 
     p = basis.matrix
 
@@ -184,7 +226,6 @@ def test_r_new_subspace_stop_gradient_equivalence():
     fd_held = fd_gradient(held, m)
     assert np.max(np.abs(fd_through - analytic)) < 1e-8
     assert np.max(np.abs(fd_held - analytic)) < 1e-8
-
 
 # --- semantic targets -----------------------------------------------------------
 
@@ -254,12 +295,11 @@ def test_semantic_targets_errors():
 # --- fixed-target penalty ---------------------------------------------------------
 
 def test_r_new_fixed_target_values():
-    w = WeightMatrix([3], np.array([[2.0, 2.0]]))
-    value, grad = r_new_fixed_target(w, {3: np.array([2.0, 2.0])})
-    assert value == 0.0
-    value, grad = r_new_fixed_target(w, {3: np.array([1.0, 1.0])})
-    assert value == pytest.approx(2.0, rel=1e-12)
-    np.testing.assert_allclose(grad[3], [2.0, 2.0], atol=1e-12)
+    row = np.array([[2.0, 2.0]])
+    assert _r_new("semantic", [3], row, targets={3: np.array([2.0, 2.0])}).r_new == 0.0
+    terms = _r_new("semantic", [3], row, targets={3: np.array([1.0, 1.0])})
+    assert terms.r_new == pytest.approx(2.0, rel=1e-12)
+    np.testing.assert_allclose(terms.gradient[3], [2.0, 2.0], atol=1e-12)
 
 
 def test_r_new_fixed_target_fd_and_missing():
@@ -269,12 +309,12 @@ def test_r_new_fixed_target_fd_and_missing():
     targets = {c: rng.standard_normal(4) for c in ids}
 
     def fn(w):
-        return r_new_fixed_target(WeightMatrix(ids, w), targets)[0]
+        return _r_new("semantic", ids, w, targets=targets).r_new
 
-    _, grad = r_new_fixed_target(WeightMatrix(ids, m), targets)
+    grad = _r_new("semantic", ids, m, targets=targets).gradient
     assert rel_err(grad_matrix(grad, ids), fd_gradient(fn, m)) < 1e-4
     with pytest.raises(MissingTargetError):
-        r_new_fixed_target(WeightMatrix(ids, m), targets, novel_classes=[0, 7])
+        _r_new("semantic", [0, 7], m[:2], targets=targets)
 
 
 # --- assembled objective ------------------------------------------------------------
@@ -301,12 +341,12 @@ def test_assemble_zero_coefficients_reduce_to_cross_entropy():
     registry = ClassRegistry([(0, 1), (2,)])
     snaps = WeightSnapshots()
     snaps.store(0, WeightMatrix([0, 1], rng.standard_normal((2, 3))))
-    cfg = RunConfig(regularizer_kind="finetune", alpha=0.0, beta_base=0.0,
-                    beta_prev_novel=0.0, gamma=0.0)
     weights = WeightMatrix([0, 1, 2], rng.standard_normal((3, 3)))
     batch = Batch(rng.standard_normal((6, 3)), rng.integers(0, 3, size=6))
-    terms = assemble(cfg, weights, batch, registry, 1, snaps)
-    ce, _ = cross_entropy(weights, batch, [0, 1, 2])
+    terms = _terms("finetune", registry, 1, snaps, weights, batch)
+    logits = batch.features @ weights.matrix.T
+    ce = float(np.mean(np.log(np.exp(logits).sum(axis=1))
+                       - logits[np.arange(6), batch.class_ids]))
     assert terms.total == pytest.approx(ce, rel=1e-12)
 
 
@@ -379,10 +419,10 @@ def test_regularizers_zero_exactly_at_anchor():
         snaps = WeightSnapshots()
         snaps.store(0, WeightMatrix([0, 1, 2], base))
         w_at_anchor = WeightMatrix([0, 1, 2], base)
-        assert r_old(w_at_anchor, snaps, 0.4, 0.2)[0] == 0.0
+        assert _r_old([(0, 1, 2), ()], snaps, w_at_anchor, 0.4, 0.2).r_old == 0.0
         basis = orthonormal_basis(list(base))
         coeff = rng.standard_normal(basis.rank)
         in_span = basis.matrix @ coeff
-        assert r_new_subspace(WeightMatrix([9], in_span[None, :]), [9], basis)[0] < 1e-20
+        assert _r_new("subspace", [9], in_span[None, :], basis=basis).r_new < 1e-20
         tgt = rng.standard_normal(d)
-        assert r_new_fixed_target(WeightMatrix([9], tgt[None, :]), {9: tgt})[0] == 0.0
+        assert _r_new("semantic", [9], tgt[None, :], targets={9: tgt}).r_new == 0.0

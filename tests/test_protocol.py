@@ -7,16 +7,22 @@ from incrlin.datamodel import (
     ClassRegistry,
     EmbeddingTable,
     FeatureStore,
-    LabeledExample,
     RunConfig,
     SessionStream,
     WeightMatrix,
 )
-from incrlin.errors import ConfigError, DivergenceError, MissingExampleError, ValidationError
+from incrlin.errors import (
+    ConfigError,
+    DivergenceError,
+    MissingEmbeddingError,
+    MissingExampleError,
+    ValidationError,
+)
 from incrlin.protocol import (
     confusion_matrix,
     delta_metric,
     predict,
+    prepare_run,
     run_episode,
     run_multi_session,
     run_single_session,
@@ -127,7 +133,7 @@ def test_sample_episode_shapes_one_shot_five_way():
     assert len(ep.support) == 5
     assert len(ep.novel_classes) == 5
     assert len(ep.query) == 30
-    assert len({ex.class_id for ex in ep.support}) == 5
+    assert len(set(ep.support.class_ids.tolist())) == 5
 
 
 def test_sample_episode_deterministic_under_seed():
@@ -137,9 +143,8 @@ def test_sample_episode_deterministic_under_seed():
     assert e1.novel_classes == e2.novel_classes
     np.testing.assert_array_equal(e1.query.features, e2.query.features)
     np.testing.assert_array_equal(e1.query.class_ids, e2.query.class_ids)
-    for a, b in zip(e1.support, e2.support):
-        assert a.class_id == b.class_id
-        np.testing.assert_array_equal(a.feature, b.feature)
+    np.testing.assert_array_equal(e1.support.class_ids, e2.support.class_ids)
+    np.testing.assert_array_equal(e1.support.features, e2.support.features)
 
 
 def test_sample_episode_insufficient_examples():
@@ -300,12 +305,12 @@ def test_run_episode_perfect_classifier_has_zero_delta():
     # crafted episode where every query is its own class's indicator vector
     base_ids = [0, 1]
     w = WeightMatrix(base_ids, 10 * np.eye(2, 4))
-    support = (LabeledExample(5, np.array([0.0, 0.0, 1.0, 0.0])),)
+    support = Batch(np.array([[0.0, 0.0, 1.0, 0.0]]), np.array([5]))
     query = Batch(np.eye(4)[[0, 1, 2]], np.array([0, 1, 5]))
     episode = protocol_mod.Episode((5,), support, query)
     cfg = RunConfig(regularizer_kind="finetune", alpha=0.0, beta_base=0.0,
                     learning_rate=0.1, max_epochs=30, rng_seed=0)
-    result = run_episode(w, episode, cfg, np.random.default_rng(0))
+    result = run_episode(prepare_run(cfg, w, base_ids), episode, np.random.default_rng(0))
     assert result.acc_base_joint == 100.0
     assert result.acc_novel_joint == 100.0
     assert result.delta == 0.0
@@ -317,8 +322,7 @@ def test_degenerate_one_class_dominance_pattern():
     # joint novel accuracy then equals 1/n_way (only class 5's queries right).
     base_ids = [0, 1]
     w = WeightMatrix(base_ids, np.eye(2, 4))
-    support = (LabeledExample(5, np.array([0.0, 0.0, 1.0, 0.0])),
-               LabeledExample(6, np.array([0.0, 0.0, 0.0, 1.0])))
+    support = Batch(np.eye(4)[[2, 3]], np.array([5, 6]))
     feats = np.array([
         [0.1, 0.0, 1.0, 0.0],   # base 0 query
         [0.0, 0.1, 1.0, 0.0],   # base 1 query
@@ -329,7 +333,7 @@ def test_degenerate_one_class_dominance_pattern():
     episode = protocol_mod.Episode((5, 6), support, query)
     cfg = RunConfig(regularizer_kind="finetune", alpha=0.0, beta_base=0.0,
                     learning_rate=0.0, max_epochs=1, rng_seed=0)  # imprint only
-    result = run_episode(w, episode, cfg, np.random.default_rng(0))
+    result = run_episode(prepare_run(cfg, w, base_ids), episode, np.random.default_rng(0))
     n_way = 2
     assert result.acc_novel_joint == pytest.approx(100.0 / n_way)
     assert result.acc_novel_individual == pytest.approx(100.0 / n_way)
@@ -338,14 +342,21 @@ def test_degenerate_one_class_dominance_pattern():
     assert result.delta == pytest.approx(-50.0)
 
 
-def test_run_single_session_deterministic_and_job_invariant():
+def test_run_single_session_deterministic():
     base_store, novel_store, bw, cfg, _ = _single_setup()
     kw = dict(n_episodes=12, n_way=3, k_shot=1, n_query=16)
     r1 = run_single_session(base_store, novel_store, bw, cfg, **kw)
     r2 = run_single_session(base_store, novel_store, bw, cfg, **kw)
-    r3 = run_single_session(base_store, novel_store, bw, cfg, jobs=3, **kw)
-    assert r1.as_dict() == r2.as_dict() == r3.as_dict()
+    assert r1.as_dict() == r2.as_dict()
     assert r1.acc.n == 12 and r1.n_failed == 0
+
+
+def test_run_single_session_rejects_partial_base_weights():
+    # base queries of classes without a weight row would be scored as novel
+    base_store, novel_store, bw, cfg, _ = _single_setup()
+    partial = WeightMatrix(range(5), bw.subset(range(5)))
+    with pytest.raises(ValidationError, match=r"\[5, 6, 7, 8, 9\]"):
+        run_single_session(base_store, novel_store, partial, cfg, n_episodes=2)
 
 
 def test_run_single_session_counts_failed_episodes():
@@ -381,6 +392,44 @@ def test_run_single_session_semantic_needs_embeddings():
     with pytest.raises(ConfigError):
         run_single_session(base_store, novel_store, bw,
                            cfg.replace(regularizer_kind="semantic"), n_episodes=2)
+
+
+def _without(embeddings, class_id):
+    return EmbeddingTable({c: embeddings.vector(c) for c in embeddings.classes if c != class_id})
+
+
+def test_missing_embedding_raises_before_any_work():
+    base_store, novel_store, bw, cfg, data = _single_setup()
+    for kind in ("semantic", "description", "linmap"):
+        for missing in (3, 12):  # a base class, then a class of the novel pool
+            with pytest.raises(MissingEmbeddingError, match=rf"\[{missing}\]"):
+                run_single_session(base_store, novel_store, bw,
+                                   cfg.replace(regularizer_kind=kind), n_episodes=4,
+                                   n_way=3, embeddings=_without(data.embeddings, missing))
+    data, registry, cfg, _ = _bench_setup(kind="semantic")
+    bw, _ = train_base(data.store.restrict(registry.base_classes),
+                       registry.base_classes, cfg)
+    stream = SessionStream(data.store, registry, cfg, k_shot=5,
+                           embeddings=_without(data.embeddings, registry.classes_in(4)[0]))
+    finished = []
+    with pytest.raises(MissingEmbeddingError):
+        run_multi_session(stream, base_weights=bw,
+                          on_session_end=lambda t, w: finished.append(t))
+    assert finished == []
+
+
+def test_session_confusion_matches_public_confusion_matrix():
+    data, registry, cfg, stream = _bench_setup(seed=1)
+    bw, _ = train_base(data.store.restrict(registry.base_classes),
+                       registry.base_classes, cfg)
+    weights = {}
+    results = run_multi_session(stream, base_weights=bw,
+                                on_session_end=lambda t, w: weights.update({t: w}))
+    for t, r in enumerate(results):
+        active = registry.classes_up_to(t)
+        direct = confusion_matrix(weights[t], stream.query_batch_up_to(t), active)
+        assert r.confusion.class_ids == direct.class_ids
+        np.testing.assert_array_equal(r.confusion.counts, direct.counts)
 
 
 def test_run_single_session_semantic_and_linmap():

@@ -4,13 +4,12 @@ import pytest
 from incrlin.datamodel import (
     Batch,
     ClassRegistry,
-    FeatureStore,
     LabeledExample,
     RunConfig,
     WeightMatrix,
     WeightSnapshots,
 )
-from incrlin.errors import DivergenceError, MissingExampleError, ValidationError
+from incrlin.errors import DivergenceError, MissingExampleError
 from incrlin.linalg import orthonormal_basis
 from incrlin.objectives import Objective
 from incrlin.trainer import (
@@ -18,7 +17,6 @@ from incrlin.trainer import (
     _epoch_batches,
     fine_tune,
     init_novel_weights,
-    take_snapshot,
     train_base,
 )
 from incrlin.synth import SynthSpec, generate
@@ -26,16 +24,20 @@ from incrlin.synth import SynthSpec, generate
 
 # --- initialization -------------------------------------------------------------
 
+def _batch(class_ids, features):
+    return Batch(np.asarray(features, dtype=np.float64), np.asarray(class_ids))
+
+
 def test_init_one_shot_scaled_mean():
     v = np.array([3.0, 0.0, 4.0])
-    rows = init_novel_weights([LabeledExample(7, v)], snapshot0_norms=np.array([2.0, 4.0]),
+    rows = init_novel_weights(_batch([7], [v]), snapshot0_norms=np.array([2.0, 4.0]),
                               rng=np.random.default_rng(0))
     np.testing.assert_allclose(rows[7], 3.0 * v / 5.0, atol=1e-12)  # mean norm rho=3
 
 
 def test_init_degenerate_mean_falls_back_to_small_random():
     v = np.array([1.0, -2.0, 0.5])
-    rows = init_novel_weights([LabeledExample(7, v), LabeledExample(7, -v)],
+    rows = init_novel_weights(_batch([7, 7], [v, -v]),
                               snapshot0_norms=np.array([5.0]),
                               rng=np.random.default_rng(0))
     assert np.linalg.norm(rows[7]) == pytest.approx(0.05, rel=1e-9)  # 0.01 * rho
@@ -44,20 +46,20 @@ def test_init_degenerate_mean_falls_back_to_small_random():
 def test_init_five_shot_beats_fresh_random_row_on_own_support():
     rng = np.random.default_rng(1)
     center = rng.standard_normal(16)
-    support = [LabeledExample(3, center + 0.1 * rng.standard_normal(16)) for _ in range(5)]
+    support = _batch([3] * 5, center + 0.1 * rng.standard_normal((5, 16)))
     rho = 2.0
     rows = init_novel_weights(support, rho, np.random.default_rng(2))
     rand = rng.standard_normal(16)
     rand *= rho / np.linalg.norm(rand)
-    for ex in support:
-        assert rows[3] @ ex.feature > rand @ ex.feature
+    for feature in support.features:
+        assert rows[3] @ feature > rand @ feature
 
 
 def test_init_missing_class_error_and_determinism():
     with pytest.raises(MissingExampleError):
-        init_novel_weights([LabeledExample(0, np.ones(2))], 1.0,
+        init_novel_weights(_batch([0], [np.ones(2)]), 1.0,
                            np.random.default_rng(0), classes=[0, 1])
-    sup = [LabeledExample(0, np.array([1.0, 2.0]))]
+    sup = _batch([0], [[1.0, 2.0]])
     a = init_novel_weights(sup, 1.0, np.random.default_rng(5))
     b = init_novel_weights(sup, 1.0, np.random.default_rng(5))
     np.testing.assert_array_equal(a[0], b[0])
@@ -141,8 +143,7 @@ def test_huge_gamma_forces_rows_into_subspace():
                     max_epochs=2000, convergence_tolerance=0.0, rng_seed=0)
     basis = orthonormal_basis(list(base))
     obj = Objective(cfg, registry, 1, snaps, basis=basis)
-    support = [LabeledExample(4, rng.standard_normal(d)) for _ in range(5)]
-    support += [LabeledExample(5, rng.standard_normal(d)) for _ in range(5)]
+    support = _batch([4] * 5 + [5] * 5, rng.standard_normal((10, d)))
     init = init_novel_weights(support, snaps.get(0).norms(), np.random.default_rng(0))
     weights = snaps.get(0).copy().with_rows(init)
     trained, _ = fine_tune(weights, obj, support, cfg, np.random.default_rng(0))
@@ -175,15 +176,6 @@ def test_smoothed_loss_trace_non_increasing_on_fixture():
 
 
 # --- snapshots and base training ----------------------------------------------------
-
-def test_take_snapshot_coverage_and_duplicate():
-    snaps = WeightSnapshots()
-    w = WeightMatrix([0, 1, 2], np.ones((3, 2)))
-    take_snapshot(snaps, w, 1)
-    assert snaps.get(1).class_ids == (0, 1, 2)
-    with pytest.raises(ValidationError):
-        take_snapshot(snaps, w, 1)
-
 
 def test_snapshot_zero_equals_base_weights_exactly():
     data = generate(SynthSpec(n_classes=5, dimension=6, rng_seed=1))
