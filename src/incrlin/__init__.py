@@ -10,7 +10,6 @@ from .datamodel import (
     ClassRegistry,
     EmbeddingTable,
     FeatureStore,
-    LabeledExample,
     LinearMap,
     MemoryBuffer,
     OrthonormalBasis,
@@ -45,8 +44,8 @@ from .trainer import TrainReport, fine_tune, init_novel_weights, train_base
 __version__ = "0.1.0"
 
 __all__ = [
-    "Batch", "ClassRegistry", "EmbeddingTable", "FeatureStore", "LabeledExample",
-    "LinearMap", "MemoryBuffer", "OrthonormalBasis", "RunConfig", "SessionStream",
+    "Batch", "ClassRegistry", "EmbeddingTable", "FeatureStore", "LinearMap",
+    "MemoryBuffer", "OrthonormalBasis", "RunConfig", "SessionStream",
     "WeightMatrix", "WeightSnapshots", "update_memory", "EngineError",
     "fit_least_squares", "orthonormal_basis", "project",
     "Objective", "ObjectiveTerms", "semantic_targets",

@@ -1,8 +1,14 @@
 """Domain types: feature stores, class registries, weights, embeddings, memory.
 
-Feature vectors are plain 1-D float64 numpy arrays; ``as_feature`` is the
-single place they get validated. Everything that survives a session boundary
-(registries, snapshots, embedding tables) is immutable after construction.
+Examples travel as a ``Batch`` (an (n, d) float64 feature matrix and its
+class ids), the only example type. Feature rows enter as a row table (class
+ids, query flags, features) through ``FeatureStore.from_rows``; the
+``FeatureStore`` constructor is the one place their values are checked
+(non-negative class ids, the store dimension, finite entries, a query row per
+class), while ``io`` checks only the file layout. Single vectors (weight rows,
+embeddings) are checked by ``as_feature``. Everything that survives a session
+boundary (registries, snapshots, embedding tables) is immutable after
+construction.
 """
 from __future__ import annotations
 
@@ -52,19 +58,6 @@ def as_feature(values, dimension: int | None = None) -> np.ndarray:
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class LabeledExample:
-    """One (class_id, feature) pair."""
-
-    class_id: int
-    feature: np.ndarray
-
-    def __post_init__(self):
-        if self.class_id < 0:
-            raise ValidationError(f"class_id must be non-negative, got {self.class_id}")
-        object.__setattr__(self, "feature", as_feature(self.feature))
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
 class Batch:
     """Stacked examples: features (n, d) and class ids (n,)."""
 
@@ -84,14 +77,6 @@ class Batch:
         object.__setattr__(self, "class_ids", c)
 
     @classmethod
-    def from_examples(cls, examples: Sequence[LabeledExample]) -> "Batch":
-        if len(examples) == 0:
-            raise ValidationError("batch is empty")
-        feats = np.stack([ex.feature for ex in examples])
-        ids = np.array([ex.class_id for ex in examples], dtype=np.int64)
-        return cls(feats, ids)
-
-    @classmethod
     def concat(cls, batches: Sequence["Batch"]) -> "Batch":
         """Rows of every batch, in the given order."""
         return cls(np.concatenate([b.features for b in batches]),
@@ -103,14 +88,6 @@ class Batch:
     @property
     def dimension(self) -> int:
         return self.features.shape[1]
-
-
-def coerce_batch(data) -> Batch:
-    """Accept a Batch or a sequence of LabeledExample (the public training and
-    objective entry points take either)."""
-    if isinstance(data, Batch):
-        return data
-    return Batch.from_examples(list(data))
 
 
 class FeatureStore:
@@ -129,6 +106,8 @@ class FeatureStore:
         self._support: dict[int, np.ndarray] = {}
         self._query: dict[int, np.ndarray] = {}
         for cid, rows in query.items():
+            if cid < 0:
+                raise ValidationError(f"class ids must be non-negative, got {cid}")
             self._query[int(cid)] = self._freeze(rows, cid)
         for cid, rows in support.items():
             cid = int(cid)
@@ -145,7 +124,7 @@ class FeatureStore:
         self._classes = tuple(sorted(self._query))
 
     def _freeze(self, rows, cid) -> np.ndarray:
-        arr = np.asarray(rows, dtype=np.float64)
+        arr = np.array(rows, dtype=np.float64)
         if arr.ndim != 2:
             raise ValidationError(f"class {cid}: expected a (n, d) array, got shape {arr.shape}")
         if arr.shape[1] != self._dimension:
@@ -153,25 +132,28 @@ class FeatureStore:
                 f"class {cid}: dimension {arr.shape[1]} != store dimension {self._dimension}")
         if not np.all(np.isfinite(arr)):
             raise ValidationError(f"class {cid}: non-finite feature entries")
-        arr = arr.copy()
         arr.setflags(write=False)
         return arr
 
     @classmethod
-    def from_rows(cls, dimension: int, rows: Iterable[tuple[int, str, np.ndarray]]) -> "FeatureStore":
-        """Build from (class_id, split, feature) triples; split is 'support' or 'query'."""
-        support: dict[int, list] = {}
-        query: dict[int, list] = {}
-        for cid, split, feat in rows:
-            if split == "support":
-                support.setdefault(int(cid), []).append(feat)
-            elif split == "query":
-                query.setdefault(int(cid), []).append(feat)
-            else:
-                raise ValidationError(f"unknown split tag {split!r}")
-        sup = {c: np.stack(v) for c, v in support.items()}
-        qry = {c: np.stack(v) for c, v in query.items()}
-        return cls(dimension, sup, qry)
+    def from_rows(cls, dimension: int, class_ids, is_query, features) -> "FeatureStore":
+        """Build from a row table: class ids (n,), query flags (n,) and features
+        (n, d). Rows keep their table order within each class and split."""
+        ids = np.asarray(class_ids, dtype=np.int64)
+        flags = np.asarray(is_query, dtype=bool)
+        feats = np.asarray(features)
+        if ids.ndim != 1 or flags.shape != ids.shape or feats.ndim != 2 \
+                or feats.shape[0] != ids.size:
+            raise ValidationError(
+                f"inconsistent row table shapes {ids.shape} / {flags.shape} / {feats.shape}")
+        key = 2 * ids + flags  # one group per (class, split), support first
+        order = np.argsort(key, kind="stable")
+        groups, starts = np.unique(key[order], return_index=True)
+        support: dict[int, np.ndarray] = {}
+        query: dict[int, np.ndarray] = {}
+        for g, rows in zip(groups.tolist(), np.split(order, starts[1:])):
+            (query if g & 1 else support)[g >> 1] = feats[rows]
+        return cls(dimension, support, query)
 
     @property
     def dimension(self) -> int:
@@ -229,13 +211,14 @@ class FeatureStore:
         """All query examples of the given classes, stacked in ascending class order."""
         return _stack([(c, self.query(c)) for c in sorted(set(class_ids))])
 
-    def iter_rows(self):
-        """Yield (class_id, split, feature-row) in a stable order, for serialization."""
-        for c in self._classes:
-            for row in self._support[c]:
-                yield c, "support", row
-            for row in self._query[c]:
-                yield c, "query", row
+    def to_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The store as a row table (class ids, query flags, features): classes
+        ascending, each class's support rows before its query rows."""
+        pools = [(c, q, rows) for c in self._classes
+                 for q, rows in ((False, self._support[c]), (True, self._query[c]))]
+        ids = np.concatenate([np.full(len(rows), c, dtype=np.int64) for c, _, rows in pools])
+        flags = np.concatenate([np.full(len(rows), q) for _, q, rows in pools])
+        return ids, flags, np.concatenate([rows for _, _, rows in pools])
 
 
 def _stack(pools: Sequence[tuple[int, np.ndarray]]) -> Batch:
@@ -599,7 +582,7 @@ class LinearMap:
 
 
 class SessionStream:
-    """One run's data: store, session plan, optional embeddings, memory, config.
+    """One run's data: store, session plan, optional embeddings, config.
 
     ``k_shot`` limits each incremental session's support set to the first k
     examples per class; the base session always uses the full support pool.
@@ -617,7 +600,6 @@ class SessionStream:
         self.config = config
         self.embeddings = embeddings
         self.k_shot = k_shot
-        self.memory = MemoryBuffer.empty()
 
     def support_examples(self, session: int) -> Batch:
         classes = self.registry.classes_in(session)

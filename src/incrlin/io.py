@@ -7,6 +7,12 @@ u32 record count, u32 dimension, then per record u32 class_id, u8 split tag
 (0=support, 1=query), and d float32 values. Embedding / weight CSVs:
 ``class_id,e0,...`` / ``class_id,w0,...``. Manifest: JSON object mapping
 class_id to {"label": str, "session": int}.
+
+Feature stores are read into and written from the row table of
+``FeatureStore.from_rows`` / ``to_rows``. The loaders check the file layout
+(header, field counts, number syntax, split tags, record sizes) and raise
+``FormatError`` naming the file and the line or byte offset; the values
+(class ids, finiteness, a query row per class) are checked by ``FeatureStore``.
 """
 from __future__ import annotations
 
@@ -18,12 +24,16 @@ from pathlib import Path
 import numpy as np
 
 from .datamodel import ClassRegistry, EmbeddingTable, FeatureStore, WeightMatrix
-from .errors import FormatError
+from .errors import FormatError, ValidationError
 
 FEATURE_MAGIC = b"FSCF"
 FEATURE_VERSION = 1
-_SPLIT_TO_TAG = {"support": 0, "query": 1}
-_TAG_TO_SPLIT = {0: "support", 1: "query"}
+_SPLITS = ("support", "query")  # indexed by the split tag, 1 = query
+
+
+def _record_dtype(dimension: int) -> np.dtype:
+    """One packed binary record: class id, split tag, features."""
+    return np.dtype([("class_id", "<u4"), ("tag", "u1"), ("x", "<f4", (dimension,))])
 
 
 def _fmt(x: float) -> str:
@@ -33,12 +43,12 @@ def _fmt(x: float) -> str:
 # --- feature stores --------------------------------------------------------
 
 def save_feature_store_csv(store: FeatureStore, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class_id", "split"] + [f"f{i}" for i in range(store.dimension)])
-        for cid, split, row in store.iter_rows():
-            writer.writerow([cid, split] + [_fmt(v) for v in row])
+    ids, is_query, feats = store.to_rows()
+    header = ["class_id", "split"] + [f"f{i}" for i in range(store.dimension)]
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for cid, q, row in zip(ids.tolist(), is_query.tolist(), feats):
+            fh.write(f"{cid},{_SPLITS[q]},{','.join(map(repr, row.tolist()))}\r\n")
 
 
 def load_feature_store_csv(path) -> FeatureStore:
@@ -51,35 +61,38 @@ def load_feature_store_csv(path) -> FeatureStore:
         dim = len(header) - 2
         if dim < 1:
             raise FormatError(f"{path}: no feature columns")
-        rows = []
+        ids, is_query, feats = [], [], []
         for lineno, rec in enumerate(reader, start=2):
             if not rec:
                 continue
             if len(rec) != dim + 2:
                 raise FormatError(f"{path}:{lineno}: expected {dim + 2} fields, got {len(rec)}")
             try:
-                cid = int(rec[0])
-                feat = np.array([float(v) for v in rec[2:]])
+                ids.append(int(rec[0]))
+                feats.append(np.array([float(v) for v in rec[2:]]))
             except ValueError as err:
                 raise FormatError(f"{path}:{lineno}: {err}") from None
-            split = rec[1]
-            if split not in _SPLIT_TO_TAG:
-                raise FormatError(f"{path}:{lineno}: unknown split {split!r}")
-            rows.append((cid, split, feat))
-    if not rows:
+            if rec[1] not in _SPLITS:
+                raise FormatError(f"{path}:{lineno}: unknown split {rec[1]!r}")
+            is_query.append(rec[1] == "query")
+    if not ids:
         raise FormatError(f"{path}: no data rows")
-    return FeatureStore.from_rows(dim, rows)
+    return FeatureStore.from_rows(dim, ids, is_query, np.array(feats))
 
 
 def save_feature_store_binary(store: FeatureStore, path) -> None:
-    path = Path(path)
-    rows = list(store.iter_rows())
-    with path.open("wb") as fh:
+    ids, is_query, feats = store.to_rows()
+    too_big = ids[ids >= 2**32]
+    if too_big.size:
+        raise ValidationError(f"class {too_big[0]} does not fit the binary format's u32 class id")
+    records = np.empty(ids.size, dtype=_record_dtype(store.dimension))
+    records["class_id"] = ids
+    records["tag"] = is_query
+    records["x"] = feats
+    with Path(path).open("wb") as fh:
         fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<III", FEATURE_VERSION, len(rows), store.dimension))
-        for cid, split, row in rows:
-            fh.write(struct.pack("<IB", cid, _SPLIT_TO_TAG[split]))
-            fh.write(np.asarray(row, dtype="<f4").tobytes())
+        fh.write(struct.pack("<III", FEATURE_VERSION, ids.size, store.dimension))
+        fh.write(records.data)
 
 
 def load_feature_store_binary(path) -> FeatureStore:
@@ -92,19 +105,18 @@ def load_feature_store_binary(path) -> FeatureStore:
     version, n, dim = struct.unpack_from("<III", blob, 4)
     if version != FEATURE_VERSION:
         raise FormatError(f"{path}: unsupported version {version} (expected {FEATURE_VERSION})")
-    rec_size = 5 + 4 * dim
-    if len(blob) != 16 + n * rec_size:
-        raise FormatError(f"{path}: expected {16 + n * rec_size} bytes, got {len(blob)}")
-    rows = []
-    off = 16
-    for _ in range(n):
-        cid, tag = struct.unpack_from("<IB", blob, off)
-        if tag not in _TAG_TO_SPLIT:
-            raise FormatError(f"{path}: unknown split tag {tag}")
-        feat = np.frombuffer(blob, dtype="<f4", count=dim, offset=off + 5).astype(np.float64)
-        rows.append((cid, _TAG_TO_SPLIT[tag], feat))
-        off += rec_size
-    return FeatureStore.from_rows(dim, rows)
+    if dim == 0:
+        raise FormatError(f"{path}: feature dimension is 0")
+    dtype = _record_dtype(dim)
+    if len(blob) != 16 + n * dtype.itemsize:
+        raise FormatError(f"{path}: expected {16 + n * dtype.itemsize} bytes, got {len(blob)}")
+    records = np.frombuffer(blob, dtype=dtype, count=n, offset=16)
+    bad = np.flatnonzero(records["tag"] >= len(_SPLITS))
+    if bad.size:
+        i = int(bad[0])
+        raise FormatError(f"{path}: record {i} at byte offset {16 + i * dtype.itemsize}: "
+                          f"unknown split tag {records['tag'][i]}")
+    return FeatureStore.from_rows(dim, records["class_id"], records["tag"] == 1, records["x"])
 
 
 def load_feature_store(path) -> FeatureStore:

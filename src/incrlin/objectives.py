@@ -11,12 +11,12 @@ from collections.abc import Mapping
 import numpy as np
 
 from .datamodel import (
+    Batch,
     ClassRegistry,
     OrthonormalBasis,
     RunConfig,
     WeightMatrix,
     WeightSnapshots,
-    coerce_batch,
 )
 from .errors import (
     ConfigError,
@@ -212,13 +212,12 @@ class Objective:
         total = data_loss + cfg.alpha * rp + ro + cfg.gamma * rn
         return ObjectiveTerms(data_loss, rp, ro, rn, total, self.class_ids, grad)
 
-    def evaluate(self, weights: WeightMatrix, batch) -> ObjectiveTerms:
-        b = coerce_batch(batch)
+    def evaluate(self, weights: WeightMatrix, batch: Batch) -> ObjectiveTerms:
         if self._dimension is not None and weights.dimension != self._dimension:
             raise DimensionMismatchError(
                 f"weight dimension {weights.dimension} != component dimension {self._dimension}")
-        if b.dimension != weights.dimension:
+        if batch.dimension != weights.dimension:
             raise DimensionMismatchError(
-                f"batch dimension {b.dimension} != weight dimension {weights.dimension}")
+                f"batch dimension {batch.dimension} != weight dimension {weights.dimension}")
         m = weights.subset(self.class_ids)
-        return self.evaluate_dense(m, b.features, self.label_positions(b.class_ids))
+        return self.evaluate_dense(m, batch.features, self.label_positions(batch.class_ids))

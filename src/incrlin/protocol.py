@@ -249,16 +249,15 @@ def run_multi_session(stream: SessionStream, config: RunConfig | None = None,
 
     snapshots = WeightSnapshots()
     weights = setup.snapshot0
-    stream.memory = MemoryBuffer.empty()
+    memory = MemoryBuffer.empty()
     results = []
     for t in range(registry.n_sessions):
         if t > 0 and config.memory_enabled and registry.classes_in(t - 1):
-            stream.memory = update_memory(stream.memory, stream.support_examples(t - 1),
-                                          rng, expected_classes=registry.classes_in(t - 1))
+            memory = update_memory(memory, stream.support_examples(t - 1), rng,
+                                   expected_classes=registry.classes_in(t - 1))
         if t > 0 and registry.classes_in(t):
-            memory = stream.memory.batch if config.memory_enabled else None
             weights = fit_session(setup, weights, registry, t, snapshots,
-                                  stream.support_examples(t), rng, memory=memory)
+                                  stream.support_examples(t), rng, memory=memory.batch)
         snapshots.store(t, weights)
         results.append(_evaluate_session(weights, stream.query_batch_up_to(t),
                                          registry, t, collect_confusion))
@@ -279,6 +278,16 @@ class Episode:
     query: Batch
 
 
+def _check_episode_shape(novel_store: FeatureStore, n_way: int, k_shot: int,
+                         n_query: int) -> None:
+    for name, value in (("n_way", n_way), ("k_shot", k_shot), ("n_query", n_query)):
+        if value < 1:
+            raise ValidationError(f"{name} must be >= 1, got {value}")
+    if len(novel_store.classes) < n_way:
+        raise MissingExampleError(
+            f"novel pool has {len(novel_store.classes)} classes, need n_way={n_way}")
+
+
 def sample_episode(base_store: FeatureStore, novel_store: FeatureStore,
                    n_way: int = 5, k_shot: int = 1, n_query: int = 50,
                    rng: np.random.Generator | None = None) -> Episode:
@@ -287,11 +296,7 @@ def sample_episode(base_store: FeatureStore, novel_store: FeatureStore,
     probability (then uniformly within the group)."""
     if rng is None:
         rng = np.random.default_rng()
-    if len(novel_store.classes) < n_way:
-        raise MissingExampleError(
-            f"novel pool has {len(novel_store.classes)} classes, need {n_way}")
-    if n_query < 1:
-        raise ValidationError(f"n_query must be >= 1, got {n_query}")
+    _check_episode_shape(novel_store, n_way, k_shot, n_query)
     chosen = np.sort(rng.choice(np.array(novel_store.classes), size=n_way, replace=False))
     support = []
     for c in chosen:
@@ -420,11 +425,13 @@ def run_single_session(base_store: FeatureStore, novel_store: FeatureStore,
     """Average episodic evaluation: every episode restarts from the base
     weights, fine-tunes on its own support set, and is scored jointly and per
     group. The base weights must cover exactly the base store's classes.
-    Failed episodes are excluded from the aggregates but counted."""
+    Episode sizes are checked before any episode runs; failed episodes are
+    excluded from the aggregates but counted."""
     if config.memory_enabled:
         raise ConfigError("memory replay applies to the multi-session protocol only")
     if n_episodes < 1:
         raise ValidationError(f"n_episodes must be >= 1, got {n_episodes}")
+    _check_episode_shape(novel_store, n_way, k_shot, n_query)
     missing = [c for c in sorted(base_weights.class_ids) if c not in base_store.classes]
     if missing:
         raise MissingExampleError(f"base classes {missing} have no query pool")

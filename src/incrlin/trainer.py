@@ -14,7 +14,6 @@ from .datamodel import (
     RunConfig,
     WeightMatrix,
     WeightSnapshots,
-    coerce_batch,
 )
 from .errors import DivergenceError, MissingExampleError
 from .objectives import Objective
@@ -72,14 +71,13 @@ def _epoch_batches(n: int, rng: np.random.Generator):
     return [perm[i:i + MINI_BATCH] for i in range(0, n, MINI_BATCH)]
 
 
-def fine_tune(weights: WeightMatrix, objective: Objective, data,
+def fine_tune(weights: WeightMatrix, objective: Objective, batch: Batch,
               config: RunConfig, rng: np.random.Generator) -> tuple[WeightMatrix, TrainReport]:
     """Minimize the session objective by SGD over the support (+ memory) set.
 
     Stops once the epoch loss changes by less than ``convergence_tolerance``
     for ``patience_epochs`` consecutive epochs, or at ``max_epochs``.
     """
-    batch = coerce_batch(data)
     feats = batch.features
     label_pos = objective.label_positions(batch.class_ids)
     n = len(batch)

@@ -21,7 +21,6 @@ from conftest import (
 from incrlin.datamodel import (
     Batch,
     ClassRegistry,
-    LabeledExample,
     RunConfig,
     WeightMatrix,
     WeightSnapshots,
@@ -260,7 +259,7 @@ def test_criterion_trainer_oracle_equivalence():
     basis = orthonormal_basis(list(base))
     obj = Objective(cfg, registry, 1, snaps, basis=basis)
     w0 = np.vstack([base, rng.standard_normal((1, 2))])
-    data = [LabeledExample(int(c), f) for c, f in zip(labels, feats)]
+    data = Batch(feats, labels)
     trained, _ = fine_tune(WeightMatrix([0, 1, 2], w0), obj, data, cfg,
                            np.random.default_rng(0))
 

@@ -6,7 +6,6 @@ from incrlin.datamodel import (
     ClassRegistry,
     EmbeddingTable,
     FeatureStore,
-    LabeledExample,
     MemoryBuffer,
     OrthonormalBasis,
     RunConfig,
@@ -179,6 +178,13 @@ def test_store_requires_query_examples():
         FeatureStore(2, {0: np.ones((1, 2))}, {1: np.ones((1, 2))})
 
 
+def test_store_rejects_negative_class_ids():
+    with pytest.raises(ValidationError, match="-1"):
+        FeatureStore(2, {-1: np.ones((1, 2))}, {-1: np.ones((1, 2))})
+    with pytest.raises(ValidationError, match="-3"):
+        FeatureStore.from_rows(2, [0, -3], [True, True], np.ones((2, 2)))
+
+
 def test_store_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         FeatureStore(3, {}, {0: np.ones((1, 2))})
@@ -215,15 +221,18 @@ def test_store_support_examples_stack_in_class_order():
 
 
 def test_store_from_rows_rejects_bad_split():
+    # the split column must have one flag per row
     with pytest.raises(ValidationError):
-        FeatureStore.from_rows(2, [(0, "train", np.ones(2))])
+        FeatureStore.from_rows(2, [0], [False, True], np.ones((1, 2)))
+    with pytest.raises(ValidationError):
+        FeatureStore.from_rows(2, [0, 0], [[True, True]], np.ones((2, 2)))
 
 
-def test_batch_from_examples_and_empty():
-    batch = Batch.from_examples([LabeledExample(3, np.ones(2))])
+def test_batch_shape_and_empty():
+    batch = Batch(np.ones((1, 2)), np.array([3]))
     assert len(batch) == 1 and batch.dimension == 2
     with pytest.raises(ValidationError):
-        Batch.from_examples([])
+        Batch(np.empty((0, 2)), np.empty(0, dtype=np.int64))
 
 
 def test_batch_concat_keeps_row_order():

@@ -1,11 +1,18 @@
+import hashlib
 import json
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from incrlin import io
 from incrlin.datamodel import EmbeddingTable, FeatureStore, WeightMatrix
-from incrlin.errors import FormatError
+from incrlin.errors import FormatError, ValidationError
 from incrlin.synth import SynthSpec, generate
 
 
@@ -67,6 +74,87 @@ def test_feature_binary_bad_files(tmp_path):
     truncated.write_bytes(blob[:-3])
     with pytest.raises(FormatError):
         io.load_feature_store_binary(truncated)
+
+    # record 2 starts at byte 16 + 2 * (5 + 4 * 5); its tag is 4 bytes in
+    bad_tag = tmp_path / "bad_tag"
+    bad_tag.write_bytes(blob[:70] + b"\x07" + blob[71:])
+    with pytest.raises(FormatError, match="record 2 at byte offset 66"):
+        io.load_feature_store_binary(bad_tag)
+
+    zero_dim = tmp_path / "zero_dim"
+    zero_dim.write_bytes(io.FEATURE_MAGIC + struct.pack("<III", 1, 2, 0) + bytes(10))
+    with pytest.raises(FormatError):
+        io.load_feature_store_binary(zero_dim)
+
+
+def test_feature_binary_rejects_class_ids_beyond_u32(tmp_path):
+    store = FeatureStore(2, {}, {2**32: np.ones((1, 2))})
+    with pytest.raises(ValidationError, match=str(2**32)):
+        io.save_feature_store_binary(store, tmp_path / "big.fscf")
+    io.save_feature_store_csv(store, tmp_path / "big.csv")
+    assert io.load_feature_store_csv(tmp_path / "big.csv").classes == (2**32,)
+
+
+def test_feature_store_bytes_pinned(tmp_path):
+    # digests of both formats as written before the writers were vectorised
+    grid = np.arange(1.0, 25.0).reshape(8, 3) / 7.0
+    store = FeatureStore(3, {0: grid[:2], 5: -grid[2:5]},
+                         {0: grid[5:6], 2: grid[6:8], 5: 1e-3 * grid[:1]})
+    io.save_feature_store_csv(store, tmp_path / "f.csv")
+    io.save_feature_store_binary(store, tmp_path / "f.fscf")
+    assert hashlib.sha256((tmp_path / "f.csv").read_bytes()).hexdigest() == \
+        "8788a89e67632a99c5447e624ad700393149591bd770bccb7d9b9527c20d8fec"
+    assert hashlib.sha256((tmp_path / "f.fscf").read_bytes()).hexdigest() == \
+        "db955deb2ad6a7eef5486c2843a63ed27a0d8d4cf7b729e175add44ca4ca9b51"
+
+
+def _write_csv(path, dim, labels, feats):
+    lines = [",".join(["class_id", "split"] + [f"f{i}" for i in range(dim)])]
+    lines += [f"{c},{'query' if q else 'support'}," + ",".join(repr(float(v)) for v in row)
+              for (c, q), row in zip(labels, feats)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _write_fscf(path, dim, labels, feats):
+    blob = io.FEATURE_MAGIC + struct.pack("<III", 1, len(labels), dim)
+    for (c, q), row in zip(labels, feats):
+        blob += struct.pack("<IB", c, q) + np.asarray(row, dtype="<f4").tobytes()
+    path.write_bytes(blob)
+
+
+@st.composite
+def _row_tables(draw):
+    """A dimension, (class, is_query) labels in file order with classes and
+    splits interleaved, and float32-exact features."""
+    dim = draw(st.integers(1, 8))
+    ids = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5, unique=True))
+    labels = []
+    for c in ids:
+        labels += [(c, False)] * draw(st.integers(0, 3)) + [(c, True)] * draw(st.integers(1, 3))
+    labels = draw(st.permutations(labels))
+    finite = st.floats(width=32, allow_nan=False, allow_infinity=False)
+    feats = draw(arrays(np.float32, (len(labels), dim), elements=finite)).astype(np.float64)
+    return dim, labels, feats
+
+
+@settings(max_examples=60, deadline=None)
+@given(_row_tables())
+def test_feature_store_round_trip_keeps_file_order(table):
+    dim, labels, feats = table
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for write, save in ((_write_csv, io.save_feature_store_csv),
+                            (_write_fscf, io.save_feature_store_binary)):
+            write(tmp / "in", dim, labels, feats)
+            store = io.load_feature_store(tmp / "in")
+            assert store.classes == tuple(sorted({c for c, _ in labels}))
+            for c in store.classes:
+                for q, got in ((False, store.support(c)), (True, store.query(c))):
+                    want = feats[[i for i, lab in enumerate(labels) if lab == (c, q)]]
+                    np.testing.assert_array_equal(got, want)
+            save(store, tmp / "a")
+            save(io.load_feature_store(tmp / "a"), tmp / "b")
+            assert (tmp / "a").read_bytes() == (tmp / "b").read_bytes()
 
 
 def test_feature_csv_bad_files(tmp_path):

@@ -12,7 +12,6 @@ from conftest import fd_gradient, grad_matrix, rel_err
 from incrlin.datamodel import (
     Batch,
     ClassRegistry,
-    LabeledExample,
     RunConfig,
     WeightMatrix,
     WeightSnapshots,
@@ -56,7 +55,7 @@ def _ce(weights, batch):
 def test_cross_entropy_uniform_softmax():
     w = WeightMatrix([0, 1], np.zeros((2, 3)))
     f = np.array([2.0, -1.0, 0.5])
-    terms = _ce(w, [LabeledExample(0, f)])
+    terms = _ce(w, Batch(f[None], np.array([0])))
     assert terms.data_loss == pytest.approx(np.log(2.0), rel=1e-12)
     np.testing.assert_allclose(terms.gradient[0], -f / 2, atol=1e-12)
     np.testing.assert_allclose(terms.gradient[1], f / 2, atol=1e-12)
@@ -67,7 +66,7 @@ def test_cross_entropy_shift_invariance():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((4, 5))
     f = rng.standard_normal(5)
-    batch = [LabeledExample(2, f)]
+    batch = Batch(f[None], np.array([2]))
     v1 = _ce(WeightMatrix(range(4), m), batch).data_loss
     shift = 3.7 / (f @ f)
     v2 = _ce(WeightMatrix(range(4), m + shift * f), batch).data_loss
@@ -90,9 +89,9 @@ def test_cross_entropy_gradient_finite_difference():
 def test_cross_entropy_errors():
     w = WeightMatrix([0, 1], np.zeros((2, 3)))
     with pytest.raises(ValidationError):
-        _ce(w, [])
+        _ce(w, Batch(np.empty((0, 3)), np.empty(0, dtype=np.int64)))
     with pytest.raises(ValidationError):
-        _ce(w, [LabeledExample(9, np.ones(3))])
+        _ce(w, Batch(np.ones((1, 3)), np.array([9])))
 
 
 # --- r_prior -------------------------------------------------------------------

@@ -218,14 +218,28 @@ def test_run_multi_session_prefix_independence():
         np.testing.assert_array_equal(a.confusion.counts, b.confusion.counts)
 
 
-def test_run_multi_session_memory_buffer_grows_per_session():
+def _record_memory(monkeypatch) -> list:
+    """Every memory buffer ``run_multi_session`` builds, in order."""
+    buffers = []
+    real = protocol_mod.update_memory
+
+    def recording(*args, **kwargs):
+        buffers.append(real(*args, **kwargs))
+        return buffers[-1]
+
+    monkeypatch.setattr(protocol_mod, "update_memory", recording)
+    return buffers
+
+
+def test_run_multi_session_memory_buffer_grows_per_session(monkeypatch):
     data, registry, cfg, stream = _bench_setup(kind="finetune", memory=True)
     bw, _ = train_base(data.store.restrict(registry.base_classes),
                        registry.base_classes, cfg)
+    buffers = _record_memory(monkeypatch)
     run_multi_session(stream, base_weights=bw)
     # after running all 4 incremental sessions the buffer archives sessions 0..3
     expected = sum(len(registry.classes_in(t)) for t in range(registry.last_session))
-    assert len(stream.memory) == expected
+    assert len(buffers[-1]) == expected
 
 
 def test_run_multi_session_semantic_requires_embeddings():
@@ -262,7 +276,7 @@ def test_run_multi_session_protocol_shape_sixty_plus_eight_fives():
     assert set(results[8].per_class_accuracy) == set(range(100))
 
 
-def test_run_multi_session_tolerates_empty_session():
+def test_run_multi_session_tolerates_empty_session(monkeypatch):
     data = generate(SynthSpec(n_classes=12, dimension=6, rng_seed=2,
                               support_per_class=6, query_per_class=3))
     registry = ClassRegistry([tuple(range(8)), (), (8, 9, 10, 11)])
@@ -271,10 +285,11 @@ def test_run_multi_session_tolerates_empty_session():
     stream = SessionStream(data.store, registry, cfg, k_shot=3)
     bw, _ = train_base(data.store.restrict(registry.base_classes),
                        registry.base_classes, cfg)
+    buffers = _record_memory(monkeypatch)
     results = run_multi_session(stream, base_weights=bw)
     assert len(results) == 3
     assert results[1].acc_weighted == results[1].acc_base  # nothing novel yet
-    assert len(stream.memory) == 8  # base archived once, empty session skipped
+    assert len(buffers[-1]) == 8  # base archived once, empty session skipped
 
 
 def test_run_multi_session_all_regularizer_kinds_run():
@@ -357,6 +372,22 @@ def test_run_single_session_rejects_partial_base_weights():
     partial = WeightMatrix(range(5), bw.subset(range(5)))
     with pytest.raises(ValidationError, match=r"\[5, 6, 7, 8, 9\]"):
         run_single_session(base_store, novel_store, partial, cfg, n_episodes=2)
+
+
+@pytest.mark.parametrize("shape, error, named", [
+    (dict(n_way=7), MissingExampleError, "n_way=7"),
+    (dict(n_way=0), ValidationError, "n_way must be >= 1, got 0"),
+    (dict(k_shot=0), ValidationError, "k_shot must be >= 1, got 0"),
+    (dict(n_query=0), ValidationError, "n_query must be >= 1, got 0"),
+])
+def test_run_single_session_checks_episode_shape_first(monkeypatch, shape, error, named):
+    # a 6-class novel pool; a bad size is a config fault, not a failed episode
+    base_store, novel_store, bw, cfg, _ = _single_setup()
+    monkeypatch.setattr(protocol_mod, "sample_episode",
+                        lambda *a, **k: pytest.fail("an episode was sampled"))
+    kw = {**dict(n_episodes=3, n_way=3, k_shot=1, n_query=8), **shape}
+    with pytest.raises(error, match=named):
+        run_single_session(base_store, novel_store, bw, cfg, **kw)
 
 
 def test_run_single_session_counts_failed_episodes():

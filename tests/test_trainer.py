@@ -4,7 +4,6 @@ import pytest
 from incrlin.datamodel import (
     Batch,
     ClassRegistry,
-    LabeledExample,
     RunConfig,
     WeightMatrix,
     WeightSnapshots,
@@ -95,7 +94,7 @@ def test_zero_learning_rate_keeps_weights_and_converges():
     cfg, obj = _toy_objective()
     cfg = cfg.replace(learning_rate=0.0)
     w0 = WeightMatrix([0, 1], np.array([[1.0, 2.0], [3.0, 4.0]]))
-    data = [LabeledExample(0, np.array([1.0, 0.0])), LabeledExample(1, np.array([0.0, 1.0]))]
+    data = Batch(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1]))
     w1, report = fine_tune(w0, obj, data, cfg, np.random.default_rng(0))
     np.testing.assert_array_equal(w1.matrix, w0.matrix)
     assert report.converged
@@ -105,11 +104,10 @@ def test_zero_learning_rate_keeps_weights_and_converges():
 
 def test_separable_toy_reaches_full_support_accuracy():
     cfg, obj = _toy_objective()
-    data = [LabeledExample(0, np.array([1.0, 0.1])), LabeledExample(0, np.array([0.9, -0.1])),
-            LabeledExample(1, np.array([-1.0, 0.2])), LabeledExample(1, np.array([-0.8, 0.0]))]
+    batch = Batch(np.array([[1.0, 0.1], [0.9, -0.1], [-1.0, 0.2], [-0.8, 0.0]]),
+                  np.array([0, 0, 1, 1]))
     w0 = WeightMatrix([0, 1], np.zeros((2, 2)))
-    w1, report = fine_tune(w0, obj, data, cfg, np.random.default_rng(0))
-    batch = Batch.from_examples(data)
+    w1, report = fine_tune(w0, obj, batch, cfg, np.random.default_rng(0))
     logits = batch.features @ w1.matrix.T
     preds = np.array([0, 1])[np.argmax(logits, axis=1)]
     assert np.array_equal(preds, batch.class_ids)
@@ -117,8 +115,8 @@ def test_separable_toy_reaches_full_support_accuracy():
 
 def test_fine_tune_bit_identical_given_seed():
     rng_data = np.random.default_rng(3)
-    data = [LabeledExample(int(c), rng_data.standard_normal(4))
-            for c in rng_data.integers(0, 2, size=100)]  # >64 forces shuffled batches
+    labels = rng_data.integers(0, 2, size=100)  # >64 forces shuffled batches
+    data = Batch(rng_data.standard_normal((100, 4)), labels)
     registry = ClassRegistry([(0, 1)])
     cfg = RunConfig(regularizer_kind="finetune", alpha=1e-3, learning_rate=0.1,
                     max_epochs=40, convergence_tolerance=0.0, rng_seed=0)
@@ -159,7 +157,7 @@ def test_divergence_raises():
     # lr * 2 * alpha >> 1 makes the prior term oscillate with exploding magnitude
     cfg, obj = _toy_objective(alpha=1.0)
     cfg = cfg.replace(learning_rate=1e6, max_epochs=100, convergence_tolerance=0.0)
-    data = [LabeledExample(0, np.array([1.0, 0.0])), LabeledExample(1, np.array([0.0, 1.0]))]
+    data = Batch(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1]))
     with pytest.raises(DivergenceError):
         fine_tune(WeightMatrix([0, 1], np.ones((2, 2))), obj, data, cfg,
                   np.random.default_rng(0))
@@ -206,7 +204,7 @@ def test_full_batch_sgd_matches_reference_implementation():
     basis = orthonormal_basis(list(base))
     obj = Objective(cfg, registry, 1, snaps, basis=basis)
     w0 = np.vstack([base, rng.standard_normal((1, 2))])
-    data = [LabeledExample(int(c), f) for c, f in zip(labels, feats)]
+    data = Batch(feats, labels)
     trained, report = fine_tune(WeightMatrix([0, 1, 2], w0), obj, data, cfg,
                                 np.random.default_rng(0))
     assert report.epochs_run == 5
