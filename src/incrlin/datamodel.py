@@ -211,11 +211,16 @@ class FeatureStore:
         """All query examples of the given classes, stacked in ascending class order."""
         return _stack([(c, self.query(c)) for c in sorted(set(class_ids))])
 
+    def pools(self) -> list[tuple[int, bool, np.ndarray]]:
+        """(class id, is query, rows) of every pool: classes ascending, each
+        class's support pool before its query pool."""
+        return [(c, q, rows) for c in self._classes
+                for q, rows in ((False, self._support[c]), (True, self._query[c]))]
+
     def to_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The store as a row table (class ids, query flags, features): classes
-        ascending, each class's support rows before its query rows."""
-        pools = [(c, q, rows) for c in self._classes
-                 for q, rows in ((False, self._support[c]), (True, self._query[c]))]
+        """The store as a row table (class ids, query flags, features), rows in
+        ``pools`` order."""
+        pools = self.pools()
         ids = np.concatenate([np.full(len(rows), c, dtype=np.int64) for c, _, rows in pools])
         flags = np.concatenate([np.full(len(rows), q) for _, q, rows in pools])
         return ids, flags, np.concatenate([rows for _, _, rows in pools])

@@ -8,8 +8,9 @@ u32 record count, u32 dimension, then per record u32 class_id, u8 split tag
 ``class_id,e0,...`` / ``class_id,w0,...``. Manifest: JSON object mapping
 class_id to {"label": str, "session": int}.
 
-Feature stores are read into and written from the row table of
-``FeatureStore.from_rows`` / ``to_rows``. The loaders check the file layout
+Feature stores are read into the row table of ``FeatureStore.from_rows``;
+the CSV writer writes the row table of ``to_rows`` and the binary writer
+fills its records pool by pool. The loaders check the file layout
 (header, field counts, number syntax, split tags, record sizes) and raise
 ``FormatError`` naming the file and the line or byte offset; the values
 (class ids, finiteness, a query row per class) are checked by ``FeatureStore``.
@@ -81,17 +82,19 @@ def load_feature_store_csv(path) -> FeatureStore:
 
 
 def save_feature_store_binary(store: FeatureStore, path) -> None:
-    ids, is_query, feats = store.to_rows()
-    too_big = ids[ids >= 2**32]
-    if too_big.size:
+    too_big = [c for c in store.classes if c >= 2**32]
+    if too_big:
         raise ValidationError(f"class {too_big[0]} does not fit the binary format's u32 class id")
-    records = np.empty(ids.size, dtype=_record_dtype(store.dimension))
-    records["class_id"] = ids
-    records["tag"] = is_query
-    records["x"] = feats
+    pools = store.pools()
+    records = np.empty(sum(len(rows) for _, _, rows in pools), dtype=_record_dtype(store.dimension))
+    start = 0
+    for cid, is_query, rows in pools:  # filled pool by pool: no float64 copy of the store
+        block = records[start:start + len(rows)]
+        block["class_id"], block["tag"], block["x"] = cid, is_query, rows
+        start += len(rows)
     with Path(path).open("wb") as fh:
         fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<III", FEATURE_VERSION, ids.size, store.dimension))
+        fh.write(struct.pack("<III", FEATURE_VERSION, records.size, store.dimension))
         fh.write(records.data)
 
 

@@ -3,10 +3,16 @@
 One evaluation reports every term's value and the exact gradient with
 respect to the trainable weight rows. The total is a minimization objective:
 negative mean log-likelihood plus the scaled penalties.
+
+``ObjectiveStack.evaluate`` is the one implementation. It evaluates a stack
+of E same-shaped sessions at once, so many small episodes cost one call.
+``Objective`` builds and checks one session's objective; it holds that
+session as a stack of one, and ``Objective.evaluate_dense`` is the
+stack-of-one view.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
@@ -27,20 +33,6 @@ from .errors import (
 )
 
 FIXED_TARGET_KINDS = ("semantic", "linmap", "description")
-
-
-def _softmax_ce(m: np.ndarray, feats: np.ndarray, label_pos: np.ndarray):
-    """Mean negative log softmax over the rows of ``m``; returns (value, grad)."""
-    logits = feats @ m.T
-    logits -= logits.max(axis=1, keepdims=True)
-    expl = np.exp(logits)
-    z = expl.sum(axis=1)
-    n = feats.shape[0]
-    rows = np.arange(n)
-    value = float((np.log(z) - logits[rows, label_pos]).mean())
-    p = expl / z[:, None]
-    p[rows, label_pos] -= 1.0
-    return value, p.T @ feats / n
 
 
 def semantic_targets(novel_embeddings: Mapping[int, np.ndarray],
@@ -79,7 +71,8 @@ class ObjectiveTerms:
     """Loss decomposition and total gradient for one evaluation.
 
     ``total`` = data_loss + alpha * r_prior + r_old + gamma * r_new, where
-    r_old already carries its beta weights and r_new is raw.
+    r_old already carries its beta weights and r_new is raw. For a stack the
+    terms are (E,) arrays, the gradient is (E, C, d) and ``class_ids`` is None.
     """
 
     __slots__ = ("data_loss", "r_prior", "r_old", "r_new", "total",
@@ -103,6 +96,118 @@ class ObjectiveTerms:
         return self._gradient_dict
 
 
+def _rows_of(members: np.ndarray, pos: np.ndarray) -> tuple:
+    """Index of rows ``pos[e]`` of every member e of a (E, C, d) stack: a
+    slice when all members share one run of consecutive rows (a view, and
+    much cheaper to gather and update), else fancy indices."""
+    k = pos.shape[1]
+    if k and (pos == pos[0]).all() and (np.diff(pos[0]) == 1).all():
+        return slice(None), slice(int(pos[0, 0]), int(pos[0, 0]) + k)
+    return members, pos
+
+
+class ObjectiveStack:
+    """The objectives of E same-shaped sessions (members), evaluated at once.
+
+    Member e trains a (C, d) weight matrix. Its old rows, at positions
+    ``old_pos[e]``, are anchored to ``anchors[e]`` with weights ``betas[e]``.
+    Its novel rows, at ``novel_pos[e]``, are pulled toward the shared
+    subspace ``basis`` or toward ``targets[e]``; with neither, r_new is 0.
+    Every product is a per-member ``matmul`` and every sum runs over one
+    member's own entries, so a member's terms and gradient do not depend on
+    the other members of the stack.
+    """
+
+    __slots__ = ("config", "old_pos", "anchors", "betas", "novel_pos", "basis", "targets",
+                 "_members", "_old", "_novel")
+
+    def __init__(self, config: RunConfig, old_pos: np.ndarray, anchors: np.ndarray,
+                 betas: np.ndarray, novel_pos: np.ndarray,
+                 basis: OrthonormalBasis | None = None, targets: np.ndarray | None = None):
+        self.config = config
+        self.old_pos = old_pos        # (E, k_old) row positions
+        self.anchors = anchors        # (E, k_old, d), or (E, 0, 0) without old rows
+        self.betas = betas            # (E, k_old)
+        self.novel_pos = novel_pos    # (E, k_new) row positions
+        self.basis = basis
+        self.targets = targets        # (E, k_new, d) or None
+        self._members = np.arange(old_pos.shape[0])[:, None]
+        self._old = _rows_of(self._members, old_pos)
+        self._novel = _rows_of(self._members, novel_pos)
+
+    @classmethod
+    def concat(cls, stacks: Sequence["ObjectiveStack"]) -> "ObjectiveStack":
+        """One stack of every member of ``stacks``, in order. They must share
+        the config, the kind of new-class pull and every shape."""
+        first = stacks[0]
+        for s in stacks[1:]:
+            if s._layout() != first._layout() or (
+                    s.basis is not None and not np.array_equal(s.basis.matrix, first.basis.matrix)):
+                raise ValidationError("stacked objectives need the same config, "
+                                      "regularizer and shapes")
+        targets = None if first.targets is None else np.concatenate([s.targets for s in stacks])
+        return cls(first.config,
+                   *(np.concatenate([getattr(s, f) for s in stacks])
+                     for f in ("old_pos", "anchors", "betas", "novel_pos")),
+                   basis=first.basis, targets=targets)
+
+    def _layout(self) -> tuple:
+        return (self.config, self.basis is None,
+                None if self.targets is None else self.targets.shape[1:],
+                *(a.shape[1:] for a in (self.old_pos, self.anchors, self.novel_pos)))
+
+    def take(self, members) -> "ObjectiveStack":
+        """The sub-stack of the given members (an index or boolean mask)."""
+        return ObjectiveStack(self.config, self.old_pos[members], self.anchors[members],
+                              self.betas[members], self.novel_pos[members], self.basis,
+                              None if self.targets is None else self.targets[members])
+
+    def evaluate(self, m: np.ndarray, feats: np.ndarray, label_pos: np.ndarray) -> ObjectiveTerms:
+        """Terms and gradients of every member: weights ``m`` (E, C, d),
+        features (E, n, d) and label row positions (E, n)."""
+        cfg = self.config
+        n_members, n = label_pos.shape
+        members, rows = self._members, np.arange(n)
+
+        logits = feats @ m.transpose(0, 2, 1)
+        logits -= logits.max(axis=2, keepdims=True)
+        expl = np.exp(logits)
+        z = expl.sum(axis=2)
+        data_loss = (np.log(z) - logits[members, rows, label_pos]).mean(axis=1)
+        p = expl / z[:, :, None]
+        p[members, rows, label_pos] -= 1.0
+        grad = p.transpose(0, 2, 1) @ feats / n
+
+        rp = (m * m).reshape(n_members, -1).sum(axis=1)
+        if cfg.alpha != 0.0:
+            grad += (2.0 * cfg.alpha) * m
+        # total = data_loss + alpha * rp + ro + gamma * rn, in that order; an
+        # absent term adds an exact zero, so it is left out.
+        total = data_loss + cfg.alpha * rp
+        ro = rn = np.zeros(n_members)
+
+        if self.old_pos.shape[1]:
+            diff = m[self._old] - self.anchors
+            sq = (diff * diff).sum(axis=2)
+            ro = (sq[:, None, :] @ self.betas[:, :, None])[:, 0, 0]
+            grad[self._old] += (2.0 * self.betas)[:, :, None] * diff
+            total += ro
+
+        if self.novel_pos.shape[1] and (self.basis is not None or self.targets is not None):
+            mn = m[self._novel]
+            if self.basis is not None:
+                p = self.basis.matrix
+                resid = mn - (mn @ p) @ p.T
+            else:
+                resid = mn - self.targets
+            rn = (resid * resid).reshape(n_members, -1).sum(axis=1)
+            if cfg.gamma != 0.0:
+                grad[self._novel] += (2.0 * cfg.gamma) * resid
+            total += cfg.gamma * rn
+
+        return ObjectiveTerms(data_loss, rp, ro, rn, total, None, grad)
+
+
 class Objective:
     """Assembled per-session objective over the classes seen so far.
 
@@ -110,7 +215,8 @@ class Objective:
     trainable but are anchored by the r_old term. Exactly one new-class
     regularizer is active, selected by ``config.regularizer_kind``:
     ``subspace`` needs a basis, the fixed-target kinds need a target map, and
-    ``finetune`` needs neither.
+    ``finetune`` needs neither. ``stack`` is this session as an
+    ``ObjectiveStack`` of one member, with rows aligned to ``class_ids``.
     """
 
     def __init__(self, config: RunConfig, registry: ClassRegistry, session: int,
@@ -138,7 +244,6 @@ class Objective:
 
         # Anchors for all previously seen classes.
         old = registry.classes_up_to(session - 1) if session > 0 else ()
-        self._old_pos = np.array([self._index[c] for c in old], dtype=np.int64)
         anchors = []
         betas = []
         for c in old:
@@ -148,31 +253,37 @@ class Objective:
                 raise MissingSnapshotError(f"snapshot {t} does not cover class {c}")
             anchors.append(snap.row(c))
             betas.append(config.beta_base if t == 0 else config.beta_prev_novel)
-        self._anchors = np.stack(anchors) if anchors else np.zeros((0, 0))
-        self._betas = np.array(betas, dtype=np.float64)
+        anchor_matrix = np.stack(anchors) if anchors else np.zeros((0, 0))
 
         novel = registry.classes_in(session) if session > 0 else ()
-        self._novel_pos = np.array([self._index[c] for c in novel], dtype=np.int64)
-        self._basis = basis if session > 0 and kind == "subspace" else None
-        self._target_matrix = None
+        basis = basis if session > 0 and kind == "subspace" else None
+        target_matrix = None
         if session > 0 and kind in FIXED_TARGET_KINDS:
             missing = [c for c in novel if c not in targets]
             if missing:
                 raise MissingTargetError(f"classes {missing} have no regularization target")
             if novel:
-                self._target_matrix = np.stack(
-                    [np.asarray(targets[c], dtype=np.float64) for c in novel])
+                target_matrix = np.stack([np.asarray(targets[c], dtype=np.float64) for c in novel])
 
         dims = set()
-        if self._anchors.size:
-            dims.add(self._anchors.shape[1])
-        if self._basis is not None:
-            dims.add(self._basis.dimension)
-        if self._target_matrix is not None:
-            dims.add(self._target_matrix.shape[1])
+        if anchor_matrix.size:
+            dims.add(anchor_matrix.shape[1])
+        if basis is not None:
+            dims.add(basis.dimension)
+        if target_matrix is not None:
+            dims.add(target_matrix.shape[1])
         if len(dims) > 1:
             raise DimensionMismatchError(f"inconsistent component dimensions {sorted(dims)}")
         self._dimension = dims.pop() if dims else None
+
+        self.stack = ObjectiveStack(
+            config, self._positions(old), anchor_matrix[None],
+            np.array(betas, dtype=np.float64)[None], self._positions(novel), basis,
+            None if target_matrix is None else target_matrix[None])
+
+    def _positions(self, classes) -> np.ndarray:
+        """Row positions of ``classes`` as a stack of one, shape (1, k)."""
+        return np.array([self._index[c] for c in classes], dtype=np.int64)[None]
 
     def label_positions(self, class_ids: np.ndarray) -> np.ndarray:
         try:
@@ -182,35 +293,12 @@ class Objective:
 
     def evaluate_dense(self, m: np.ndarray, feats: np.ndarray,
                        label_pos: np.ndarray) -> ObjectiveTerms:
-        """Fast path: ``m`` must be aligned to ``self.class_ids``."""
-        cfg = self.config
-        data_loss, grad = _softmax_ce(m, feats, label_pos)
-
-        rp = float((m * m).sum())
-        if cfg.alpha != 0.0:
-            grad += (2.0 * cfg.alpha) * m
-
-        ro = 0.0
-        if self._old_pos.size:
-            diff = m[self._old_pos] - self._anchors
-            sq = (diff * diff).sum(axis=1)
-            ro = float(self._betas @ sq)
-            grad[self._old_pos] += (2.0 * self._betas)[:, None] * diff
-
-        rn = 0.0
-        if self._novel_pos.size and cfg.regularizer_kind != "finetune" and self.session > 0:
-            mn = m[self._novel_pos]
-            if self._basis is not None:
-                p = self._basis.matrix
-                resid = mn - (mn @ p) @ p.T
-            else:
-                resid = mn - self._target_matrix
-            rn = float((resid * resid).sum())
-            if cfg.gamma != 0.0:
-                grad[self._novel_pos] += (2.0 * cfg.gamma) * resid
-
-        total = data_loss + cfg.alpha * rp + ro + cfg.gamma * rn
-        return ObjectiveTerms(data_loss, rp, ro, rn, total, self.class_ids, grad)
+        """``ObjectiveStack.evaluate`` of this session alone; ``m`` (C, d) must
+        be aligned to ``self.class_ids``."""
+        t = self.stack.evaluate(m[None], feats[None], label_pos[None])
+        return ObjectiveTerms(float(t.data_loss[0]), float(t.r_prior[0]), float(t.r_old[0]),
+                              float(t.r_new[0]), float(t.total[0]), self.class_ids,
+                              t.gradient_matrix[0])
 
     def evaluate(self, weights: WeightMatrix, batch: Batch) -> ObjectiveTerms:
         if self._dimension is not None and weights.dimension != self._dimension:

@@ -1,9 +1,22 @@
 """SGD fine-tuning per session: novel-row initialization, the epoch loop with
-its convergence rule, and base-class training."""
+its convergence rule, and base-class training.
+
+There is one epoch loop, and it runs on a stack of E same-shaped sessions
+(members): weights (E, C, d), features (E, n, d) and label positions (E, n).
+Each SGD step is one ``ObjectiveStack.evaluate`` call, whose products are
+batched ``matmul`` over the stack. Every member draws its mini-batch
+shuffles from its own generator and keeps its own stall streak. It leaves
+the stack when it stalls, at ``max_epochs``, or at the end of the epoch in
+which its loss went non-finite (it has then diverged). A member's weights,
+stop epoch and loss trace are bit-identical to training it alone.
+``fine_tune_stack`` trains the episodes of a single-session run; ``fine_tune``
+is a stack of one, raises ``DivergenceError``, and serves the multi-session
+protocol and ``train_base``.
+"""
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -16,7 +29,7 @@ from .datamodel import (
     WeightSnapshots,
 )
 from .errors import DivergenceError, MissingExampleError
-from .objectives import Objective
+from .objectives import Objective, ObjectiveStack
 
 # Full-batch updates below this size, shuffled mini-batches of this size above.
 MINI_BATCH = 64
@@ -32,6 +45,7 @@ class TrainReport:
     final_loss: float
     loss_trace: list[float]
     converged: bool
+    diverged: bool = False
 
 
 def init_novel_weights(support: Batch, snapshot0_norms,
@@ -62,54 +76,118 @@ def init_novel_weights(support: Batch, snapshot0_norms,
     return rows
 
 
-def _epoch_batches(n: int, rng: np.random.Generator):
-    """Index blocks covering all n examples once: one block when n <= MINI_BATCH,
-    otherwise a fresh shuffle split into blocks of MINI_BATCH."""
+def _epoch_order(n: int, rngs: list[np.random.Generator]) -> np.ndarray | None:
+    """Every member's example order for one epoch, stacked (E, n): a fresh
+    shuffle from the member's own ``rng`` when n > MINI_BATCH, whose
+    consecutive blocks of MINI_BATCH are the epoch's mini-batches; None
+    (one full batch in the given order, drawing nothing) otherwise."""
     if n <= MINI_BATCH:
-        return [np.arange(n)]
-    perm = rng.permutation(n)
-    return [perm[i:i + MINI_BATCH] for i in range(0, n, MINI_BATCH)]
+        return None
+    return np.stack([rng.permutation(n) for rng in rngs])
+
+
+def _sgd(w: np.ndarray, objective: ObjectiveStack, feats: np.ndarray, label_pos: np.ndarray,
+         config: RunConfig, rngs: list[np.random.Generator],
+         ) -> tuple[np.ndarray, list[TrainReport]]:
+    """The epoch loop over a stack: weights (E, C, d), features (E, n, d),
+    label positions (E, n). Every member steps on its own blocks and stops on
+    its own stall streak, or at the end of the epoch in which its loss went
+    non-finite; stopped members leave the stack. Returns the final weights
+    (a diverged member's are unusable) and one report each."""
+    n_members, n = label_pos.shape
+    lr = config.learning_rate
+    out = np.empty_like(w)
+    epochs_run = np.zeros(n_members, dtype=np.int64)
+    converged = np.zeros(n_members, dtype=bool)
+    diverged = np.zeros(n_members, dtype=bool)
+    final_loss = np.zeros(n_members)
+    history = np.empty((config.max_epochs, n_members))  # row t: epoch t + 1's losses
+
+    live = np.arange(n_members)
+    prev_loss = np.full(n_members, np.nan)
+    streak = np.zeros(n_members, dtype=np.int64)
+    for epoch in range(1, config.max_epochs + 1):
+        loss_sum = np.zeros(live.size)
+        ep_feats, ep_labels = feats, label_pos
+        order = _epoch_order(n, rngs)
+        if order is not None:
+            members = np.arange(live.size)[:, None]
+            ep_feats, ep_labels = feats[members, order], label_pos[members, order]
+        for start in range(0, n, MINI_BATCH):
+            block = slice(start, start + MINI_BATCH)
+            terms = objective.evaluate(w, ep_feats[:, block], ep_labels[:, block])
+            step = terms.gradient_matrix
+            step *= lr
+            w -= step
+            loss_sum += terms.total * min(MINI_BATCH, n - start)
+        epoch_loss = loss_sum / n
+        # A non-finite block loss leaves the epoch loss non-finite: the
+        # member has diverged and leaves at the end of the epoch.
+        bad = ~np.isfinite(epoch_loss)
+        history[epoch - 1, live] = epoch_loss
+        streak = np.where(np.abs(epoch_loss - prev_loss) < config.convergence_tolerance,
+                          streak + 1, 0)
+        prev_loss = epoch_loss
+        stalled = streak >= config.patience_epochs  # never a non-finite loss
+        done = stalled | bad if epoch < config.max_epochs else np.ones(live.size, dtype=bool)
+        if done.any():
+            stop = live[done]
+            out[stop] = w[done]
+            epochs_run[stop] = epoch
+            converged[stop] = stalled[done]
+            diverged[stop] = bad[done]
+            final_loss[stop] = epoch_loss[done]
+            keep = ~done
+            live, w, feats, label_pos = live[keep], w[keep], feats[keep], label_pos[keep]
+            prev_loss, streak = prev_loss[keep], streak[keep]
+            rngs = [r for r, k in zip(rngs, keep) if k]
+            if not live.size:
+                break
+            objective = objective.take(keep)
+
+    # A diverged member's trace stops before the epoch that diverged.
+    reports = [TrainReport(int(epochs_run[e]), float(final_loss[e]),
+                           history[:epochs_run[e] - diverged[e], e].tolist(),
+                           bool(converged[e]), bool(diverged[e]))
+               for e in range(n_members)]
+    return out, reports
+
+
+def fine_tune_stack(weights: Sequence[WeightMatrix], objectives: Sequence[Objective],
+                    batches: Sequence[Batch], config: RunConfig,
+                    rngs: Sequence[np.random.Generator],
+                    ) -> list[tuple[WeightMatrix | None, TrainReport]]:
+    """Fine-tune E same-shaped sessions as one stacked SGD problem.
+
+    Member e starts from ``weights[e]`` and minimizes ``objectives[e]`` over
+    ``batches[e]``, drawing its mini-batch shuffles from ``rngs[e]``. Its
+    result is bit-identical to fine-tuning it alone. A member whose loss goes
+    non-finite gets weights None and a report with ``diverged`` set; the
+    other members are unaffected.
+    """
+    stack = ObjectiveStack.concat([o.stack for o in objectives])
+    m = np.stack([w.subset(o.class_ids) for w, o in zip(weights, objectives)])
+    feats = np.stack([b.features for b in batches])
+    label_pos = np.stack([o.label_positions(b.class_ids) for o, b in zip(objectives, batches)])
+    m, reports = _sgd(m, stack, feats, label_pos, config, list(rngs))
+    return [(None if r.diverged else WeightMatrix(o.class_ids, m[e]), r)
+            for e, (o, r) in enumerate(zip(objectives, reports))]
 
 
 def fine_tune(weights: WeightMatrix, objective: Objective, batch: Batch,
               config: RunConfig, rng: np.random.Generator) -> tuple[WeightMatrix, TrainReport]:
-    """Minimize the session objective by SGD over the support (+ memory) set.
+    """Minimize the session objective by SGD over the support (+ memory) set:
+    ``fine_tune_stack`` of one member.
 
     Stops once the epoch loss changes by less than ``convergence_tolerance``
-    for ``patience_epochs`` consecutive epochs, or at ``max_epochs``.
+    for ``patience_epochs`` consecutive epochs, or at ``max_epochs``; raises
+    ``DivergenceError`` if the loss goes non-finite.
     """
-    feats = batch.features
-    label_pos = objective.label_positions(batch.class_ids)
-    n = len(batch)
-    w = weights.subset(objective.class_ids)
-    lr = config.learning_rate
-
-    trace: list[float] = []
-    prev_loss = None
-    streak = 0
-    converged = False
-    for epoch in range(1, config.max_epochs + 1):
-        loss_sum = 0.0
-        for idx in _epoch_batches(n, rng):
-            terms = objective.evaluate_dense(w, feats[idx], label_pos[idx])
-            if not np.isfinite(terms.total):
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch} (lr={lr}); reduce the learning rate")
-            w -= lr * terms.gradient_matrix
-            loss_sum += terms.total * idx.size
-        epoch_loss = loss_sum / n
-        trace.append(epoch_loss)
-        if prev_loss is not None and abs(epoch_loss - prev_loss) < config.convergence_tolerance:
-            streak += 1
-        else:
-            streak = 0
-        prev_loss = epoch_loss
-        if streak >= config.patience_epochs:
-            converged = True
-            break
-
-    return (WeightMatrix(objective.class_ids, w),
-            TrainReport(len(trace), trace[-1], trace, converged))
+    [(trained, report)] = fine_tune_stack([weights], [objective], [batch], config, [rng])
+    if report.diverged:
+        raise DivergenceError(f"non-finite loss at epoch {report.epochs_run} "
+                              f"(lr={config.learning_rate}); reduce the learning rate")
+    return trained, report
 
 
 def train_base(store: FeatureStore, base_classes: Iterable[int], config: RunConfig,

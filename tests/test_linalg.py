@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from incrlin.datamodel import LinearMap
 from incrlin.errors import DegenerateBasisError, DimensionMismatchError, ValidationError
@@ -65,6 +67,35 @@ def test_spans_reconstruct_inputs():
         for v in vecs:
             np.testing.assert_allclose(project(v, basis), v,
                                        atol=1e-5 * max(1.0, np.linalg.norm(v)))
+
+
+@st.composite
+def _rank_deficient_inputs(draw):
+    """k independent random vectors in R^d, then duplicates and integer
+    combinations of them, shuffled."""
+    d = draw(st.integers(1, 8))
+    k = draw(st.integers(1, d))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.standard_normal((k, d))
+    dups = draw(st.lists(st.integers(0, k - 1), max_size=4))
+    combos = draw(st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k).filter(any),
+                           max_size=4))
+    vecs = list(base) + [base[i] for i in dups] + [np.array(c, dtype=float) @ base
+                                                   for c in combos]
+    order = draw(st.permutations(range(len(vecs))))
+    return [vecs[i] for i in order]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rank_deficient_inputs())
+def test_rank_deficient_inputs_property(vecs):
+    basis = orthonormal_basis(vecs)
+    q = basis.matrix
+    assert q.shape[1] == np.linalg.matrix_rank(np.stack(vecs))
+    assert np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) < 1e-10
+    scale = max(np.linalg.norm(v) for v in vecs)
+    for v in vecs:
+        np.testing.assert_allclose(project(v, basis), v, rtol=0, atol=1e-9 * scale)
 
 
 # --- projection ----------------------------------------------------------------

@@ -8,6 +8,8 @@ is exactly zero and the total gradient is the penalty's own.
 import numpy as np
 import pytest
 from conftest import fd_gradient, grad_matrix, rel_err
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from incrlin.datamodel import (
     Batch,
@@ -23,7 +25,7 @@ from incrlin.errors import (
     ValidationError,
 )
 from incrlin.linalg import orthonormal_basis
-from incrlin.objectives import Objective, semantic_targets
+from incrlin.objectives import Objective, ObjectiveStack, semantic_targets
 
 _ZERO = dict(alpha=0.0, beta_base=0.0, beta_prev_novel=0.0, gamma=0.0)
 
@@ -425,3 +427,69 @@ def test_regularizers_zero_exactly_at_anchor():
         assert _r_new("subspace", [9], in_span[None, :], basis=basis).r_new < 1e-20
         tgt = rng.standard_normal(d)
         assert _r_new("semantic", [9], tgt[None, :], targets={9: tgt}).r_new == 0.0
+
+
+# --- stacks -------------------------------------------------------------------------
+
+@st.composite
+def _stack_members(draw):
+    """E same-shaped session-1 objectives with their weights and batches. Each
+    member places its classes differently, so old and novel rows sit at
+    member-specific positions; a subspace stack shares one basis."""
+    kind = draw(st.sampled_from(("finetune", "subspace", "semantic")))
+    n_members = draw(st.integers(1, 4))
+    n_base, n_novel = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    d, n = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cfg = RunConfig(regularizer_kind=kind, alpha=0.05, beta_base=0.3, gamma=0.7, rng_seed=0)
+    basis = orthonormal_basis(list(rng.standard_normal((n_base, d))))
+    members = []
+    for _ in range(n_members):
+        ids = rng.permutation(n_base + n_novel).tolist()
+        registry = ClassRegistry([ids[:n_base], ids[n_base:]])
+        snaps = WeightSnapshots()
+        snaps.store(0, WeightMatrix(ids[:n_base], rng.standard_normal((n_base, d))))
+        targets = ({c: rng.standard_normal(d) for c in ids[n_base:]}
+                   if kind == "semantic" else None)
+        obj = Objective(cfg, registry, 1, snaps, basis=basis if kind == "subspace" else None,
+                        targets=targets)
+        weights = WeightMatrix(obj.class_ids, rng.standard_normal((len(ids), d)))
+        batch = Batch(rng.standard_normal((n, d)), rng.choice(ids, size=n))
+        members.append((obj, weights, batch))
+    return members
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stack_members())
+def test_stack_members_bit_identical_to_their_solo_evaluation(members):
+    stack = ObjectiveStack.concat([obj.stack for obj, _, _ in members])
+    terms = stack.evaluate(np.stack([w.matrix for _, w, _ in members]),
+                           np.stack([b.features for _, _, b in members]),
+                           np.stack([obj.label_positions(b.class_ids) for obj, _, b in members]))
+    for e, (obj, weights, batch) in enumerate(members):
+        solo = obj.evaluate(weights, batch)
+        for name in ("data_loss", "r_prior", "r_old", "r_new", "total"):
+            assert getattr(terms, name)[e] == getattr(solo, name)
+        assert terms.gradient_matrix[e].tobytes() == solo.gradient_matrix.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(_stack_members())
+def test_gradient_finite_difference_at_random_shapes(members):
+    obj, weights, batch = members[0]
+    terms = obj.evaluate(weights, batch)
+
+    def fn(w):
+        return obj.evaluate(WeightMatrix(weights.class_ids, w), batch).total
+
+    fd = fd_gradient(fn, weights.matrix.copy())
+    assert rel_err(terms.gradient_matrix, fd) < 1e-4
+
+
+def test_stack_rejects_members_of_another_layout():
+    _, obj, *_ = _assembly(kind="subspace")
+    _, wider, *_ = _assembly(kind="subspace", d=5)
+    _, finetune, *_ = _assembly(kind="finetune")
+    for other in (wider, finetune):
+        with pytest.raises(ValidationError):
+            ObjectiveStack.concat([obj.stack, other.stack])

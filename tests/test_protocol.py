@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import incrlin.protocol as protocol_mod
+import incrlin.trainer as trainer_mod
 from incrlin.datamodel import (
     Batch,
     ClassRegistry,
@@ -13,7 +14,6 @@ from incrlin.datamodel import (
 )
 from incrlin.errors import (
     ConfigError,
-    DivergenceError,
     MissingEmbeddingError,
     MissingExampleError,
     ValidationError,
@@ -390,25 +390,62 @@ def test_run_single_session_checks_episode_shape_first(monkeypatch, shape, error
         run_single_session(base_store, novel_store, bw, cfg, **kw)
 
 
-def test_run_single_session_counts_failed_episodes():
+def test_run_single_session_counts_failed_episodes(monkeypatch):
     base_store, novel_store, bw, cfg, _ = _single_setup()
-    real = protocol_mod.run_episode
     calls = {"i": -1}
 
     def flaky(*args, **kwargs):
         calls["i"] += 1
         if calls["i"] == 2:
-            raise DivergenceError("synthetic failure")
-        return real(*args, **kwargs)
+            raise MissingExampleError("synthetic failure")
+        return sample_episode(*args, **kwargs)
 
-    protocol_mod.run_episode = flaky
-    try:
-        result = run_single_session(base_store, novel_store, bw, cfg,
-                                    n_episodes=6, n_way=3, k_shot=1, n_query=12)
-    finally:
-        protocol_mod.run_episode = real
+    monkeypatch.setattr(protocol_mod, "sample_episode", flaky)
+    result = run_single_session(base_store, novel_store, bw, cfg,
+                                n_episodes=6, n_way=3, k_shot=1, n_query=12)
     assert result.n_failed == 1
     assert result.acc.n == 5
+
+
+def _diverging_at(index):
+    """``sample_episode`` whose episode number ``index`` (counting from 0) has
+    support features scaled until its training loss overflows."""
+    calls = {"i": -1}
+
+    def sample(*args, **kwargs):
+        episode = sample_episode(*args, **kwargs)
+        calls["i"] += 1
+        if calls["i"] != index:
+            return episode
+        support = Batch(episode.support.features * 1e155, episode.support.class_ids)
+        return protocol_mod.Episode(episode.novel_classes, support, episode.query)
+
+    return sample
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("kind, mini_batch", [
+    ("finetune", None), ("subspace", None), ("semantic", None), ("subspace", 2)])
+def test_run_single_session_does_not_depend_on_chunk_size(monkeypatch, kind, mini_batch):
+    # chunks of one, of three and of every episode give the same result, with
+    # the middle episode diverging; a MINI_BATCH of 2 below the 3 support rows
+    # sends every member through its own shuffled blocks
+    base_store, novel_store, bw, cfg, data = _single_setup()
+    cfg = cfg.replace(regularizer_kind=kind, gamma=0.1, tau=0.5)
+    if mini_batch is not None:
+        monkeypatch.setattr(trainer_mod, "MINI_BATCH", mini_batch)
+
+    def run(chunk):
+        monkeypatch.setattr(protocol_mod, "EPISODE_CHUNK", chunk)
+        monkeypatch.setattr(protocol_mod, "sample_episode", _diverging_at(3))
+        result = run_single_session(base_store, novel_store, bw, cfg, n_episodes=7, n_way=3,
+                                    k_shot=1, n_query=12, embeddings=data.embeddings,
+                                    keep_episodes=True)
+        return result.as_dict(include_episodes=True)
+
+    one, three, every = run(1), run(3), run(8)
+    assert one["n_failed"] == 1 and len(one["episodes"]) == 6
+    assert one == three == every
 
 
 def test_run_single_session_rejects_memory():

@@ -13,8 +13,9 @@ from incrlin.linalg import orthonormal_basis
 from incrlin.objectives import Objective
 from incrlin.trainer import (
     MINI_BATCH,
-    _epoch_batches,
+    _epoch_order,
     fine_tune,
+    fine_tune_stack,
     init_novel_weights,
     train_base,
 )
@@ -67,17 +68,19 @@ def test_init_missing_class_error_and_determinism():
 # --- epoch batching --------------------------------------------------------------
 
 def test_epoch_batches_full_below_threshold():
-    batches = _epoch_batches(MINI_BATCH, np.random.default_rng(0))
-    assert len(batches) == 1 and batches[0].size == MINI_BATCH
+    # one full batch in the given order, and nothing drawn from the rng
+    rng = np.random.default_rng(0)
+    assert _epoch_order(MINI_BATCH, [rng, rng]) is None
+    assert rng.random() == np.random.default_rng(0).random()
 
 
 def test_epoch_batches_partition_above_threshold():
     n = 150
-    batches = _epoch_batches(n, np.random.default_rng(0))
-    sizes = [b.size for b in batches]
-    assert max(sizes) <= MINI_BATCH
-    covered = np.sort(np.concatenate(batches))
-    np.testing.assert_array_equal(covered, np.arange(n))  # each example exactly once
+    order = _epoch_order(n, [np.random.default_rng(0), np.random.default_rng(1)])
+    assert order.shape == (2, n)
+    for row in order:  # each member sees each example exactly once
+        np.testing.assert_array_equal(np.sort(row), np.arange(n))
+    assert not np.array_equal(order[0], order[1])  # from each member's own rng
 
 
 # --- fine_tune -------------------------------------------------------------------
@@ -171,6 +174,65 @@ def test_smoothed_loss_trace_non_increasing_on_fixture():
     trace = np.array(report.loss_trace)
     smooth = np.convolve(trace, np.ones(5) / 5, mode="valid")
     assert np.all(np.diff(smooth) <= 1e-9)
+
+
+# --- stacks -----------------------------------------------------------------------
+
+def _stack_problem(n=100, seed=3):
+    """A session-1 subspace problem over n support rows (> MINI_BATCH at the
+    default n, so every epoch is shuffled into blocks). The base rows, and so
+    the basis, are the same for every seed."""
+    d = 4
+    base = np.random.default_rng(0).standard_normal((2, d))
+    rng = np.random.default_rng(seed)
+    registry = ClassRegistry([(0, 1), (2, 3)])
+    snaps = WeightSnapshots()
+    snaps.store(0, WeightMatrix([0, 1], base))
+    cfg = RunConfig(regularizer_kind="subspace", alpha=1e-3, beta_base=0.1, gamma=0.2,
+                    learning_rate=0.05, max_epochs=120, convergence_tolerance=3e-3,
+                    patience_epochs=3, rng_seed=0)
+    obj = Objective(cfg, registry, 1, snaps, basis=orthonormal_basis(list(base)))
+    w0 = WeightMatrix([0, 1, 2, 3], np.vstack([base, rng.standard_normal((2, d))]))
+    data = Batch(rng.standard_normal((n, d)), rng.integers(0, 4, size=n))
+    return cfg, obj, w0, data
+
+
+def _same_run(a, b):
+    (wa, ra), (wb, rb) = a, b
+    assert wa.class_ids == wb.class_ids
+    assert wa.matrix.tobytes() == wb.matrix.tobytes()
+    assert (ra.epochs_run, ra.converged, ra.diverged) == (rb.epochs_run, rb.converged, rb.diverged)
+    assert ra.final_loss == rb.final_loss
+    assert ra.loss_trace == rb.loss_trace
+
+
+def test_stack_members_match_solo_runs_on_shuffled_blocks():
+    # three members with their own data and rngs stop at their own epochs;
+    # each is bit-identical to fine-tuning it alone
+    problems = [_stack_problem(seed=s) for s in (3, 4, 5)]
+    cfg = problems[0][0]
+    stacked = fine_tune_stack([p[2] for p in problems], [p[1] for p in problems],
+                              [p[3] for p in problems], cfg,
+                              [np.random.default_rng(10 + i) for i in range(3)])
+    solo = [fine_tune(p[2], p[1], p[3], cfg, np.random.default_rng(10 + i))
+            for i, p in enumerate(problems)]
+    for a, b in zip(stacked, solo):
+        _same_run(a, b)
+    assert len({r.epochs_run for _, r in solo}) > 1  # members stopped at different epochs
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_diverged_member_leaves_the_rest_of_the_stack_untouched():
+    cfg, obj, w0, data = _stack_problem(n=6)
+    scaled = Batch(data.features * 1e155, data.class_ids)  # its first step overflows
+    stacked = fine_tune_stack([w0, w0], [obj, obj], [scaled, data], cfg,
+                              [np.random.default_rng(0), np.random.default_rng(1)])
+    (w_bad, r_bad), good = stacked
+    assert w_bad is None and r_bad.diverged and not r_bad.converged
+    assert len(r_bad.loss_trace) == r_bad.epochs_run - 1
+    _same_run(good, fine_tune(w0, obj, data, cfg, np.random.default_rng(1)))
+    with pytest.raises(DivergenceError):
+        fine_tune(w0, obj, scaled, cfg, np.random.default_rng(0))
 
 
 # --- snapshots and base training ----------------------------------------------------
