@@ -47,10 +47,14 @@ from .objectives import FIXED_TARGET_KINDS, Objective, semantic_targets
 from .trainer import fine_tune, fine_tune_stack, init_novel_weights, train_base
 
 # Episodes fine-tuned together as one stack by ``run_single_session``.
-# Results do not depend on it: each episode's arithmetic is its own. At
-# 5-way 1-shot, d=32, 24 runs as fast as larger stacks; each member adds
-# ~0.1 MB to peak memory (its loss trace and its share of the step's
-# temporaries), and from ~48 members the temporaries page-fault every step.
+# Results do not depend on it: each episode's arithmetic is its own. Tuned
+# at 5-way 1-shot, d=32 (the step is call overhead there): 24 runs as fast
+# as larger stacks, each member adds ~0.1 MB to peak memory (its loss trace
+# and its share of the step's temporaries), and from ~48 members the
+# temporaries page-fault every step. A member's temporaries grow with C*d:
+# at d=640 (25 rows) the step is arithmetic, chunks of 1, 8 and 24 ran
+# equally fast, and 24 members added ~20 MB to peak memory. Larger shapes
+# are unmeasured.
 EPISODE_CHUNK = 24
 
 

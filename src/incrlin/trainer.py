@@ -7,8 +7,9 @@ Each SGD step is one ``ObjectiveStack.evaluate`` call, whose products are
 batched ``matmul`` over the stack. Every member draws its mini-batch
 shuffles from its own generator and keeps its own stall streak. It leaves
 the stack when it stalls, at ``max_epochs``, or at the end of the epoch in
-which its loss went non-finite (it has then diverged). A member's weights,
-stop epoch and loss trace are bit-identical to training it alone.
+which its loss went non-finite (it has then diverged; it takes no step after
+the mini-batch whose loss was non-finite). A member's weights, stop epoch and
+loss trace are bit-identical to training it alone.
 ``fine_tune_stack`` trains the episodes of a single-session run; ``fine_tune``
 is a stack of one, raises ``DivergenceError``, and serves the multi-session
 protocol and ``train_base``.
@@ -16,6 +17,7 @@ protocol and ``train_base``.
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -92,64 +94,63 @@ def _sgd(w: np.ndarray, objective: ObjectiveStack, feats: np.ndarray, label_pos:
     """The epoch loop over a stack: weights (E, C, d), features (E, n, d),
     label positions (E, n). Every member steps on its own blocks and stops on
     its own stall streak, or at the end of the epoch in which its loss went
-    non-finite; stopped members leave the stack. Returns the final weights
-    (a diverged member's are unusable) and one report each."""
+    non-finite; stopped members leave the stack. The per-member bookkeeping
+    runs on Python floats, as cheap for a stack of one as a scalar loop.
+    Returns the final weights (a diverged member's are unusable) and one
+    report each."""
     n_members, n = label_pos.shape
-    lr = config.learning_rate
+    lr, tol = config.learning_rate, config.convergence_tolerance
     out = np.empty_like(w)
-    epochs_run = np.zeros(n_members, dtype=np.int64)
-    converged = np.zeros(n_members, dtype=bool)
-    diverged = np.zeros(n_members, dtype=bool)
-    final_loss = np.zeros(n_members)
-    history = np.empty((config.max_epochs, n_members))  # row t: epoch t + 1's losses
-
-    live = np.arange(n_members)
-    prev_loss = np.full(n_members, np.nan)
-    streak = np.zeros(n_members, dtype=np.int64)
+    reports: list[TrainReport | None] = [None] * n_members
+    traces: list[list[float]] = [[] for _ in range(n_members)]
+    prev: list[float | None] = [None] * n_members
+    streak = [0] * n_members
+    live = list(range(n_members))  # row j of the stack is member live[j]
     for epoch in range(1, config.max_epochs + 1):
-        loss_sum = np.zeros(live.size)
         ep_feats, ep_labels = feats, label_pos
         order = _epoch_order(n, rngs)
         if order is not None:
-            members = np.arange(live.size)[:, None]
+            members = np.arange(len(live))[:, None]
             ep_feats, ep_labels = feats[members, order], label_pos[members, order]
+        loss_sum = 0.0
         for start in range(0, n, MINI_BATCH):
             block = slice(start, start + MINI_BATCH)
             terms = objective.evaluate(w, ep_feats[:, block], ep_labels[:, block])
+            loss_sum = loss_sum + terms.total * min(MINI_BATCH, n - start)
             step = terms.gradient_matrix
             step *= lr
+            # With several blocks per epoch, a member whose loss went
+            # non-finite (the sum over members then is too) takes no further
+            # steps; it leaves at the end of the epoch.
+            if order is not None and not math.isfinite(sum(loss_sum.tolist())):
+                bad = ~np.isfinite(loss_sum)
+                if bad.all():
+                    break
+                step[bad] = 0.0
             w -= step
-            loss_sum += terms.total * min(MINI_BATCH, n - start)
-        epoch_loss = loss_sum / n
-        # A non-finite block loss leaves the epoch loss non-finite: the
-        # member has diverged and leaves at the end of the epoch.
-        bad = ~np.isfinite(epoch_loss)
-        history[epoch - 1, live] = epoch_loss
-        streak = np.where(np.abs(epoch_loss - prev_loss) < config.convergence_tolerance,
-                          streak + 1, 0)
-        prev_loss = epoch_loss
-        stalled = streak >= config.patience_epochs  # never a non-finite loss
-        done = stalled | bad if epoch < config.max_epochs else np.ones(live.size, dtype=bool)
-        if done.any():
-            stop = live[done]
-            out[stop] = w[done]
-            epochs_run[stop] = epoch
-            converged[stop] = stalled[done]
-            diverged[stop] = bad[done]
-            final_loss[stop] = epoch_loss[done]
-            keep = ~done
-            live, w, feats, label_pos = live[keep], w[keep], feats[keep], label_pos[keep]
-            prev_loss, streak = prev_loss[keep], streak[keep]
-            rngs = [r for r, k in zip(rngs, keep) if k]
-            if not live.size:
-                break
-            objective = objective.take(keep)
 
-    # A diverged member's trace stops before the epoch that diverged.
-    reports = [TrainReport(int(epochs_run[e]), float(final_loss[e]),
-                           history[:epochs_run[e] - diverged[e], e].tolist(),
-                           bool(converged[e]), bool(diverged[e]))
-               for e in range(n_members)]
+        keep = []
+        for j, (e, loss) in enumerate(zip(live, (loss_sum / n).tolist())):
+            if math.isfinite(loss):
+                traces[e].append(loss)
+                close = prev[e] is not None and abs(loss - prev[e]) < tol
+                streak[e] = streak[e] + 1 if close else 0
+                prev[e] = loss
+                stalled = streak[e] >= config.patience_epochs
+                if not stalled and epoch < config.max_epochs:
+                    keep.append(j)
+                    continue
+                reports[e] = TrainReport(epoch, loss, traces[e], stalled)
+            else:  # diverged; the trace stops before this epoch
+                reports[e] = TrainReport(epoch, loss, traces[e], False, True)
+            out[e] = w[j]
+        if len(keep) < len(live):
+            if not keep:
+                break
+            live = [live[j] for j in keep]
+            rngs = [rngs[j] for j in keep]
+            w, feats, label_pos = w[keep], feats[keep], label_pos[keep]
+            objective = objective.take(keep)
     return out, reports
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from incrlin.datamodel import (
 )
 from incrlin.errors import DivergenceError, MissingExampleError
 from incrlin.linalg import orthonormal_basis
-from incrlin.objectives import Objective
+from incrlin.objectives import Objective, ObjectiveStack
 from incrlin.trainer import (
     MINI_BATCH,
     _epoch_order,
@@ -75,6 +77,8 @@ def test_epoch_batches_full_below_threshold():
 
 
 def test_epoch_batches_partition_above_threshold():
+    # the blocks cut from this order are checked on the steps themselves in
+    # test_sgd_steps_on_mini_batches_that_cover_each_epoch
     n = 150
     order = _epoch_order(n, [np.random.default_rng(0), np.random.default_rng(1)])
     assert order.shape == (2, n)
@@ -221,6 +225,44 @@ def test_stack_members_match_solo_runs_on_shuffled_blocks():
     assert len({r.epochs_run for _, r in solo}) > 1  # members stopped at different epochs
 
 
+def _rows_with_labels(feats, label_pos):
+    return sorted(zip(map(bytes, feats), label_pos.tolist()))
+
+
+@pytest.mark.parametrize("n_members", [1, 2])
+def test_sgd_steps_on_mini_batches_that_cover_each_epoch(monkeypatch, n_members):
+    # every step sees at most MINI_BATCH rows of each member, and the steps of
+    # an epoch pair each member's rows with their labels exactly once
+    n, epochs = 150, 3
+    problems = [_stack_problem(n=n, seed=s) for s in (3, 4)[:n_members]]
+    cfg = dataclasses.replace(problems[0][0], max_epochs=epochs)  # no member stops early
+    calls = []
+    evaluate = ObjectiveStack.evaluate
+
+    def spy(self, m, feats, label_pos):
+        calls.append((feats.copy(), label_pos.copy()))
+        return evaluate(self, m, feats, label_pos)
+
+    monkeypatch.setattr(ObjectiveStack, "evaluate", spy)
+    rngs = [np.random.default_rng(10 + i) for i in range(n_members)]
+    if n_members == 1:
+        _, obj, w0, data = problems[0]
+        fine_tune(w0, obj, data, cfg, rngs[0])
+    else:
+        fine_tune_stack([p[2] for p in problems], [p[1] for p in problems],
+                        [p[3] for p in problems], cfg, rngs)
+    sizes = [lab.shape[1] for _, lab in calls]
+    assert max(sizes) <= MINI_BATCH
+    per_epoch = -(-n // MINI_BATCH)
+    assert len(calls) == epochs * per_epoch and sum(sizes) == epochs * n
+    for k in range(0, len(calls), per_epoch):
+        epoch = calls[k:k + per_epoch]
+        for e, (_, obj, _, data) in enumerate(problems):
+            seen = _rows_with_labels(np.concatenate([f[e] for f, _ in epoch]),
+                                     np.concatenate([lab[e] for _, lab in epoch]))
+            assert seen == _rows_with_labels(data.features, obj.label_positions(data.class_ids))
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_diverged_member_leaves_the_rest_of_the_stack_untouched():
     cfg, obj, w0, data = _stack_problem(n=6)
@@ -233,6 +275,32 @@ def test_diverged_member_leaves_the_rest_of_the_stack_untouched():
     _same_run(good, fine_tune(w0, obj, data, cfg, np.random.default_rng(1)))
     with pytest.raises(DivergenceError):
         fine_tune(w0, obj, scaled, cfg, np.random.default_rng(0))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_divergence_on_shuffled_blocks_stops_stepping_at_the_first_bad_block(monkeypatch):
+    cfg, obj, w0, data = _stack_problem(n=200)  # four blocks per epoch
+    scaled = Batch(data.features * 1e155, data.class_ids)  # its second block overflows
+    seen = []
+    evaluate = ObjectiveStack.evaluate
+
+    def spy(self, m, feats, label_pos):
+        seen.append(m.copy())
+        return evaluate(self, m, feats, label_pos)
+
+    monkeypatch.setattr(ObjectiveStack, "evaluate", spy)
+    with pytest.raises(DivergenceError, match="epoch 1"):
+        fine_tune(w0, obj, scaled, cfg, np.random.default_rng(0))
+    assert len(seen) == 2  # a stack of one stops at its first non-finite block
+
+    seen.clear()
+    (w_bad, r_bad), good = fine_tune_stack([w0, w0], [obj, obj], [scaled, data], cfg,
+                                           [np.random.default_rng(0), np.random.default_rng(1)])
+    assert w_bad is None and r_bad.diverged and r_bad.epochs_run == 1
+    assert [m.shape[0] for m in seen[:5]] == [2, 2, 2, 2, 1]  # it leaves after epoch 1
+    for m in seen[2:4]:  # and takes no step after its bad block
+        np.testing.assert_array_equal(m[0], seen[1][0])
+    _same_run(good, fine_tune(w0, obj, data, cfg, np.random.default_rng(1)))
 
 
 # --- snapshots and base training ----------------------------------------------------
