@@ -50,8 +50,7 @@ def _load_inputs(args, need_manifest: bool):
         raise ConfigError("this command needs --manifest for the session plan")
     embeddings = None
     if getattr(args, "embeddings", None):
-        source = "description" if getattr(args, "regularizer", "") == "description" else "label"
-        embeddings = io.load_embeddings_csv(args.embeddings, source=source)
+        embeddings = io.load_embeddings_csv(args.embeddings)
     return store, registry, labels, embeddings
 
 

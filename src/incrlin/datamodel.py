@@ -13,6 +13,7 @@ construction.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -445,11 +446,9 @@ class OrthonormalBasis:
 
 
 class EmbeddingTable:
-    """Per-class semantic vectors, tagged with their source (label or description)."""
+    """Per-class semantic vectors (of the class labels or descriptions)."""
 
-    def __init__(self, vectors: Mapping[int, np.ndarray], source: str = "label"):
-        if source not in ("label", "description"):
-            raise ValidationError(f"unknown embedding source {source!r}")
+    def __init__(self, vectors: Mapping[int, np.ndarray]):
         if not vectors:
             raise ValidationError("embedding table is empty")
         items = {int(c): as_feature(v) for c, v in vectors.items()}
@@ -460,7 +459,6 @@ class EmbeddingTable:
         for v in self._vectors.values():
             v.setflags(write=False)
         self._dimension = dims.pop()
-        self.source = source
 
     @property
     def dimension(self) -> int:
@@ -546,6 +544,12 @@ class RunConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "regularizer_kind", normalize_kind(self.regularizer_kind))
+        for name in ("max_epochs", "patience_epochs", "rng_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.memory_enabled, bool):
+            raise ConfigError(f"memory_enabled must be true or false, got {self.memory_enabled!r}")
         for name in ("alpha", "beta_base", "beta_prev_novel", "gamma", "tau",
                      "learning_rate", "convergence_tolerance"):
             if getattr(self, name) < 0:

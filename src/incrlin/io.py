@@ -157,9 +157,12 @@ def _load_vector_csv(path, prefix: str) -> dict[int, np.ndarray]:
             if len(rec) != dim + 1:
                 raise FormatError(f"{path}:{lineno}: expected {dim + 1} fields, got {len(rec)}")
             try:
-                items[int(rec[0])] = np.array([float(v) for v in rec[1:]])
+                cid, vector = int(rec[0]), np.array([float(v) for v in rec[1:]])
             except ValueError as err:
                 raise FormatError(f"{path}:{lineno}: {err}") from None
+            if cid in items:
+                raise FormatError(f"{path}:{lineno}: class {cid} appears a second time")
+            items[cid] = vector
     if not items:
         raise FormatError(f"{path}: no data rows")
     return items
@@ -169,8 +172,8 @@ def save_embeddings_csv(table: EmbeddingTable, path) -> None:
     _save_vector_csv(path, "e", {c: table.vector(c) for c in table.classes}, table.dimension)
 
 
-def load_embeddings_csv(path, source: str = "label") -> EmbeddingTable:
-    return EmbeddingTable(_load_vector_csv(path, "e"), source=source)
+def load_embeddings_csv(path) -> EmbeddingTable:
+    return EmbeddingTable(_load_vector_csv(path, "e"))
 
 
 def save_weights_csv(weights: WeightMatrix, path) -> None:
@@ -203,10 +206,12 @@ def load_manifest(path) -> tuple[dict[int, str], dict[int, int]]:
     for key, entry in obj.items():
         try:
             cid = int(key)
-            labels[cid] = str(entry["label"])
-            sessions[cid] = int(entry["session"])
+            label, session = str(entry["label"]), int(entry["session"])
         except (ValueError, TypeError, KeyError):
             raise FormatError(f"{path}: bad manifest entry for key {key!r}") from None
+        if cid in labels:
+            raise FormatError(f"{path}: key {key!r} names class {cid} a second time")
+        labels[cid], sessions[cid] = label, session
     return labels, sessions
 
 

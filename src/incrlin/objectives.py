@@ -9,6 +9,11 @@ of E same-shaped sessions at once, so many small episodes cost one call.
 ``Objective`` builds and checks one session's objective; it holds that
 session as a stack of one, and ``Objective.evaluate_dense`` is the
 stack-of-one view.
+
+Every session lays out its weight rows in one order: the old classes
+(ascending), then the session's novel classes (ascending). The penalties only
+need to know which rows are old (anchored by r_old) and which are novel
+(pulled by r_new), so each group is one slice of the stack.
 """
 from __future__ import annotations
 
@@ -96,47 +101,29 @@ class ObjectiveTerms:
         return self._gradient_dict
 
 
-def _rows_of(members: np.ndarray, pos: np.ndarray) -> tuple:
-    """Index of rows ``pos[e]`` of every member e of a (E, C, d) stack: a
-    slice when all members share one run of consecutive rows (a view, and
-    cheaper to gather and update), else fancy indices. Class ids that grow
-    with the session give the slice, as in every benchmark workload; only
-    the hypothesis tests of ``tests/test_objectives.py`` reach the fancy
-    side. The slice makes ``run-single`` 7-10% faster at 5-way 1-shot, d=32."""
-    k = pos.shape[1]
-    if k and (pos == pos[0]).all() and (np.diff(pos[0]) == 1).all():
-        return slice(None), slice(int(pos[0, 0]), int(pos[0, 0]) + k)
-    return members, pos
-
-
 class ObjectiveStack:
     """The objectives of E same-shaped sessions (members), evaluated at once.
 
-    Member e trains a (C, d) weight matrix. Its old rows, at positions
-    ``old_pos[e]``, are anchored to ``anchors[e]`` with weights ``betas[e]``.
-    Its novel rows, at ``novel_pos[e]``, are pulled toward the shared
-    subspace ``basis`` or toward ``targets[e]``; with neither, r_new is 0.
-    Every product is a per-member ``matmul`` and every sum runs over one
-    member's own entries, so a member's terms and gradient do not depend on
-    the other members of the stack.
+    Member e trains a (C, d) weight matrix whose rows are laid out old classes
+    first, then novel classes. The first ``n_old`` rows are anchored to
+    ``anchors[e]`` with weights ``betas[e]``; the rows after them are pulled
+    toward the shared subspace ``basis`` or toward ``targets[e]``, and with
+    neither r_new is 0. Both groups are plain slices of every member, whatever
+    its class ids. Every product is a per-member ``matmul`` and every sum runs
+    over one member's own entries, so a member's terms and gradient do not
+    depend on the other members of the stack.
     """
 
-    __slots__ = ("config", "old_pos", "anchors", "betas", "novel_pos", "basis", "targets",
-                 "_members", "_old", "_novel")
+    __slots__ = ("config", "n_old", "anchors", "betas", "basis", "targets")
 
-    def __init__(self, config: RunConfig, old_pos: np.ndarray, anchors: np.ndarray,
-                 betas: np.ndarray, novel_pos: np.ndarray,
+    def __init__(self, config: RunConfig, anchors: np.ndarray, betas: np.ndarray,
                  basis: OrthonormalBasis | None = None, targets: np.ndarray | None = None):
         self.config = config
-        self.old_pos = old_pos        # (E, k_old) row positions
-        self.anchors = anchors        # (E, k_old, d), or (E, 0, 0) without old rows
-        self.betas = betas            # (E, k_old)
-        self.novel_pos = novel_pos    # (E, k_new) row positions
+        self.anchors = anchors        # (E, n_old, d), or (E, 0, 0) without old rows
+        self.betas = betas            # (E, n_old)
+        self.n_old = betas.shape[1]
         self.basis = basis
-        self.targets = targets        # (E, k_new, d) or None
-        self._members = np.arange(old_pos.shape[0])[:, None]
-        self._old = _rows_of(self._members, old_pos)
-        self._novel = _rows_of(self._members, novel_pos)
+        self.targets = targets        # (E, C - n_old, d) or None
 
     @classmethod
     def concat(cls, stacks: Sequence["ObjectiveStack"]) -> "ObjectiveStack":
@@ -149,20 +136,16 @@ class ObjectiveStack:
                 raise ValidationError("stacked objectives need the same config, "
                                       "regularizer and shapes")
         targets = None if first.targets is None else np.concatenate([s.targets for s in stacks])
-        return cls(first.config,
-                   *(np.concatenate([getattr(s, f) for s in stacks])
-                     for f in ("old_pos", "anchors", "betas", "novel_pos")),
-                   basis=first.basis, targets=targets)
+        return cls(first.config, np.concatenate([s.anchors for s in stacks]),
+                   np.concatenate([s.betas for s in stacks]), first.basis, targets)
 
     def _layout(self) -> tuple:
-        return (self.config, self.basis is None,
-                None if self.targets is None else self.targets.shape[1:],
-                *(a.shape[1:] for a in (self.old_pos, self.anchors, self.novel_pos)))
+        return (self.config, self.basis is None, self.anchors.shape[1:],
+                None if self.targets is None else self.targets.shape[1:])
 
     def take(self, members) -> "ObjectiveStack":
         """The sub-stack of the given members (an index or boolean mask)."""
-        return ObjectiveStack(self.config, self.old_pos[members], self.anchors[members],
-                              self.betas[members], self.novel_pos[members], self.basis,
+        return ObjectiveStack(self.config, self.anchors[members], self.betas[members], self.basis,
                               None if self.targets is None else self.targets[members])
 
     def evaluate(self, m: np.ndarray, feats: np.ndarray, label_pos: np.ndarray) -> ObjectiveTerms:
@@ -170,7 +153,7 @@ class ObjectiveStack:
         features (E, n, d) and label row positions (E, n)."""
         cfg = self.config
         n_members, n = label_pos.shape
-        members, rows = self._members, np.arange(n)
+        members, rows = np.arange(n_members)[:, None], np.arange(n)
 
         logits = feats @ m.transpose(0, 2, 1)
         logits -= logits.max(axis=2, keepdims=True)
@@ -189,16 +172,17 @@ class ObjectiveStack:
         # absent term adds an exact zero, so it is left out.
         total = data_loss + cfg.alpha * rp
         ro = rn = np.zeros(n_members)
+        k = self.n_old
 
-        if self.old_pos.shape[1]:
-            diff = m[self._old] - self.anchors
+        if k:
+            diff = m[:, :k] - self.anchors
             sq = (diff * diff).sum(axis=2)
             ro = (sq[:, None, :] @ self.betas[:, :, None])[:, 0, 0]
-            grad[self._old] += (2.0 * self.betas)[:, :, None] * diff
+            grad[:, :k] += (2.0 * self.betas)[:, :, None] * diff
             total += ro
 
-        if self.novel_pos.shape[1] and (self.basis is not None or self.targets is not None):
-            mn = m[self._novel]
+        if m.shape[1] > k and (self.basis is not None or self.targets is not None):
+            mn = m[:, k:]
             if self.basis is not None:
                 p = self.basis.matrix
                 resid = mn - (mn @ p) @ p.T
@@ -206,7 +190,7 @@ class ObjectiveStack:
                 resid = mn - self.targets
             rn = (resid * resid).reshape(n_members, -1).sum(axis=1)
             if cfg.gamma != 0.0:
-                grad[self._novel] += (2.0 * cfg.gamma) * resid
+                grad[:, k:] += (2.0 * cfg.gamma) * resid
             total += cfg.gamma * rn
 
         return ObjectiveTerms(data_loss, rp, ro, rn, total, None, grad)
@@ -215,12 +199,14 @@ class ObjectiveStack:
 class Objective:
     """Assembled per-session objective over the classes seen so far.
 
-    The trainable set is every row up to the current session; old rows stay
-    trainable but are anchored by the r_old term. Exactly one new-class
-    regularizer is active, selected by ``config.regularizer_kind``:
-    ``subspace`` needs a basis, the fixed-target kinds need a target map, and
-    ``finetune`` needs neither. ``stack`` is this session as an
-    ``ObjectiveStack`` of one member, with rows aligned to ``class_ids``.
+    The trainable set is every row up to the current session, laid out in
+    ``class_ids`` as the old classes (every class of the earlier sessions,
+    ascending), then this session's novel classes (ascending); in the base
+    session every row is a novel one. Old rows stay trainable but are anchored
+    by the r_old term. Exactly one new-class regularizer is active, selected by
+    ``config.regularizer_kind``: ``subspace`` needs a basis, the fixed-target
+    kinds need a target map, and ``finetune`` needs neither. ``stack`` is this
+    session as an ``ObjectiveStack`` of one member.
     """
 
     def __init__(self, config: RunConfig, registry: ClassRegistry, session: int,
@@ -229,7 +215,9 @@ class Objective:
         self.config = config
         self.registry = registry
         self.session = session
-        self.class_ids = registry.classes_up_to(session)
+        old = registry.classes_up_to(session - 1) if session > 0 else ()
+        novel = registry.classes_in(session)
+        self.class_ids = old + novel
         self._index = {c: i for i, c in enumerate(self.class_ids)}
         kind = config.regularizer_kind
 
@@ -247,7 +235,6 @@ class Objective:
                 raise ConfigError("plain fine-tuning takes no new-class regularizer components")
 
         # Anchors for all previously seen classes.
-        old = registry.classes_up_to(session - 1) if session > 0 else ()
         anchors = []
         betas = []
         for c in old:
@@ -259,7 +246,6 @@ class Objective:
             betas.append(config.beta_base if t == 0 else config.beta_prev_novel)
         anchor_matrix = np.stack(anchors) if anchors else np.zeros((0, 0))
 
-        novel = registry.classes_in(session) if session > 0 else ()
         basis = basis if session > 0 and kind == "subspace" else None
         target_matrix = None
         if session > 0 and kind in FIXED_TARGET_KINDS:
@@ -281,15 +267,11 @@ class Objective:
         self._dimension = dims.pop() if dims else None
 
         self.stack = ObjectiveStack(
-            config, self._positions(old), anchor_matrix[None],
-            np.array(betas, dtype=np.float64)[None], self._positions(novel), basis,
+            config, anchor_matrix[None], np.array(betas, dtype=np.float64)[None], basis,
             None if target_matrix is None else target_matrix[None])
 
-    def _positions(self, classes) -> np.ndarray:
-        """Row positions of ``classes`` as a stack of one, shape (1, k)."""
-        return np.array([self._index[c] for c in classes], dtype=np.int64)[None]
-
-    def label_positions(self, class_ids: np.ndarray) -> np.ndarray:
+    def label_rows(self, class_ids: np.ndarray) -> np.ndarray:
+        """The row of each label in this session's layout, ``class_ids``."""
         try:
             return np.array([self._index[int(c)] for c in class_ids], dtype=np.int64)
         except KeyError as err:
@@ -312,4 +294,4 @@ class Objective:
             raise DimensionMismatchError(
                 f"batch dimension {batch.dimension} != weight dimension {weights.dimension}")
         m = weights.subset(self.class_ids)
-        return self.evaluate_dense(m, batch.features, self.label_positions(batch.class_ids))
+        return self.evaluate_dense(m, batch.features, self.label_rows(batch.class_ids))

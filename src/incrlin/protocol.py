@@ -236,8 +236,9 @@ def _session_problem(setup: RunSetup, weights: WeightMatrix, registry: ClassRegi
                      session: int, snapshots: WeightSnapshots, support: Batch,
                      rng: np.random.Generator, memory: Batch | None = None,
                      ) -> tuple[WeightMatrix, Objective, Batch]:
-    """One session's training problem: the weights with its novel rows
-    imprinted from the support set, its objective, and its data (the support
+    """One session's training problem: the weights, with its novel rows
+    imprinted from the support set and appended after the old rows (the
+    objective's row layout); its objective; and its data (the support
     examples followed by the memory examples)."""
     novel = registry.classes_in(session)
     weights = weights.with_rows(
@@ -260,8 +261,7 @@ def fit_session(setup: RunSetup, weights: WeightMatrix, registry: ClassRegistry,
     return weights
 
 
-def run_multi_session(stream: SessionStream, config: RunConfig | None = None,
-                      base_weights: WeightMatrix | None = None,
+def run_multi_session(stream: SessionStream, base_weights: WeightMatrix | None = None,
                       collect_confusion: bool = True,
                       on_session_end=None) -> list[SessionResult]:
     """Run the incremental protocol over every session of the stream.
@@ -272,7 +272,7 @@ def run_multi_session(stream: SessionStream, config: RunConfig | None = None,
     class seen so far. ``on_session_end(t, weights)`` is called with a frozen
     weight copy after each session, for weight export.
     """
-    config = stream.config if config is None else config
+    config = stream.config
     registry = stream.registry
     rng = np.random.default_rng(config.rng_seed)
 
@@ -431,16 +431,6 @@ def run_episodes(setup: RunSetup, episodes: Sequence[Episode],
             outcomes[k] = (DivergenceError(f"non-finite loss at epoch {report.epochs_run}")
                            if report.diverged else _score_episode(weights, episodes[k], base))
     return outcomes
-
-
-def run_episode(setup: RunSetup, episode: Episode,
-                rng: np.random.Generator) -> EpisodeResult:
-    """Fine-tune fresh weights on one episode and score joint vs individual:
-    ``run_episodes`` of one, raising its error if it fails."""
-    [outcome] = run_episodes(setup, [episode], [rng])
-    if isinstance(outcome, EngineError):
-        raise outcome
-    return outcome
 
 
 @dataclasses.dataclass(frozen=True)

@@ -71,7 +71,7 @@ def generate(spec: SynthSpec) -> SynthData:
         vectors = {c: means[c] for c in range(spec.n_classes)}
     else:
         vectors = {c: rng.standard_normal(spec.dimension) for c in range(spec.n_classes)}
-    embeddings = EmbeddingTable(vectors, source="label")
+    embeddings = EmbeddingTable(vectors)
     registry = ClassRegistry.with_base(range(spec.n_classes))
     return SynthData(store, embeddings, registry, means)
 

@@ -2,7 +2,8 @@
 its convergence rule, and base-class training.
 
 There is one epoch loop, and it runs on a stack of E same-shaped sessions
-(members): weights (E, C, d), features (E, n, d) and label positions (E, n).
+(members): weights (E, C, d) with each member's old rows before its novel
+rows, features (E, n, d) and label row positions (E, n).
 Each SGD step is one ``ObjectiveStack.evaluate`` call, whose products are
 batched ``matmul`` over the stack. Every member draws its mini-batch
 shuffles from its own generator and keeps its own stall streak. It leaves
@@ -162,14 +163,16 @@ def fine_tune_stack(weights: Sequence[WeightMatrix], objectives: Sequence[Object
 
     Member e starts from ``weights[e]`` and minimizes ``objectives[e]`` over
     ``batches[e]``, drawing its mini-batch shuffles from ``rngs[e]``. Its
-    result is bit-identical to fine-tuning it alone. A member whose loss goes
+    rows are trained, and returned, in the objective's layout
+    (``Objective.class_ids``: old classes, then novel classes). Its result is
+    bit-identical to fine-tuning it alone. A member whose loss goes
     non-finite gets weights None and a report with ``diverged`` set; the
     other members are unaffected.
     """
     stack = ObjectiveStack.concat([o.stack for o in objectives])
     m = np.stack([w.subset(o.class_ids) for w, o in zip(weights, objectives)])
     feats = np.stack([b.features for b in batches])
-    label_pos = np.stack([o.label_positions(b.class_ids) for o, b in zip(objectives, batches)])
+    label_pos = np.stack([o.label_rows(b.class_ids) for o, b in zip(objectives, batches)])
     m, reports = _sgd(m, stack, feats, label_pos, config, list(rngs))
     return [(None if r.diverged else WeightMatrix(o.class_ids, m[e]), r)
             for e, (o, r) in enumerate(zip(objectives, reports))]

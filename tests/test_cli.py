@@ -61,6 +61,16 @@ def test_config_file_rejects_unknown_sections(tmp_path):
         resolve_run_config("multi", load_config_file(p), {})
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("optimizer", "max_epochs", 2.5), ("optimizer", "patience_epochs", True),
+    ("protocol", "rng_seed", 1.0), ("protocol", "memory_enabled", "false")])
+def test_config_file_rejects_mistyped_counts_and_flags(tmp_path, section, key, value):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({section: {key: value}}))
+    with pytest.raises(ConfigError, match=key):
+        resolve_run_config("multi", load_config_file(p), {})
+
+
 # --- subcommands ----------------------------------------------------------------------
 
 def test_synth_gen_outputs_are_loadable(fixture_dir):

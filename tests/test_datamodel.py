@@ -253,6 +253,7 @@ def test_run_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(regularizer_kind="nope")
     assert RunConfig(regularizer_kind="fine-tune").regularizer_kind == "finetune"
+    assert RunConfig(max_epochs=np.int64(5), rng_seed=np.uint32(7)).max_epochs == 5
     assert normalize_kind("linear-map") == "linmap"
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -180,8 +181,7 @@ def test_embeddings_round_trip(tmp_path):
     table = EmbeddingTable({3: np.array([0.5, -1.25]), 1: np.array([2.0, 4.0])})
     path = tmp_path / "emb.csv"
     io.save_embeddings_csv(table, path)
-    back = io.load_embeddings_csv(path, source="description")
-    assert back.source == "description"
+    back = io.load_embeddings_csv(path)
     assert back.classes == (1, 3)
     np.testing.assert_array_equal(back.vector(3), table.vector(3))
 
@@ -193,6 +193,16 @@ def test_weights_round_trip(tmp_path):
     back = io.load_weights_csv(path)
     np.testing.assert_array_equal(back.row(2), w.row(2))
     np.testing.assert_array_equal(back.row(0), w.row(0))
+
+
+def test_vector_csv_rejects_a_repeated_class(tmp_path):
+    p = tmp_path / "v.csv"
+    p.write_text("class_id,w0,w1\n3,1.0,2.0\n5,0.0,1.0\n3,4.0,4.0\n")
+    with pytest.raises(FormatError, match=re.escape(f"{p}:4: class 3")):
+        io.load_weights_csv(p)
+    p.write_text("class_id,e0,e1\n7,1.0,2.0\n7,1.0,2.0\n")
+    with pytest.raises(FormatError, match=re.escape(f"{p}:3: class 7")):
+        io.load_embeddings_csv(p)
 
 
 def test_manifest_round_trip_and_registry(tmp_path):
@@ -217,6 +227,10 @@ def test_manifest_bad_files(tmp_path):
         io.load_manifest(p)
     p.write_text(json.dumps({}))
     with pytest.raises(FormatError):
+        io.load_manifest(p)
+    p.write_text(json.dumps({"1": {"label": "a", "session": 0},
+                             "01": {"label": "b", "session": 1}}))  # one class, two keys
+    with pytest.raises(FormatError, match="'01'"):
         io.load_manifest(p)
     with pytest.raises(FormatError):
         io.registry_from_manifest({0: 1})  # no session-0 classes

@@ -318,6 +318,27 @@ def test_r_new_fixed_target_fd_and_missing():
         _r_new("semantic", [0, 7], m[:2], targets=targets)
 
 
+def test_rows_are_laid_out_old_then_novel():
+    # the novel ids 1 and 3 sit between the base ids: the old rows still come
+    # first, and each penalty acts on its own classes' rows
+    registry = ClassRegistry([(0, 2, 4), (1, 3)])
+    snaps = WeightSnapshots()
+    snaps.store(0, WeightMatrix([0, 2, 4], np.zeros((3, 2))))
+    targets = {1: np.array([1.0, 1.0]), 3: np.array([3.0, 1.0])}
+    cfg = RunConfig(regularizer_kind="semantic", **{**_ZERO, "beta_base": 1.0, "gamma": 1.0})
+    obj = Objective(cfg, registry, 1, snaps, targets=targets)
+    assert obj.class_ids == (0, 2, 4, 1, 3)
+    assert obj.stack.n_old == 3
+    w = WeightMatrix(range(5), np.array([[c, 0.0] for c in range(5)]))
+    terms = obj.evaluate(w, _null_batch(2, 0))
+    assert terms.r_old == 0.0 + 4.0 + 16.0  # base rows against their zero anchors
+    assert terms.r_new == 1.0 + 1.0         # novel rows against their targets
+    for c in (0, 2, 4):
+        np.testing.assert_array_equal(terms.gradient[c], [2.0 * c, 0.0])
+    for c in (1, 3):
+        np.testing.assert_array_equal(terms.gradient[c], 2.0 * (w.row(c) - targets[c]))
+
+
 # --- assembled objective ------------------------------------------------------------
 
 def _assembly(kind="subspace", with_targets=False, seed=0, d=4, beta=(0.3, 0.15)):
@@ -434,8 +455,8 @@ def test_regularizers_zero_exactly_at_anchor():
 @st.composite
 def _stack_members(draw):
     """E same-shaped session-1 objectives with their weights and batches. Each
-    member places its classes differently, so old and novel rows sit at
-    member-specific positions; a subspace stack shares one basis."""
+    member permutes its class ids, so a label maps to member-specific rows;
+    a subspace stack shares one basis."""
     kind = draw(st.sampled_from(("finetune", "subspace", "semantic")))
     n_members = draw(st.integers(1, 4))
     n_base, n_novel = draw(st.integers(1, 4)), draw(st.integers(1, 3))
@@ -465,7 +486,7 @@ def test_stack_members_bit_identical_to_their_solo_evaluation(members):
     stack = ObjectiveStack.concat([obj.stack for obj, _, _ in members])
     terms = stack.evaluate(np.stack([w.matrix for _, w, _ in members]),
                            np.stack([b.features for _, _, b in members]),
-                           np.stack([obj.label_positions(b.class_ids) for obj, _, b in members]))
+                           np.stack([obj.label_rows(b.class_ids) for obj, _, b in members]))
     for e, (obj, weights, batch) in enumerate(members):
         solo = obj.evaluate(weights, batch)
         for name in ("data_loss", "r_prior", "r_old", "r_new", "total"):

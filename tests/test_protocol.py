@@ -23,7 +23,7 @@ from incrlin.protocol import (
     delta_metric,
     predict,
     prepare_run,
-    run_episode,
+    run_episodes,
     run_multi_session,
     run_single_session,
     sample_episode,
@@ -325,7 +325,7 @@ def test_run_episode_perfect_classifier_has_zero_delta():
     episode = protocol_mod.Episode((5,), support, query)
     cfg = RunConfig(regularizer_kind="finetune", alpha=0.0, beta_base=0.0,
                     learning_rate=0.1, max_epochs=30, rng_seed=0)
-    result = run_episode(prepare_run(cfg, w, base_ids), episode, np.random.default_rng(0))
+    [result] = run_episodes(prepare_run(cfg, w, base_ids), [episode], [np.random.default_rng(0)])
     assert result.acc_base_joint == 100.0
     assert result.acc_novel_joint == 100.0
     assert result.delta == 0.0
@@ -348,7 +348,7 @@ def test_degenerate_one_class_dominance_pattern():
     episode = protocol_mod.Episode((5, 6), support, query)
     cfg = RunConfig(regularizer_kind="finetune", alpha=0.0, beta_base=0.0,
                     learning_rate=0.0, max_epochs=1, rng_seed=0)  # imprint only
-    result = run_episode(prepare_run(cfg, w, base_ids), episode, np.random.default_rng(0))
+    [result] = run_episodes(prepare_run(cfg, w, base_ids), [episode], [np.random.default_rng(0)])
     n_way = 2
     assert result.acc_novel_joint == pytest.approx(100.0 / n_way)
     assert result.acc_novel_individual == pytest.approx(100.0 / n_way)
@@ -446,6 +446,31 @@ def test_run_single_session_does_not_depend_on_chunk_size(monkeypatch, kind, min
     one, three, every = run(1), run(3), run(8)
     assert one["n_failed"] == 1 and len(one["episodes"]) == 6
     assert one == three == every
+
+
+@pytest.mark.parametrize("kind", ["finetune", "subspace", "semantic"])
+def test_run_single_session_does_not_depend_on_where_novel_ids_sit(kind):
+    # base ids 0..9 become the even ids and novel ids 10..15 the odd ids
+    # 1..11, each group in its own order: the episodes train on the same
+    # old-then-novel rows and give the same result
+    base_store, novel_store, bw, cfg, data = _single_setup()
+    cfg = cfg.replace(regularizer_kind=kind, gamma=0.1, tau=0.5)
+
+    def run(new_id):
+        def store(s):
+            return FeatureStore(s.dimension, {new_id(c): s.support(c) for c in s.classes},
+                                {new_id(c): s.query(c) for c in s.classes})
+
+        weights = WeightMatrix([new_id(c) for c in bw.class_ids], bw.matrix)
+        embeddings = EmbeddingTable({new_id(c): data.embeddings.vector(c)
+                                     for c in data.embeddings.classes})
+        result = run_single_session(store(base_store), store(novel_store), weights, cfg,
+                                    n_episodes=6, n_way=3, k_shot=1, n_query=12,
+                                    embeddings=embeddings, keep_episodes=True)
+        return result.as_dict(include_episodes=True)
+
+    interleaved = run(lambda c: 2 * c if c < 10 else 2 * (c - 10) + 1)
+    assert interleaved == run(lambda c: c)
 
 
 def test_run_single_session_rejects_memory():

@@ -260,7 +260,7 @@ def test_sgd_steps_on_mini_batches_that_cover_each_epoch(monkeypatch, n_members)
         for e, (_, obj, _, data) in enumerate(problems):
             seen = _rows_with_labels(np.concatenate([f[e] for f, _ in epoch]),
                                      np.concatenate([lab[e] for _, lab in epoch]))
-            assert seen == _rows_with_labels(data.features, obj.label_positions(data.class_ids))
+            assert seen == _rows_with_labels(data.features, obj.label_rows(data.class_ids))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
