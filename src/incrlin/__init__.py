@@ -31,7 +31,6 @@ from .protocol import (
     EpisodeResult,
     SessionResult,
     SingleSessionResult,
-    confusion_matrix,
     delta_metric,
     predict,
     run_multi_session,
@@ -50,7 +49,7 @@ __all__ = [
     "fit_least_squares", "orthonormal_basis", "project",
     "Objective", "ObjectiveTerms", "semantic_targets",
     "Episode", "EpisodeResult", "SessionResult", "SingleSessionResult",
-    "confusion_matrix", "delta_metric", "predict",
+    "delta_metric", "predict",
     "run_multi_session", "run_single_session", "sample_episode",
     "SynthSpec", "generate", "incremental_split",
     "TrainReport", "fine_tune", "init_novel_weights", "train_base",

@@ -42,16 +42,15 @@ def _write_json(path, payload: dict) -> None:
 def _load_inputs(args, need_manifest: bool):
     store = io.load_feature_store(args.features)
     registry = None
-    labels = None
     if getattr(args, "manifest", None):
-        labels, sessions = io.load_manifest(args.manifest)
+        _, sessions = io.load_manifest(args.manifest)
         registry = io.registry_from_manifest(sessions)
     elif need_manifest:
         raise ConfigError("this command needs --manifest for the session plan")
     embeddings = None
     if getattr(args, "embeddings", None):
         embeddings = io.load_embeddings_csv(args.embeddings)
-    return store, registry, labels, embeddings
+    return store, registry, embeddings
 
 
 def _resolved_payload(cfg, extra: dict) -> dict:
@@ -61,7 +60,7 @@ def _resolved_payload(cfg, extra: dict) -> dict:
 
 
 def cmd_train_base(args) -> int:
-    store, registry, _, _ = _load_inputs(args, need_manifest=False)
+    store, registry, _ = _load_inputs(args, need_manifest=False)
     file_cfg = load_config_file(args.config) if args.config else {}
     cfg = resolve_run_config("multi", file_cfg, {"rng_seed": args.seed})
     base_classes = registry.base_classes if registry is not None else store.classes
@@ -75,7 +74,7 @@ def cmd_train_base(args) -> int:
 
 
 def cmd_run_multi(args) -> int:
-    store, registry, _, embeddings = _load_inputs(args, need_manifest=True)
+    store, registry, embeddings = _load_inputs(args, need_manifest=True)
     file_cfg = load_config_file(args.config) if args.config else {}
     cfg = resolve_run_config("multi", file_cfg, {
         "rng_seed": args.seed,
@@ -105,7 +104,7 @@ def cmd_run_multi(args) -> int:
 
 
 def cmd_run_single(args) -> int:
-    store, registry, _, embeddings = _load_inputs(args, need_manifest=True)
+    store, registry, embeddings = _load_inputs(args, need_manifest=True)
     if registry.n_sessions != 2:
         raise ConfigError(
             f"single-session manifest must define sessions 0 and 1, got {registry.n_sessions}")

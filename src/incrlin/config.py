@@ -11,16 +11,8 @@ from pathlib import Path
 from .datamodel import RunConfig, normalize_kind
 from .errors import ConfigError, FormatError
 
-# Trainer defaults shared by every preset.
-_COMMON = dict(
-    beta_base=0.2,
-    beta_prev_novel=0.1,
-    max_epochs=1000,
-    convergence_tolerance=1e-4,
-    patience_epochs=10,
-)
-
-# (protocol, kind, shots): shots=None matches any shot count not listed.
+# (protocol, kind, shots): shots=None matches any shot count not listed. A
+# field a preset leaves out keeps its ``RunConfig`` default.
 _PRESETS: dict[tuple[str, str, int | None], dict] = {
     ("multi", "finetune", None): dict(learning_rate=0.002, alpha=5e-3, gamma=0.0),
     ("multi", "subspace", None): dict(learning_rate=0.002, alpha=5e-4, gamma=1.0),
@@ -58,8 +50,7 @@ def preset_config(protocol: str = "multi", kind: str = "finetune",
     if entry is None:
         # single-session with an unlisted shot count: fall back to the 1-shot row
         entry = _PRESETS[(protocol, kind, 1)]
-    fields = dict(_COMMON)
-    fields.update(entry)
+    fields = dict(entry)
     fields["regularizer_kind"] = kind
     fields.update(overrides)
     return RunConfig(**fields)

@@ -176,9 +176,6 @@ class FeatureStore:
         except KeyError:
             raise MissingExampleError(f"class {class_id} not in store") from None
 
-    def support_count(self, class_id: int) -> int:
-        return self.support(class_id).shape[0]
-
     def query_count(self, class_id: int) -> int:
         return self.query(class_id).shape[0]
 
@@ -236,8 +233,8 @@ def _stack(pools: Sequence[tuple[int, np.ndarray]]) -> Batch:
 class ClassRegistry:
     """Ordered record of which classes were introduced at which session.
 
-    Immutable; ``register_session`` returns a new registry. Session class sets
-    are pairwise disjoint and session indices are contiguous from 0.
+    Immutable. Session class sets are pairwise disjoint and session indices
+    are contiguous from 0.
     """
 
     def __init__(self, sessions: Sequence[Iterable[int]]):
@@ -258,17 +255,6 @@ class ClassRegistry:
     @classmethod
     def with_base(cls, base_classes: Iterable[int]) -> "ClassRegistry":
         return cls([tuple(base_classes)])
-
-    def register_session(self, new_classes: Iterable[int]) -> "ClassRegistry":
-        """New registry with ``new_classes`` recorded under the next session index.
-
-        An empty set still advances the session counter.
-        """
-        new = tuple(sorted(set(int(c) for c in new_classes)))
-        overlap = [c for c in new if c in self._session_of]
-        if overlap:
-            raise DisjointClassError(f"classes {overlap} already registered")
-        return ClassRegistry(self._sessions + (new,))
 
     @property
     def n_sessions(self) -> int:
@@ -317,11 +303,11 @@ class WeightMatrix:
     only a single owning trainer may mutate it at a time.
     """
 
-    def __init__(self, class_ids: Sequence[int], matrix: np.ndarray, *, copy: bool = True):
+    def __init__(self, class_ids: Sequence[int], matrix: np.ndarray):
         ids = tuple(int(c) for c in class_ids)
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate class ids in weight matrix")
-        m = np.array(matrix, dtype=np.float64, copy=copy)
+        m = np.array(matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != len(ids):
             raise ValidationError(
                 f"matrix shape {m.shape} does not match {len(ids)} classes")
@@ -378,11 +364,8 @@ class WeightMatrix:
         extra = np.stack([as_feature(rows[c], self.dimension) for c in rows])
         return WeightMatrix(new_ids, np.concatenate([self._m, extra], axis=0))
 
-    def copy(self) -> "WeightMatrix":
-        return WeightMatrix(self._ids, self._m, copy=True)
-
     def frozen(self) -> "WeightMatrix":
-        out = WeightMatrix(self._ids, self._m, copy=True)
+        out = WeightMatrix(self._ids, self._m)
         out._m.setflags(write=False)
         return out
 
@@ -552,8 +535,10 @@ class RunConfig:
             raise ConfigError(f"memory_enabled must be true or false, got {self.memory_enabled!r}")
         for name in ("alpha", "beta_base", "beta_prev_novel", "gamma", "tau",
                      "learning_rate", "convergence_tolerance"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not 0 <= value < float("inf"):
+                raise ConfigError(f"{name} must be a finite non-negative number, got {value!r}")
         if self.patience_epochs < 1:
             raise ConfigError(f"patience_epochs must be >= 1, got {self.patience_epochs}")
         if self.max_epochs < 1:

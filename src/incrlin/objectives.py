@@ -22,7 +22,6 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from .datamodel import (
-    Batch,
     ClassRegistry,
     OrthonormalBasis,
     RunConfig,
@@ -77,28 +76,19 @@ class ObjectiveTerms:
 
     ``total`` = data_loss + alpha * r_prior + r_old + gamma * r_new, where
     r_old already carries its beta weights and r_new is raw. For a stack the
-    terms are (E,) arrays, the gradient is (E, C, d) and ``class_ids`` is None.
+    terms are (E,) arrays and the gradient is (E, C, d); for one session they
+    are floats and the gradient is (C, d), rows in the objective's layout.
     """
 
-    __slots__ = ("data_loss", "r_prior", "r_old", "r_new", "total",
-                 "class_ids", "gradient_matrix", "_gradient_dict")
+    __slots__ = ("data_loss", "r_prior", "r_old", "r_new", "total", "gradient_matrix")
 
-    def __init__(self, data_loss, r_prior, r_old, r_new, total, class_ids, gradient_matrix):
+    def __init__(self, data_loss, r_prior, r_old, r_new, total, gradient_matrix):
         self.data_loss = data_loss
         self.r_prior = r_prior
         self.r_old = r_old
         self.r_new = r_new
         self.total = total
-        self.class_ids = class_ids
         self.gradient_matrix = gradient_matrix
-        self._gradient_dict = None
-
-    @property
-    def gradient(self) -> dict[int, np.ndarray]:
-        if self._gradient_dict is None:
-            self._gradient_dict = {c: self.gradient_matrix[i].copy()
-                                   for i, c in enumerate(self.class_ids)}
-        return self._gradient_dict
 
 
 class ObjectiveStack:
@@ -193,7 +183,7 @@ class ObjectiveStack:
                 grad[:, k:] += (2.0 * cfg.gamma) * resid
             total += cfg.gamma * rn
 
-        return ObjectiveTerms(data_loss, rp, ro, rn, total, None, grad)
+        return ObjectiveTerms(data_loss, rp, ro, rn, total, grad)
 
 
 class Objective:
@@ -212,8 +202,6 @@ class Objective:
     def __init__(self, config: RunConfig, registry: ClassRegistry, session: int,
                  snapshots: WeightSnapshots, basis: OrthonormalBasis | None = None,
                  targets: Mapping[int, np.ndarray] | None = None):
-        self.config = config
-        self.registry = registry
         self.session = session
         old = registry.classes_up_to(session - 1) if session > 0 else ()
         novel = registry.classes_in(session)
@@ -264,7 +252,6 @@ class Objective:
             dims.add(target_matrix.shape[1])
         if len(dims) > 1:
             raise DimensionMismatchError(f"inconsistent component dimensions {sorted(dims)}")
-        self._dimension = dims.pop() if dims else None
 
         self.stack = ObjectiveStack(
             config, anchor_matrix[None], np.array(betas, dtype=np.float64)[None], basis,
@@ -283,15 +270,4 @@ class Objective:
         be aligned to ``self.class_ids``."""
         t = self.stack.evaluate(m[None], feats[None], label_pos[None])
         return ObjectiveTerms(float(t.data_loss[0]), float(t.r_prior[0]), float(t.r_old[0]),
-                              float(t.r_new[0]), float(t.total[0]), self.class_ids,
-                              t.gradient_matrix[0])
-
-    def evaluate(self, weights: WeightMatrix, batch: Batch) -> ObjectiveTerms:
-        if self._dimension is not None and weights.dimension != self._dimension:
-            raise DimensionMismatchError(
-                f"weight dimension {weights.dimension} != component dimension {self._dimension}")
-        if batch.dimension != weights.dimension:
-            raise DimensionMismatchError(
-                f"batch dimension {batch.dimension} != weight dimension {weights.dimension}")
-        m = weights.subset(self.class_ids)
-        return self.evaluate_dense(m, batch.features, self.label_rows(batch.class_ids))
+                              float(t.r_new[0]), float(t.total[0]), t.gradient_matrix[0])

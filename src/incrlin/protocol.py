@@ -36,6 +36,7 @@ from .datamodel import (
 )
 from .errors import (
     ConfigError,
+    DimensionMismatchError,
     DivergenceError,
     EngineError,
     MissingEmbeddingError,
@@ -86,9 +87,6 @@ class Confusion:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def row_sums(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
     def fraction_predicted_in(self, classes: Iterable[int]) -> float:
         """Share of all predictions landing in the given classes."""
         cols = [self.class_ids.index(c) for c in sorted(set(classes))]
@@ -102,16 +100,6 @@ def _count_confusion(golds: np.ndarray, preds: np.ndarray, order: Sequence[int])
     counts = np.zeros((k, k), dtype=np.int64)
     np.add.at(counts, (np.searchsorted(order, golds), np.searchsorted(order, preds)), 1)
     return Confusion(tuple(order), counts)
-
-
-def confusion_matrix(weights: WeightMatrix, query: Batch,
-                     active_classes: Iterable[int]) -> Confusion:
-    """Gold-versus-predicted counts for the query set under the active classes."""
-    order = sorted(set(active_classes))
-    unknown = sorted(set(query.class_ids.tolist()) - set(order))
-    if unknown:
-        raise ValidationError(f"query classes {unknown} are not active")
-    return _count_confusion(query.class_ids, predict(weights, query.features, order), order)
 
 
 def weighted_accuracy(acc_base: float, acc_novel: float | None,
@@ -202,15 +190,18 @@ class RunSetup:
 
 
 def prepare_run(config: RunConfig, base_weights: WeightMatrix, base_classes: Iterable[int],
-                embeddings: EmbeddingTable | None = None,
+                dimension: int, embeddings: EmbeddingTable | None = None,
                 novel_classes: Iterable[int] = ()) -> RunSetup:
     """Check a run's inputs up front and build its shared set-up.
 
-    The base weights must cover every base class. An embedding-driven
-    regularizer needs an embedding for every base class and every class of
-    the novel pool. The subspace basis and the linear map are fitted here,
-    once per run.
+    The base weights must have the features' ``dimension`` and cover every
+    base class. An embedding-driven regularizer needs an embedding for every
+    base class and every class of the novel pool. The subspace basis and the
+    linear map are fitted here, once per run.
     """
+    if base_weights.dimension != dimension:
+        raise DimensionMismatchError(f"base weights have dimension {base_weights.dimension}, "
+                                     f"features have dimension {dimension}")
     base = sorted(base_classes)
     missing = [c for c in base if c not in base_weights]
     if missing:
@@ -249,18 +240,6 @@ def _session_problem(setup: RunSetup, weights: WeightMatrix, registry: ClassRegi
     return weights, objective, data
 
 
-def fit_session(setup: RunSetup, weights: WeightMatrix, registry: ClassRegistry, session: int,
-                snapshots: WeightSnapshots, support: Batch, rng: np.random.Generator,
-                memory: Batch | None = None) -> WeightMatrix:
-    """Learn one session's novel classes: imprint their rows from the support
-    set, then fine-tune every row seen so far on the session objective over
-    the support examples followed by the memory examples."""
-    weights, objective, data = _session_problem(setup, weights, registry, session, snapshots,
-                                                support, rng, memory)
-    weights, _ = fine_tune(weights, objective, data, setup.config, rng)
-    return weights
-
-
 def run_multi_session(stream: SessionStream, base_weights: WeightMatrix | None = None,
                       collect_confusion: bool = True,
                       on_session_end=None) -> list[SessionResult]:
@@ -278,7 +257,8 @@ def run_multi_session(stream: SessionStream, base_weights: WeightMatrix | None =
 
     if base_weights is None:
         base_weights, _ = train_base(stream.store, registry.base_classes, config, rng=rng)
-    setup = prepare_run(config, base_weights, registry.base_classes, stream.embeddings,
+    setup = prepare_run(config, base_weights, registry.base_classes, stream.store.dimension,
+                        stream.embeddings,
                         [c for c in registry.all_classes if registry.session_of(c) > 0])
 
     snapshots = WeightSnapshots()
@@ -290,8 +270,10 @@ def run_multi_session(stream: SessionStream, base_weights: WeightMatrix | None =
             memory = update_memory(memory, stream.support_examples(t - 1), rng,
                                    expected_classes=registry.classes_in(t - 1))
         if t > 0 and registry.classes_in(t):
-            weights = fit_session(setup, weights, registry, t, snapshots,
-                                  stream.support_examples(t), rng, memory=memory.batch)
+            weights, objective, data = _session_problem(
+                setup, weights, registry, t, snapshots, stream.support_examples(t), rng,
+                memory.batch)
+            weights, _ = fine_tune(weights, objective, data, config, rng)
         snapshots.store(t, weights)
         results.append(_evaluate_session(weights, stream.query_batch_up_to(t),
                                          registry, t, collect_confusion))
@@ -489,19 +471,23 @@ def run_single_session(base_store: FeatureStore, novel_store: FeatureStore,
     weights, fine-tunes on its own support set, and is scored jointly and per
     group. The base weights must cover exactly the base store's classes.
     Episode sizes are checked before any episode runs; failed episodes are
-    excluded from the aggregates but counted."""
+    excluded from the aggregates but counted. If every episode fails, the
+    error names the first failure."""
     if config.memory_enabled:
         raise ConfigError("memory replay applies to the multi-session protocol only")
     if n_episodes < 1:
         raise ValidationError(f"n_episodes must be >= 1, got {n_episodes}")
     _check_episode_shape(novel_store, n_way, k_shot, n_query)
+    if novel_store.dimension != base_store.dimension:
+        raise DimensionMismatchError(f"novel store has dimension {novel_store.dimension}, "
+                                     f"base store has dimension {base_store.dimension}")
     missing = [c for c in sorted(base_weights.class_ids) if c not in base_store.classes]
     if missing:
         raise MissingExampleError(f"base classes {missing} have no query pool")
-    setup = prepare_run(config, base_weights, base_store.classes, embeddings,
-                        novel_store.classes)
+    setup = prepare_run(config, base_weights, base_store.classes, base_store.dimension,
+                        embeddings, novel_store.classes)
 
-    ok = []
+    ok, first_failure = [], None
     for start in range(0, n_episodes, EPISODE_CHUNK):
         episodes, rngs = [], []
         for i in range(start, min(start + EPISODE_CHUNK, n_episodes)):
@@ -510,14 +496,19 @@ def run_single_session(base_store: FeatureStore, novel_store: FeatureStore,
             try:
                 episodes.append(sample_episode(base_store, novel_store, n_way=n_way,
                                                k_shot=k_shot, n_query=n_query, rng=rng_sample))
-            except EngineError:
+            except EngineError as err:
+                first_failure = first_failure or err
                 continue
             rngs.append(rng_train)
-        ok.extend(r for r in run_episodes(setup, episodes, rngs)
-                  if not isinstance(r, EngineError))
+        for r in run_episodes(setup, episodes, rngs):
+            if isinstance(r, EngineError):
+                first_failure = first_failure or r
+            else:
+                ok.append(r)
     n_failed = n_episodes - len(ok)
     if not ok:
-        raise EngineError(f"all {n_episodes} episodes failed")
+        raise EngineError(f"all {n_episodes} episodes failed; the first with "
+                          f"{type(first_failure).__name__}: {first_failure}")
     delta = _aggregate([r.delta for r in ok])
     return SingleSessionResult(
         n_episodes=n_episodes,

@@ -33,8 +33,10 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / denom)
 
 
-def grad_matrix(grad_dict: dict[int, np.ndarray], class_ids) -> np.ndarray:
-    return np.stack([grad_dict[c] for c in class_ids])
+def evaluate(obj, weights, batch):
+    """``obj`` at ``weights`` over ``batch``; gradient rows in ``obj.class_ids`` order."""
+    return obj.evaluate_dense(weights.subset(obj.class_ids), batch.features,
+                              obj.label_rows(batch.class_ids))
 
 
 # --- synthetic multi-session benchmark ---------------------------------------

@@ -13,8 +13,8 @@ import pytest
 from conftest import (
     BENCHMARK_SEEDS,
     benchmark_summary,
+    evaluate,
     fd_gradient,
-    grad_matrix,
     rel_err,
 )
 
@@ -72,13 +72,13 @@ def test_criterion_gradient_suite():
     for kind in ("finetune", "subspace", "semantic", "linmap"):
         for _ in range(50):
             obj, weights, batch = _random_assembly(rng, kind)
-            terms = obj.evaluate(weights, batch)
+            terms = evaluate(obj, weights, batch)
 
             def fn(w, obj=obj, weights=weights, batch=batch):
-                return obj.evaluate(WeightMatrix(weights.class_ids, w), batch).total
+                return evaluate(obj, WeightMatrix(weights.class_ids, w), batch).total
 
             fd = fd_gradient(fn, weights.matrix.copy())
-            worst = max(worst, rel_err(grad_matrix(terms.gradient, weights.class_ids), fd))
+            worst = max(worst, rel_err(terms.gradient_matrix, fd))
     elapsed = time.monotonic() - start
     _report("gradient-suite", worst < 1e-4 and elapsed < 30.0,
             f"max rel err {worst:.2e} over 200 instances, {elapsed:.1f}s")

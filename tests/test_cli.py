@@ -6,6 +6,7 @@ import pytest
 from incrlin import io
 from incrlin.cli import main
 from incrlin.config import load_config_file, preset_config, resolve_run_config
+from incrlin.datamodel import WeightMatrix
 from incrlin.errors import ConfigError
 
 
@@ -63,12 +64,22 @@ def test_config_file_rejects_unknown_sections(tmp_path):
 
 @pytest.mark.parametrize("section, key, value", [
     ("optimizer", "max_epochs", 2.5), ("optimizer", "patience_epochs", True),
-    ("protocol", "rng_seed", 1.0), ("protocol", "memory_enabled", "false")])
+    ("protocol", "rng_seed", 1.0), ("protocol", "memory_enabled", "false"),
+    ("regularizer", "alpha", True), ("regularizer", "alpha", "0.1"),
+    ("regularizer", "tau", float("nan")), ("optimizer", "learning_rate", float("inf")),
+    ("optimizer", "convergence_tolerance", float("-inf"))])
 def test_config_file_rejects_mistyped_counts_and_flags(tmp_path, section, key, value):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({section: {key: value}}))
     with pytest.raises(ConfigError, match=key):
         resolve_run_config("multi", load_config_file(p), {})
+
+
+def test_config_file_accepts_integer_coefficients(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"regularizer": {"gamma": 1}, "optimizer": {"learning_rate": 0}}))
+    cfg = resolve_run_config("multi", load_config_file(p), {})
+    assert cfg.gamma == 1 and cfg.learning_rate == 0
 
 
 # --- subcommands ----------------------------------------------------------------------
@@ -140,6 +151,23 @@ def test_run_single_deterministic_bytes(fixture_dir, tmp_path):
     payload = json.loads(out1.read_text())
     assert payload["result"]["n_episodes"] == 6
     assert "delta" in payload["result"]
+
+
+@pytest.mark.parametrize("command, extra", [("run-multi", []),
+                                            ("run-single", ["--episodes", "4"])])
+def test_base_weights_of_another_dimension_fail_up_front(fixture_dir, tmp_path, capsys,
+                                                          command, extra):
+    # the features have dimension 6, the base weights 4
+    weights = tmp_path / "base.csv"
+    io.save_weights_csv(WeightMatrix(range(8), np.ones((8, 4))), weights)
+    labels, _ = io.load_manifest(fixture_dir / "manifest.json")
+    io.save_manifest(tmp_path / "manifest.json", labels, {c: int(c >= 8) for c in range(14)})
+    rc = main([command, "--features", str(fixture_dir / "features.csv"),
+               "--manifest", str(tmp_path / "manifest.json"), "--base-weights", str(weights),
+               "--out", str(tmp_path / "r.json")] + extra)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: base weights have dimension 4, features have dimension 6")
 
 
 def test_unknown_flag_exits_with_usage(capsys):

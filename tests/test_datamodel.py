@@ -28,35 +28,35 @@ from incrlin.errors import (
 # --- registry ----------------------------------------------------------------
 
 def test_register_session_base_plus_five():
-    reg = ClassRegistry.with_base(range(60)).register_session(range(60, 65))
+    reg = ClassRegistry([range(60), range(60, 65)])
     assert reg.classes_in(1) == tuple(range(60, 65))
     assert len(reg.classes_up_to(1)) == 65
 
 
 def test_register_empty_session_advances_counter():
-    reg = ClassRegistry.with_base(range(60))
-    reg2 = reg.register_session(())
+    reg = ClassRegistry([range(60)])
+    reg2 = ClassRegistry([range(60), ()])
     assert reg2.n_sessions == reg.n_sessions + 1
     assert reg2.classes_in(1) == ()
     assert reg2.classes_up_to(1) == reg.classes_up_to(0)
 
 
 def test_register_overlap_rejected():
-    reg = ClassRegistry.with_base(range(60))
     with pytest.raises(DisjointClassError):
-        reg.register_session({59})
+        ClassRegistry([range(60), {59}])
 
 
 def test_registry_sessions_pairwise_disjoint_property():
     rng = np.random.default_rng(0)
     for _ in range(25):
         pool = list(rng.permutation(200))
-        reg = ClassRegistry.with_base(pool[:10])
+        sessions = [pool[:10]]
         cursor = 10
         for _ in range(int(rng.integers(1, 6))):
             n = int(rng.integers(0, 8))
-            reg = reg.register_session(pool[cursor:cursor + n])
+            sessions.append(pool[cursor:cursor + n])
             cursor += n
+        reg = ClassRegistry(sessions)
         seen = set()
         for t in range(reg.n_sessions):
             classes = set(reg.classes_in(t))
@@ -195,7 +195,7 @@ def test_store_restrict_and_counts():
                          {0: np.ones((4, 2)), 1: np.zeros((1, 2))})
     sub = store.restrict([1])
     assert sub.classes == (1,)
-    assert sub.support_count(1) == 2 and sub.query_count(1) == 1
+    assert sub.support(1).shape[0] == 2 and sub.query_count(1) == 1
     with pytest.raises(MissingExampleError):
         store.restrict([5])
 

@@ -7,7 +7,7 @@ is exactly zero and the total gradient is the penalty's own.
 """
 import numpy as np
 import pytest
-from conftest import fd_gradient, grad_matrix, rel_err
+from conftest import evaluate, fd_gradient, rel_err
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,10 +32,11 @@ _ZERO = dict(alpha=0.0, beta_base=0.0, beta_prev_novel=0.0, gamma=0.0)
 
 def _terms(kind, registry, session, snaps, weights, batch, basis=None, targets=None,
            **coeffs):
-    """Evaluate the session objective with every coefficient zero but ``coeffs``."""
+    """The session objective with every coefficient zero but ``coeffs``, and
+    its terms at ``weights`` over ``batch``."""
     cfg = RunConfig(regularizer_kind=kind, **{**_ZERO, **coeffs})
     obj = Objective(cfg, registry, session, snaps, basis=basis, targets=targets)
-    return obj.evaluate(weights, batch)
+    return obj, evaluate(obj, weights, batch)
 
 
 def _null_batch(d, label):
@@ -57,10 +58,10 @@ def _ce(weights, batch):
 def test_cross_entropy_uniform_softmax():
     w = WeightMatrix([0, 1], np.zeros((2, 3)))
     f = np.array([2.0, -1.0, 0.5])
-    terms = _ce(w, Batch(f[None], np.array([0])))
+    obj, terms = _ce(w, Batch(f[None], np.array([0])))
     assert terms.data_loss == pytest.approx(np.log(2.0), rel=1e-12)
-    np.testing.assert_allclose(terms.gradient[0], -f / 2, atol=1e-12)
-    np.testing.assert_allclose(terms.gradient[1], f / 2, atol=1e-12)
+    np.testing.assert_allclose(terms.gradient_matrix[obj.class_ids.index(0)], -f / 2, atol=1e-12)
+    np.testing.assert_allclose(terms.gradient_matrix[obj.class_ids.index(1)], f / 2, atol=1e-12)
 
 
 def test_cross_entropy_shift_invariance():
@@ -69,9 +70,9 @@ def test_cross_entropy_shift_invariance():
     m = rng.standard_normal((4, 5))
     f = rng.standard_normal(5)
     batch = Batch(f[None], np.array([2]))
-    v1 = _ce(WeightMatrix(range(4), m), batch).data_loss
+    v1 = _ce(WeightMatrix(range(4), m), batch)[1].data_loss
     shift = 3.7 / (f @ f)
-    v2 = _ce(WeightMatrix(range(4), m + shift * f), batch).data_loss
+    v2 = _ce(WeightMatrix(range(4), m + shift * f), batch)[1].data_loss
     assert v2 == pytest.approx(v1, rel=1e-9)
 
 
@@ -81,11 +82,13 @@ def test_cross_entropy_gradient_finite_difference():
     m = rng.standard_normal((5, 6))
     batch = Batch(rng.standard_normal((10, 6)), rng.integers(0, 5, size=10))
 
-    def fn(w):
-        return _ce(WeightMatrix(ids, w), batch).data_loss
+    obj, terms = _ce(WeightMatrix(ids, m), batch)
+    m = WeightMatrix(ids, m).subset(obj.class_ids)  # the laid-out rows
 
-    grad = _ce(WeightMatrix(ids, m), batch).gradient
-    assert rel_err(grad_matrix(grad, ids), fd_gradient(fn, m)) < 1e-4
+    def fn(w):
+        return evaluate(obj, WeightMatrix(obj.class_ids, w), batch).data_loss
+
+    assert rel_err(terms.gradient_matrix, fd_gradient(fn, m)) < 1e-4
 
 
 def test_cross_entropy_errors():
@@ -105,16 +108,16 @@ def _prior(m):
 
 
 def test_r_prior_values():
-    assert _prior(np.zeros((2, 4))).r_prior == 0.0
-    terms = _prior(np.array([[3.0, 4.0]]))
+    assert _prior(np.zeros((2, 4)))[1].r_prior == 0.0
+    obj, terms = _prior(np.array([[3.0, 4.0]]))
     assert terms.r_prior == 25.0
-    np.testing.assert_array_equal(terms.gradient[0], [6.0, 8.0])
+    np.testing.assert_array_equal(terms.gradient_matrix[obj.class_ids.index(0)], [6.0, 8.0])
 
 
 def test_r_prior_homogeneity():
     rng = np.random.default_rng(2)
     m = rng.standard_normal((3, 4))
-    assert _prior(2 * m).r_prior == pytest.approx(4 * _prior(m).r_prior, rel=1e-12)
+    assert _prior(2 * m)[1].r_prior == pytest.approx(4 * _prior(m)[1].r_prior, rel=1e-12)
 
 
 # --- r_old ----------------------------------------------------------------------
@@ -136,34 +139,35 @@ def _r_old(sessions, snaps, w, beta_base, beta_prev_novel):
 def test_r_old_zero_at_snapshots():
     snaps = _snaps_two_sessions()
     w = WeightMatrix([0, 1, 2], np.vstack([np.eye(2), [5.0, 5.0]]))
-    terms = _r_old([(0, 1), (2,), ()], snaps, w, 0.2, 0.1)
+    _, terms = _r_old([(0, 1), (2,), ()], snaps, w, 0.2, 0.1)
     assert terms.r_old == 0.0
-    assert all(np.allclose(g, 0.0) for g in terms.gradient.values())
+    assert np.allclose(terms.gradient_matrix, 0.0)
 
 
 def test_r_old_unit_displacement_base_beta():
     snaps = WeightSnapshots()
     snaps.store(0, WeightMatrix([0], np.array([[1.0, 0.0]])))
     w = WeightMatrix([0], np.array([[1.0, 1.0]]))  # displaced by a unit vector
-    terms = _r_old([(0,), ()], snaps, w, 0.2, 0.1)
+    obj, terms = _r_old([(0,), ()], snaps, w, 0.2, 0.1)
     assert terms.r_old == pytest.approx(0.2, rel=1e-12)
-    np.testing.assert_allclose(terms.gradient[0], [0.0, 0.4], atol=1e-12)
+    np.testing.assert_allclose(terms.gradient_matrix[obj.class_ids.index(0)], [0.0, 0.4],
+                               atol=1e-12)
 
 
 def test_r_old_first_session_only_base_terms():
     snaps = WeightSnapshots()
     snaps.store(0, WeightMatrix([0, 1], np.eye(2)))
     w = WeightMatrix([0, 1, 2], np.vstack([np.eye(2) + 1.0, [3.0, 3.0]]))
-    terms = _r_old([(0, 1), (2,)], snaps, w, 0.5, 99.0)
+    obj, terms = _r_old([(0, 1), (2,)], snaps, w, 0.5, 99.0)
     # novel class 2 has no anchor yet: zero contribution regardless of beta
     assert terms.r_old == pytest.approx(0.5 * (2 + 1 + 1), rel=1e-12)
-    np.testing.assert_array_equal(terms.gradient[2], [0.0, 0.0])
+    np.testing.assert_array_equal(terms.gradient_matrix[obj.class_ids.index(2)], [0.0, 0.0])
 
 
 def test_r_old_anchors_to_introducing_session():
     snaps = _snaps_two_sessions()
     w = WeightMatrix([0, 1, 2], np.vstack([np.eye(2), [6.0, 5.0]]))
-    terms = _r_old([(0, 1), (2,), ()], snaps, w, 0.2, 0.1)
+    _, terms = _r_old([(0, 1), (2,), ()], snaps, w, 0.2, 0.1)
     assert terms.r_old == pytest.approx(0.1 * 1.0, rel=1e-12)  # class 2 vs its session-1 row
 
 
@@ -191,13 +195,14 @@ def _r_new(kind, novel_ids, rows, basis=None, targets=None):
 
 
 def test_r_new_subspace_hand_example():
-    terms = _r_new("subspace", [5], np.array([[1.0, 2.0, 3.0]]), basis=_xy_basis())
+    obj, terms = _r_new("subspace", [5], np.array([[1.0, 2.0, 3.0]]), basis=_xy_basis())
     assert terms.r_new == pytest.approx(9.0, rel=1e-12)
-    np.testing.assert_allclose(terms.gradient[5], [0.0, 0.0, 6.0], atol=1e-12)
+    np.testing.assert_allclose(terms.gradient_matrix[obj.class_ids.index(5)], [0.0, 0.0, 6.0],
+                               atol=1e-12)
 
 
 def test_r_new_subspace_zero_in_span():
-    terms = _r_new("subspace", [5], np.array([[1.0, -2.0, 0.0]]), basis=_xy_basis())
+    _, terms = _r_new("subspace", [5], np.array([[1.0, -2.0, 0.0]]), basis=_xy_basis())
     assert terms.r_new == pytest.approx(0.0, abs=1e-12)
 
 
@@ -208,8 +213,8 @@ def test_r_new_subspace_stop_gradient_equivalence():
     basis = orthonormal_basis(list(rng.standard_normal((3, 6))))
     ids = [0, 1]
     m = rng.standard_normal((2, 6))
-    terms = _r_new("subspace", ids, m, basis=basis)
-    analytic = grad_matrix(terms.gradient, ids)
+    obj, terms = _r_new("subspace", ids, m, basis=basis)
+    analytic = terms.gradient_matrix[[obj.class_ids.index(c) for c in ids]]
 
     p = basis.matrix
 
@@ -297,10 +302,11 @@ def test_semantic_targets_errors():
 
 def test_r_new_fixed_target_values():
     row = np.array([[2.0, 2.0]])
-    assert _r_new("semantic", [3], row, targets={3: np.array([2.0, 2.0])}).r_new == 0.0
-    terms = _r_new("semantic", [3], row, targets={3: np.array([1.0, 1.0])})
+    assert _r_new("semantic", [3], row, targets={3: np.array([2.0, 2.0])})[1].r_new == 0.0
+    obj, terms = _r_new("semantic", [3], row, targets={3: np.array([1.0, 1.0])})
     assert terms.r_new == pytest.approx(2.0, rel=1e-12)
-    np.testing.assert_allclose(terms.gradient[3], [2.0, 2.0], atol=1e-12)
+    np.testing.assert_allclose(terms.gradient_matrix[obj.class_ids.index(3)], [2.0, 2.0],
+                               atol=1e-12)
 
 
 def test_r_new_fixed_target_fd_and_missing():
@@ -310,10 +316,11 @@ def test_r_new_fixed_target_fd_and_missing():
     targets = {c: rng.standard_normal(4) for c in ids}
 
     def fn(w):
-        return _r_new("semantic", ids, w, targets=targets).r_new
+        return _r_new("semantic", ids, w, targets=targets)[1].r_new
 
-    grad = _r_new("semantic", ids, m, targets=targets).gradient
-    assert rel_err(grad_matrix(grad, ids), fd_gradient(fn, m)) < 1e-4
+    obj, terms = _r_new("semantic", ids, m, targets=targets)
+    grad = terms.gradient_matrix[[obj.class_ids.index(c) for c in ids]]
+    assert rel_err(grad, fd_gradient(fn, m)) < 1e-4
     with pytest.raises(MissingTargetError):
         _r_new("semantic", [0, 7], m[:2], targets=targets)
 
@@ -330,13 +337,15 @@ def test_rows_are_laid_out_old_then_novel():
     assert obj.class_ids == (0, 2, 4, 1, 3)
     assert obj.stack.n_old == 3
     w = WeightMatrix(range(5), np.array([[c, 0.0] for c in range(5)]))
-    terms = obj.evaluate(w, _null_batch(2, 0))
+    terms = evaluate(obj, w, _null_batch(2, 0))
     assert terms.r_old == 0.0 + 4.0 + 16.0  # base rows against their zero anchors
     assert terms.r_new == 1.0 + 1.0         # novel rows against their targets
     for c in (0, 2, 4):
-        np.testing.assert_array_equal(terms.gradient[c], [2.0 * c, 0.0])
+        np.testing.assert_array_equal(terms.gradient_matrix[obj.class_ids.index(c)],
+                                      [2.0 * c, 0.0])
     for c in (1, 3):
-        np.testing.assert_array_equal(terms.gradient[c], 2.0 * (w.row(c) - targets[c]))
+        np.testing.assert_array_equal(terms.gradient_matrix[obj.class_ids.index(c)],
+                                      2.0 * (w.row(c) - targets[c]))
 
 
 # --- assembled objective ------------------------------------------------------------
@@ -365,7 +374,7 @@ def test_assemble_zero_coefficients_reduce_to_cross_entropy():
     snaps.store(0, WeightMatrix([0, 1], rng.standard_normal((2, 3))))
     weights = WeightMatrix([0, 1, 2], rng.standard_normal((3, 3)))
     batch = Batch(rng.standard_normal((6, 3)), rng.integers(0, 3, size=6))
-    terms = _terms("finetune", registry, 1, snaps, weights, batch)
+    _, terms = _terms("finetune", registry, 1, snaps, weights, batch)
     logits = batch.features @ weights.matrix.T
     ce = float(np.mean(np.log(np.exp(logits).sum(axis=1))
                        - logits[np.arange(6), batch.class_ids]))
@@ -374,14 +383,14 @@ def test_assemble_zero_coefficients_reduce_to_cross_entropy():
 
 def test_assemble_finetune_kind_zeroes_r_new():
     cfg, obj, weights, batch, *_ = _assembly(kind="finetune")
-    terms = obj.evaluate(weights, batch)
+    terms = evaluate(obj, weights, batch)
     assert terms.r_new == 0.0
 
 
 def test_assemble_total_is_component_sum():
     for kind in ("finetune", "subspace", "semantic"):
         cfg, obj, weights, batch, *_ = _assembly(kind=kind)
-        terms = obj.evaluate(weights, batch)
+        terms = evaluate(obj, weights, batch)
         assert terms.total == pytest.approx(
             terms.data_loss + cfg.alpha * terms.r_prior + terms.r_old + cfg.gamma * terms.r_new,
             rel=1e-12)
@@ -391,13 +400,13 @@ def test_assemble_total_is_component_sum():
 def test_assemble_gradient_finite_difference_all_kinds():
     for kind in ("finetune", "subspace", "semantic"):
         cfg, obj, weights, batch, *_ = _assembly(kind=kind, seed=11)
-        terms = obj.evaluate(weights, batch)
+        terms = evaluate(obj, weights, batch)
 
         def fn(w):
-            return obj.evaluate(WeightMatrix(weights.class_ids, w), batch).total
+            return evaluate(obj, WeightMatrix(obj.class_ids, w), batch).total
 
-        fd = fd_gradient(fn, weights.matrix.copy())
-        assert rel_err(grad_matrix(terms.gradient, weights.class_ids), fd) < 1e-4
+        fd = fd_gradient(fn, weights.subset(obj.class_ids))
+        assert rel_err(terms.gradient_matrix, fd) < 1e-4
 
 
 def test_assemble_conflicting_components_rejected():
@@ -430,7 +439,7 @@ def test_objective_rejects_inactive_batch_class():
     cfg, obj, weights, batch, *_ = _assembly(kind="finetune")
     bad = Batch(np.ones((1, 4)), np.array([99]))
     with pytest.raises(ValidationError):
-        obj.evaluate(weights, bad)
+        evaluate(obj, weights, bad)
 
 
 def test_regularizers_zero_exactly_at_anchor():
@@ -441,13 +450,13 @@ def test_regularizers_zero_exactly_at_anchor():
         snaps = WeightSnapshots()
         snaps.store(0, WeightMatrix([0, 1, 2], base))
         w_at_anchor = WeightMatrix([0, 1, 2], base)
-        assert _r_old([(0, 1, 2), ()], snaps, w_at_anchor, 0.4, 0.2).r_old == 0.0
+        assert _r_old([(0, 1, 2), ()], snaps, w_at_anchor, 0.4, 0.2)[1].r_old == 0.0
         basis = orthonormal_basis(list(base))
         coeff = rng.standard_normal(basis.rank)
         in_span = basis.matrix @ coeff
-        assert _r_new("subspace", [9], in_span[None, :], basis=basis).r_new < 1e-20
+        assert _r_new("subspace", [9], in_span[None, :], basis=basis)[1].r_new < 1e-20
         tgt = rng.standard_normal(d)
-        assert _r_new("semantic", [9], tgt[None, :], targets={9: tgt}).r_new == 0.0
+        assert _r_new("semantic", [9], tgt[None, :], targets={9: tgt})[1].r_new == 0.0
 
 
 # --- stacks -------------------------------------------------------------------------
@@ -488,7 +497,7 @@ def test_stack_members_bit_identical_to_their_solo_evaluation(members):
                            np.stack([b.features for _, _, b in members]),
                            np.stack([obj.label_rows(b.class_ids) for obj, _, b in members]))
     for e, (obj, weights, batch) in enumerate(members):
-        solo = obj.evaluate(weights, batch)
+        solo = evaluate(obj, weights, batch)
         for name in ("data_loss", "r_prior", "r_old", "r_new", "total"):
             assert getattr(terms, name)[e] == getattr(solo, name)
         assert terms.gradient_matrix[e].tobytes() == solo.gradient_matrix.tobytes()
@@ -498,12 +507,12 @@ def test_stack_members_bit_identical_to_their_solo_evaluation(members):
 @given(_stack_members())
 def test_gradient_finite_difference_at_random_shapes(members):
     obj, weights, batch = members[0]
-    terms = obj.evaluate(weights, batch)
+    terms = evaluate(obj, weights, batch)
 
     def fn(w):
-        return obj.evaluate(WeightMatrix(weights.class_ids, w), batch).total
+        return evaluate(obj, WeightMatrix(obj.class_ids, w), batch).total
 
-    fd = fd_gradient(fn, weights.matrix.copy())
+    fd = fd_gradient(fn, weights.subset(obj.class_ids))
     assert rel_err(terms.gradient_matrix, fd) < 1e-4
 
 

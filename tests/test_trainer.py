@@ -150,7 +150,7 @@ def test_huge_gamma_forces_rows_into_subspace():
     obj = Objective(cfg, registry, 1, snaps, basis=basis)
     support = _batch([4] * 5 + [5] * 5, rng.standard_normal((10, d)))
     init = init_novel_weights(support, snaps.get(0).norms(), np.random.default_rng(0))
-    weights = snaps.get(0).copy().with_rows(init)
+    weights = snaps.get(0).with_rows(init)
     trained, _ = fine_tune(weights, obj, support, cfg, np.random.default_rng(0))
     p = basis.matrix
     for c in (4, 5):
