@@ -11,12 +11,10 @@ from .datamodel import (
     EmbeddingTable,
     FeatureStore,
     LinearMap,
-    MemoryBuffer,
     OrthonormalBasis,
     RunConfig,
     SessionStream,
     WeightMatrix,
-    WeightSnapshots,
     update_memory,
 )
 from .errors import EngineError
@@ -44,8 +42,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Batch", "ClassRegistry", "EmbeddingTable", "FeatureStore", "LinearMap",
-    "MemoryBuffer", "OrthonormalBasis", "RunConfig", "SessionStream",
-    "WeightMatrix", "WeightSnapshots", "update_memory", "EngineError",
+    "OrthonormalBasis", "RunConfig", "SessionStream",
+    "WeightMatrix", "update_memory", "EngineError",
     "fit_least_squares", "orthonormal_basis", "project",
     "Objective", "ObjectiveTerms", "semantic_targets",
     "Episode", "EpisodeResult", "SessionResult", "SingleSessionResult",

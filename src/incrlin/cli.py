@@ -166,10 +166,18 @@ def cmd_synth_gen(args) -> int:
     return 0
 
 
-def _check_schema(path, payload: dict) -> None:
+def _load_result(path) -> dict:
+    """A result file's payload: a JSON object of the schema this tool writes."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as err:
+        raise FormatError(f"{path}: invalid JSON ({err})") from None
+    if not isinstance(payload, dict):
+        raise FormatError(f"{path}: expected a JSON object, got {type(payload).__name__}")
     if payload.get("schema") != RESULT_SCHEMA:
         raise FormatError(f"{path}: schema {payload.get('schema')!r} "
                           f"(this tool reads schema {RESULT_SCHEMA})")
+    return payload
 
 
 def cmd_report(args) -> int:
@@ -179,46 +187,49 @@ def cmd_report(args) -> int:
     single_rows = []
     max_sessions = 0
     for res_path in args.results:
-        payload = json.loads(Path(res_path).read_text())
-        _check_schema(res_path, payload)
+        payload = _load_result(res_path)
         label = payload.get("label", Path(res_path).stem)
-        if payload.get("protocol") == "multi-session":
-            sessions = payload["sessions"]
-            max_sessions = max(max_sessions, len(sessions))
-            multi_rows.append((label, sessions))
-            for rec in sessions:
-                conf = rec.get("confusion")
-                if conf:
-                    grid_path = out / f"confusion_{label}_s{rec['session']}.csv"
-                    with grid_path.open("w", newline="") as fh:
-                        writer = csv.writer(fh)
-                        writer.writerow(["gold\\pred"] + conf["class_ids"])
-                        for cid, row in zip(conf["class_ids"], conf["counts"]):
-                            writer.writerow([cid] + row)
-        elif payload.get("protocol") == "single-session":
-            single_rows.append((label, payload["result"]))
-        else:
-            raise FormatError(f"{res_path}: unknown protocol {payload.get('protocol')!r}")
+        protocol = payload.get("protocol")
+        if protocol not in ("multi-session", "single-session"):
+            raise FormatError(f"{res_path}: unknown protocol {protocol!r}")
+        try:
+            if protocol == "multi-session":
+                sessions = payload["sessions"]
+                max_sessions = max(max_sessions, len(sessions))
+                multi_rows.append(
+                    (label, {rec["session"]: f"{rec['acc_weighted']:.2f}" for rec in sessions}))
+                for rec in sessions:
+                    conf = rec.get("confusion")
+                    if conf:
+                        grid_path = out / f"confusion_{label}_s{rec['session']}.csv"
+                        with grid_path.open("w", newline="") as fh:
+                            writer = csv.writer(fh)
+                            writer.writerow(["gold\\pred"] + conf["class_ids"])
+                            for cid, row in zip(conf["class_ids"], conf["counts"]):
+                                writer.writerow([cid] + row)
+            else:
+                result = payload["result"]
+                single_rows.append([label, f"{result['acc']['mean']:.2f}",
+                                    f"{result['acc']['ci95']:.2f}",
+                                    f"{result['delta']['mean']:.2f}",
+                                    f"{result['abs_delta']:.2f}",
+                                    result["n_episodes"], result["n_failed"]])
+        except (KeyError, TypeError, ValueError) as err:
+            raise FormatError(f"{res_path}: malformed {protocol} result "
+                              f"({type(err).__name__}: {err})") from None
 
     if multi_rows:
         with (out / "sessions.csv").open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["model"] + [str(t) for t in range(max_sessions)])
-            for label, sessions in multi_rows:
-                accs = {rec["session"]: rec["acc_weighted"] for rec in sessions}
-                writer.writerow([label] + [f"{accs[t]:.2f}" if t in accs else ""
-                                           for t in range(max_sessions)])
+            for label, accs in multi_rows:
+                writer.writerow([label] + [accs.get(t, "") for t in range(max_sessions)])
     if single_rows:
         with (out / "episodes.csv").open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["model", "acc", "ci95", "delta", "abs_delta",
                              "n_episodes", "n_failed"])
-            for label, result in single_rows:
-                writer.writerow([label, f"{result['acc']['mean']:.2f}",
-                                 f"{result['acc']['ci95']:.2f}",
-                                 f"{result['delta']['mean']:.2f}",
-                                 f"{result['abs_delta']:.2f}",
-                                 result["n_episodes"], result["n_failed"]])
+            writer.writerows(single_rows)
     print(f"wrote report files under {out}")
     return 0
 

@@ -7,8 +7,8 @@ ids, query flags, features) through ``FeatureStore.from_rows``; the
 (non-negative class ids, the store dimension, finite entries, a query row per
 class), while ``io`` checks only the file layout. Single vectors (weight rows,
 embeddings) are checked by ``as_feature``. Everything that survives a session
-boundary (registries, snapshots, embedding tables) is immutable after
-construction.
+boundary (registries, the frozen anchor table of old-class rows, embedding
+tables) is immutable after construction.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ from .errors import (
     DisjointClassError,
     MissingEmbeddingError,
     MissingExampleError,
-    MissingSnapshotError,
     ValidationError,
 )
 
@@ -376,28 +375,6 @@ class WeightMatrix:
         return np.linalg.norm(self._m, axis=1)
 
 
-class WeightSnapshots:
-    """Frozen per-session copies of the weight matrix.
-
-    Snapshot ``t`` covers every class seen up to and including session ``t``
-    and never changes once stored.
-    """
-
-    def __init__(self):
-        self._by_session: dict[int, WeightMatrix] = {}
-
-    def store(self, session: int, weights: WeightMatrix) -> None:
-        if session in self._by_session:
-            raise ValidationError(f"snapshot {session} already stored")
-        self._by_session[session] = weights.frozen()
-
-    def get(self, session: int) -> WeightMatrix:
-        try:
-            return self._by_session[session]
-        except KeyError:
-            raise MissingSnapshotError(f"no snapshot for session {session}") from None
-
-
 class OrthonormalBasis:
     """Matrix with orthonormal columns spanning a weight subspace."""
 
@@ -464,48 +441,30 @@ class EmbeddingTable:
         return class_id in self._vectors
 
 
-class MemoryBuffer:
-    """Examples retained from earlier sessions: exactly one per archived class,
-    in archive order. ``batch`` is None while the buffer is empty."""
-
-    def __init__(self, batch: Batch | None = None):
-        self.batch = batch
-        ids = [] if batch is None else batch.class_ids.tolist()
-        self.classes: frozenset[int] = frozenset(ids)
-        if len(self.classes) != len(ids):
-            dup = sorted(c for c in self.classes if ids.count(c) > 1)
-            raise ValidationError(f"memory holds more than one example of classes {dup}")
-
-    @classmethod
-    def empty(cls) -> "MemoryBuffer":
-        return cls()
-
-    def __len__(self) -> int:
-        return len(self.classes)
-
-
-def update_memory(buffer: MemoryBuffer, support: Batch, rng: np.random.Generator,
-                  expected_classes: Iterable[int] | None = None) -> MemoryBuffer:
+def update_memory(memory: Batch | None, support: Batch, rng: np.random.Generator,
+                  expected_classes: Iterable[int] | None = None) -> Batch:
     """Archive one uniformly chosen support example per new class.
 
-    Prior entries are kept verbatim (the same retained example persists across
-    all later sessions). ``expected_classes``, when given, is the class set
-    the support must cover.
+    ``memory`` (None before the first archive) holds one example per archived
+    class in archive order; its rows are kept verbatim and the new ones
+    appended. ``expected_classes``, when given, is the class set the support
+    must cover.
     """
     present = np.unique(support.class_ids).tolist()
     if expected_classes is not None:
         missing = sorted(set(expected_classes) - set(present))
         if missing:
             raise MissingExampleError(f"no support examples for classes {missing}")
-    overlap = sorted(set(present) & buffer.classes)
-    if overlap:
-        raise ValidationError(f"classes {overlap} already archived in memory")
+    if memory is not None:
+        overlap = sorted(set(present) & set(memory.class_ids.tolist()))
+        if overlap:
+            raise ValidationError(f"classes {overlap} already archived in memory")
     picked = []
     for c in present:
         pool = np.flatnonzero(support.class_ids == c)
         picked.append(pool[int(rng.integers(pool.size))])
     new = Batch(support.features[picked], support.class_ids[picked])
-    return MemoryBuffer(new if buffer.batch is None else Batch.concat([buffer.batch, new]))
+    return new if memory is None else Batch.concat([memory, new])
 
 
 @dataclasses.dataclass(frozen=True)

@@ -26,7 +26,7 @@ class DegenerateBasisError(EngineError):
 
 
 class MissingSnapshotError(EngineError):
-    """No frozen weights stored for a required session."""
+    """An old class has no row in the anchor table."""
 
 
 class MissingTargetError(EngineError):

@@ -6,7 +6,7 @@ Feature CSV: header ``class_id,split,f0,...,f{d-1}`` with split in
 u32 record count, u32 dimension, then per record u32 class_id, u8 split tag
 (0=support, 1=query), and d float32 values. Embedding / weight CSVs:
 ``class_id,e0,...`` / ``class_id,w0,...``. Manifest: JSON object mapping
-class_id to {"label": str, "session": int}.
+class_id to {"label": str, "session": int >= 0}.
 
 Feature stores are read into the row table of ``FeatureStore.from_rows``;
 the CSV writer writes the row table of ``to_rows`` and the binary writer
@@ -206,9 +206,12 @@ def load_manifest(path) -> tuple[dict[int, str], dict[int, int]]:
     for key, entry in obj.items():
         try:
             cid = int(key)
-            label, session = str(entry["label"]), int(entry["session"])
+            label, session = str(entry["label"]), entry["session"]
         except (ValueError, TypeError, KeyError):
             raise FormatError(f"{path}: bad manifest entry for key {key!r}") from None
+        if type(session) is not int or session < 0:  # not isinstance: a JSON true is an int
+            raise FormatError(f"{path}: key {key!r}: session must be a non-negative "
+                              f"integer, got {session!r}")
         if cid in labels:
             raise FormatError(f"{path}: key {key!r} names class {cid} a second time")
         labels[cid], sessions[cid] = label, session

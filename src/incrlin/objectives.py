@@ -26,7 +26,6 @@ from .datamodel import (
     OrthonormalBasis,
     RunConfig,
     WeightMatrix,
-    WeightSnapshots,
 )
 from .errors import (
     ConfigError,
@@ -193,14 +192,16 @@ class Objective:
     ``class_ids`` as the old classes (every class of the earlier sessions,
     ascending), then this session's novel classes (ascending); in the base
     session every row is a novel one. Old rows stay trainable but are anchored
-    by the r_old term. Exactly one new-class regularizer is active, selected by
+    by the r_old term to their rows in ``anchors`` (None without old classes),
+    weighted ``beta_base`` for base classes and ``beta_prev_novel`` for later
+    ones. Exactly one new-class regularizer is active, selected by
     ``config.regularizer_kind``: ``subspace`` needs a basis, the fixed-target
     kinds need a target map, and ``finetune`` needs neither. ``stack`` is this
     session as an ``ObjectiveStack`` of one member.
     """
 
     def __init__(self, config: RunConfig, registry: ClassRegistry, session: int,
-                 snapshots: WeightSnapshots, basis: OrthonormalBasis | None = None,
+                 anchors: WeightMatrix | None, basis: OrthonormalBasis | None = None,
                  targets: Mapping[int, np.ndarray] | None = None):
         self.session = session
         old = registry.classes_up_to(session - 1) if session > 0 else ()
@@ -222,17 +223,12 @@ class Objective:
             if basis is not None or targets is not None:
                 raise ConfigError("plain fine-tuning takes no new-class regularizer components")
 
-        # Anchors for all previously seen classes.
-        anchors = []
-        betas = []
-        for c in old:
-            t = registry.session_of(c)
-            snap = snapshots.get(t)
-            if c not in snap:
-                raise MissingSnapshotError(f"snapshot {t} does not cover class {c}")
-            anchors.append(snap.row(c))
-            betas.append(config.beta_base if t == 0 else config.beta_prev_novel)
-        anchor_matrix = np.stack(anchors) if anchors else np.zeros((0, 0))
+        missing = [c for c in old if anchors is None or c not in anchors]
+        if missing:
+            raise MissingSnapshotError(f"classes {missing} have no anchor row")
+        anchor_matrix = anchors.subset(old) if old else np.zeros((0, 0))
+        betas = [config.beta_base if registry.session_of(c) == 0 else config.beta_prev_novel
+                 for c in old]
 
         basis = basis if session > 0 and kind == "subspace" else None
         target_matrix = None

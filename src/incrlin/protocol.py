@@ -26,12 +26,10 @@ from .datamodel import (
     EmbeddingTable,
     FeatureStore,
     LinearMap,
-    MemoryBuffer,
     OrthonormalBasis,
     RunConfig,
     SessionStream,
     WeightMatrix,
-    WeightSnapshots,
     update_memory,
 )
 from .errors import (
@@ -50,12 +48,11 @@ from .trainer import fine_tune, fine_tune_stack, init_novel_weights, train_base
 # Episodes fine-tuned together as one stack by ``run_single_session``.
 # Results do not depend on it: each episode's arithmetic is its own. Tuned
 # at 5-way 1-shot, d=32 (the step is call overhead there): 24 runs as fast
-# as larger stacks, each member adds ~0.1 MB to peak memory (its loss trace
-# and its share of the step's temporaries), and from ~48 members the
-# temporaries page-fault every step. A member's temporaries grow with C*d:
-# at d=640 (25 rows) the step is arithmetic, chunks of 1, 8 and 24 ran
-# equally fast, and 24 members added ~20 MB to peak memory. Larger shapes
-# are unmeasured.
+# as larger stacks, each member adds ~0.1 MB to peak memory (its share of
+# the step's temporaries), and from ~48 members the temporaries page-fault
+# every step. A member's temporaries grow with C*d: at d=640 (25 rows) the
+# step is arithmetic, chunks of 1, 8 and 24 ran equally fast, and 24 members
+# added ~20 MB to peak memory. Larger shapes are unmeasured.
 EPISODE_CHUNK = 24
 
 
@@ -168,7 +165,8 @@ def _evaluate_session(weights: WeightMatrix, query: Batch, registry: ClassRegist
 @dataclasses.dataclass(frozen=True, eq=False)
 class RunSetup:
     """What every session of a run shares: the config, the base weights
-    (snapshot 0) and the fixed parts of the new-class regularizer."""
+    (snapshot 0, frozen: the first anchor table) and the fixed parts of the
+    new-class regularizer."""
 
     config: RunConfig
     snapshot0: WeightMatrix
@@ -206,7 +204,7 @@ def prepare_run(config: RunConfig, base_weights: WeightMatrix, base_classes: Ite
     missing = [c for c in base if c not in base_weights]
     if missing:
         raise ValidationError(f"base weights lack rows for classes {missing}")
-    snapshot0 = WeightMatrix(base, base_weights.subset(base))
+    snapshot0 = WeightMatrix(base, base_weights.subset(base)).frozen()
     kind = config.regularizer_kind
     if kind in FIXED_TARGET_KINDS:
         if embeddings is None:
@@ -224,7 +222,7 @@ def prepare_run(config: RunConfig, base_weights: WeightMatrix, base_classes: Ite
 
 
 def _session_problem(setup: RunSetup, weights: WeightMatrix, registry: ClassRegistry,
-                     session: int, snapshots: WeightSnapshots, support: Batch,
+                     session: int, anchors: WeightMatrix, support: Batch,
                      rng: np.random.Generator, memory: Batch | None = None,
                      ) -> tuple[WeightMatrix, Objective, Batch]:
     """One session's training problem: the weights, with its novel rows
@@ -234,7 +232,7 @@ def _session_problem(setup: RunSetup, weights: WeightMatrix, registry: ClassRegi
     novel = registry.classes_in(session)
     weights = weights.with_rows(
         init_novel_weights(support, setup.snapshot0.norms(), rng, classes=novel))
-    objective = Objective(setup.config, registry, session, snapshots,
+    objective = Objective(setup.config, registry, session, anchors,
                           basis=setup.basis, targets=setup.targets(novel))
     data = support if memory is None else Batch.concat([support, memory])
     return weights, objective, data
@@ -247,8 +245,9 @@ def run_multi_session(stream: SessionStream, base_weights: WeightMatrix | None =
 
     Session 0 scores the base weights (ingested, or trained here on the base
     support pool); each later session fine-tunes on its support set (plus the
-    memory buffer when enabled) and is scored on the query pools of every
-    class seen so far. ``on_session_end(t, weights)`` is called with a frozen
+    memory when enabled) and is scored on the query pools of every class seen
+    so far. Each class's row as it stood after its own session joins the
+    anchor table. ``on_session_end(t, weights)`` is called with a frozen
     weight copy after each session, for weight export.
     """
     config = stream.config
@@ -261,9 +260,8 @@ def run_multi_session(stream: SessionStream, base_weights: WeightMatrix | None =
                         stream.embeddings,
                         [c for c in registry.all_classes if registry.session_of(c) > 0])
 
-    snapshots = WeightSnapshots()
-    weights = setup.snapshot0
-    memory = MemoryBuffer.empty()
+    weights = anchors = setup.snapshot0
+    memory = None
     results = []
     for t in range(registry.n_sessions):
         if t > 0 and config.memory_enabled and registry.classes_in(t - 1):
@@ -271,10 +269,10 @@ def run_multi_session(stream: SessionStream, base_weights: WeightMatrix | None =
                                    expected_classes=registry.classes_in(t - 1))
         if t > 0 and registry.classes_in(t):
             weights, objective, data = _session_problem(
-                setup, weights, registry, t, snapshots, stream.support_examples(t), rng,
-                memory.batch)
+                setup, weights, registry, t, anchors, stream.support_examples(t), rng, memory)
             weights, _ = fine_tune(weights, objective, data, config, rng)
-        snapshots.store(t, weights)
+            anchors = anchors.with_rows(
+                {c: weights.row(c) for c in registry.classes_in(t)}).frozen()
         results.append(_evaluate_session(weights, stream.query_batch_up_to(t),
                                          registry, t, collect_confusion))
         if on_session_end is not None:
@@ -389,8 +387,6 @@ def run_episodes(setup: RunSetup, episodes: Sequence[Episode],
     error in place of its result, and the others go on.
     """
     base = list(setup.snapshot0.class_ids)
-    snapshots = WeightSnapshots()
-    snapshots.store(0, setup.snapshot0)
     outcomes: list[EpisodeResult | EngineError | None] = [None] * len(episodes)
     members, problems = [], []
     for k, (episode, rng) in enumerate(zip(episodes, rngs)):
@@ -399,8 +395,8 @@ def run_episodes(setup: RunSetup, episodes: Sequence[Episode],
             if not base_mask.any() or base_mask.all():
                 raise MissingExampleError("episode query set misses one of the groups")
             registry = ClassRegistry([base, episode.novel_classes])
-            problems.append(_session_problem(setup, setup.snapshot0, registry, 1, snapshots,
-                                             episode.support, rng))
+            problems.append(_session_problem(setup, setup.snapshot0, registry, 1,
+                                             setup.snapshot0, episode.support, rng))
         except EngineError as err:
             outcomes[k] = err
             continue

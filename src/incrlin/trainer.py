@@ -10,7 +10,7 @@ shuffles from its own generator and keeps its own stall streak. It leaves
 the stack when it stalls, at ``max_epochs``, or at the end of the epoch in
 which its loss went non-finite (it has then diverged; it takes no step after
 the mini-batch whose loss was non-finite). A member's weights, stop epoch and
-loss trace are bit-identical to training it alone.
+final loss are bit-identical to training it alone.
 ``fine_tune_stack`` trains the episodes of a single-session run; ``fine_tune``
 is a stack of one, raises ``DivergenceError``, and serves the multi-session
 protocol and ``train_base``.
@@ -29,7 +29,6 @@ from .datamodel import (
     FeatureStore,
     RunConfig,
     WeightMatrix,
-    WeightSnapshots,
 )
 from .errors import DivergenceError, MissingExampleError
 from .objectives import Objective, ObjectiveStack
@@ -46,7 +45,6 @@ _DEGENERATE_MEAN_RTOL = 1e-10
 class TrainReport:
     epochs_run: int
     final_loss: float
-    loss_trace: list[float]
     converged: bool
     diverged: bool = False
 
@@ -103,7 +101,6 @@ def _sgd(w: np.ndarray, objective: ObjectiveStack, feats: np.ndarray, label_pos:
     lr, tol = config.learning_rate, config.convergence_tolerance
     out = np.empty_like(w)
     reports: list[TrainReport | None] = [None] * n_members
-    traces: list[list[float]] = [[] for _ in range(n_members)]
     prev: list[float | None] = [None] * n_members
     streak = [0] * n_members
     live = list(range(n_members))  # row j of the stack is member live[j]
@@ -133,7 +130,6 @@ def _sgd(w: np.ndarray, objective: ObjectiveStack, feats: np.ndarray, label_pos:
         keep = []
         for j, (e, loss) in enumerate(zip(live, (loss_sum / n).tolist())):
             if math.isfinite(loss):
-                traces[e].append(loss)
                 close = prev[e] is not None and abs(loss - prev[e]) < tol
                 streak[e] = streak[e] + 1 if close else 0
                 prev[e] = loss
@@ -141,9 +137,9 @@ def _sgd(w: np.ndarray, objective: ObjectiveStack, feats: np.ndarray, label_pos:
                 if not stalled and epoch < config.max_epochs:
                     keep.append(j)
                     continue
-                reports[e] = TrainReport(epoch, loss, traces[e], stalled)
-            else:  # diverged; the trace stops before this epoch
-                reports[e] = TrainReport(epoch, loss, traces[e], False, True)
+                reports[e] = TrainReport(epoch, loss, stalled)
+            else:  # diverged
+                reports[e] = TrainReport(epoch, loss, False, True)
             out[e] = w[j]
         if len(keep) < len(live):
             if not keep:
@@ -199,7 +195,7 @@ def train_base(store: FeatureStore, base_classes: Iterable[int], config: RunConf
     """Fit base-class rows on the base support pool (cross-entropy + prior only).
 
     The result plays the same role as ingested base weights: it becomes
-    snapshot 0.
+    snapshot 0, the first anchor table.
     """
     if rng is None:
         rng = np.random.default_rng(config.rng_seed)
@@ -208,5 +204,5 @@ def train_base(store: FeatureStore, base_classes: Iterable[int], config: RunConf
     support = store.support_examples(base)
     rows = init_novel_weights(support, 1.0, rng, classes=base)
     weights = WeightMatrix(base, np.stack([rows[c] for c in base]))
-    objective = Objective(config, registry, 0, WeightSnapshots())
+    objective = Objective(config, registry, 0, None)
     return fine_tune(weights, objective, support, config, rng)

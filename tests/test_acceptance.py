@@ -23,7 +23,6 @@ from incrlin.datamodel import (
     ClassRegistry,
     RunConfig,
     WeightMatrix,
-    WeightSnapshots,
 )
 from incrlin.linalg import orthonormal_basis, project
 from incrlin.objectives import Objective
@@ -47,9 +46,8 @@ def _random_assembly(rng, kind):
     base_ids = list(range(n_base))
     novel_ids = list(range(n_base, n_base + n_novel))
     registry = ClassRegistry([base_ids, novel_ids])
-    snaps = WeightSnapshots()
     base_m = rng.standard_normal((n_base, d))
-    snaps.store(0, WeightMatrix(base_ids, base_m))
+    anchors = WeightMatrix(base_ids, base_m)
     cfg = RunConfig(regularizer_kind=kind, alpha=float(rng.uniform(0.01, 0.5)),
                     beta_base=float(rng.uniform(0.01, 0.5)),
                     beta_prev_novel=float(rng.uniform(0.01, 0.5)),
@@ -57,7 +55,7 @@ def _random_assembly(rng, kind):
     basis = orthonormal_basis(list(base_m)) if kind == "subspace" else None
     targets = ({c: rng.standard_normal(d) for c in novel_ids}
                if kind in ("semantic", "linmap", "description") else None)
-    obj = Objective(cfg, registry, 1, snaps, basis=basis, targets=targets)
+    obj = Objective(cfg, registry, 1, anchors, basis=basis, targets=targets)
     ids = base_ids + novel_ids
     weights = WeightMatrix(ids, rng.standard_normal((len(ids), d)))
     n = int(rng.integers(4, 11))
@@ -250,14 +248,13 @@ def test_criterion_trainer_oracle_equivalence():
     labels = np.array([0, 1, 2, 1])
     base = rng.standard_normal((2, 2))
     registry = ClassRegistry([(0, 1), (2,)])
-    snaps = WeightSnapshots()
-    snaps.store(0, WeightMatrix([0, 1], base))
+    anchors = WeightMatrix([0, 1], base)
     alpha, bb, gamma, lr = 0.01, 0.1, 0.5, 0.01
     cfg = RunConfig(regularizer_kind="subspace", alpha=alpha, beta_base=bb,
                     beta_prev_novel=0.05, gamma=gamma, learning_rate=lr,
                     max_epochs=5, convergence_tolerance=0.0, rng_seed=0)
     basis = orthonormal_basis(list(base))
-    obj = Objective(cfg, registry, 1, snaps, basis=basis)
+    obj = Objective(cfg, registry, 1, anchors, basis=basis)
     w0 = np.vstack([base, rng.standard_normal((1, 2))])
     data = Batch(feats, labels)
     trained, _ = fine_tune(WeightMatrix([0, 1, 2], w0), obj, data, cfg,

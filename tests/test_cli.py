@@ -200,11 +200,28 @@ def test_report_renders_tables(fixture_dir, tmp_path):
     assert len(grids) == 3
 
 
-def test_report_rejects_unknown_schema(tmp_path):
+def _report_on(tmp_path, capsys, text):
+    """Exit code of ``report`` on one result file holding ``text``, and
+    whether its error line names the file."""
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"schema": 99, "protocol": "multi-session"}))
+    bad.write_text(text)
     rc = main(["report", "--results", str(bad), "--out-dir", str(tmp_path / "rep")])
-    assert rc == 1
+    return rc, f"error: {bad}: " in capsys.readouterr().err
+
+
+def test_report_rejects_unknown_schema(tmp_path, capsys):
+    text = json.dumps({"schema": 99, "protocol": "multi-session"})
+    assert _report_on(tmp_path, capsys, text) == (1, True)
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps([1, 2]),
+    json.dumps({"schema": 1, "protocol": "multi-session"}),
+    json.dumps({"schema": 1, "protocol": "single-session", "result": {"acc": 3}}),
+    "{not json",
+], ids=["array", "no-sessions", "bad-result", "invalid-json"])
+def test_report_rejects_malformed_result_files(tmp_path, capsys, text):
+    assert _report_on(tmp_path, capsys, text) == (1, True)
 
 
 def test_resolved_config_is_recorded(fixture_dir, tmp_path):

@@ -6,12 +6,10 @@ from incrlin.datamodel import (
     ClassRegistry,
     EmbeddingTable,
     FeatureStore,
-    MemoryBuffer,
     OrthonormalBasis,
     RunConfig,
     SessionStream,
     WeightMatrix,
-    WeightSnapshots,
     normalize_kind,
     update_memory,
 )
@@ -20,7 +18,6 @@ from incrlin.errors import (
     DimensionMismatchError,
     DisjointClassError,
     MissingExampleError,
-    MissingSnapshotError,
     ValidationError,
 )
 
@@ -82,51 +79,51 @@ def _support(classes, shots, d=4, seed=0):
 
 
 def test_update_memory_grows_by_one_per_class():
-    buf = MemoryBuffer.empty()
-    buf = update_memory(buf, _support(range(5), 5), np.random.default_rng(0))
-    assert len(buf) == 5
-    assert buf.classes == frozenset(range(5))
+    memory = update_memory(None, _support(range(5), 5), np.random.default_rng(0))
+    assert len(memory) == 5
+    assert set(memory.class_ids.tolist()) == set(range(5))
 
 
 def test_update_memory_deterministic_under_seed():
     support = _support(range(5), 7)
-    a = update_memory(MemoryBuffer.empty(), support, np.random.default_rng(3))
-    b = update_memory(MemoryBuffer.empty(), support, np.random.default_rng(3))
-    np.testing.assert_array_equal(a.batch.class_ids, b.batch.class_ids)
-    np.testing.assert_array_equal(a.batch.features, b.batch.features)
+    a = update_memory(None, support, np.random.default_rng(3))
+    b = update_memory(None, support, np.random.default_rng(3))
+    np.testing.assert_array_equal(a.class_ids, b.class_ids)
+    np.testing.assert_array_equal(a.features, b.features)
 
 
 def test_update_memory_missing_class_error():
     with pytest.raises(MissingExampleError):
-        update_memory(MemoryBuffer.empty(), _support([0, 1], 2), np.random.default_rng(0),
+        update_memory(None, _support([0, 1], 2), np.random.default_rng(0),
                       expected_classes=[0, 1, 2])
 
 
 def test_memory_size_invariant_and_persistence():
-    # |buffer| after session t equals the total class count of earlier sessions,
+    # |memory| after session t equals the total class count of earlier sessions,
     # and earlier entries are byte-identical afterwards.
     rng = np.random.default_rng(1)
-    buf = MemoryBuffer.empty()
+    memory = None
     sessions = [list(range(0, 6)), list(range(6, 9)), list(range(9, 14))]
     total = 0
-    snapshots = []
+    copies = []
     for classes in sessions:
-        buf = update_memory(buf, _support(classes, 4, seed=total), rng)
+        memory = update_memory(memory, _support(classes, 4, seed=total), rng)
         total += len(classes)
-        assert len(buf) == total
-        snapshots.append((buf.batch.class_ids.copy(), buf.batch.features.copy()))
-    first_ids, first_feats = snapshots[0]
-    np.testing.assert_array_equal(buf.batch.class_ids[: len(first_ids)], first_ids)
-    np.testing.assert_array_equal(buf.batch.features[: len(first_ids)], first_feats)
+        assert len(memory) == total
+        assert set(memory.class_ids.tolist()) == set(range(total))
+        copies.append((memory.class_ids.copy(), memory.features.copy()))
+    first_ids, first_feats = copies[0]
+    np.testing.assert_array_equal(memory.class_ids[: len(first_ids)], first_ids)
+    np.testing.assert_array_equal(memory.features[: len(first_ids)], first_feats)
 
 
 def test_memory_rejects_rearchiving_class():
-    buf = update_memory(MemoryBuffer.empty(), _support([0], 2), np.random.default_rng(0))
-    with pytest.raises(ValidationError):
-        update_memory(buf, _support([0], 2), np.random.default_rng(0))
+    memory = update_memory(None, _support([0, 1], 2), np.random.default_rng(0))
+    with pytest.raises(ValidationError, match=r"\[1\] already archived"):
+        update_memory(memory, _support([1, 2], 2), np.random.default_rng(0))
 
 
-# --- weights and snapshots ----------------------------------------------------
+# --- weights ----------------------------------------------------------------
 
 def test_weight_matrix_validation():
     with pytest.raises(ValidationError):
@@ -144,29 +141,6 @@ def test_weight_matrix_rows_and_subset_order():
     w2 = w.with_rows({7: np.array([9.0, 9.0])})
     assert w2.class_ids == (4, 2, 9, 7)
     assert 7 not in w
-
-
-def test_snapshots_immutable_and_duplicate_rejected():
-    snaps = WeightSnapshots()
-    w = WeightMatrix([0, 1], np.ones((2, 3)))
-    snaps.store(0, w)
-    w.matrix[0, 0] = 99.0  # caller mutation must not leak into the snapshot
-    frozen = snaps.get(0)
-    assert frozen.matrix[0, 0] == 1.0
-    with pytest.raises(ValueError):
-        frozen.matrix[0, 0] = 5.0
-    with pytest.raises(ValidationError):
-        snaps.store(0, w)
-    with pytest.raises(MissingSnapshotError):
-        snaps.get(3)
-
-
-def test_snapshot_bytes_stable_across_later_sessions():
-    snaps = WeightSnapshots()
-    snaps.store(0, WeightMatrix([0], np.array([[1.0, 2.0]])))
-    checksum = snaps.get(0).matrix.tobytes()
-    snaps.store(1, WeightMatrix([0, 1], np.full((2, 2), 7.0)))
-    assert snaps.get(0).matrix.tobytes() == checksum
 
 
 # --- feature store -------------------------------------------------------------

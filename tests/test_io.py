@@ -232,6 +232,11 @@ def test_manifest_bad_files(tmp_path):
                              "01": {"label": "b", "session": 1}}))  # one class, two keys
     with pytest.raises(FormatError, match="'01'"):
         io.load_manifest(p)
+    for session in (1.9, True, "1", -1):  # a session is a non-negative JSON integer
+        p.write_text(json.dumps({"0": {"label": "a", "session": 0},
+                                 "7": {"label": "b", "session": session}}))
+        with pytest.raises(FormatError, match="m.json: key '7'"):
+            io.load_manifest(p)
     with pytest.raises(FormatError):
         io.registry_from_manifest({0: 1})  # no session-0 classes
 

@@ -16,7 +16,6 @@ from incrlin.datamodel import (
     ClassRegistry,
     RunConfig,
     WeightMatrix,
-    WeightSnapshots,
 )
 from incrlin.errors import (
     ConfigError,
@@ -30,12 +29,12 @@ from incrlin.objectives import Objective, ObjectiveStack, semantic_targets
 _ZERO = dict(alpha=0.0, beta_base=0.0, beta_prev_novel=0.0, gamma=0.0)
 
 
-def _terms(kind, registry, session, snaps, weights, batch, basis=None, targets=None,
+def _terms(kind, registry, session, anchors, weights, batch, basis=None, targets=None,
            **coeffs):
     """The session objective with every coefficient zero but ``coeffs``, and
     its terms at ``weights`` over ``batch``."""
     cfg = RunConfig(regularizer_kind=kind, **{**_ZERO, **coeffs})
-    obj = Objective(cfg, registry, session, snaps, basis=basis, targets=targets)
+    obj = Objective(cfg, registry, session, anchors, basis=basis, targets=targets)
     return obj, evaluate(obj, weights, batch)
 
 
@@ -52,7 +51,7 @@ def _xy_basis():
 def _ce(weights, batch):
     """Data term alone: the base session of the weights' classes, no penalties."""
     registry = ClassRegistry([weights.class_ids])
-    return _terms("finetune", registry, 0, WeightSnapshots(), weights, batch)
+    return _terms("finetune", registry, 0, None, weights, batch)
 
 
 def test_cross_entropy_uniform_softmax():
@@ -103,7 +102,7 @@ def test_cross_entropy_errors():
 
 def _prior(m):
     ids = list(range(m.shape[0]))
-    return _terms("finetune", ClassRegistry([ids]), 0, WeightSnapshots(),
+    return _terms("finetune", ClassRegistry([ids]), 0, None,
                   WeightMatrix(ids, m), _null_batch(m.shape[1], 0), alpha=1.0)
 
 
@@ -122,61 +121,56 @@ def test_r_prior_homogeneity():
 
 # --- r_old ----------------------------------------------------------------------
 
-def _snaps_two_sessions():
-    snaps = WeightSnapshots()
-    snaps.store(0, WeightMatrix([0, 1], np.eye(2)))
-    snaps.store(1, WeightMatrix([0, 1, 2], np.vstack([np.eye(2), [5.0, 5.0]])))
-    return snaps
+def _anchors_two_sessions():
+    """Base rows 0 and 1, then class 2 as it stood after session 1."""
+    return WeightMatrix([0, 1, 2], np.vstack([np.eye(2), [5.0, 5.0]]))
 
 
-def _r_old(sessions, snaps, w, beta_base, beta_prev_novel):
+def _r_old(sessions, anchors, w, beta_base, beta_prev_novel):
     """Anchor term of the last session of ``sessions`` (a registry plan)."""
-    return _terms("finetune", ClassRegistry(sessions), len(sessions) - 1, snaps, w,
+    return _terms("finetune", ClassRegistry(sessions), len(sessions) - 1, anchors, w,
                   _null_batch(w.dimension, 0), beta_base=beta_base,
                   beta_prev_novel=beta_prev_novel)
 
 
 def test_r_old_zero_at_snapshots():
-    snaps = _snaps_two_sessions()
+    anchors = _anchors_two_sessions()
     w = WeightMatrix([0, 1, 2], np.vstack([np.eye(2), [5.0, 5.0]]))
-    _, terms = _r_old([(0, 1), (2,), ()], snaps, w, 0.2, 0.1)
+    _, terms = _r_old([(0, 1), (2,), ()], anchors, w, 0.2, 0.1)
     assert terms.r_old == 0.0
     assert np.allclose(terms.gradient_matrix, 0.0)
 
 
 def test_r_old_unit_displacement_base_beta():
-    snaps = WeightSnapshots()
-    snaps.store(0, WeightMatrix([0], np.array([[1.0, 0.0]])))
+    anchors = WeightMatrix([0], np.array([[1.0, 0.0]]))
     w = WeightMatrix([0], np.array([[1.0, 1.0]]))  # displaced by a unit vector
-    obj, terms = _r_old([(0,), ()], snaps, w, 0.2, 0.1)
+    obj, terms = _r_old([(0,), ()], anchors, w, 0.2, 0.1)
     assert terms.r_old == pytest.approx(0.2, rel=1e-12)
     np.testing.assert_allclose(terms.gradient_matrix[obj.class_ids.index(0)], [0.0, 0.4],
                                atol=1e-12)
 
 
 def test_r_old_first_session_only_base_terms():
-    snaps = WeightSnapshots()
-    snaps.store(0, WeightMatrix([0, 1], np.eye(2)))
+    anchors = WeightMatrix([0, 1], np.eye(2))
     w = WeightMatrix([0, 1, 2], np.vstack([np.eye(2) + 1.0, [3.0, 3.0]]))
-    obj, terms = _r_old([(0, 1), (2,)], snaps, w, 0.5, 99.0)
+    obj, terms = _r_old([(0, 1), (2,)], anchors, w, 0.5, 99.0)
     # novel class 2 has no anchor yet: zero contribution regardless of beta
     assert terms.r_old == pytest.approx(0.5 * (2 + 1 + 1), rel=1e-12)
     np.testing.assert_array_equal(terms.gradient_matrix[obj.class_ids.index(2)], [0.0, 0.0])
 
 
 def test_r_old_anchors_to_introducing_session():
-    snaps = _snaps_two_sessions()
+    anchors = _anchors_two_sessions()
     w = WeightMatrix([0, 1, 2], np.vstack([np.eye(2), [6.0, 5.0]]))
-    _, terms = _r_old([(0, 1), (2,), ()], snaps, w, 0.2, 0.1)
+    _, terms = _r_old([(0, 1), (2,), ()], anchors, w, 0.2, 0.1)
     assert terms.r_old == pytest.approx(0.1 * 1.0, rel=1e-12)  # class 2 vs its session-1 row
 
 
 def test_r_old_missing_snapshot_error():
-    snaps = WeightSnapshots()
-    snaps.store(0, WeightMatrix([0], np.ones((1, 2))))
-    # class 1 was introduced in session 1, which has no snapshot
+    anchors = WeightMatrix([0], np.ones((1, 2)))
+    # class 1 was introduced in session 1, and the table has no row for it
     with pytest.raises(MissingSnapshotError):
-        _r_old([(0,), (1,), ()], snaps, WeightMatrix([0, 1], np.ones((2, 2))), 0.2, 0.1)
+        _r_old([(0,), (1,), ()], anchors, WeightMatrix([0, 1], np.ones((2, 2))), 0.2, 0.1)
 
 
 # --- r_new subspace ----------------------------------------------------------------
@@ -187,10 +181,9 @@ _BASE = 100  # the one base class, distinct from every novel id used below
 def _r_new(kind, novel_ids, rows, basis=None, targets=None):
     """New-class term of session 1 at gamma=1, over one base class with no anchor weight."""
     d = rows.shape[1]
-    snaps = WeightSnapshots()
-    snaps.store(0, WeightMatrix([_BASE], np.ones((1, d))))
+    anchors = WeightMatrix([_BASE], np.ones((1, d)))
     w = WeightMatrix([*novel_ids, _BASE], np.vstack([rows, np.ones((1, d))]))
-    return _terms(kind, ClassRegistry([(_BASE,), novel_ids]), 1, snaps, w,
+    return _terms(kind, ClassRegistry([(_BASE,), novel_ids]), 1, anchors, w,
                   _null_batch(d, _BASE), basis=basis, targets=targets, gamma=1.0)
 
 
@@ -329,11 +322,10 @@ def test_rows_are_laid_out_old_then_novel():
     # the novel ids 1 and 3 sit between the base ids: the old rows still come
     # first, and each penalty acts on its own classes' rows
     registry = ClassRegistry([(0, 2, 4), (1, 3)])
-    snaps = WeightSnapshots()
-    snaps.store(0, WeightMatrix([0, 2, 4], np.zeros((3, 2))))
+    anchors = WeightMatrix([0, 2, 4], np.zeros((3, 2)))
     targets = {1: np.array([1.0, 1.0]), 3: np.array([3.0, 1.0])}
     cfg = RunConfig(regularizer_kind="semantic", **{**_ZERO, "beta_base": 1.0, "gamma": 1.0})
-    obj = Objective(cfg, registry, 1, snaps, targets=targets)
+    obj = Objective(cfg, registry, 1, anchors, targets=targets)
     assert obj.class_ids == (0, 2, 4, 1, 3)
     assert obj.stack.n_old == 3
     w = WeightMatrix(range(5), np.array([[c, 0.0] for c in range(5)]))
@@ -353,28 +345,26 @@ def test_rows_are_laid_out_old_then_novel():
 def _assembly(kind="subspace", with_targets=False, seed=0, d=4, beta=(0.3, 0.15)):
     rng = np.random.default_rng(seed)
     registry = ClassRegistry([(0, 1, 2), (3, 4)])
-    snaps = WeightSnapshots()
     base_m = rng.standard_normal((3, d))
-    snaps.store(0, WeightMatrix([0, 1, 2], base_m))
+    anchors = WeightMatrix([0, 1, 2], base_m)
     cfg = RunConfig(regularizer_kind=kind, alpha=0.05, beta_base=beta[0],
                     beta_prev_novel=beta[1], gamma=0.7, tau=1.0, rng_seed=0)
     basis = orthonormal_basis(list(base_m)) if kind == "subspace" else None
     targets = ({c: rng.standard_normal(d) for c in (3, 4)}
                if kind in ("semantic", "linmap", "description") or with_targets else None)
-    obj = Objective(cfg, registry, 1, snaps, basis=basis, targets=targets)
+    obj = Objective(cfg, registry, 1, anchors, basis=basis, targets=targets)
     weights = WeightMatrix([0, 1, 2, 3, 4], rng.standard_normal((5, d)))
     batch = Batch(rng.standard_normal((8, d)), rng.integers(0, 5, size=8))
-    return cfg, obj, weights, batch, registry, snaps
+    return cfg, obj, weights, batch, registry, anchors
 
 
 def test_assemble_zero_coefficients_reduce_to_cross_entropy():
     rng = np.random.default_rng(7)
     registry = ClassRegistry([(0, 1), (2,)])
-    snaps = WeightSnapshots()
-    snaps.store(0, WeightMatrix([0, 1], rng.standard_normal((2, 3))))
+    anchors = WeightMatrix([0, 1], rng.standard_normal((2, 3)))
     weights = WeightMatrix([0, 1, 2], rng.standard_normal((3, 3)))
     batch = Batch(rng.standard_normal((6, 3)), rng.integers(0, 3, size=6))
-    _, terms = _terms("finetune", registry, 1, snaps, weights, batch)
+    _, terms = _terms("finetune", registry, 1, anchors, weights, batch)
     logits = batch.features @ weights.matrix.T
     ce = float(np.mean(np.log(np.exp(logits).sum(axis=1))
                        - logits[np.arange(6), batch.class_ids]))
@@ -410,29 +400,30 @@ def test_assemble_gradient_finite_difference_all_kinds():
 
 
 def test_assemble_conflicting_components_rejected():
-    cfg, obj, weights, batch, registry, snaps = _assembly(kind="subspace")
-    basis = orthonormal_basis(list(snaps.get(0).matrix))
+    cfg, obj, weights, batch, registry, anchors = _assembly(kind="subspace")
+    basis = orthonormal_basis(list(anchors.matrix))
     targets = {3: np.ones(4), 4: np.ones(4)}
     with pytest.raises(ConfigError):
-        Objective(cfg, registry, 1, snaps, basis=basis, targets=targets)
+        Objective(cfg, registry, 1, anchors, basis=basis, targets=targets)
     with pytest.raises(ConfigError):
-        Objective(cfg, registry, 1, snaps)  # subspace kind without a basis
+        Objective(cfg, registry, 1, anchors)  # subspace kind without a basis
     sem_cfg = cfg.replace(regularizer_kind="semantic")
     with pytest.raises(ConfigError):
-        Objective(sem_cfg, registry, 1, snaps, basis=basis, targets=targets)
+        Objective(sem_cfg, registry, 1, anchors, basis=basis, targets=targets)
     with pytest.raises(MissingTargetError):
-        Objective(sem_cfg, registry, 1, snaps, targets={3: np.ones(4)})
+        Objective(sem_cfg, registry, 1, anchors, targets={3: np.ones(4)})
     ft_cfg = cfg.replace(regularizer_kind="finetune")
     with pytest.raises(ConfigError):
-        Objective(ft_cfg, registry, 1, snaps, basis=basis)
+        Objective(ft_cfg, registry, 1, anchors, basis=basis)
 
 
 def test_assemble_missing_snapshot_coverage():
     registry = ClassRegistry([(0, 1), (2,)])
-    snaps = WeightSnapshots()
-    snaps.store(0, WeightMatrix([0], np.ones((1, 3))))  # class 1 missing
-    with pytest.raises(MissingSnapshotError):
-        Objective(RunConfig(regularizer_kind="finetune"), registry, 1, snaps)
+    anchors = WeightMatrix([0], np.ones((1, 3)))  # class 1 missing
+    with pytest.raises(MissingSnapshotError, match=r"classes \[1\]"):
+        Objective(RunConfig(regularizer_kind="finetune"), registry, 1, anchors)
+    with pytest.raises(MissingSnapshotError, match=r"classes \[0, 1\]"):
+        Objective(RunConfig(regularizer_kind="finetune"), registry, 1, None)
 
 
 def test_objective_rejects_inactive_batch_class():
@@ -447,10 +438,9 @@ def test_regularizers_zero_exactly_at_anchor():
     for _ in range(10):
         d = int(rng.integers(2, 6))
         base = rng.standard_normal((3, d))
-        snaps = WeightSnapshots()
-        snaps.store(0, WeightMatrix([0, 1, 2], base))
+        anchors = WeightMatrix([0, 1, 2], base)
         w_at_anchor = WeightMatrix([0, 1, 2], base)
-        assert _r_old([(0, 1, 2), ()], snaps, w_at_anchor, 0.4, 0.2)[1].r_old == 0.0
+        assert _r_old([(0, 1, 2), ()], anchors, w_at_anchor, 0.4, 0.2)[1].r_old == 0.0
         basis = orthonormal_basis(list(base))
         coeff = rng.standard_normal(basis.rank)
         in_span = basis.matrix @ coeff
@@ -477,11 +467,10 @@ def _stack_members(draw):
     for _ in range(n_members):
         ids = rng.permutation(n_base + n_novel).tolist()
         registry = ClassRegistry([ids[:n_base], ids[n_base:]])
-        snaps = WeightSnapshots()
-        snaps.store(0, WeightMatrix(ids[:n_base], rng.standard_normal((n_base, d))))
+        anchors = WeightMatrix(ids[:n_base], rng.standard_normal((n_base, d)))
         targets = ({c: rng.standard_normal(d) for c in ids[n_base:]}
                    if kind == "semantic" else None)
-        obj = Objective(cfg, registry, 1, snaps, basis=basis if kind == "subspace" else None,
+        obj = Objective(cfg, registry, 1, anchors, basis=basis if kind == "subspace" else None,
                         targets=targets)
         weights = WeightMatrix(obj.class_ids, rng.standard_normal((len(ids), d)))
         batch = Batch(rng.standard_normal((n, d)), rng.choice(ids, size=n))

@@ -292,6 +292,45 @@ def test_run_multi_session_tolerates_empty_session(monkeypatch):
     assert len(buffers[-1]) == 8  # base archived once, empty session skipped
 
 
+def test_run_multi_session_anchors_each_class_to_its_introducing_session(monkeypatch):
+    # every old row is anchored, bit for bit, to its weights at the end of the
+    # session that introduced it (base rows to the base weights), through an
+    # empty session and with memory replay; the anchor table is read-only
+    data = generate(SynthSpec(n_classes=17, dimension=6, rng_seed=4,
+                              support_per_class=6, query_per_class=3))
+    registry = ClassRegistry([tuple(range(8)), (8, 9, 10), (), (11, 12, 13), (14, 15, 16)])
+    cfg = RunConfig(regularizer_kind="finetune", alpha=1e-3, learning_rate=0.05,
+                    max_epochs=30, rng_seed=4, memory_enabled=True)
+    stream = SessionStream(data.store, registry, cfg, k_shot=3)
+    bw, _ = train_base(data.store.restrict(registry.base_classes),
+                       registry.base_classes, cfg)
+    anchors_of = {}
+    real = protocol_mod.Objective
+
+    def recording(config, reg, session, anchors, **kwargs):
+        anchors_of[session] = anchors
+        return real(config, reg, session, anchors, **kwargs)
+
+    monkeypatch.setattr(protocol_mod, "Objective", recording)
+    weights_at = {}
+    run_multi_session(stream, base_weights=bw,
+                      on_session_end=lambda t, w: weights_at.__setitem__(t, w))
+    assert sorted(anchors_of) == [1, 3, 4]  # the empty session trains nothing
+    for t, anchors in anchors_of.items():
+        old = registry.classes_up_to(t - 1)
+        assert sorted(anchors.class_ids) == list(old)
+        for c in old:
+            introduced = weights_at[registry.session_of(c)]
+            assert anchors.row(c).tobytes() == introduced.row(c).tobytes()
+        with pytest.raises(ValueError):
+            anchors.matrix[0, 0] = 1.0
+    for c in registry.base_classes:
+        assert anchors_of[4].row(c).tobytes() == bw.row(c).tobytes()
+    # later sessions move the old rows, so the latest weights are no anchor
+    assert any(weights_at[3].row(c).tobytes() != weights_at[1].row(c).tobytes()
+               for c in registry.classes_in(1))
+
+
 def test_run_multi_session_all_regularizer_kinds_run():
     for kind in ("subspace", "semantic", "linmap", "description"):
         data, registry, cfg, stream = _bench_setup(kind=kind)

@@ -8,7 +8,6 @@ from incrlin.datamodel import (
     ClassRegistry,
     RunConfig,
     WeightMatrix,
-    WeightSnapshots,
 )
 from incrlin.errors import DivergenceError, MissingExampleError
 from incrlin.linalg import orthonormal_basis
@@ -94,7 +93,7 @@ def _toy_objective(kind="finetune", alpha=0.0, beta=0.0, gamma=0.0, basis=None):
     cfg = RunConfig(regularizer_kind=kind, alpha=alpha, beta_base=beta,
                     beta_prev_novel=beta, gamma=gamma, learning_rate=0.5,
                     max_epochs=500, rng_seed=0)
-    return cfg, Objective(cfg, registry, 0, WeightSnapshots())
+    return cfg, Objective(cfg, registry, 0, None)
 
 
 def test_zero_learning_rate_keeps_weights_and_converges():
@@ -106,7 +105,6 @@ def test_zero_learning_rate_keeps_weights_and_converges():
     np.testing.assert_array_equal(w1.matrix, w0.matrix)
     assert report.converged
     assert report.epochs_run == cfg.patience_epochs + 1
-    assert len(report.loss_trace) == report.epochs_run
 
 
 def test_separable_toy_reaches_full_support_accuracy():
@@ -127,12 +125,12 @@ def test_fine_tune_bit_identical_given_seed():
     registry = ClassRegistry([(0, 1)])
     cfg = RunConfig(regularizer_kind="finetune", alpha=1e-3, learning_rate=0.1,
                     max_epochs=40, convergence_tolerance=0.0, rng_seed=0)
-    obj = Objective(cfg, registry, 0, WeightSnapshots())
+    obj = Objective(cfg, registry, 0, None)
     w0 = WeightMatrix([0, 1], np.zeros((2, 4)))
     wa, ra = fine_tune(w0, obj, data, cfg, np.random.default_rng(11))
     wb, rb = fine_tune(w0, obj, data, cfg, np.random.default_rng(11))
     assert wa.matrix.tobytes() == wb.matrix.tobytes()
-    assert ra.loss_trace == rb.loss_trace
+    assert (ra.epochs_run, ra.final_loss) == (rb.epochs_run, rb.final_loss)
 
 
 def test_huge_gamma_forces_rows_into_subspace():
@@ -140,17 +138,16 @@ def test_huge_gamma_forces_rows_into_subspace():
     d = 8
     base = rng.standard_normal((4, d))
     registry = ClassRegistry([(0, 1, 2, 3), (4, 5)])
-    snaps = WeightSnapshots()
-    snaps.store(0, WeightMatrix([0, 1, 2, 3], base))
+    anchors = WeightMatrix([0, 1, 2, 3], base)
     # lr * 2 * gamma = 0.2 < 1: the out-of-span residual contracts each step
     cfg = RunConfig(regularizer_kind="subspace", alpha=0.0, beta_base=0.1,
                     beta_prev_novel=0.1, gamma=1e4, learning_rate=1e-5,
                     max_epochs=2000, convergence_tolerance=0.0, rng_seed=0)
     basis = orthonormal_basis(list(base))
-    obj = Objective(cfg, registry, 1, snaps, basis=basis)
+    obj = Objective(cfg, registry, 1, anchors, basis=basis)
     support = _batch([4] * 5 + [5] * 5, rng.standard_normal((10, d)))
-    init = init_novel_weights(support, snaps.get(0).norms(), np.random.default_rng(0))
-    weights = snaps.get(0).with_rows(init)
+    init = init_novel_weights(support, anchors.norms(), np.random.default_rng(0))
+    weights = anchors.with_rows(init)
     trained, _ = fine_tune(weights, obj, support, cfg, np.random.default_rng(0))
     p = basis.matrix
     for c in (4, 5):
@@ -170,12 +167,28 @@ def test_divergence_raises():
                   np.random.default_rng(0))
 
 
-def test_smoothed_loss_trace_non_increasing_on_fixture():
+def test_smoothed_epoch_loss_non_increasing_on_fixture(monkeypatch):
+    # each epoch's loss, summed as the epoch loop sums it: every block's total
+    # weighted by its size, over the epoch's examples
     data = generate(SynthSpec(n_classes=6, dimension=8, rng_seed=0))
     cfg = RunConfig(regularizer_kind="finetune", alpha=1e-3, learning_rate=0.05,
                     max_epochs=300, rng_seed=0)
+    blocks = []
+    evaluate = ObjectiveStack.evaluate
+
+    def spy(self, m, feats, label_pos):
+        terms = evaluate(self, m, feats, label_pos)
+        blocks.append((float(terms.total[0]), label_pos.shape[1]))
+        return terms
+
+    monkeypatch.setattr(ObjectiveStack, "evaluate", spy)
     _, report = train_base(data.store, data.registry.base_classes, cfg)
-    trace = np.array(report.loss_trace)
+    n = len(data.store.support_examples(data.registry.base_classes))
+    per_epoch = -(-n // MINI_BATCH)
+    assert len(blocks) == report.epochs_run * per_epoch
+    trace = np.array([sum(total * size for total, size in blocks[k:k + per_epoch]) / n
+                      for k in range(0, len(blocks), per_epoch)])
+    assert trace[-1] == report.final_loss
     smooth = np.convolve(trace, np.ones(5) / 5, mode="valid")
     assert np.all(np.diff(smooth) <= 1e-9)
 
@@ -190,12 +203,11 @@ def _stack_problem(n=100, seed=3):
     base = np.random.default_rng(0).standard_normal((2, d))
     rng = np.random.default_rng(seed)
     registry = ClassRegistry([(0, 1), (2, 3)])
-    snaps = WeightSnapshots()
-    snaps.store(0, WeightMatrix([0, 1], base))
+    anchors = WeightMatrix([0, 1], base)
     cfg = RunConfig(regularizer_kind="subspace", alpha=1e-3, beta_base=0.1, gamma=0.2,
                     learning_rate=0.05, max_epochs=120, convergence_tolerance=3e-3,
                     patience_epochs=3, rng_seed=0)
-    obj = Objective(cfg, registry, 1, snaps, basis=orthonormal_basis(list(base)))
+    obj = Objective(cfg, registry, 1, anchors, basis=orthonormal_basis(list(base)))
     w0 = WeightMatrix([0, 1, 2, 3], np.vstack([base, rng.standard_normal((2, d))]))
     data = Batch(rng.standard_normal((n, d)), rng.integers(0, 4, size=n))
     return cfg, obj, w0, data
@@ -207,7 +219,6 @@ def _same_run(a, b):
     assert wa.matrix.tobytes() == wb.matrix.tobytes()
     assert (ra.epochs_run, ra.converged, ra.diverged) == (rb.epochs_run, rb.converged, rb.diverged)
     assert ra.final_loss == rb.final_loss
-    assert ra.loss_trace == rb.loss_trace
 
 
 def test_stack_members_match_solo_runs_on_shuffled_blocks():
@@ -271,7 +282,6 @@ def test_diverged_member_leaves_the_rest_of_the_stack_untouched():
                               [np.random.default_rng(0), np.random.default_rng(1)])
     (w_bad, r_bad), good = stacked
     assert w_bad is None and r_bad.diverged and not r_bad.converged
-    assert len(r_bad.loss_trace) == r_bad.epochs_run - 1
     _same_run(good, fine_tune(w0, obj, data, cfg, np.random.default_rng(1)))
     with pytest.raises(DivergenceError):
         fine_tune(w0, obj, scaled, cfg, np.random.default_rng(0))
@@ -303,18 +313,6 @@ def test_divergence_on_shuffled_blocks_stops_stepping_at_the_first_bad_block(mon
     _same_run(good, fine_tune(w0, obj, data, cfg, np.random.default_rng(1)))
 
 
-# --- snapshots and base training ----------------------------------------------------
-
-def test_snapshot_zero_equals_base_weights_exactly():
-    data = generate(SynthSpec(n_classes=5, dimension=6, rng_seed=1))
-    cfg = RunConfig(regularizer_kind="finetune", alpha=1e-3, learning_rate=0.05,
-                    max_epochs=50, rng_seed=1)
-    weights, _ = train_base(data.store, data.registry.base_classes, cfg)
-    snaps = WeightSnapshots()
-    snaps.store(0, weights)
-    assert snaps.get(0).matrix.tobytes() == weights.matrix.tobytes()
-
-
 # --- straight-line SGD oracle ---------------------------------------------------------
 
 def test_full_batch_sgd_matches_reference_implementation():
@@ -325,14 +323,13 @@ def test_full_batch_sgd_matches_reference_implementation():
     labels = np.array([0, 1, 2, 1])
     base = rng.standard_normal((2, 2))
     registry = ClassRegistry([(0, 1), (2,)])
-    snaps = WeightSnapshots()
-    snaps.store(0, WeightMatrix([0, 1], base))
+    anchors = WeightMatrix([0, 1], base)
     alpha, bb, bp, gamma, lr = 0.01, 0.1, 0.05, 0.5, 0.01
     cfg = RunConfig(regularizer_kind="subspace", alpha=alpha, beta_base=bb,
                     beta_prev_novel=bp, gamma=gamma, learning_rate=lr,
                     max_epochs=5, convergence_tolerance=0.0, rng_seed=0)
     basis = orthonormal_basis(list(base))
-    obj = Objective(cfg, registry, 1, snaps, basis=basis)
+    obj = Objective(cfg, registry, 1, anchors, basis=basis)
     w0 = np.vstack([base, rng.standard_normal((1, 2))])
     data = Batch(feats, labels)
     trained, report = fine_tune(WeightMatrix([0, 1, 2], w0), obj, data, cfg,
