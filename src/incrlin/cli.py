@@ -18,7 +18,7 @@ import numpy as np
 
 from . import io
 from .config import load_config_file, resolve_run_config
-from .datamodel import SessionStream
+from .datamodel import REGULARIZER_KINDS, SessionStream
 from .errors import ConfigError, EngineError, FormatError
 from .protocol import run_multi_session, run_single_session
 from .synth import SynthSpec, generate, incremental_split
@@ -189,12 +189,20 @@ def cmd_report(args) -> int:
     for res_path in args.results:
         payload = _load_result(res_path)
         label = payload.get("label", Path(res_path).stem)
+        # The label names the confusion files: it must stay one name part.
+        if not isinstance(label, str) or label in (".", "..") or "/" in label or "\\" in label:
+            raise FormatError(f"{res_path}: label {label!r} is not a plain name")
         protocol = payload.get("protocol")
         if protocol not in ("multi-session", "single-session"):
             raise FormatError(f"{res_path}: unknown protocol {protocol!r}")
         try:
             if protocol == "multi-session":
                 sessions = payload["sessions"]
+                for rec in sessions:
+                    t = rec["session"]
+                    if isinstance(t, bool) or not isinstance(t, int) or t < 0:
+                        raise FormatError(f"{res_path}: session {t!r} is not a "
+                                          "non-negative integer")
                 max_sessions = max(max_sessions, len(sessions))
                 multi_rows.append(
                     (label, {rec["session"]: f"{rec['acc_weighted']:.2f}" for rec in sessions}))
@@ -256,8 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-multi", help="run the multi-session incremental protocol")
     add_common(p)
     p.add_argument("--base-weights", help="ingest base weights CSV instead of training")
-    p.add_argument("--regularizer", choices=["finetune", "subspace", "semantic",
-                                             "linmap", "description"])
+    p.add_argument("--regularizer", choices=REGULARIZER_KINDS)
     p.add_argument("--memory", action="store_true",
                    help="retain one example per archived class for replay")
     p.add_argument("--k-shot", type=int, default=None,
@@ -271,8 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-single", help="run the episodic single-session protocol")
     add_common(p)
     p.add_argument("--base-weights", help="ingest base weights CSV instead of training")
-    p.add_argument("--regularizer", choices=["finetune", "subspace", "semantic",
-                                             "linmap", "description"])
+    p.add_argument("--regularizer", choices=REGULARIZER_KINDS)
     p.add_argument("--episodes", type=int, default=2000)
     p.add_argument("--n-way", type=int, default=5)
     p.add_argument("--k-shot", type=int, default=1)

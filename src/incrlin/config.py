@@ -36,8 +36,34 @@ _PRESETS: dict[tuple[str, str, int | None], dict] = {
                                   beta_base=0.03, beta_prev_novel=0.03),
 }
 
-_OPTIMIZER_KEYS = ("learning_rate", "max_epochs", "convergence_tolerance", "patience_epochs")
-_REGULARIZER_KEYS = ("kind", "alpha", "beta_base", "beta_prev_novel", "gamma", "tau")
+# Config-file section -> {key: the RunConfig field it sets}. A file holds
+# nothing else.
+_FILE_FIELDS: dict[str, dict[str, str]] = {
+    "optimizer": {k: k for k in ("learning_rate", "max_epochs", "convergence_tolerance",
+                                 "patience_epochs")},
+    "regularizer": {"kind": "regularizer_kind",
+                    **{k: k for k in ("alpha", "beta_base", "beta_prev_novel", "gamma", "tau")}},
+    "protocol": {k: k for k in ("memory_enabled", "rng_seed")},
+}
+
+
+def _file_fields(file_cfg: dict, source) -> dict:
+    """The RunConfig fields a parsed config file sets; an unknown section or
+    key, or a section that is not an object, is a ``ConfigError`` naming
+    ``source``."""
+    unknown = set(file_cfg) - set(_FILE_FIELDS)
+    if unknown:
+        raise ConfigError(f"{source}: unknown config sections {sorted(unknown)}")
+    fields = {}
+    for section, keys in _FILE_FIELDS.items():
+        entries = file_cfg.get(section, {})
+        if not isinstance(entries, dict):
+            raise ConfigError(f"{source}: section {section!r} must be an object")
+        unknown = set(entries) - set(keys)
+        if unknown:
+            raise ConfigError(f"{source}: unknown {section} options {sorted(unknown)}")
+        fields.update((keys[k], v) for k, v in entries.items())
+    return fields
 
 
 def preset_config(protocol: str = "multi", kind: str = "finetune",
@@ -57,7 +83,8 @@ def preset_config(protocol: str = "multi", kind: str = "finetune",
 
 
 def load_config_file(path) -> dict:
-    """Parse a JSON config file with sections {data, optimizer, regularizer, protocol}."""
+    """Parse and check a JSON config file with sections {optimizer,
+    regularizer, protocol}."""
     path = Path(path)
     try:
         obj = json.loads(path.read_text())
@@ -67,13 +94,7 @@ def load_config_file(path) -> dict:
         raise FormatError(f"{path}: invalid JSON ({err})") from None
     if not isinstance(obj, dict):
         raise FormatError(f"{path}: config must be a JSON object")
-    known = {"data", "optimizer", "regularizer", "protocol"}
-    unknown = set(obj) - known
-    if unknown:
-        raise ConfigError(f"{path}: unknown config sections {sorted(unknown)}")
-    for section in known:
-        if section in obj and not isinstance(obj[section], dict):
-            raise ConfigError(f"{path}: section {section!r} must be an object")
+    _file_fields(obj, path)
     return obj
 
 
@@ -84,36 +105,9 @@ def resolve_run_config(protocol: str, file_cfg: dict | None = None,
 
     ``cli_overrides`` uses RunConfig field names; None values are ignored.
     """
-    file_cfg = file_cfg or {}
-    cli_overrides = {k: v for k, v in (cli_overrides or {}).items() if v is not None}
-
-    reg = dict(file_cfg.get("regularizer", {}))
-    opt = dict(file_cfg.get("optimizer", {}))
-    kind = cli_overrides.get("regularizer_kind") or reg.get("kind", "finetune")
-    kind = normalize_kind(kind)
-
-    overrides: dict = {}
-    for key in _REGULARIZER_KEYS[1:]:
-        if key in reg:
-            overrides[key] = reg[key]
-    unknown = set(reg) - set(_REGULARIZER_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown regularizer options {sorted(unknown)}")
-    for key in _OPTIMIZER_KEYS:
-        if key in opt:
-            overrides[key] = opt[key]
-    unknown = set(opt) - set(_OPTIMIZER_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown optimizer options {sorted(unknown)}")
-
-    proto = dict(file_cfg.get("protocol", {}))
-    for key in ("memory_enabled", "rng_seed"):
-        if key in proto:
-            overrides[key] = proto[key]
-
-    for key, value in cli_overrides.items():
-        if key != "regularizer_kind":
-            overrides[key] = value
+    overrides = _file_fields(file_cfg or {}, "config")
+    overrides.update((k, v) for k, v in (cli_overrides or {}).items() if v is not None)
+    kind = normalize_kind(overrides.pop("regularizer_kind", "finetune"))
     try:
         return preset_config(protocol, kind, k_shot, **overrides)
     except TypeError as err:

@@ -28,6 +28,8 @@ from .errors import (
 )
 
 REGULARIZER_KINDS = ("finetune", "subspace", "semantic", "linmap", "description")
+# The kinds that pull each new row toward a static target row of its own.
+FIXED_TARGET_KINDS = ("semantic", "linmap", "description")
 
 _KIND_ALIASES = {
     "fine-tune": "finetune",
@@ -39,6 +41,8 @@ _KIND_ALIASES = {
 
 def normalize_kind(kind: str) -> str:
     """Map spelling variants of a regularizer kind onto its canonical token."""
+    if not isinstance(kind, str):
+        raise ConfigError(f"regularizer kind must be a string, got {kind!r}")
     k = _KIND_ALIASES.get(kind.strip().lower(), kind.strip().lower())
     if k not in REGULARIZER_KINDS:
         raise ConfigError(f"unknown regularizer kind {kind!r}; expected one of {REGULARIZER_KINDS}")

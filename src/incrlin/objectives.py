@@ -35,8 +35,6 @@ from .errors import (
     ValidationError,
 )
 
-FIXED_TARGET_KINDS = ("semantic", "linmap", "description")
-
 
 def semantic_targets(novel_embeddings: Mapping[int, np.ndarray],
                      base_embeddings: Mapping[int, np.ndarray],
@@ -44,8 +42,9 @@ def semantic_targets(novel_embeddings: Mapping[int, np.ndarray],
     """Similarity-weighted combinations of base rows, one target per novel class.
 
     Weights are a temperature-tau softmax of embedding inner products over the
-    base classes (max-subtracted for stability). Targets are static: they are
-    computed once per session and held constant during fine-tuning.
+    base classes (max-subtracted for stability). Targets are static: a run
+    computes them once, for every novel class it can meet, and holds them
+    constant during fine-tuning.
     """
     if tau <= 0:
         raise ValidationError(f"temperature must be positive, got {tau}")
@@ -194,9 +193,9 @@ class Objective:
     session every row is a novel one. Old rows stay trainable but are anchored
     by the r_old term to their rows in ``anchors`` (None without old classes),
     weighted ``beta_base`` for base classes and ``beta_prev_novel`` for later
-    ones. Exactly one new-class regularizer is active, selected by
-    ``config.regularizer_kind``: ``subspace`` needs a basis, the fixed-target
-    kinds need a target map, and ``finetune`` needs neither. ``stack`` is this
+    ones. At most one new-class regularizer component is given, and none in
+    the base session: a subspace ``basis``, or ``targets``, a static row for
+    (at least) every novel class. With neither, r_new is 0. ``stack`` is this
     session as an ``ObjectiveStack`` of one member.
     """
 
@@ -208,20 +207,10 @@ class Objective:
         novel = registry.classes_in(session)
         self.class_ids = old + novel
         self._index = {c: i for i, c in enumerate(self.class_ids)}
-        kind = config.regularizer_kind
 
-        if session == 0:
-            if basis is not None or targets is not None:
-                raise ConfigError("the base session takes no new-class regularizer components")
-        elif kind == "subspace":
-            if basis is None or targets is not None:
-                raise ConfigError("subspace regularization needs a basis and no fixed targets")
-        elif kind in FIXED_TARGET_KINDS:
-            if targets is None or basis is not None:
-                raise ConfigError(f"{kind} regularization needs fixed targets and no basis")
-        elif kind == "finetune":
-            if basis is not None or targets is not None:
-                raise ConfigError("plain fine-tuning takes no new-class regularizer components")
+        if (basis is not None) + (targets is not None) > (1 if session > 0 else 0):
+            raise ConfigError("an objective takes at most one new-class regularizer "
+                              "component (a basis or targets), and none in the base session")
 
         missing = [c for c in old if anchors is None or c not in anchors]
         if missing:
@@ -230,9 +219,8 @@ class Objective:
         betas = [config.beta_base if registry.session_of(c) == 0 else config.beta_prev_novel
                  for c in old]
 
-        basis = basis if session > 0 and kind == "subspace" else None
         target_matrix = None
-        if session > 0 and kind in FIXED_TARGET_KINDS:
+        if targets is not None:
             missing = [c for c in novel if c not in targets]
             if missing:
                 raise MissingTargetError(f"classes {missing} have no regularization target")

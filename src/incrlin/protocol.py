@@ -21,11 +21,11 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from .datamodel import (
+    FIXED_TARGET_KINDS,
     Batch,
     ClassRegistry,
     EmbeddingTable,
     FeatureStore,
-    LinearMap,
     OrthonormalBasis,
     RunConfig,
     SessionStream,
@@ -42,7 +42,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import fit_least_squares, orthonormal_basis
-from .objectives import FIXED_TARGET_KINDS, Objective, semantic_targets
+from .objectives import Objective, semantic_targets
 from .trainer import fine_tune, fine_tune_stack, init_novel_weights, train_base
 
 # Episodes fine-tuned together as one stack by ``run_single_session``.
@@ -165,37 +165,27 @@ def _evaluate_session(weights: WeightMatrix, query: Batch, registry: ClassRegist
 @dataclasses.dataclass(frozen=True, eq=False)
 class RunSetup:
     """What every session of a run shares: the config, the base weights
-    (snapshot 0, frozen: the first anchor table) and the fixed parts of the
-    new-class regularizer."""
+    (snapshot 0, frozen: the first anchor table) and the new-class
+    regularizer's one component, if any: the subspace ``basis``, or the static
+    ``targets`` row of every novel class of the run."""
 
     config: RunConfig
     snapshot0: WeightMatrix
-    basis: OrthonormalBasis | None = None
-    linear_map: LinearMap | None = None
-    embeddings: EmbeddingTable | None = None
-
-    def targets(self, novel: Sequence[int]) -> dict[int, np.ndarray] | None:
-        """Static regularization targets of the novel classes (None unless the
-        regularizer is a fixed-target kind)."""
-        kind = self.config.regularizer_kind
-        if kind in ("semantic", "description"):
-            return semantic_targets(self.embeddings.subset(novel),
-                                    self.embeddings.subset(self.snapshot0.class_ids),
-                                    self.snapshot0, self.config.tau)
-        if kind == "linmap":
-            return {c: self.linear_map.apply(self.embeddings.vector(c)) for c in novel}
-        return None
+    basis: OrthonormalBasis | None
+    targets: dict[int, np.ndarray] | None
 
 
 def prepare_run(config: RunConfig, base_weights: WeightMatrix, base_classes: Iterable[int],
-                dimension: int, embeddings: EmbeddingTable | None = None,
-                novel_classes: Iterable[int] = ()) -> RunSetup:
+                dimension: int, embeddings: EmbeddingTable | None,
+                novel_classes: Iterable[int]) -> RunSetup:
     """Check a run's inputs up front and build its shared set-up.
 
     The base weights must have the features' ``dimension`` and cover every
     base class. An embedding-driven regularizer needs an embedding for every
-    base class and every class of the novel pool. The subspace basis and the
-    linear map are fitted here, once per run.
+    base class and every class of the novel pool. This is the one place the
+    regularizer kind picks the new-class component, built once per run: the
+    subspace basis, or the targets of every novel class (from embedding
+    similarities, or from the fitted linear map).
     """
     if base_weights.dimension != dimension:
         raise DimensionMismatchError(f"base weights have dimension {base_weights.dimension}, "
@@ -206,19 +196,24 @@ def prepare_run(config: RunConfig, base_weights: WeightMatrix, base_classes: Ite
         raise ValidationError(f"base weights lack rows for classes {missing}")
     snapshot0 = WeightMatrix(base, base_weights.subset(base)).frozen()
     kind = config.regularizer_kind
+    novel = sorted(novel_classes)
     if kind in FIXED_TARGET_KINDS:
         if embeddings is None:
             raise ConfigError(f"{kind} regularization needs an embedding table")
-        missing = [c for c in base + sorted(novel_classes) if c not in embeddings]
+        missing = [c for c in base + novel if c not in embeddings]
         if missing:
             raise MissingEmbeddingError(f"classes {missing} have no embedding")
-    basis = linear_map = None
+    basis = targets = None
     base_rows = [snapshot0.row(c) for c in base]
     if kind == "subspace":
         basis = orthonormal_basis(base_rows)
     elif kind == "linmap":
         linear_map = fit_least_squares([embeddings.vector(c) for c in base], base_rows)
-    return RunSetup(config, snapshot0, basis, linear_map, embeddings)
+        targets = {c: linear_map.apply(embeddings.vector(c)) for c in novel}
+    elif kind in ("semantic", "description"):
+        targets = semantic_targets(embeddings.subset(novel), embeddings.subset(base),
+                                   snapshot0, config.tau)
+    return RunSetup(config, snapshot0, basis, targets)
 
 
 def _session_problem(setup: RunSetup, weights: WeightMatrix, registry: ClassRegistry,
@@ -233,7 +228,7 @@ def _session_problem(setup: RunSetup, weights: WeightMatrix, registry: ClassRegi
     weights = weights.with_rows(
         init_novel_weights(support, setup.snapshot0.norms(), rng, classes=novel))
     objective = Objective(setup.config, registry, session, anchors,
-                          basis=setup.basis, targets=setup.targets(novel))
+                          basis=setup.basis, targets=setup.targets)
     data = support if memory is None else Batch.concat([support, memory])
     return weights, objective, data
 
@@ -302,14 +297,12 @@ def _check_episode_shape(novel_store: FeatureStore, n_way: int, k_shot: int,
             f"novel pool has {len(novel_store.classes)} classes, need n_way={n_way}")
 
 
-def sample_episode(base_store: FeatureStore, novel_store: FeatureStore,
-                   n_way: int = 5, k_shot: int = 1, n_query: int = 50,
-                   rng: np.random.Generator | None = None) -> Episode:
+def sample_episode(base_store: FeatureStore, novel_store: FeatureStore, n_way: int,
+                   k_shot: int, n_query: int, rng: np.random.Generator) -> Episode:
     """Sample an episode: ``n_way`` novel classes with ``k_shot`` support
     examples each, and queries drawn from the base and novel groups with equal
-    probability (then uniformly within the group)."""
-    if rng is None:
-        rng = np.random.default_rng()
+    probability (then uniformly within the group). Every draw comes from
+    ``rng``."""
     _check_episode_shape(novel_store, n_way, k_shot, n_query)
     chosen = np.sort(rng.choice(np.array(novel_store.classes), size=n_way, replace=False))
     support = []

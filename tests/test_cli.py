@@ -57,9 +57,13 @@ def test_config_file_rejects_unknown_sections(tmp_path):
     p.write_text(json.dumps({"misc": {}}))
     with pytest.raises(ConfigError):
         load_config_file(p)
-    p.write_text(json.dumps({"optimizer": {"warmup": 5}}))
-    with pytest.raises(ConfigError):
-        resolve_run_config("multi", load_config_file(p), {})
+    for text in ({"optimizer": {"warmup": 5}}, {"protocol": {"memory": True}},
+                 {"data": {"features": "f.csv"}}):
+        p.write_text(json.dumps(text))
+        with pytest.raises(ConfigError, match=str(p)):
+            load_config_file(p)
+        with pytest.raises(ConfigError):
+            resolve_run_config("multi", text, {})
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -67,7 +71,7 @@ def test_config_file_rejects_unknown_sections(tmp_path):
     ("protocol", "rng_seed", 1.0), ("protocol", "memory_enabled", "false"),
     ("regularizer", "alpha", True), ("regularizer", "alpha", "0.1"),
     ("regularizer", "tau", float("nan")), ("optimizer", "learning_rate", float("inf")),
-    ("optimizer", "convergence_tolerance", float("-inf"))])
+    ("optimizer", "convergence_tolerance", float("-inf")), ("regularizer", "kind", 5)])
 def test_config_file_rejects_mistyped_counts_and_flags(tmp_path, section, key, value):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({section: {key: value}}))
@@ -214,14 +218,27 @@ def test_report_rejects_unknown_schema(tmp_path, capsys):
     assert _report_on(tmp_path, capsys, text) == (1, True)
 
 
+def _multi_result(label="m", session=0):
+    return json.dumps({"schema": 1, "protocol": "multi-session", "label": label, "sessions": [
+        {"session": session, "acc_weighted": 50.0,
+         "confusion": {"class_ids": [0], "counts": [[1]]}}]})
+
+
 @pytest.mark.parametrize("text", [
     json.dumps([1, 2]),
     json.dumps({"schema": 1, "protocol": "multi-session"}),
     json.dumps({"schema": 1, "protocol": "single-session", "result": {"acc": 3}}),
     "{not json",
-], ids=["array", "no-sessions", "bad-result", "invalid-json"])
+    _multi_result(label="x/../../escaped"),
+    _multi_result(label=".."),
+    _multi_result(session="1"),
+], ids=["array", "no-sessions", "bad-result", "invalid-json", "label-path", "label-dotdot",
+        "session-string"])
 def test_report_rejects_malformed_result_files(tmp_path, capsys, text):
+    # with confusion_x/ present, the label-path case escaped --out-dir
+    (tmp_path / "rep" / "confusion_x").mkdir(parents=True)
     assert _report_on(tmp_path, capsys, text) == (1, True)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "rep"]
 
 
 def test_resolved_config_is_recorded(fixture_dir, tmp_path):

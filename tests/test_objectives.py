@@ -400,21 +400,19 @@ def test_assemble_gradient_finite_difference_all_kinds():
 
 
 def test_assemble_conflicting_components_rejected():
+    # at most one new-class component, and none in the base session; which
+    # one a run uses is prepare_run's choice, not the objective's
     cfg, obj, weights, batch, registry, anchors = _assembly(kind="subspace")
     basis = orthonormal_basis(list(anchors.matrix))
     targets = {3: np.ones(4), 4: np.ones(4)}
     with pytest.raises(ConfigError):
         Objective(cfg, registry, 1, anchors, basis=basis, targets=targets)
     with pytest.raises(ConfigError):
-        Objective(cfg, registry, 1, anchors)  # subspace kind without a basis
-    sem_cfg = cfg.replace(regularizer_kind="semantic")
+        Objective(cfg, registry, 0, None, basis=basis)
     with pytest.raises(ConfigError):
-        Objective(sem_cfg, registry, 1, anchors, basis=basis, targets=targets)
+        Objective(cfg, registry, 0, None, targets={0: np.ones(4), 1: np.ones(4), 2: np.ones(4)})
     with pytest.raises(MissingTargetError):
-        Objective(sem_cfg, registry, 1, anchors, targets={3: np.ones(4)})
-    ft_cfg = cfg.replace(regularizer_kind="finetune")
-    with pytest.raises(ConfigError):
-        Objective(ft_cfg, registry, 1, anchors, basis=basis)
+        Objective(cfg, registry, 1, anchors, targets={3: np.ones(4)})
 
 
 def test_assemble_missing_snapshot_coverage():

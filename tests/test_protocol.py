@@ -364,8 +364,8 @@ def test_run_episode_perfect_classifier_has_zero_delta():
     episode = protocol_mod.Episode((5,), support, query)
     cfg = RunConfig(regularizer_kind="finetune", alpha=0.0, beta_base=0.0,
                     learning_rate=0.1, max_epochs=30, rng_seed=0)
-    [result] = run_episodes(prepare_run(cfg, w, base_ids, 4), [episode],
-                            [np.random.default_rng(0)])
+    setup = prepare_run(cfg, w, base_ids, 4, None, episode.novel_classes)
+    [result] = run_episodes(setup, [episode], [np.random.default_rng(0)])
     assert result.acc_base_joint == 100.0
     assert result.acc_novel_joint == 100.0
     assert result.delta == 0.0
@@ -388,8 +388,8 @@ def test_degenerate_one_class_dominance_pattern():
     episode = protocol_mod.Episode((5, 6), support, query)
     cfg = RunConfig(regularizer_kind="finetune", alpha=0.0, beta_base=0.0,
                     learning_rate=0.0, max_epochs=1, rng_seed=0)  # imprint only
-    [result] = run_episodes(prepare_run(cfg, w, base_ids, 4), [episode],
-                            [np.random.default_rng(0)])
+    setup = prepare_run(cfg, w, base_ids, 4, None, episode.novel_classes)
+    [result] = run_episodes(setup, [episode], [np.random.default_rng(0)])
     n_way = 2
     assert result.acc_novel_joint == pytest.approx(100.0 / n_way)
     assert result.acc_novel_individual == pytest.approx(100.0 / n_way)
@@ -591,3 +591,30 @@ def test_run_single_session_semantic_and_linmap():
                                     n_episodes=4, n_way=3, k_shot=1, n_query=12,
                                     embeddings=data.embeddings)
         assert result.acc.n == 4
+
+
+@pytest.mark.parametrize("kind, fit", [("semantic", "semantic_targets"),
+                                       ("linmap", "fit_least_squares")])
+def test_run_single_session_builds_targets_once_per_run(monkeypatch, kind, fit):
+    # every novel class's target is built up front, not per episode or chunk
+    base_store, novel_store, bw, cfg, data = _single_setup()
+    calls = []
+    real = getattr(protocol_mod, fit)
+    monkeypatch.setattr(protocol_mod, fit, lambda *a, **k: calls.append(1) or real(*a, **k))
+    monkeypatch.setattr(protocol_mod, "EPISODE_CHUNK", 2)
+    result = run_single_session(base_store, novel_store, bw,
+                                cfg.replace(regularizer_kind=kind, gamma=0.1, tau=0.5),
+                                n_episodes=5, n_way=3, k_shot=1, n_query=12,
+                                embeddings=data.embeddings)
+    assert result.acc.n == 5
+    assert len(calls) == 1
+
+
+def test_run_single_session_zero_temperature_fails_before_sampling(monkeypatch):
+    base_store, novel_store, bw, cfg, data = _single_setup()
+    monkeypatch.setattr(protocol_mod, "sample_episode",
+                        lambda *a, **k: pytest.fail("an episode was sampled"))
+    with pytest.raises(ValidationError, match="temperature must be positive"):
+        run_single_session(base_store, novel_store, bw,
+                           cfg.replace(regularizer_kind="semantic", tau=0.0),
+                           n_episodes=3, n_way=3, embeddings=data.embeddings)
