@@ -18,7 +18,7 @@ import numpy as np
 
 from . import io
 from .config import load_config_file, resolve_run_config
-from .datamodel import REGULARIZER_KINDS, SessionStream
+from .datamodel import REGULARIZER_KINDS, SessionStream, WeightMatrix
 from .errors import ConfigError, EngineError, FormatError
 from .protocol import run_multi_session, run_single_session
 from .synth import SynthSpec, generate, incremental_split
@@ -39,28 +39,22 @@ def _write_json(path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _load_inputs(args, need_manifest: bool):
+def _load_inputs(args):
+    """The feature store and the manifest's session plan (None without one)."""
     store = io.load_feature_store(args.features)
-    registry = None
-    if getattr(args, "manifest", None):
-        _, sessions = io.load_manifest(args.manifest)
-        registry = io.registry_from_manifest(sessions)
-    elif need_manifest:
-        raise ConfigError("this command needs --manifest for the session plan")
-    embeddings = None
-    if getattr(args, "embeddings", None):
-        embeddings = io.load_embeddings_csv(args.embeddings)
-    return store, registry, embeddings
+    if not args.manifest:
+        return store, None
+    return store, io.registry_from_manifest(io.load_manifest(args.manifest)[1])
 
 
-def _resolved_payload(cfg, extra: dict) -> dict:
-    payload = {"schema": RESULT_SCHEMA, "config": cfg.as_dict()}
-    payload.update(extra)
-    return payload
+def _write_result(args, cfg, extra: dict) -> None:
+    """The result file: schema, resolved config, label, then ``extra``."""
+    _write_json(args.out, {"schema": RESULT_SCHEMA, "config": cfg.as_dict(),
+                           "label": args.label or Path(args.out).stem, **extra})
 
 
 def cmd_train_base(args) -> int:
-    store, registry, _ = _load_inputs(args, need_manifest=False)
+    store, registry = _load_inputs(args)
     file_cfg = load_config_file(args.config) if args.config else {}
     cfg = resolve_run_config("multi", file_cfg, {"rng_seed": args.seed})
     base_classes = registry.base_classes if registry is not None else store.classes
@@ -73,16 +67,26 @@ def cmd_train_base(args) -> int:
     return 0
 
 
-def cmd_run_multi(args) -> int:
-    store, registry, embeddings = _load_inputs(args, need_manifest=True)
+def _run_inputs(args, protocol: str) -> tuple[SessionStream, WeightMatrix | None]:
+    """A run's stream (inputs, then the resolved config) and its ingested
+    base weights, None when the protocol is to train them."""
+    store, registry = _load_inputs(args)
+    if registry is None:
+        raise ConfigError("this command needs --manifest for the session plan")
+    embeddings = io.load_embeddings_csv(args.embeddings) if args.embeddings else None
     file_cfg = load_config_file(args.config) if args.config else {}
-    cfg = resolve_run_config("multi", file_cfg, {
+    cfg = resolve_run_config(protocol, file_cfg, {
         "rng_seed": args.seed,
-        "memory_enabled": True if args.memory else None,
+        "memory_enabled": True if getattr(args, "memory", False) else None,
         "regularizer_kind": args.regularizer,
     }, k_shot=args.k_shot)
-    base_weights = io.load_weights_csv(args.base_weights) if args.base_weights else None
     stream = SessionStream(store, registry, cfg, embeddings=embeddings, k_shot=args.k_shot)
+    base_weights = io.load_weights_csv(args.base_weights) if args.base_weights else None
+    return stream, base_weights
+
+
+def cmd_run_multi(args) -> int:
+    stream, base_weights = _run_inputs(args, "multi")
     final_weights: dict = {}
     hook = (lambda t, w: final_weights.update({t: w})) if args.dump_weights else None
     results = run_multi_session(stream, base_weights=base_weights,
@@ -90,50 +94,28 @@ def cmd_run_multi(args) -> int:
                                 on_session_end=hook)
     if args.dump_weights:
         io.save_weights_csv(final_weights[max(final_weights)], args.dump_weights)
-    label = args.label or Path(args.out).stem
-    payload = _resolved_payload(cfg, {
+    _write_result(args, stream.config, {
         "protocol": "multi-session",
-        "label": label,
         "k_shot": args.k_shot,
         "sessions": [r.as_dict() for r in results],
     })
-    _write_json(args.out, payload)
     print(f"wrote {args.out}: {len(results)} sessions, "
           f"final weighted accuracy {results[-1].acc_weighted:.2f}%")
     return 0
 
 
 def cmd_run_single(args) -> int:
-    store, registry, embeddings = _load_inputs(args, need_manifest=True)
-    if registry.n_sessions != 2:
-        raise ConfigError(
-            f"single-session manifest must define sessions 0 and 1, got {registry.n_sessions}")
-    file_cfg = load_config_file(args.config) if args.config else {}
-    cfg = resolve_run_config("single", file_cfg, {
-        "rng_seed": args.seed,
-        "regularizer_kind": args.regularizer,
-    }, k_shot=args.k_shot)
-    base_store = store.restrict(registry.base_classes)
-    novel_store = store.restrict(registry.classes_in(1))
-    if args.base_weights:
-        base_weights = io.load_weights_csv(args.base_weights)
-    else:
-        base_weights, _ = train_base(base_store, registry.base_classes, cfg)
-    result = run_single_session(base_store, novel_store, base_weights, cfg,
-                                n_episodes=args.episodes, n_way=args.n_way,
-                                k_shot=args.k_shot, n_query=args.n_query,
-                                embeddings=embeddings,
+    stream, base_weights = _run_inputs(args, "single")
+    result = run_single_session(stream, base_weights, n_episodes=args.episodes,
+                                n_way=args.n_way, n_query=args.n_query,
                                 keep_episodes=args.keep_episodes)
-    label = args.label or Path(args.out).stem
-    payload = _resolved_payload(cfg, {
+    _write_result(args, stream.config, {
         "protocol": "single-session",
-        "label": label,
         "n_way": args.n_way,
         "k_shot": args.k_shot,
         "n_query": args.n_query,
         "result": result.as_dict(include_episodes=args.keep_episodes),
     })
-    _write_json(args.out, payload)
     print(f"wrote {args.out}: {result.n_episodes} episodes "
           f"({result.n_failed} failed), accuracy {result.acc.mean:.2f}% "
           f"+/- {result.acc.ci95:.2f}, delta {result.delta.mean:.2f}%")

@@ -150,13 +150,16 @@ class FeatureStore:
                 or feats.shape[0] != ids.size:
             raise ValidationError(
                 f"inconsistent row table shapes {ids.shape} / {flags.shape} / {feats.shape}")
-        key = 2 * ids + flags  # one group per (class, split), support first
-        order = np.argsort(key, kind="stable")
-        groups, starts = np.unique(key[order], return_index=True)
+        order = np.lexsort((flags, ids))  # by class, support first; stable
+        ids, flags = ids[order], flags[order]
+        head = np.ones(ids.size, dtype=bool)  # the first row of a (class, split) group
+        head[1:] = (ids[1:] != ids[:-1]) | (flags[1:] != flags[:-1])
+        heads = np.flatnonzero(head)
         support: dict[int, np.ndarray] = {}
         query: dict[int, np.ndarray] = {}
-        for g, rows in zip(groups.tolist(), np.split(order, starts[1:])):
-            (query if g & 1 else support)[g >> 1] = feats[rows]
+        for cid, q, rows in zip(ids[heads].tolist(), flags[heads].tolist(),
+                                np.split(order, heads[1:])):
+            (query if q else support)[cid] = feats[rows]
         return cls(dimension, support, query)
 
     @property
@@ -539,11 +542,11 @@ class LinearMap:
 
 
 class SessionStream:
-    """One run's data: store, session plan, optional embeddings, config.
-
-    ``k_shot`` limits each incremental session's support set to the first k
-    examples per class; the base session always uses the full support pool.
-    """
+    """One run's data, which both protocols take: store, session plan, config,
+    optional embeddings, and ``k_shot``, the support examples per novel class.
+    A multi-session run trains each incremental session on the first k of each
+    class (None: all; the base session uses its full pool); a single-session
+    run needs k, and each episode draws k per class."""
 
     def __init__(self, store: FeatureStore, registry: ClassRegistry, config: RunConfig,
                  embeddings: EmbeddingTable | None = None, k_shot: int | None = None):

@@ -69,10 +69,13 @@ def load_feature_store_csv(path) -> FeatureStore:
             if len(rec) != dim + 2:
                 raise FormatError(f"{path}:{lineno}: expected {dim + 2} fields, got {len(rec)}")
             try:
-                ids.append(int(rec[0]))
+                cid = int(rec[0])
                 feats.append(np.array([float(v) for v in rec[2:]]))
             except ValueError as err:
                 raise FormatError(f"{path}:{lineno}: {err}") from None
+            if not -2**63 <= cid < 2**63:
+                raise FormatError(f"{path}:{lineno}: class id {cid} does not fit 64 bits")
+            ids.append(cid)
             if rec[1] not in _SPLITS:
                 raise FormatError(f"{path}:{lineno}: unknown split {rec[1]!r}")
             is_query.append(rec[1] == "query")

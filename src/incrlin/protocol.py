@@ -1,15 +1,20 @@
 """Evaluation protocols: the multi-session incremental run and the episodic
 single-session run, plus all accuracy / confusion / interference metrics.
 
-The episodic run trains its episodes in chunks of ``EPISODE_CHUNK``. For
-each chunk it samples the episodes and imprints their novel rows, each from
-its own ``SeedSequence((seed, i))`` streams, then fine-tunes the chunk as one
-stack (``trainer.fine_tune_stack``) and scores every episode on its own.
-A failed episode (a sampling shortfall, a diverged fine-tune, or a query set
-that misses the base or the novel group) is counted and left out of the
-aggregates; the rest of its chunk goes on. Aggregates are taken in episode
-order, so the result does not depend on the chunk size. The multi-session
-run fine-tunes one session at a time and raises ``DivergenceError``.
+Both protocols take the run's ``SessionStream`` and optional base weights,
+and start in ``prepare_run``: it checks every input, then fits the base
+weights if none were given, then builds the set-up the run shares.
+
+The episodic run trains its episodes in chunks of as many as fit
+``EPISODE_BUDGET``. For each chunk it samples the episodes and imprints their
+novel rows, each from its own ``SeedSequence((seed, i))`` streams, then
+fine-tunes the chunk as one stack (``trainer.fine_tune_stack``) and scores
+every episode on its own. A failed episode (a sampling shortfall, a diverged
+fine-tune, or a query set that misses the base or the novel group) is counted
+and left out of the aggregates; the rest of its chunk goes on. Aggregates are
+taken in episode order, so the result does not depend on the chunk size. The
+multi-session run fine-tunes one session at a time and raises
+``DivergenceError``.
 
 Accuracies are percentages in [0, 100] throughout.
 """
@@ -24,7 +29,6 @@ from .datamodel import (
     FIXED_TARGET_KINDS,
     Batch,
     ClassRegistry,
-    EmbeddingTable,
     FeatureStore,
     OrthonormalBasis,
     RunConfig,
@@ -45,15 +49,15 @@ from .linalg import fit_least_squares, orthonormal_basis
 from .objectives import Objective, semantic_targets
 from .trainer import fine_tune, fine_tune_stack, init_novel_weights, train_base
 
-# Episodes fine-tuned together as one stack by ``run_single_session``.
-# Results do not depend on it: each episode's arithmetic is its own. Tuned
-# at 5-way 1-shot, d=32 (the step is call overhead there): 24 runs as fast
-# as larger stacks, each member adds ~0.1 MB to peak memory (its share of
-# the step's temporaries), and from ~48 members the temporaries page-fault
-# every step. A member's temporaries grow with C*d: at d=640 (25 rows) the
-# step is arithmetic, chunks of 1, 8 and 24 ran equally fast, and 24 members
-# added ~20 MB to peak memory. Larger shapes are unmeasured.
-EPISODE_CHUNK = 24
+# Weight entries (C * d per episode) fine-tuned together as one stack by
+# ``run_single_session``: a chunk holds max(1, EPISODE_BUDGET // (C * d))
+# episodes. Results do not depend on it: each episode's arithmetic is its own.
+# The budget is 24 episodes of 5-way 1-shot over 20 base classes at d=32
+# (C=25), where the step is call overhead and 24 runs as fast as larger
+# stacks. With 64 base classes at d=640, a stack of 24 ran 1.6-2.2x slower
+# than one episode at a time (its elementwise passes over (E, C, d) outgrow
+# the cache); the budget gives that shape chunks of one.
+EPISODE_BUDGET = 24 * 25 * 32
 
 
 def predict(weights: WeightMatrix, features: np.ndarray,
@@ -175,34 +179,45 @@ class RunSetup:
     targets: dict[int, np.ndarray] | None
 
 
-def prepare_run(config: RunConfig, base_weights: WeightMatrix, base_classes: Iterable[int],
-                dimension: int, embeddings: EmbeddingTable | None,
-                novel_classes: Iterable[int]) -> RunSetup:
-    """Check a run's inputs up front and build its shared set-up.
+def prepare_run(stream: SessionStream, base_weights: WeightMatrix | None,
+                rng: np.random.Generator) -> RunSetup:
+    """Check a run's inputs and build its shared set-up; the only place a run
+    fits its base weights.
 
-    The base weights must have the features' ``dimension`` and cover every
-    base class. An embedding-driven regularizer needs an embedding for every
-    base class and every class of the novel pool. This is the one place the
-    regularizer kind picks the new-class component, built once per run: the
-    subspace basis, or the targets of every novel class (from embedding
-    similarities, or from the fitted linear map).
+    The checks that need no weights come first, so a fault costs no base fit:
+    an embedding-driven regularizer needs an embedding for every class of the
+    session plan, and ``semantic``/``description`` a positive ``tau``. If
+    ``base_weights`` is None, the base rows are then trained on the base
+    support pool from ``rng``. The base weights must have the features'
+    dimension and rows for exactly the base session's classes. This is the
+    one place the regularizer kind picks the new-class component, built once
+    per run: the subspace basis, or the targets of every novel class (from
+    embedding similarities, or from the fitted linear map).
     """
-    if base_weights.dimension != dimension:
-        raise DimensionMismatchError(f"base weights have dimension {base_weights.dimension}, "
-                                     f"features have dimension {dimension}")
-    base = sorted(base_classes)
-    missing = [c for c in base if c not in base_weights]
-    if missing:
-        raise ValidationError(f"base weights lack rows for classes {missing}")
-    snapshot0 = WeightMatrix(base, base_weights.subset(base)).frozen()
+    config, registry, embeddings = stream.config, stream.registry, stream.embeddings
     kind = config.regularizer_kind
-    novel = sorted(novel_classes)
+    base = list(registry.base_classes)
+    novel = [c for c in registry.all_classes if registry.session_of(c) > 0]
     if kind in FIXED_TARGET_KINDS:
         if embeddings is None:
             raise ConfigError(f"{kind} regularization needs an embedding table")
         missing = [c for c in base + novel if c not in embeddings]
         if missing:
             raise MissingEmbeddingError(f"classes {missing} have no embedding")
+    if kind in ("semantic", "description") and config.tau <= 0:
+        raise ValidationError(f"temperature must be positive, got {config.tau}")
+
+    if base_weights is None:
+        base_weights, _ = train_base(stream.store, base, config, rng=rng)
+    if base_weights.dimension != stream.store.dimension:
+        raise DimensionMismatchError(f"base weights have dimension {base_weights.dimension}, "
+                                     f"features have dimension {stream.store.dimension}")
+    missing = sorted(set(base) - set(base_weights.class_ids))
+    extra = sorted(set(base_weights.class_ids) - set(base))
+    if missing or extra:
+        raise ValidationError("base weights must have rows for exactly the base classes; "
+                              f"missing {missing}, extra {extra}")
+    snapshot0 = WeightMatrix(base, base_weights.subset(base)).frozen()
     basis = targets = None
     base_rows = [snapshot0.row(c) for c in base]
     if kind == "subspace":
@@ -238,22 +253,16 @@ def run_multi_session(stream: SessionStream, base_weights: WeightMatrix | None =
                       on_session_end=None) -> list[SessionResult]:
     """Run the incremental protocol over every session of the stream.
 
-    Session 0 scores the base weights (ingested, or trained here on the base
-    support pool); each later session fine-tunes on its support set (plus the
+    Session 0 scores the base weights (given, or trained from the run's
+    generator); each later session fine-tunes on its support set (plus the
     memory when enabled) and is scored on the query pools of every class seen
     so far. Each class's row as it stood after its own session joins the
     anchor table. ``on_session_end(t, weights)`` is called with a frozen
     weight copy after each session, for weight export.
     """
-    config = stream.config
-    registry = stream.registry
+    config, registry = stream.config, stream.registry
     rng = np.random.default_rng(config.rng_seed)
-
-    if base_weights is None:
-        base_weights, _ = train_base(stream.store, registry.base_classes, config, rng=rng)
-    setup = prepare_run(config, base_weights, registry.base_classes, stream.store.dimension,
-                        stream.embeddings,
-                        [c for c in registry.all_classes if registry.session_of(c) > 0])
+    setup = prepare_run(stream, base_weights, rng)
 
     weights = anchors = setup.snapshot0
     memory = None
@@ -290,7 +299,7 @@ class Episode:
 def _check_episode_shape(novel_store: FeatureStore, n_way: int, k_shot: int,
                          n_query: int) -> None:
     for name, value in (("n_way", n_way), ("k_shot", k_shot), ("n_query", n_query)):
-        if value < 1:
+        if value is None or value < 1:
             raise ValidationError(f"{name} must be >= 1, got {value}")
     if len(novel_store.classes) < n_way:
         raise MissingExampleError(
@@ -451,35 +460,34 @@ class SingleSessionResult:
         return out
 
 
-def run_single_session(base_store: FeatureStore, novel_store: FeatureStore,
-                       base_weights: WeightMatrix, config: RunConfig,
-                       n_episodes: int = 2000, n_way: int = 5, k_shot: int = 1,
-                       n_query: int = 50, embeddings: EmbeddingTable | None = None,
+def run_single_session(stream: SessionStream, base_weights: WeightMatrix | None = None,
+                       n_episodes: int = 2000, n_way: int = 5, n_query: int = 50,
                        keep_episodes: bool = False) -> SingleSessionResult:
     """Average episodic evaluation: every episode restarts from the base
     weights, fine-tunes on its own support set, and is scored jointly and per
-    group. The base weights must cover exactly the base store's classes.
-    Episode sizes are checked before any episode runs; failed episodes are
+    group. The stream's plan has sessions 0 (base) and 1 (the novel pool), and
+    each episode draws ``stream.k_shot`` support examples per novel class.
+    Base weights None are trained from ``default_rng(config.rng_seed)``. Every
+    input is checked before any base fit or episode; failed episodes are
     excluded from the aggregates but counted. If every episode fails, the
     error names the first failure."""
+    config, registry, k_shot = stream.config, stream.registry, stream.k_shot
     if config.memory_enabled:
         raise ConfigError("memory replay applies to the multi-session protocol only")
+    if registry.n_sessions != 2:
+        raise ConfigError(f"single-session plan needs sessions 0 and 1, got {registry.n_sessions}")
     if n_episodes < 1:
         raise ValidationError(f"n_episodes must be >= 1, got {n_episodes}")
+    base_store = stream.store.restrict(registry.base_classes)
+    novel_store = stream.store.restrict(registry.classes_in(1))
     _check_episode_shape(novel_store, n_way, k_shot, n_query)
-    if novel_store.dimension != base_store.dimension:
-        raise DimensionMismatchError(f"novel store has dimension {novel_store.dimension}, "
-                                     f"base store has dimension {base_store.dimension}")
-    missing = [c for c in sorted(base_weights.class_ids) if c not in base_store.classes]
-    if missing:
-        raise MissingExampleError(f"base classes {missing} have no query pool")
-    setup = prepare_run(config, base_weights, base_store.classes, base_store.dimension,
-                        embeddings, novel_store.classes)
+    setup = prepare_run(stream, base_weights, np.random.default_rng(config.rng_seed))
+    chunk = max(1, EPISODE_BUDGET // ((len(base_store.classes) + n_way) * base_store.dimension))
 
     ok, first_failure = [], None
-    for start in range(0, n_episodes, EPISODE_CHUNK):
+    for start in range(0, n_episodes, chunk):
         episodes, rngs = [], []
-        for i in range(start, min(start + EPISODE_CHUNK, n_episodes)):
+        for i in range(start, min(start + chunk, n_episodes)):
             ss = np.random.SeedSequence(entropy=(config.rng_seed, i))
             rng_sample, rng_train = (np.random.default_rng(s) for s in ss.spawn(2))
             try:

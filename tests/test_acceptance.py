@@ -22,6 +22,7 @@ from incrlin.datamodel import (
     Batch,
     ClassRegistry,
     RunConfig,
+    SessionStream,
     WeightMatrix,
 )
 from incrlin.linalg import orthonormal_basis, project
@@ -214,17 +215,15 @@ def test_criterion_single_session_harness():
                               query_per_class=25, rng_seed=11))
     base_ids = list(range(20))
     novel_ids = list(range(20, 30))
-    base_store = data.store.restrict(base_ids)
-    novel_store = data.store.restrict(novel_ids)
     base_cfg = RunConfig(regularizer_kind="finetune", alpha=5e-3, learning_rate=0.1,
                          max_epochs=1000, rng_seed=11)
-    base_weights, _ = train_base(base_store, base_ids, base_cfg)
+    base_weights, _ = train_base(data.store.restrict(base_ids), base_ids, base_cfg)
     cfg = RunConfig(regularizer_kind="finetune", alpha=5e-4, learning_rate=0.01,
                     max_epochs=200, rng_seed=11)
+    stream = SessionStream(data.store, ClassRegistry([base_ids, novel_ids]), cfg, k_shot=1)
 
     def run():
-        result = run_single_session(base_store, novel_store, base_weights, cfg,
-                                    n_episodes=200, n_way=5, k_shot=1, n_query=50)
+        result = run_single_session(stream, base_weights, n_episodes=200, n_way=5, n_query=50)
         return json.dumps(result.as_dict(), sort_keys=True).encode()
 
     blob1 = run()

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import incrlin.cli as cli_mod
+import incrlin.protocol as protocol_mod
 from incrlin import io
 from incrlin.cli import main
 from incrlin.config import load_config_file, preset_config, resolve_run_config
@@ -172,6 +174,40 @@ def test_base_weights_of_another_dimension_fail_up_front(fixture_dir, tmp_path, 
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: base weights have dimension 4, features have dimension 6")
+
+
+@pytest.mark.parametrize("command, extra, named", [
+    ("run-single", ["--n-way", "50"], "n_way=50"),
+    ("run-single", ["--k-shot", "0"], "k_shot must be >= 1, got 0"),
+    ("run-single", ["--regularizer", "semantic"], "needs an embedding table"),
+    ("run-multi", ["--regularizer", "semantic"], "needs an embedding table"),
+    ("run-multi", ["--regularizer", "description", "--embeddings", "data/embeddings.csv",
+                   "--config", "tau0.json"], "temperature must be positive"),
+])
+def test_run_faults_are_reported_before_any_base_fit(fixture_dir, tmp_path, capsys,
+                                                     monkeypatch, command, extra, named):
+    labels, _ = io.load_manifest(fixture_dir / "manifest.json")
+    io.save_manifest(tmp_path / "manifest.json", labels, {c: int(c >= 8) for c in range(14)})
+    (tmp_path / "tau0.json").write_text(json.dumps({"regularizer": {"tau": 0.0}}))
+    monkeypatch.chdir(tmp_path)
+    for module in (cli_mod, protocol_mod):
+        monkeypatch.setattr(module, "train_base",
+                            lambda *a, **k: pytest.fail("the base weights were fitted"))
+    rc = main([command, "--features", str(fixture_dir / "features.csv"),
+               "--manifest", str(tmp_path / "manifest.json"),
+               "--out", str(tmp_path / "r.json")] + extra)
+    assert rc == 1
+    assert named in capsys.readouterr().err
+
+
+def test_run_multi_rejects_base_weights_of_non_base_classes(fixture_dir, tmp_path, capsys):
+    weights = tmp_path / "base.csv"
+    io.save_weights_csv(WeightMatrix(range(10), np.ones((10, 6))), weights)
+    rc = main(["run-multi", "--features", str(fixture_dir / "features.csv"),
+               "--manifest", str(fixture_dir / "manifest.json"), "--base-weights", str(weights),
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 1
+    assert "missing [], extra [8, 9]" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_with_usage(capsys):

@@ -96,6 +96,27 @@ def test_feature_binary_rejects_class_ids_beyond_u32(tmp_path):
     assert io.load_feature_store_csv(tmp_path / "big.csv").classes == (2**32,)
 
 
+def test_feature_csv_keeps_class_ids_up_to_int64(tmp_path):
+    # ids past 2**62 group apart, split by split, and survive the CSV round trip
+    big = [2**62, 2**63 - 1, 2**62 + 1]
+    labels = [(big[0], True), (big[1], False), (big[1], True), (big[2], True), (big[0], False)]
+    _write_csv(tmp_path / "in.csv", 2, labels, np.arange(10.0).reshape(5, 2))
+    store = io.load_feature_store_csv(tmp_path / "in.csv")
+    assert store.classes == tuple(sorted(big))
+    np.testing.assert_array_equal(store.support(big[0]), [[8.0, 9.0]])
+    np.testing.assert_array_equal(store.query(big[1]), [[4.0, 5.0]])
+    io.save_feature_store_csv(store, tmp_path / "out.csv")
+    assert io.load_feature_store_csv(tmp_path / "out.csv").classes == store.classes
+
+
+@pytest.mark.parametrize("cid", [2**63, 99999999999999999999, -2**63 - 1])
+def test_feature_csv_class_id_beyond_int64_names_its_line(tmp_path, cid):
+    p = tmp_path / "wide.csv"
+    p.write_text(f"class_id,split,f0\n0,query,1.0\n{cid},query,2.0\n")
+    with pytest.raises(FormatError, match=rf"wide.csv:3: class id {cid} does not fit 64 bits"):
+        io.load_feature_store_csv(p)
+
+
 def test_feature_store_bytes_pinned(tmp_path):
     # digests of both formats as written before the writers were vectorised
     grid = np.arange(1.0, 25.0).reshape(8, 3) / 7.0

@@ -14,7 +14,6 @@ from incrlin.datamodel import (
 )
 from incrlin.errors import (
     ConfigError,
-    DimensionMismatchError,
     EngineError,
     MissingEmbeddingError,
     MissingExampleError,
@@ -342,17 +341,31 @@ def test_run_multi_session_all_regularizer_kinds_run():
 
 # --- single-session runner ----------------------------------------------------------------
 
+# 10 base classes (0-9) and a novel pool of 6 (10-15), d=8
+_SINGLE_PLAN = (tuple(range(10)), tuple(range(10, 16)))
+
+
 def _single_setup(seed=0):
     data = generate(SynthSpec(n_classes=16, dimension=8, rng_seed=seed,
                               support_per_class=8, query_per_class=6))
-    base_ids = list(range(10))
-    novel_ids = list(range(10, 16))
-    base_store = data.store.restrict(base_ids)
-    novel_store = data.store.restrict(novel_ids)
     cfg = RunConfig(regularizer_kind="finetune", alpha=1e-3, learning_rate=0.05,
                     max_epochs=40, rng_seed=7)
-    bw, _ = train_base(base_store, base_ids, cfg)
-    return base_store, novel_store, bw, cfg, data
+    bw, _ = train_base(data.store.restrict(_SINGLE_PLAN[0]), _SINGLE_PLAN[0], cfg)
+    return bw, cfg, data
+
+
+def _single_stream(data, cfg, k_shot=1, embeddings=None, plan=_SINGLE_PLAN, store=None):
+    return SessionStream(data.store if store is None else store, ClassRegistry(plan), cfg,
+                         embeddings=embeddings, k_shot=k_shot)
+
+
+def _episode_stream(episode, base_ids, cfg):
+    """A stream whose store holds the episode's queries and whose plan is the
+    episode's: its base classes, then its novel classes."""
+    q = episode.query
+    store = FeatureStore(q.dimension, {},
+                         {c: q.features[q.class_ids == c] for c in np.unique(q.class_ids).tolist()})
+    return SessionStream(store, ClassRegistry([base_ids, episode.novel_classes]), cfg)
 
 
 def test_run_episode_perfect_classifier_has_zero_delta():
@@ -364,7 +377,7 @@ def test_run_episode_perfect_classifier_has_zero_delta():
     episode = protocol_mod.Episode((5,), support, query)
     cfg = RunConfig(regularizer_kind="finetune", alpha=0.0, beta_base=0.0,
                     learning_rate=0.1, max_epochs=30, rng_seed=0)
-    setup = prepare_run(cfg, w, base_ids, 4, None, episode.novel_classes)
+    setup = prepare_run(_episode_stream(episode, base_ids, cfg), w, np.random.default_rng(0))
     [result] = run_episodes(setup, [episode], [np.random.default_rng(0)])
     assert result.acc_base_joint == 100.0
     assert result.acc_novel_joint == 100.0
@@ -388,7 +401,7 @@ def test_degenerate_one_class_dominance_pattern():
     episode = protocol_mod.Episode((5, 6), support, query)
     cfg = RunConfig(regularizer_kind="finetune", alpha=0.0, beta_base=0.0,
                     learning_rate=0.0, max_epochs=1, rng_seed=0)  # imprint only
-    setup = prepare_run(cfg, w, base_ids, 4, None, episode.novel_classes)
+    setup = prepare_run(_episode_stream(episode, base_ids, cfg), w, np.random.default_rng(0))
     [result] = run_episodes(setup, [episode], [np.random.default_rng(0)])
     n_way = 2
     assert result.acc_novel_joint == pytest.approx(100.0 / n_way)
@@ -399,20 +412,20 @@ def test_degenerate_one_class_dominance_pattern():
 
 
 def test_run_single_session_deterministic():
-    base_store, novel_store, bw, cfg, _ = _single_setup()
-    kw = dict(n_episodes=12, n_way=3, k_shot=1, n_query=16)
-    r1 = run_single_session(base_store, novel_store, bw, cfg, **kw)
-    r2 = run_single_session(base_store, novel_store, bw, cfg, **kw)
+    bw, cfg, data = _single_setup()
+    kw = dict(n_episodes=12, n_way=3, n_query=16)
+    r1 = run_single_session(_single_stream(data, cfg, k_shot=1), bw, **kw)
+    r2 = run_single_session(_single_stream(data, cfg, k_shot=1), bw, **kw)
     assert r1.as_dict() == r2.as_dict()
     assert r1.acc.n == 12 and r1.n_failed == 0
 
 
 def test_run_single_session_rejects_partial_base_weights():
     # base queries of classes without a weight row would be scored as novel
-    base_store, novel_store, bw, cfg, _ = _single_setup()
+    bw, cfg, data = _single_setup()
     partial = WeightMatrix(range(5), bw.subset(range(5)))
     with pytest.raises(ValidationError, match=r"\[5, 6, 7, 8, 9\]"):
-        run_single_session(base_store, novel_store, partial, cfg, n_episodes=2)
+        run_single_session(_single_stream(data, cfg), partial, n_episodes=2)
 
 
 @pytest.mark.parametrize("shape, error, named", [
@@ -423,16 +436,16 @@ def test_run_single_session_rejects_partial_base_weights():
 ])
 def test_run_single_session_checks_episode_shape_first(monkeypatch, shape, error, named):
     # a 6-class novel pool; a bad size is a config fault, not a failed episode
-    base_store, novel_store, bw, cfg, _ = _single_setup()
+    bw, cfg, data = _single_setup()
     monkeypatch.setattr(protocol_mod, "sample_episode",
                         lambda *a, **k: pytest.fail("an episode was sampled"))
     kw = {**dict(n_episodes=3, n_way=3, k_shot=1, n_query=8), **shape}
     with pytest.raises(error, match=named):
-        run_single_session(base_store, novel_store, bw, cfg, **kw)
+        run_single_session(_single_stream(data, cfg, k_shot=kw.pop("k_shot")), bw, **kw)
 
 
 def test_run_single_session_counts_failed_episodes(monkeypatch):
-    base_store, novel_store, bw, cfg, _ = _single_setup()
+    bw, cfg, data = _single_setup()
     calls = {"i": -1}
 
     def flaky(*args, **kwargs):
@@ -442,8 +455,8 @@ def test_run_single_session_counts_failed_episodes(monkeypatch):
         return sample_episode(*args, **kwargs)
 
     monkeypatch.setattr(protocol_mod, "sample_episode", flaky)
-    result = run_single_session(base_store, novel_store, bw, cfg,
-                                n_episodes=6, n_way=3, k_shot=1, n_query=12)
+    result = run_single_session(_single_stream(data, cfg, k_shot=1), bw,
+                                n_episodes=6, n_way=3, n_query=12)
     assert result.n_failed == 1
     assert result.acc.n == 5
 
@@ -471,17 +484,18 @@ def test_run_single_session_does_not_depend_on_chunk_size(monkeypatch, kind, min
     # chunks of one, of three and of every episode give the same result, with
     # the middle episode diverging; a MINI_BATCH of 2 below the 3 support rows
     # sends every member through its own shuffled blocks
-    base_store, novel_store, bw, cfg, data = _single_setup()
+    bw, cfg, data = _single_setup()
     cfg = cfg.replace(regularizer_kind=kind, gamma=0.1, tau=0.5)
     if mini_batch is not None:
         monkeypatch.setattr(trainer_mod, "MINI_BATCH", mini_batch)
 
     def run(chunk):
-        monkeypatch.setattr(protocol_mod, "EPISODE_CHUNK", chunk)
+        # a budget of ``chunk`` episodes of 10 base + 3 novel rows at d=8
+        monkeypatch.setattr(protocol_mod, "EPISODE_BUDGET", chunk * 13 * 8)
         monkeypatch.setattr(protocol_mod, "sample_episode", _diverging_at(3))
-        result = run_single_session(base_store, novel_store, bw, cfg, n_episodes=7, n_way=3,
-                                    k_shot=1, n_query=12, embeddings=data.embeddings,
-                                    keep_episodes=True)
+        result = run_single_session(_single_stream(data, cfg, k_shot=1,
+                                                   embeddings=data.embeddings),
+                                    bw, n_episodes=7, n_way=3, n_query=12, keep_episodes=True)
         return result.as_dict(include_episodes=True)
 
     one, three, every = run(1), run(3), run(8)
@@ -494,20 +508,21 @@ def test_run_single_session_does_not_depend_on_where_novel_ids_sit(kind):
     # base ids 0..9 become the even ids and novel ids 10..15 the odd ids
     # 1..11, each group in its own order: the episodes train on the same
     # old-then-novel rows and give the same result
-    base_store, novel_store, bw, cfg, data = _single_setup()
+    bw, cfg, data = _single_setup()
     cfg = cfg.replace(regularizer_kind=kind, gamma=0.1, tau=0.5)
 
     def run(new_id):
-        def store(s):
-            return FeatureStore(s.dimension, {new_id(c): s.support(c) for c in s.classes},
-                                {new_id(c): s.query(c) for c in s.classes})
-
+        s = data.store
+        store = FeatureStore(s.dimension, {new_id(c): s.support(c) for c in s.classes},
+                             {new_id(c): s.query(c) for c in s.classes})
+        plan = [[new_id(c) for c in classes] for classes in _SINGLE_PLAN]
         weights = WeightMatrix([new_id(c) for c in bw.class_ids], bw.matrix)
         embeddings = EmbeddingTable({new_id(c): data.embeddings.vector(c)
                                      for c in data.embeddings.classes})
-        result = run_single_session(store(base_store), store(novel_store), weights, cfg,
-                                    n_episodes=6, n_way=3, k_shot=1, n_query=12,
-                                    embeddings=embeddings, keep_episodes=True)
+        stream = _single_stream(data, cfg, k_shot=1, embeddings=embeddings, plan=plan,
+                                store=store)
+        result = run_single_session(stream, weights, n_episodes=6, n_way=3, n_query=12,
+                                    keep_episodes=True)
         return result.as_dict(include_episodes=True)
 
     interleaved = run(lambda c: 2 * c if c < 10 else 2 * (c - 10) + 1)
@@ -516,30 +531,23 @@ def test_run_single_session_does_not_depend_on_where_novel_ids_sit(kind):
 
 def test_run_single_session_says_why_every_episode_failed():
     # one query per episode lands in only one of the two groups
-    base_store, novel_store, bw, cfg, _ = _single_setup()
+    bw, cfg, data = _single_setup()
     with pytest.raises(EngineError, match="all 3 episodes failed.*misses one of the groups"):
-        run_single_session(base_store, novel_store, bw, cfg, n_episodes=3, n_way=3, n_query=1)
-
-
-def test_run_single_session_rejects_stores_of_two_dimensions():
-    base_store, novel_store, bw, cfg, _ = _single_setup()
-    wide = FeatureStore(9, {}, {c: np.ones((2, 9)) for c in novel_store.classes})
-    with pytest.raises(DimensionMismatchError, match="dimension 9, base store has dimension 8"):
-        run_single_session(base_store, wide, bw, cfg, n_episodes=2, n_way=3)
+        run_single_session(_single_stream(data, cfg), bw, n_episodes=3, n_way=3, n_query=1)
 
 
 def test_run_single_session_rejects_memory():
-    base_store, novel_store, bw, cfg, _ = _single_setup()
+    bw, cfg, data = _single_setup()
     with pytest.raises(ConfigError):
-        run_single_session(base_store, novel_store, bw,
-                           cfg.replace(memory_enabled=True), n_episodes=2)
+        run_single_session(_single_stream(data, cfg.replace(memory_enabled=True)), bw,
+                           n_episodes=2)
 
 
 def test_run_single_session_semantic_needs_embeddings():
-    base_store, novel_store, bw, cfg, _ = _single_setup()
+    bw, cfg, data = _single_setup()
     with pytest.raises(ConfigError):
-        run_single_session(base_store, novel_store, bw,
-                           cfg.replace(regularizer_kind="semantic"), n_episodes=2)
+        run_single_session(_single_stream(data, cfg.replace(regularizer_kind="semantic")), bw,
+                           n_episodes=2)
 
 
 def _without(embeddings, class_id):
@@ -547,13 +555,13 @@ def _without(embeddings, class_id):
 
 
 def test_missing_embedding_raises_before_any_work():
-    base_store, novel_store, bw, cfg, data = _single_setup()
+    bw, cfg, data = _single_setup()
     for kind in ("semantic", "description", "linmap"):
         for missing in (3, 12):  # a base class, then a class of the novel pool
             with pytest.raises(MissingEmbeddingError, match=rf"\[{missing}\]"):
-                run_single_session(base_store, novel_store, bw,
-                                   cfg.replace(regularizer_kind=kind), n_episodes=4,
-                                   n_way=3, embeddings=_without(data.embeddings, missing))
+                stream = _single_stream(data, cfg.replace(regularizer_kind=kind),
+                                        embeddings=_without(data.embeddings, missing))
+                run_single_session(stream, bw, n_episodes=4, n_way=3)
     data, registry, cfg, _ = _bench_setup(kind="semantic")
     bw, _ = train_base(data.store.restrict(registry.base_classes),
                        registry.base_classes, cfg)
@@ -584,12 +592,11 @@ def test_session_confusion_matches_public_confusion_matrix():
 
 
 def test_run_single_session_semantic_and_linmap():
-    base_store, novel_store, bw, cfg, data = _single_setup()
+    bw, cfg, data = _single_setup()
     for kind in ("semantic", "linmap"):
-        result = run_single_session(base_store, novel_store, bw,
-                                    cfg.replace(regularizer_kind=kind, gamma=0.1, tau=0.5),
-                                    n_episodes=4, n_way=3, k_shot=1, n_query=12,
-                                    embeddings=data.embeddings)
+        stream = _single_stream(data, cfg.replace(regularizer_kind=kind, gamma=0.1, tau=0.5),
+                                k_shot=1, embeddings=data.embeddings)
+        result = run_single_session(stream, bw, n_episodes=4, n_way=3, n_query=12)
         assert result.acc.n == 4
 
 
@@ -597,24 +604,88 @@ def test_run_single_session_semantic_and_linmap():
                                        ("linmap", "fit_least_squares")])
 def test_run_single_session_builds_targets_once_per_run(monkeypatch, kind, fit):
     # every novel class's target is built up front, not per episode or chunk
-    base_store, novel_store, bw, cfg, data = _single_setup()
+    bw, cfg, data = _single_setup()
     calls = []
     real = getattr(protocol_mod, fit)
     monkeypatch.setattr(protocol_mod, fit, lambda *a, **k: calls.append(1) or real(*a, **k))
-    monkeypatch.setattr(protocol_mod, "EPISODE_CHUNK", 2)
-    result = run_single_session(base_store, novel_store, bw,
-                                cfg.replace(regularizer_kind=kind, gamma=0.1, tau=0.5),
-                                n_episodes=5, n_way=3, k_shot=1, n_query=12,
-                                embeddings=data.embeddings)
+    monkeypatch.setattr(protocol_mod, "EPISODE_BUDGET", 2 * 13 * 8)  # chunks of 2 episodes
+    stream = _single_stream(data, cfg.replace(regularizer_kind=kind, gamma=0.1, tau=0.5),
+                            k_shot=1, embeddings=data.embeddings)
+    result = run_single_session(stream, bw, n_episodes=5, n_way=3, n_query=12)
     assert result.acc.n == 5
     assert len(calls) == 1
 
 
 def test_run_single_session_zero_temperature_fails_before_sampling(monkeypatch):
-    base_store, novel_store, bw, cfg, data = _single_setup()
+    bw, cfg, data = _single_setup()
     monkeypatch.setattr(protocol_mod, "sample_episode",
                         lambda *a, **k: pytest.fail("an episode was sampled"))
     with pytest.raises(ValidationError, match="temperature must be positive"):
-        run_single_session(base_store, novel_store, bw,
-                           cfg.replace(regularizer_kind="semantic", tau=0.0),
-                           n_episodes=3, n_way=3, embeddings=data.embeddings)
+        stream = _single_stream(data, cfg.replace(regularizer_kind="semantic", tau=0.0),
+                                embeddings=data.embeddings)
+        run_single_session(stream, bw, n_episodes=3, n_way=3)
+
+
+# --- one run entry: every check before the base fit ----------------------------------
+
+_BOTH_PROTOCOL_FAULTS = ("semantic without embeddings", "missing embedding", "tau 0", "k_shot 0")
+
+
+@pytest.mark.parametrize("protocol, fault", [
+    *[(p, f) for p in ("single", "multi") for f in _BOTH_PROTOCOL_FAULTS],
+    ("single", "n_way above the pool"),
+    ("single", "memory"),
+])
+def test_a_faulty_run_fails_before_any_base_fit(monkeypatch, protocol, fault):
+    data = generate(SynthSpec(n_classes=16, dimension=8, rng_seed=0,
+                              support_per_class=8, query_per_class=6))
+    plan = _SINGLE_PLAN if protocol == "single" else incremental_split(16, 10, 3)
+    cfg = RunConfig(regularizer_kind="semantic", tau=0.5, learning_rate=0.05, rng_seed=7)
+    embeddings, k_shot, n_way = data.embeddings, 1, 3
+    if fault == "semantic without embeddings":
+        embeddings, error = None, ConfigError
+    elif fault == "missing embedding":
+        embeddings, error = _without(data.embeddings, 12), MissingEmbeddingError
+    elif fault == "tau 0":
+        cfg, error = cfg.replace(tau=0.0), ValidationError
+    elif fault == "k_shot 0":
+        k_shot, error = 0, ValidationError
+    elif fault == "n_way above the pool":
+        n_way, error = 7, MissingExampleError
+    else:
+        cfg, error = cfg.replace(memory_enabled=True), ConfigError
+    monkeypatch.setattr(protocol_mod, "train_base",
+                        lambda *a, **k: pytest.fail("the base weights were fitted"))
+    with pytest.raises(error):
+        stream = _single_stream(data, cfg, k_shot=k_shot, embeddings=embeddings, plan=plan)
+        if protocol == "single":
+            run_single_session(stream, n_episodes=3, n_way=n_way, n_query=8)
+        else:
+            run_multi_session(stream)
+
+
+def test_run_single_session_fits_missing_base_weights_from_the_run_seed(monkeypatch):
+    # base weights None: one fit, the same as ``train_base`` at the config's seed
+    bw, cfg, data = _single_setup()
+    kw = dict(n_episodes=4, n_way=3, n_query=12, keep_episodes=True)
+    given = run_single_session(_single_stream(data, cfg), bw, **kw)
+    fits = []
+    monkeypatch.setattr(protocol_mod, "train_base",
+                        lambda *a, **k: fits.append(1) or train_base(*a, **k))
+    fitted = run_single_session(_single_stream(data, cfg), **kw)
+    assert len(fits) == 1
+    assert fitted.as_dict(include_episodes=True) == given.as_dict(include_episodes=True)
+
+
+@pytest.mark.parametrize("protocol", ["single", "multi"])
+def test_base_weights_of_non_base_classes_are_rejected(protocol):
+    # a row for a novel class is an input fault in both protocols, named
+    bw, cfg, data = _single_setup()
+    plan = _SINGLE_PLAN if protocol == "single" else incremental_split(16, 10, 3)
+    stream = _single_stream(data, cfg, plan=plan)
+    extra = bw.with_rows({12: np.ones(8), 14: np.ones(8)})
+    with pytest.raises(ValidationError, match=r"missing \[\], extra \[12, 14\]"):
+        if protocol == "single":
+            run_single_session(stream, extra, n_episodes=2, n_way=3)
+        else:
+            run_multi_session(stream, base_weights=extra)
