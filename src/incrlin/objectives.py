@@ -10,6 +10,13 @@ of E same-shaped sessions at once, so many small episodes cost one call.
 session as a stack of one, and ``Objective.evaluate_dense`` is the
 stack-of-one view.
 
+The rows are held in coordinates. In weight coordinates they are the (C, d)
+weights. In span coordinates a row is a combination of a session's spanning
+rows B plus its own start and anchor rows, and the stack carries their Gram
+products; the gradient is returned in the same coordinates, so one SGD step is
+the same update either way. Weight coordinates are the B = I_d case of the
+same body: the Gram products are skipped, not multiplied by an identity.
+
 Every session lays out its weight rows in one order: the old classes
 (ascending), then the session's novel classes (ascending). The penalties only
 need to know which rows are old (anchored by r_old) and which are novel
@@ -74,8 +81,9 @@ class ObjectiveTerms:
 
     ``total`` = data_loss + alpha * r_prior + r_old + gamma * r_new, where
     r_old already carries its beta weights and r_new is raw. For a stack the
-    terms are (E,) arrays and the gradient is (E, C, d); for one session they
-    are floats and the gradient is (C, d), rows in the objective's layout.
+    terms are (E,) arrays and the gradient is (E, C, q) in the stack's
+    coordinates; for one session they are floats and the gradient is (C, d),
+    rows in the objective's layout.
     """
 
     __slots__ = ("data_loss", "r_prior", "r_old", "r_new", "total", "gradient_matrix")
@@ -92,58 +100,102 @@ class ObjectiveTerms:
 class ObjectiveStack:
     """The objectives of E same-shaped sessions (members), evaluated at once.
 
-    Member e trains a (C, d) weight matrix whose rows are laid out old classes
-    first, then novel classes. The first ``n_old`` rows are anchored to
-    ``anchors[e]`` with weights ``betas[e]``; the rows after them are pulled
-    toward the shared subspace ``basis`` or toward ``targets[e]``, and with
-    neither r_new is 0. Both groups are plain slices of every member, whatever
-    its class ids. Every product is a per-member ``matmul`` and every sum runs
-    over one member's own entries, so a member's terms and gradient do not
-    depend on the other members of the stack.
+    Member e trains C weight rows, laid out old classes first, then novel
+    classes, each held as coordinates of width q. The first ``n_old`` rows are
+    anchored to ``anchors[e]`` with weights ``betas[e]``; the rows after them
+    are pulled toward ``targets[e]``, or toward the base span: the
+    ``projection`` pair (U, V) maps rows x to their projections (x U) Vᵀ. With
+    neither, r_new is 0. Both groups are plain slices of every member,
+    whatever its class ids. Every product is a per-member ``matmul`` and every
+    sum runs over one member's own entries, so a member's terms and gradient
+    do not depend on the other members of the stack.
+
+    Without a ``gram`` the coordinates are the weights themselves (q = d):
+    features are (E, n, d), anchors and targets are rows of R^d and the
+    projection is (P, P) for the orthonormal basis P. With a ``gram`` the
+    stack is in span coordinates, built by ``trainer.fine_tune_stack``: a row
+    is x_B · B + s·w0 + t·a, with B the member's (r, d) spanning rows, w0 and a
+    the row's start and anchor (both zero for novel rows), and x = (x_B, s, t)
+    of width q = r + 2. ``gram`` is B Bᵀ zero-padded to (E, q, q); ``own`` is
+    (E, 2, C, q), for each row the products of its start and anchor with the
+    rows of B (doubled) and with each other. A row's squared norm is then
+    x · (x ``gram`` + (s, t) ``own``). Each feature row is given as its products
+    with B, its coordinates, and its products with every row's start and
+    anchor: (E, n, 2q + 2C).
     """
 
-    __slots__ = ("config", "n_old", "anchors", "betas", "basis", "targets")
+    __slots__ = ("config", "n_old", "anchors", "betas", "projection", "targets", "gram", "own",
+                 "_anchor_image")
 
     def __init__(self, config: RunConfig, anchors: np.ndarray, betas: np.ndarray,
-                 basis: OrthonormalBasis | None = None, targets: np.ndarray | None = None):
+                 projection: tuple[np.ndarray, np.ndarray] | None = None,
+                 targets: np.ndarray | None = None,
+                 gram: np.ndarray | None = None, own: np.ndarray | None = None):
         self.config = config
-        self.anchors = anchors        # (E, n_old, d), or (E, 0, 0) without old rows
+        self.anchors = anchors        # (E, n_old, q); (E, 0, 0) without old rows
         self.betas = betas            # (E, n_old)
         self.n_old = betas.shape[1]
-        self.basis = basis
-        self.targets = targets        # (E, C - n_old, d) or None
+        self.projection = projection
+        self.targets = targets        # (E, C - n_old, q) or None
+        self.gram = gram
+        self.own = own
+        self._anchor_image = self._gram(anchors, slice(0, self.n_old))
 
     @classmethod
     def concat(cls, stacks: Sequence["ObjectiveStack"]) -> "ObjectiveStack":
         """One stack of every member of ``stacks``, in order. They must share
-        the config, the kind of new-class pull and every shape."""
+        the config, the kind of new-class pull and every shape, and be in
+        weight coordinates."""
         first = stacks[0]
         for s in stacks[1:]:
             if s._layout() != first._layout() or (
-                    s.basis is not None and not np.array_equal(s.basis.matrix, first.basis.matrix)):
+                    s.projection is not None
+                    and not np.array_equal(s.projection[0], first.projection[0])):
                 raise ValidationError("stacked objectives need the same config, "
                                       "regularizer and shapes")
         targets = None if first.targets is None else np.concatenate([s.targets for s in stacks])
         return cls(first.config, np.concatenate([s.anchors for s in stacks]),
-                   np.concatenate([s.betas for s in stacks]), first.basis, targets)
+                   np.concatenate([s.betas for s in stacks]), first.projection, targets)
 
     def _layout(self) -> tuple:
-        return (self.config, self.basis is None, self.anchors.shape[1:],
+        return (self.config, self.projection is None, self.anchors.shape[1:],
                 None if self.targets is None else self.targets.shape[1:])
 
     def take(self, members) -> "ObjectiveStack":
         """The sub-stack of the given members (an index or boolean mask)."""
-        return ObjectiveStack(self.config, self.anchors[members], self.betas[members], self.basis,
-                              None if self.targets is None else self.targets[members])
+        pick = lambda a: None if a is None else a[members]  # noqa: E731
+        return ObjectiveStack(self.config, self.anchors[members], self.betas[members],
+                              self.projection, pick(self.targets), pick(self.gram), pick(self.own))
+
+    def _gram(self, v: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        """The image of coordinates ``v`` (E, R, q), of the given rows, under
+        the row Gram: the row-wise dot of the image with ``v`` is each row's
+        squared norm. In weight coordinates the Gram is the identity and
+        ``v`` is returned as it is."""
+        if self.gram is None:
+            return v
+        image = v @ self.gram
+        image += v[..., -2:-1] * self.own[:, 0, rows]
+        image += v[..., -1:] * self.own[:, 1, rows]
+        return image
 
     def evaluate(self, m: np.ndarray, feats: np.ndarray, label_pos: np.ndarray) -> ObjectiveTerms:
-        """Terms and gradients of every member: weights ``m`` (E, C, d),
-        features (E, n, d) and label row positions (E, n)."""
+        """Terms and gradients of every member: coordinates ``m`` (E, C, q),
+        feature rows (E, n, d) or (E, n, 2q + 2C) and label row positions
+        (E, n)."""
         cfg = self.config
         n_members, n = label_pos.shape
         members, rows = np.arange(n_members)[:, None], np.arange(n)
 
-        logits = feats @ m.transpose(0, 2, 1)
+        if self.gram is None:
+            fc = feats  # the rows' coordinates
+            logits = feats @ m.transpose(0, 2, 1)
+        else:
+            c, q = m.shape[1:]
+            fc, fo = feats[..., q:2 * q], feats[..., 2 * q:]
+            logits = feats[..., :q] @ m.transpose(0, 2, 1)
+            logits += fo[..., :c] * m[:, None, :, -2]
+            logits += fo[..., c:] * m[:, None, :, -1]
         logits -= logits.max(axis=2, keepdims=True)
         expl = np.exp(logits)
         z = expl.sum(axis=2)
@@ -151,9 +203,10 @@ class ObjectiveStack:
         data_loss = (np.log(z) - logits[members, rows, label_pos]).sum(axis=1) / n
         p = expl / z[:, :, None]
         p[members, rows, label_pos] -= 1.0
-        grad = p.transpose(0, 2, 1) @ feats / n
+        grad = p.transpose(0, 2, 1) @ fc / n
 
-        rp = (m * m).reshape(n_members, -1).sum(axis=1)
+        m_image = self._gram(m)
+        rp = (m_image * m).reshape(n_members, -1).sum(axis=1)
         if cfg.alpha != 0.0:
             grad += (2.0 * cfg.alpha) * m
         # total = data_loss + alpha * rp + ro + gamma * rn, in that order; an
@@ -164,19 +217,20 @@ class ObjectiveStack:
 
         if k:
             diff = m[:, :k] - self.anchors
-            sq = (diff * diff).sum(axis=2)
+            image = diff if self.gram is None else m_image[:, :k] - self._anchor_image
+            sq = (image * diff).sum(axis=2)
             ro = (sq[:, None, :] @ self.betas[:, :, None])[:, 0, 0]
             grad[:, :k] += (2.0 * self.betas)[:, :, None] * diff
             total += ro
 
-        if m.shape[1] > k and (self.basis is not None or self.targets is not None):
+        if m.shape[1] > k and (self.projection is not None or self.targets is not None):
             mn = m[:, k:]
-            if self.basis is not None:
-                p = self.basis.matrix
-                resid = mn - (mn @ p) @ p.T
+            if self.projection is not None:
+                u, v = self.projection
+                resid = mn - (mn @ u) @ v.T
             else:
                 resid = mn - self.targets
-            rn = (resid * resid).reshape(n_members, -1).sum(axis=1)
+            rn = (self._gram(resid, slice(k, None)) * resid).reshape(n_members, -1).sum(axis=1)
             if cfg.gamma != 0.0:
                 grad[:, k:] += (2.0 * cfg.gamma) * resid
             total += cfg.gamma * rn
@@ -238,7 +292,8 @@ class Objective:
             raise DimensionMismatchError(f"inconsistent component dimensions {sorted(dims)}")
 
         self.stack = ObjectiveStack(
-            config, anchor_matrix[None], np.array(betas, dtype=np.float64)[None], basis,
+            config, anchor_matrix[None], np.array(betas, dtype=np.float64)[None],
+            None if basis is None else (basis.matrix, basis.matrix),
             None if target_matrix is None else target_matrix[None])
 
     def label_rows(self, class_ids: np.ndarray) -> np.ndarray:

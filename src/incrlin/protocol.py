@@ -56,7 +56,11 @@ from .trainer import fine_tune, fine_tune_stack, init_novel_weights, train_base
 # (C=25), where the step is call overhead and 24 runs as fast as larger
 # stacks. With 64 base classes at d=640, a stack of 24 ran 1.6-2.2x slower
 # than one episode at a time (its elementwise passes over (E, C, d) outgrow
-# the cache); the budget gives that shape chunks of one.
+# the cache); the budget gives that shape chunks of one. The chunk is still
+# sized on C * d when the episodes train in span coordinates (5-way episodes at
+# d=640 do, see ``trainer.use_span``), though a step there costs O(C * r): the
+# stack's set-up and its final weights are still (E, C, d), and no benchmark
+# workload runs span-coordinate episodes to measure a budget on C * r.
 EPISODE_BUDGET = 24 * 25 * 32
 
 
@@ -180,13 +184,17 @@ class RunSetup:
 
 
 def prepare_run(stream: SessionStream, base_weights: WeightMatrix | None,
-                rng: np.random.Generator) -> RunSetup:
+                rng: np.random.Generator, every_session: bool = False) -> RunSetup:
     """Check a run's inputs and build its shared set-up; the only place a run
     fits its base weights.
 
     The checks that need no weights come first, so a fault costs no base fit:
     an embedding-driven regularizer needs an embedding for every class of the
-    session plan, and ``semantic``/``description`` a positive ``tau``. If
+    session plan, and ``semantic``/``description`` a positive ``tau``. A run
+    that trains ``every_session`` of the plan (the multi-session protocol)
+    needs ``k_shot`` support examples of every novel class; an episodic run
+    samples its classes, and a short pool fails only the episodes that draw
+    it. If
     ``base_weights`` is None, the base rows are then trained on the base
     support pool from ``rng``. The base weights must have the features'
     dimension and rows for exactly the base session's classes. This is the
@@ -206,6 +214,12 @@ def prepare_run(stream: SessionStream, base_weights: WeightMatrix | None,
             raise MissingEmbeddingError(f"classes {missing} have no embedding")
     if kind in ("semantic", "description") and config.tau <= 0:
         raise ValidationError(f"temperature must be positive, got {config.tau}")
+    if every_session and stream.k_shot is not None:
+        for c in novel:
+            pool = stream.store.support(c).shape[0]
+            if pool < stream.k_shot:
+                raise MissingExampleError(f"class {c} has {pool} support examples, "
+                                          f"need k_shot={stream.k_shot}")
 
     if base_weights is None:
         base_weights, _ = train_base(stream.store, base, config, rng=rng)
@@ -262,7 +276,7 @@ def run_multi_session(stream: SessionStream, base_weights: WeightMatrix | None =
     """
     config, registry = stream.config, stream.registry
     rng = np.random.default_rng(config.rng_seed)
-    setup = prepare_run(stream, base_weights, rng)
+    setup = prepare_run(stream, base_weights, rng, every_session=True)
 
     weights = anchors = setup.snapshot0
     memory = None

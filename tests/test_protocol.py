@@ -635,13 +635,14 @@ _BOTH_PROTOCOL_FAULTS = ("semantic without embeddings", "missing embedding", "ta
     *[(p, f) for p in ("single", "multi") for f in _BOTH_PROTOCOL_FAULTS],
     ("single", "n_way above the pool"),
     ("single", "memory"),
+    ("multi", "k_shot above a novel pool"),
 ])
 def test_a_faulty_run_fails_before_any_base_fit(monkeypatch, protocol, fault):
     data = generate(SynthSpec(n_classes=16, dimension=8, rng_seed=0,
                               support_per_class=8, query_per_class=6))
     plan = _SINGLE_PLAN if protocol == "single" else incremental_split(16, 10, 3)
     cfg = RunConfig(regularizer_kind="semantic", tau=0.5, learning_rate=0.05, rng_seed=7)
-    embeddings, k_shot, n_way = data.embeddings, 1, 3
+    embeddings, k_shot, n_way, named = data.embeddings, 1, 3, None
     if fault == "semantic without embeddings":
         embeddings, error = None, ConfigError
     elif fault == "missing embedding":
@@ -652,11 +653,14 @@ def test_a_faulty_run_fails_before_any_base_fit(monkeypatch, protocol, fault):
         k_shot, error = 0, ValidationError
     elif fault == "n_way above the pool":
         n_way, error = 7, MissingExampleError
+    elif fault == "k_shot above a novel pool":
+        k_shot, error = 9, MissingExampleError
+        named = "class 10 has 8 support examples, need k_shot=9"
     else:
         cfg, error = cfg.replace(memory_enabled=True), ConfigError
     monkeypatch.setattr(protocol_mod, "train_base",
                         lambda *a, **k: pytest.fail("the base weights were fitted"))
-    with pytest.raises(error):
+    with pytest.raises(error, match=named):
         stream = _single_stream(data, cfg, k_shot=k_shot, embeddings=embeddings, plan=plan)
         if protocol == "single":
             run_single_session(stream, n_episodes=3, n_way=n_way, n_query=8)

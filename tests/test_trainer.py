@@ -3,22 +3,30 @@ import dataclasses
 import numpy as np
 import pytest
 
+import incrlin.protocol as protocol_mod
+import incrlin.trainer as trainer_mod
 from incrlin.datamodel import (
+    FIXED_TARGET_KINDS,
     Batch,
     ClassRegistry,
+    FeatureStore,
     RunConfig,
+    SessionStream,
     WeightMatrix,
 )
 from incrlin.errors import DivergenceError, MissingExampleError
 from incrlin.linalg import orthonormal_basis
 from incrlin.objectives import Objective, ObjectiveStack
+from incrlin.protocol import run_multi_session
 from incrlin.trainer import (
     MINI_BATCH,
     _epoch_order,
     fine_tune,
     fine_tune_stack,
     init_novel_weights,
+    span_width,
     train_base,
+    use_span,
 )
 from incrlin.synth import SynthSpec, generate
 
@@ -195,21 +203,28 @@ def test_smoothed_epoch_loss_non_increasing_on_fixture(monkeypatch):
 
 # --- stacks -----------------------------------------------------------------------
 
-def _stack_problem(n=100, seed=3):
-    """A session-1 subspace problem over n support rows (> MINI_BATCH at the
-    default n, so every epoch is shuffled into blocks). The base rows, and so
-    the basis, are the same for every seed."""
-    d = 4
-    base = np.random.default_rng(0).standard_normal((2, d))
+def _stack_problem(n=100, seed=3, kind="subspace", d=4):
+    """A session-1 problem over n support rows (> MINI_BATCH at the default
+    n, so every epoch is shuffled into blocks), pulled toward the base span,
+    or toward fixed targets for the embedding kinds. The base rows, and so
+    the basis, are the same for every seed. Entries are scaled by sqrt(4 / d),
+    so row norms do not grow with d."""
+    scale = np.sqrt(4 / d)
+    base = np.random.default_rng(0).standard_normal((2, d)) * scale
     rng = np.random.default_rng(seed)
     registry = ClassRegistry([(0, 1), (2, 3)])
     anchors = WeightMatrix([0, 1], base)
-    cfg = RunConfig(regularizer_kind="subspace", alpha=1e-3, beta_base=0.1, gamma=0.2,
+    cfg = RunConfig(regularizer_kind=kind, alpha=1e-3, beta_base=0.1, gamma=0.2,
                     learning_rate=0.05, max_epochs=120, convergence_tolerance=3e-3,
                     patience_epochs=3, rng_seed=0)
-    obj = Objective(cfg, registry, 1, anchors, basis=orthonormal_basis(list(base)))
-    w0 = WeightMatrix([0, 1, 2, 3], np.vstack([base, rng.standard_normal((2, d))]))
-    data = Batch(rng.standard_normal((n, d)), rng.integers(0, 4, size=n))
+    w0 = WeightMatrix([0, 1, 2, 3], np.vstack([base, rng.standard_normal((2, d)) * scale]))
+    data = Batch(rng.standard_normal((n, d)) * scale, rng.integers(0, 4, size=n))
+    if kind == "subspace":
+        obj = Objective(cfg, registry, 1, anchors, basis=orthonormal_basis(list(base)))
+    else:
+        targets = ({c: rng.standard_normal(d) * scale for c in (2, 3)}
+                   if kind in FIXED_TARGET_KINDS else None)
+        obj = Objective(cfg, registry, 1, anchors, targets=targets)
     return cfg, obj, w0, data
 
 
@@ -221,10 +236,9 @@ def _same_run(a, b):
     assert ra.final_loss == rb.final_loss
 
 
-def test_stack_members_match_solo_runs_on_shuffled_blocks():
+def _stack_matches_solo(problems):
     # three members with their own data and rngs stop at their own epochs;
     # each is bit-identical to fine-tuning it alone
-    problems = [_stack_problem(seed=s) for s in (3, 4, 5)]
     cfg = problems[0][0]
     stacked = fine_tune_stack([p[2] for p in problems], [p[1] for p in problems],
                               [p[3] for p in problems], cfg,
@@ -234,6 +248,16 @@ def test_stack_members_match_solo_runs_on_shuffled_blocks():
     for a, b in zip(stacked, solo):
         _same_run(a, b)
     assert len({r.epochs_run for _, r in solo}) > 1  # members stopped at different epochs
+
+
+def test_stack_members_match_solo_runs_on_shuffled_blocks():
+    _stack_matches_solo([_stack_problem(seed=s) for s in (3, 4, 5)])
+
+
+def test_stack_members_match_solo_runs_in_span_coordinates():
+    d = 4 * span_width(100, 2, projected=True, targets=False)
+    assert use_span(span_width(100, 2, projected=True, targets=False), d)
+    _stack_matches_solo([_stack_problem(seed=s, d=d) for s in (3, 4, 14)])  # 51, 52, 50 epochs
 
 
 def _rows_with_labels(feats, label_pos):
@@ -356,3 +380,120 @@ def test_full_batch_sgd_matches_reference_implementation():
         grad[2] += 2.0 * gamma * resid
         w -= lr * grad
     np.testing.assert_allclose(trained.matrix, w, atol=1e-10)
+
+
+# --- span coordinates against weight coordinates -------------------------------------
+
+_KINDS = ("finetune", "subspace", "semantic", "description", "linmap")
+
+
+def _both_bodies(monkeypatch, run):
+    """``run()`` with the selection rule forced to weight coordinates, then to
+    span coordinates; each run must step in the coordinates it was sent to."""
+    results, spans = [], []
+    evaluate = ObjectiveStack.evaluate
+
+    def spy(self, m, feats, label_pos):
+        spans.append(self.gram is not None)
+        return evaluate(self, m, feats, label_pos)
+
+    monkeypatch.setattr(ObjectiveStack, "evaluate", spy)
+    for span in (False, True):
+        monkeypatch.setattr(trainer_mod, "use_span", lambda width, dimension: span)
+        spans.clear()
+        results.append(run())
+        assert spans and set(spans) == {span}
+    return results
+
+
+def _close_runs(weight_run, span_run):
+    """The same stop epoch and outcome, and weights within 1e-12 of the
+    largest entry."""
+    (wa, ra), (wb, rb) = weight_run, span_run
+    assert (ra.epochs_run, ra.converged, ra.diverged) == (rb.epochs_run, rb.converged, rb.diverged)
+    if ra.diverged:
+        assert wa is None and wb is None
+        return
+    assert wa.class_ids == wb.class_ids
+    assert np.abs(wb.matrix - wa.matrix).max() <= 1e-12 * np.abs(wa.matrix).max()
+
+
+@pytest.mark.parametrize("memory", [False, True])
+@pytest.mark.parametrize("kind", _KINDS)
+def test_span_coordinates_match_weight_coordinates_over_a_run(monkeypatch, kind, memory):
+    # three sessions, so the base rows start session 2 away from their
+    # anchors; class 8's first four support rows are v, -v, w, -w, so its
+    # mean is zero and its start row is a random one; with memory, a
+    # MINI_BATCH of 8 below the 14 and 16 rows shuffles every epoch into blocks
+    data = generate(SynthSpec(n_classes=10, dimension=12, rng_seed=5,
+                              support_per_class=6, query_per_class=3))
+    support = {c: data.store.support(c) for c in data.store.classes}
+    support[8] = np.repeat(support[8][:3], 2, axis=0) * np.array([1.0, -1.0] * 3)[:, None]
+    store = FeatureStore(12, support, {c: data.store.query(c) for c in data.store.classes})
+    registry = ClassRegistry([range(6), (6, 7), (8, 9)])
+    cfg = RunConfig(regularizer_kind=kind, alpha=1e-3, beta_base=0.2, beta_prev_novel=0.1,
+                    gamma=0.3, tau=0.5, learning_rate=0.05, max_epochs=400, rng_seed=5,
+                    memory_enabled=memory)
+    bw, _ = train_base(store.restrict(range(6)), range(6), cfg.replace(regularizer_kind="finetune"))
+    stream = SessionStream(store, registry, cfg, embeddings=data.embeddings, k_shot=4)
+    if memory:
+        monkeypatch.setattr(trainer_mod, "MINI_BATCH", 8)
+    fallbacks = []
+    init = protocol_mod.init_novel_weights
+
+    def run():
+        trained = []
+
+        def recording(*args, **kwargs):
+            trained.append(fine_tune(*args, **kwargs))
+            return trained[-1]
+
+        monkeypatch.setattr(protocol_mod, "fine_tune", recording)
+        run_multi_session(stream, base_weights=bw)
+        return trained
+
+    def spy_init(support, norms, rng, classes=None):
+        rows = init(support, norms, rng, classes=classes)
+        fallbacks.extend(c for c in rows if np.linalg.norm(support.features[
+            support.class_ids == c].mean(axis=0)) == 0.0)
+        return rows
+
+    monkeypatch.setattr(protocol_mod, "init_novel_weights", spy_init)
+    weight_runs, span_runs = _both_bodies(monkeypatch, run)
+    assert fallbacks == [8, 8]
+    assert len(weight_runs) == len(span_runs) == 2
+    for a, b in zip(weight_runs, span_runs):
+        _close_runs(a, b)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("kind", _KINDS)
+def test_span_stack_with_a_diverging_member_matches_weight_coordinates(monkeypatch, kind):
+    problems = [_stack_problem(seed=s, kind=kind) for s in (3, 4, 5)]
+    cfg, obj, w0, data = problems[1]
+    problems[1] = cfg, obj, w0, Batch(data.features * 1e155, data.class_ids)
+    weight_runs, span_runs = _both_bodies(monkeypatch, lambda: fine_tune_stack(
+        [p[2] for p in problems], [p[1] for p in problems], [p[3] for p in problems], cfg,
+        [np.random.default_rng(10 + i) for i in range(3)]))
+    assert [r.diverged for _, r in weight_runs] == [False, True, False]
+    for a, b in zip(weight_runs, span_runs):
+        _close_runs(a, b)
+
+
+@pytest.mark.parametrize("n_rows, n_novel, projected, targets, dimension, span", [
+    # sessions fine-tunes: 5-way 5-shot at d=640 for finetune, subspace and
+    # the target kinds, and with memory (60 base rows plus 5 per later session)
+    (25, 5, False, False, 640, True),
+    (25, 5, True, False, 640, True),
+    (25, 5, False, True, 640, True),
+    (85, 5, False, False, 640, True),
+    (120, 5, False, False, 640, True),
+    # train_base: sessions (60 classes x 10 rows at d=640), episodic (20 x 25 at d=32)
+    (600, 60, False, False, 640, False),
+    (500, 20, False, False, 32, False),
+    # episodic fine-tunes: 5-way 1-shot at d=32, finetune and subspace
+    (5, 5, False, False, 32, False),
+    (5, 5, True, False, 32, False),
+])
+def test_span_rule_at_the_bench_shapes(n_rows, n_novel, projected, targets, dimension, span):
+    assert use_span(span_width(n_rows, n_novel, projected, targets), dimension) is span
