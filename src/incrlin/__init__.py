@@ -19,11 +19,7 @@ from .datamodel import (
 )
 from .errors import EngineError
 from .linalg import fit_least_squares, orthonormal_basis, project
-from .objectives import (
-    Objective,
-    ObjectiveTerms,
-    semantic_targets,
-)
+from .objectives import Objective, ObjectiveTerms, semantic_targets
 from .protocol import (
     Episode,
     EpisodeResult,

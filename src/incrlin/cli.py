@@ -35,10 +35,6 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _load_inputs(args):
     """The feature store and the manifest's session plan (None without one)."""
     store = io.load_feature_store(args.features)
@@ -49,8 +45,9 @@ def _load_inputs(args):
 
 def _write_result(args, cfg, extra: dict) -> None:
     """The result file: schema, resolved config, label, then ``extra``."""
-    _write_json(args.out, {"schema": RESULT_SCHEMA, "config": cfg.as_dict(),
-                           "label": args.label or Path(args.out).stem, **extra})
+    payload = {"schema": RESULT_SCHEMA, "config": cfg.as_dict(),
+               "label": args.label or Path(args.out).stem, **extra}
+    Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_train_base(args) -> int:
@@ -130,12 +127,9 @@ def cmd_synth_gen(args) -> int:
     data = generate(spec)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if args.binary:
-        features_path = out / "features.fscf"
-        io.save_feature_store_binary(data.store, features_path)
-    else:
-        features_path = out / "features.csv"
-        io.save_feature_store_csv(data.store, features_path)
+    features_path = out / ("features.fscf" if args.binary else "features.csv")
+    save = io.save_feature_store_binary if args.binary else io.save_feature_store_csv
+    save(data.store, features_path)
     io.save_embeddings_csv(data.embeddings, out / "embeddings.csv")
     if args.per_session:
         plan = incremental_split(args.classes, args.base, args.per_session)

@@ -1,12 +1,12 @@
 """Domain types: feature stores, class registries, weights, embeddings, memory.
 
 Examples travel as a ``Batch`` (an (n, d) float64 feature matrix and its
-class ids), the only example type. Feature rows enter as a row table (class
-ids, query flags, features) through ``FeatureStore.from_rows``; the
-``FeatureStore`` constructor is the one place their values are checked
-(non-negative class ids, the store dimension, finite entries, a query row per
-class), while ``io`` checks only the file layout. Single vectors (weight rows,
-embeddings) are checked by ``as_feature``. Everything that survives a session
+class ids), the only example type. A ``FeatureStore`` is one read-only matrix
+of rows sorted by class and split, plus per-class row offsets; every way in
+ends in one private core that checks the values (non-negative class ids, a
+query row per class, finite entries) and freezes the matrix, while ``io``
+checks only the file layout. Single vectors (weight rows, embeddings) are
+checked by ``as_feature``. Everything that survives a session
 boundary (registries, the frozen anchor table of old-class rows, embedding
 tables) is immutable after construction.
 """
@@ -94,50 +94,87 @@ class Batch:
         return self.features.shape[1]
 
 
+# Rows are checked, copied, read and written about this many bytes at a time.
+BLOCK_BYTES = 1 << 21
+
+
+def row_blocks(n: int, row_bytes: int) -> list[tuple[int, int]]:
+    """(start, stop) of consecutive blocks of ``n`` rows, about ``BLOCK_BYTES`` each."""
+    step = max(1, BLOCK_BYTES // row_bytes)
+    return [(s, min(s + step, n)) for s in range(0, n, step)]
+
+
 class FeatureStore:
     """Class-labeled feature vectors split into a support pool and a query pool.
 
-    Every class must expose at least one query example; support pools may be
-    empty (e.g. a store used only for evaluation). Arrays are copied in and
-    frozen, so stores are safe to share.
+    One read-only (n, d) float64 matrix holds the rows, sorted by class, then
+    split (support first), each pool in table order; per-class row offsets
+    locate the pools, and ``support``, ``query`` and ``to_rows`` are read-only
+    views of it. Every class has a query example; support pools may be empty.
+    The public constructors copy their input, so stores are safe to share.
     """
 
     def __init__(self, dimension: int, support: Mapping[int, np.ndarray],
                  query: Mapping[int, np.ndarray]):
         if dimension <= 0:
             raise ValidationError(f"dimension must be positive, got {dimension}")
-        self._dimension = int(dimension)
-        self._support: dict[int, np.ndarray] = {}
-        self._query: dict[int, np.ndarray] = {}
-        for cid, rows in query.items():
-            if cid < 0:
-                raise ValidationError(f"class ids must be non-negative, got {cid}")
-            self._query[int(cid)] = self._freeze(rows, cid)
-        for cid, rows in support.items():
-            cid = int(cid)
-            if cid not in self._query:
-                raise MissingExampleError(f"class {cid} has support examples but no query examples")
-            self._support[cid] = self._freeze(rows, cid)
-        for cid, rows in self._query.items():
-            if rows.shape[0] < 1:
-                raise MissingExampleError(f"class {cid} has no query examples")
-            if cid not in self._support:
-                self._support[cid] = self._freeze(np.empty((0, self._dimension)), cid)
-        if not self._query:
-            raise ValidationError("feature store has no classes")
-        self._classes = tuple(sorted(self._query))
+        pools: dict[tuple[int, bool], np.ndarray] = {}
+        for q, mapping in ((True, query), (False, support)):
+            for cid, rows in mapping.items():
+                arr = np.asarray(rows, dtype=np.float64)
+                if arr.ndim != 2:
+                    raise ValidationError(f"class {cid}: expected a (n, d) array, got shape {arr.shape}")
+                if arr.shape[1] != dimension:
+                    raise DimensionMismatchError(
+                        f"class {cid}: dimension {arr.shape[1]} != store dimension {dimension}")
+                if q and arr.shape[0] < 1:
+                    raise MissingExampleError(f"class {cid} has no query examples")
+                if not q and (int(cid), True) not in pools:
+                    raise MissingExampleError(
+                        f"class {cid} has support examples but no query examples")
+                pools[int(cid), q] = arr
+        keys = sorted(pools)  # by class, support first
+        sizes = [len(pools[k]) for k in keys]
+        self._adopt(dimension, np.repeat(np.array([c for c, _ in keys], dtype=np.int64), sizes),
+                    np.repeat(np.array([q for _, q in keys], dtype=bool), sizes),
+                    np.concatenate([pools[k] for k in keys] or [np.empty((0, dimension))]))
 
-    def _freeze(self, rows, cid) -> np.ndarray:
-        arr = np.array(rows, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValidationError(f"class {cid}: expected a (n, d) array, got shape {arr.shape}")
-        if arr.shape[1] != self._dimension:
-            raise DimensionMismatchError(
-                f"class {cid}: dimension {arr.shape[1]} != store dimension {self._dimension}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError(f"class {cid}: non-finite feature entries")
-        arr.setflags(write=False)
-        return arr
+    def _adopt(self, dimension: int, ids: np.ndarray, flags: np.ndarray,
+               matrix: np.ndarray) -> None:
+        """The one core: check a row table already sorted by class and split
+        (int64 class ids, bool query flags), take over its (n, d) float64
+        ``matrix`` and freeze all three."""
+        if ids.size == 0:
+            raise ValidationError("feature store has no classes")
+        same = ids[1:] == ids[:-1]
+        if not np.all((ids[1:] > ids[:-1]) | (same & (flags[1:] >= flags[:-1]))):
+            raise ValidationError("row table is not sorted by class and split")
+        if ids[0] < 0:
+            raise ValidationError(f"class ids must be non-negative, got {ids[0]}")
+        starts = np.flatnonzero(np.concatenate([[True], ~same]))
+        ends = np.append(starts[1:], ids.size)
+        query_starts = starts + np.add.reduceat(~flags, starts)
+        no_query = np.flatnonzero(query_starts == ends)
+        if no_query.size:
+            raise MissingExampleError(f"class {ids[starts[no_query[0]]]} has no query examples")
+        for s, e in row_blocks(ids.size, matrix.itemsize * dimension):
+            bad = ~np.isfinite(matrix[s:e]).all(axis=1)
+            if bad.any():
+                raise ValidationError(f"class {ids[s + bad.argmax()]}: non-finite feature entries")
+        for arr in (ids, flags, matrix):
+            arr.setflags(write=False)
+        self._dimension = int(dimension)
+        self._ids, self._flags, self._matrix = ids, flags, matrix
+        self._classes = tuple(ids[starts].tolist())
+        self._index = {c: i for i, c in enumerate(self._classes)}
+        self._offsets = np.stack([starts, query_starts, ends], axis=1)  # (classes, 3)
+
+    @classmethod
+    def _from_sorted(cls, dimension: int, class_ids, is_query, matrix) -> "FeatureStore":
+        """A store that takes over ``matrix``; see ``_adopt``."""
+        store = cls.__new__(cls)
+        store._adopt(dimension, class_ids, is_query, matrix)
+        return store
 
     @classmethod
     def from_rows(cls, dimension: int, class_ids, is_query, features) -> "FeatureStore":
@@ -150,17 +187,16 @@ class FeatureStore:
                 or feats.shape[0] != ids.size:
             raise ValidationError(
                 f"inconsistent row table shapes {ids.shape} / {flags.shape} / {feats.shape}")
+        if dimension <= 0:
+            raise ValidationError(f"dimension must be positive, got {dimension}")
+        if feats.shape[1] != dimension:
+            raise DimensionMismatchError(
+                f"features have dimension {feats.shape[1]}, store dimension {dimension}")
         order = np.lexsort((flags, ids))  # by class, support first; stable
-        ids, flags = ids[order], flags[order]
-        head = np.ones(ids.size, dtype=bool)  # the first row of a (class, split) group
-        head[1:] = (ids[1:] != ids[:-1]) | (flags[1:] != flags[:-1])
-        heads = np.flatnonzero(head)
-        support: dict[int, np.ndarray] = {}
-        query: dict[int, np.ndarray] = {}
-        for cid, q, rows in zip(ids[heads].tolist(), flags[heads].tolist(),
-                                np.split(order, heads[1:])):
-            (query if q else support)[cid] = feats[rows]
-        return cls(dimension, support, query)
+        matrix = np.empty(feats.shape)
+        for s, e in row_blocks(ids.size, matrix.itemsize * dimension):
+            matrix[s:e] = feats[order[s:e]]
+        return cls._from_sorted(dimension, ids[order], flags[order], matrix)
 
     @property
     def dimension(self) -> int:
@@ -170,70 +206,69 @@ class FeatureStore:
     def classes(self) -> tuple[int, ...]:
         return self._classes
 
-    def support(self, class_id: int) -> np.ndarray:
+    def _span(self, class_id: int) -> list[int]:
+        """[first support row, first query row, end] of a class."""
         try:
-            return self._support[class_id]
+            return self._offsets[self._index[class_id]].tolist()
         except KeyError:
             raise MissingExampleError(f"class {class_id} not in store") from None
+
+    def _gather(self, spans) -> np.ndarray:
+        """Indices of the rows in the given (start, stop) ranges, in order."""
+        return np.concatenate([np.arange(s, e) for s, e in spans] or [np.arange(0)])
+
+    def support(self, class_id: int) -> np.ndarray:
+        start, query_start, _ = self._span(class_id)
+        return self._matrix[start:query_start]
 
     def query(self, class_id: int) -> np.ndarray:
-        try:
-            return self._query[class_id]
-        except KeyError:
-            raise MissingExampleError(f"class {class_id} not in store") from None
+        _, query_start, end = self._span(class_id)
+        return self._matrix[query_start:end]
 
     def query_count(self, class_id: int) -> int:
-        return self.query(class_id).shape[0]
+        _, query_start, end = self._span(class_id)
+        return end - query_start
+
+    def query_rows(self, positions: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """For each class ``classes[p]`` and u in [0, 1), its query row
+        ``int(u * query pool size)``: one gather."""
+        _, first, end = self._offsets[positions].T
+        return self._matrix[first + (u * (end - first)).astype(np.int64)]
 
     def restrict(self, class_ids: Iterable[int]) -> "FeatureStore":
-        """Sub-store containing only the given classes."""
+        """Sub-store containing only the given classes: one gather."""
         ids = sorted(set(int(c) for c in class_ids))
-        missing = [c for c in ids if c not in self._query]
+        missing = [c for c in ids if c not in self._index]
         if missing:
             raise MissingExampleError(f"classes {missing} not in store")
-        return FeatureStore(self._dimension,
-                            {c: self._support[c] for c in ids},
-                            {c: self._query[c] for c in ids})
+        rows = np.isin(self._ids, ids)
+        return FeatureStore._from_sorted(self._dimension, self._ids[rows], self._flags[rows],
+                                         self._matrix[rows])
 
     def support_examples(self, class_ids: Iterable[int], k: int | None = None) -> Batch:
         """Support examples of the given classes, stacked in ascending class
         order; the first ``k`` per class if set."""
-        pools = []
+        spans = []
         for c in sorted(set(class_ids)):
-            rows = self.support(c)
-            if k is not None:
-                if rows.shape[0] < k:
-                    raise MissingExampleError(
-                        f"class {c} has {rows.shape[0]} support examples, need {k}")
-                rows = rows[:k]
-            pools.append((c, rows))
-        if not any(rows.shape[0] for _, rows in pools):
+            start, query_start, _ = self._span(c)
+            if k is not None and query_start - start < k:
+                raise MissingExampleError(
+                    f"class {c} has {query_start - start} support examples, need {k}")
+            spans.append((start, query_start if k is None else start + k))
+        rows = self._gather(spans)
+        if rows.size == 0:
             raise MissingExampleError("no support examples for the requested classes")
-        return _stack(pools)
+        return Batch(self._matrix[rows], self._ids[rows])
 
     def query_batch(self, class_ids: Iterable[int]) -> Batch:
         """All query examples of the given classes, stacked in ascending class order."""
-        return _stack([(c, self.query(c)) for c in sorted(set(class_ids))])
-
-    def pools(self) -> list[tuple[int, bool, np.ndarray]]:
-        """(class id, is query, rows) of every pool: classes ascending, each
-        class's support pool before its query pool."""
-        return [(c, q, rows) for c in self._classes
-                for q, rows in ((False, self._support[c]), (True, self._query[c]))]
+        rows = self._gather(self._span(c)[1:] for c in sorted(set(class_ids)))
+        return Batch(self._matrix[rows], self._ids[rows])
 
     def to_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The store as a row table (class ids, query flags, features), rows in
-        ``pools`` order."""
-        pools = self.pools()
-        ids = np.concatenate([np.full(len(rows), c, dtype=np.int64) for c, _, rows in pools])
-        flags = np.concatenate([np.full(len(rows), q) for _, q, rows in pools])
-        return ids, flags, np.concatenate([rows for _, _, rows in pools])
-
-
-def _stack(pools: Sequence[tuple[int, np.ndarray]]) -> Batch:
-    """One batch from (class_id, rows) pairs, rows kept in the given order."""
-    return Batch(np.concatenate([rows for _, rows in pools]),
-                 np.concatenate([np.full(rows.shape[0], c, dtype=np.int64) for c, rows in pools]))
+        """The store as a read-only row table (class ids, query flags, features):
+        classes ascending, each class's support rows before its query rows."""
+        return self._ids, self._flags, self._matrix
 
 
 class ClassRegistry:
@@ -283,10 +318,7 @@ class ClassRegistry:
         """All classes introduced in sessions 0..session, ascending."""
         if not 0 <= session < len(self._sessions):
             raise ValidationError(f"session {session} not registered")
-        out: list[int] = []
-        for s in self._sessions[: session + 1]:
-            out.extend(s)
-        return tuple(sorted(out))
+        return tuple(sorted(c for s in self._sessions[:session + 1] for c in s))
 
     @property
     def all_classes(self) -> tuple[int, ...]:

@@ -8,23 +8,25 @@ u32 record count, u32 dimension, then per record u32 class_id, u8 split tag
 ``class_id,e0,...`` / ``class_id,w0,...``. Manifest: JSON object mapping
 class_id to {"label": str, "session": int >= 0}.
 
-Feature stores are read into the row table of ``FeatureStore.from_rows``;
-the CSV writer writes the row table of ``to_rows`` and the binary writer
-fills its records pool by pool. The loaders check the file layout
-(header, field counts, number syntax, split tags, record sizes) and raise
-``FormatError`` naming the file and the line or byte offset; the values
-(class ids, finiteness, a query row per class) are checked by ``FeatureStore``.
+The CSV loader builds a row table for ``FeatureStore.from_rows``. The binary
+loader checks the header and the file size before it allocates, reads the
+labels block by block into one reused record buffer, then re-reads the blocks
+and scatters each row into its sorted row of the store's matrix; the binary
+writer fills one reused block of records at a time from ``to_rows``. Loaders
+check the file layout (header, fields, numbers, split tags, sizes, short
+reads) and raise ``FormatError`` naming the file and the line or byte offset.
 """
 from __future__ import annotations
 
 import csv
 import json
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .datamodel import ClassRegistry, EmbeddingTable, FeatureStore, WeightMatrix
+from .datamodel import ClassRegistry, EmbeddingTable, FeatureStore, WeightMatrix, row_blocks
 from .errors import FormatError, ValidationError
 
 FEATURE_MAGIC = b"FSCF"
@@ -88,41 +90,63 @@ def save_feature_store_binary(store: FeatureStore, path) -> None:
     too_big = [c for c in store.classes if c >= 2**32]
     if too_big:
         raise ValidationError(f"class {too_big[0]} does not fit the binary format's u32 class id")
-    pools = store.pools()
-    records = np.empty(sum(len(rows) for _, _, rows in pools), dtype=_record_dtype(store.dimension))
-    start = 0
-    for cid, is_query, rows in pools:  # filled pool by pool: no float64 copy of the store
-        block = records[start:start + len(rows)]
-        block["class_id"], block["tag"], block["x"] = cid, is_query, rows
-        start += len(rows)
+    ids, is_query, feats = store.to_rows()
+    blocks = row_blocks(ids.size, _record_dtype(store.dimension).itemsize)
+    records = np.empty(blocks[0][1], dtype=_record_dtype(store.dimension))
     with Path(path).open("wb") as fh:
         fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<III", FEATURE_VERSION, records.size, store.dimension))
-        fh.write(records.data)
+        fh.write(struct.pack("<III", FEATURE_VERSION, ids.size, store.dimension))
+        for start, stop in blocks:  # one reused block of records, straight from the matrix
+            block = records[:stop - start]
+            block["class_id"], block["tag"], block["x"] = (
+                ids[start:stop], is_query[start:stop], feats[start:stop])
+            fh.write(block.data)
+
+
+def _read_blocks(fh, path: Path, blocks, records: np.ndarray):
+    """Each block's records, read from the first record on into one reused buffer."""
+    fh.seek(16)
+    for start, stop in blocks:
+        block = records[:stop - start]
+        if fh.readinto(block) != block.nbytes:
+            raise FormatError(f"{path}: short read in records {start}-{stop - 1} at byte "
+                              f"offset {16 + start * records.itemsize}")
+        yield start, stop, block
 
 
 def load_feature_store_binary(path) -> FeatureStore:
     path = Path(path)
-    blob = path.read_bytes()
-    if blob[:4] != FEATURE_MAGIC:
-        raise FormatError(f"{path}: bad magic bytes, not a feature store")
-    if len(blob) < 16:
-        raise FormatError(f"{path}: truncated header")
-    version, n, dim = struct.unpack_from("<III", blob, 4)
-    if version != FEATURE_VERSION:
-        raise FormatError(f"{path}: unsupported version {version} (expected {FEATURE_VERSION})")
-    if dim == 0:
-        raise FormatError(f"{path}: feature dimension is 0")
-    dtype = _record_dtype(dim)
-    if len(blob) != 16 + n * dtype.itemsize:
-        raise FormatError(f"{path}: expected {16 + n * dtype.itemsize} bytes, got {len(blob)}")
-    records = np.frombuffer(blob, dtype=dtype, count=n, offset=16)
-    bad = np.flatnonzero(records["tag"] >= len(_SPLITS))
-    if bad.size:
-        i = int(bad[0])
-        raise FormatError(f"{path}: record {i} at byte offset {16 + i * dtype.itemsize}: "
-                          f"unknown split tag {records['tag'][i]}")
-    return FeatureStore.from_rows(dim, records["class_id"], records["tag"] == 1, records["x"])
+    with path.open("rb") as fh:
+        head = fh.read(16)
+        if head[:4] != FEATURE_MAGIC:
+            raise FormatError(f"{path}: bad magic bytes, not a feature store")
+        if len(head) < 16:
+            raise FormatError(f"{path}: truncated header")
+        version, n, dim = struct.unpack_from("<III", head, 4)
+        if version != FEATURE_VERSION:
+            raise FormatError(f"{path}: unsupported version {version} (expected {FEATURE_VERSION})")
+        if dim == 0:
+            raise FormatError(f"{path}: feature dimension is 0")
+        dtype = _record_dtype(dim)
+        size = os.fstat(fh.fileno()).st_size
+        if size != 16 + n * dtype.itemsize:
+            raise FormatError(f"{path}: expected {16 + n * dtype.itemsize} bytes, got {size}")
+        blocks = row_blocks(n, dtype.itemsize)
+        records = np.empty(blocks[0][1] if n else 0, dtype=dtype)
+        ids, is_query = np.empty(n, dtype=np.int64), np.empty(n, dtype=bool)
+        for start, stop, block in _read_blocks(fh, path, blocks, records):  # pass 1: labels
+            bad = np.flatnonzero(block["tag"] >= len(_SPLITS))
+            if bad.size:
+                i = start + int(bad[0])
+                raise FormatError(f"{path}: record {i} at byte offset {16 + i * dtype.itemsize}: "
+                                  f"unknown split tag {block['tag'][bad[0]]}")
+            ids[start:stop], is_query[start:stop] = block["class_id"], block["tag"] == 1
+        order = np.lexsort((is_query, ids))  # by class, support first; stable
+        dest = np.argsort(order)  # the sorted row of each record
+        matrix = np.empty((n, dim))
+        for start, stop, block in _read_blocks(fh, path, blocks, records):  # pass 2: rows
+            matrix[dest[start:stop]] = block["x"]
+    return FeatureStore._from_sorted(dim, ids[order], is_query[order], matrix)
 
 
 def load_feature_store(path) -> FeatureStore:

@@ -28,12 +28,7 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from .datamodel import (
-    ClassRegistry,
-    OrthonormalBasis,
-    RunConfig,
-    WeightMatrix,
-)
+from .datamodel import ClassRegistry, OrthonormalBasis, RunConfig, WeightMatrix
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -281,13 +276,9 @@ class Objective:
             if novel:
                 target_matrix = np.stack([np.asarray(targets[c], dtype=np.float64) for c in novel])
 
-        dims = set()
-        if anchor_matrix.size:
-            dims.add(anchor_matrix.shape[1])
-        if basis is not None:
-            dims.add(basis.dimension)
-        if target_matrix is not None:
-            dims.add(target_matrix.shape[1])
+        dims = {a.shape[1] for a in (anchor_matrix, target_matrix,
+                                     None if basis is None else basis.matrix.T)
+                if a is not None and a.size}
         if len(dims) > 1:
             raise DimensionMismatchError(f"inconsistent component dimensions {sorted(dims)}")
 

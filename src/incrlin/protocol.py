@@ -127,19 +127,11 @@ class SessionResult:
     n_query: int
 
     def as_dict(self) -> dict:
-        out = {
-            "session": self.session,
-            "acc_base": self.acc_base,
-            "acc_novel": self.acc_novel,
-            "acc_weighted": self.acc_weighted,
-            "per_class_accuracy": {str(c): v for c, v in self.per_class_accuracy.items()},
-            "n_query": self.n_query,
-        }
-        if self.confusion is not None:
-            out["confusion"] = {
-                "class_ids": list(self.confusion.class_ids),
-                "counts": self.confusion.counts.tolist(),
-            }
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        out["per_class_accuracy"] = {str(c): v for c, v in self.per_class_accuracy.items()}
+        conf = out.pop("confusion")
+        if conf is not None:
+            out["confusion"] = {"class_ids": list(conf.class_ids), "counts": conf.counts.tolist()}
         return out
 
 
@@ -331,27 +323,23 @@ def sample_episode(base_store: FeatureStore, novel_store: FeatureStore, n_way: i
     support = []
     for c in chosen:
         pool = novel_store.support(int(c))
-        if pool.shape[0] < k_shot or novel_store.query_count(int(c)) < 1:
+        if pool.shape[0] < k_shot:
             raise MissingExampleError(
                 f"class {int(c)} lacks {k_shot} support + query examples")
         support.append(pool[rng.choice(pool.shape[0], size=k_shot, replace=False)])
 
-    base_classes = base_store.classes
     groups = rng.integers(0, 2, size=n_query)
-    base_pick = rng.integers(0, len(base_classes), size=n_query)
+    base_pick = rng.integers(0, len(base_store.classes), size=n_query)
     novel_pick = rng.integers(0, n_way, size=n_query)
     u = rng.random(n_query)
+    # Query i is row int(u[i] * pool size) of its class's query pool: one
+    # gather per store.
+    base, novel = groups == 0, groups == 1
+    novel_pos = np.searchsorted(novel_store.classes, chosen)[novel_pick[novel]]
     feats = np.empty((n_query, base_store.dimension))
-    labels = np.empty(n_query, dtype=np.int64)
-    for i in range(n_query):
-        if groups[i] == 0:
-            c = base_classes[base_pick[i]]
-            pool = base_store.query(c)
-        else:
-            c = int(chosen[novel_pick[i]])
-            pool = novel_store.query(c)
-        feats[i] = pool[int(u[i] * pool.shape[0])]
-        labels[i] = c
+    feats[base] = base_store.query_rows(base_pick[base], u[base])
+    feats[novel] = novel_store.query_rows(novel_pos, u[novel])
+    labels = np.where(base, np.array(base_store.classes)[base_pick], chosen[novel_pick])
     return Episode(tuple(int(c) for c in chosen),
                    Batch(np.concatenate(support), np.repeat(chosen, k_shot)),
                    Batch(feats, labels))
@@ -371,9 +359,6 @@ class EpisodeResult:
     acc_base_individual: float
     acc_novel_individual: float
     delta: float
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def _score_episode(weights: WeightMatrix, episode: Episode, base: list[int]) -> EpisodeResult:
@@ -433,9 +418,6 @@ class AggregateStat:
     ci95: float
     n: int
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def _aggregate(values: Sequence[float]) -> AggregateStat:
     arr = np.asarray(values, dtype=np.float64)
@@ -458,19 +440,10 @@ class SingleSessionResult:
     episodes: tuple[EpisodeResult, ...] | None = None
 
     def as_dict(self, include_episodes: bool = False) -> dict:
-        out = {
-            "n_episodes": self.n_episodes,
-            "n_failed": self.n_failed,
-            "acc": self.acc.as_dict(),
-            "acc_base_joint": self.acc_base_joint.as_dict(),
-            "acc_novel_joint": self.acc_novel_joint.as_dict(),
-            "acc_base_individual": self.acc_base_individual.as_dict(),
-            "acc_novel_individual": self.acc_novel_individual.as_dict(),
-            "delta": self.delta.as_dict(),
-            "abs_delta": self.abs_delta,
-        }
-        if include_episodes and self.episodes is not None:
-            out["episodes"] = [e.as_dict() for e in self.episodes]
+        out = dataclasses.asdict(self)
+        episodes = out.pop("episodes")
+        if include_episodes and episodes is not None:
+            out["episodes"] = list(episodes)
         return out
 
 
@@ -516,20 +489,12 @@ def run_single_session(stream: SessionStream, base_weights: WeightMatrix | None 
                 first_failure = first_failure or r
             else:
                 ok.append(r)
-    n_failed = n_episodes - len(ok)
     if not ok:
         raise EngineError(f"all {n_episodes} episodes failed; the first with "
                           f"{type(first_failure).__name__}: {first_failure}")
-    delta = _aggregate([r.delta for r in ok])
-    return SingleSessionResult(
-        n_episodes=n_episodes,
-        n_failed=n_failed,
-        acc=_aggregate([r.acc_joint_mean for r in ok]),
-        acc_base_joint=_aggregate([r.acc_base_joint for r in ok]),
-        acc_novel_joint=_aggregate([r.acc_novel_joint for r in ok]),
-        acc_base_individual=_aggregate([r.acc_base_individual for r in ok]),
-        acc_novel_individual=_aggregate([r.acc_novel_individual for r in ok]),
-        delta=delta,
-        abs_delta=abs(delta.mean),
-        episodes=tuple(ok) if keep_episodes else None,
-    )
+    stats = {name: _aggregate([getattr(r, name) for r in ok]) for name in (
+        "acc_base_joint", "acc_novel_joint", "acc_base_individual", "acc_novel_individual", "delta")}
+    return SingleSessionResult(n_episodes, n_episodes - len(ok),
+                               _aggregate([r.acc_joint_mean for r in ok]), **stats,
+                               abs_delta=abs(stats["delta"].mean),
+                               episodes=tuple(ok) if keep_episodes else None)

@@ -58,14 +58,18 @@ def generate(spec: SynthSpec) -> SynthData:
     g = rng.standard_normal((spec.n_classes, spec.dimension))
     means = spec.mean_scale * g / np.linalg.norm(g, axis=1, keepdims=True)
 
-    support = {}
-    query = {}
-    for c in range(spec.n_classes):
-        support[c] = means[c] + spec.within_class_stddev * rng.standard_normal(
-            (spec.support_per_class, spec.dimension))
-        query[c] = means[c] + spec.within_class_stddev * rng.standard_normal(
-            (spec.query_per_class, spec.dimension))
-    store = FeatureStore(spec.dimension, support, query)
+    # The store's sorted matrix, filled class by class (support, then query
+    # rows) in place with mean + stddev * z: each block is scaled while cached.
+    per_class = spec.support_per_class + spec.query_per_class
+    z = np.empty((spec.n_classes, per_class, spec.dimension))
+    for c, block in enumerate(z):
+        rng.standard_normal(out=block)
+        block *= spec.within_class_stddev
+        block += means[c]
+    store = FeatureStore._from_sorted(
+        spec.dimension, np.repeat(np.arange(spec.n_classes), per_class),
+        np.tile(np.arange(per_class) >= spec.support_per_class, spec.n_classes),
+        z.reshape(-1, spec.dimension))
 
     if spec.embedding_mode == "from-means":
         vectors = {c: means[c] for c in range(spec.n_classes)}

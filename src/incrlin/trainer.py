@@ -31,13 +31,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .datamodel import (
-    Batch,
-    ClassRegistry,
-    FeatureStore,
-    RunConfig,
-    WeightMatrix,
-)
+from .datamodel import Batch, ClassRegistry, FeatureStore, RunConfig, WeightMatrix
 from .errors import DivergenceError, MissingExampleError
 from .objectives import Objective, ObjectiveStack
 

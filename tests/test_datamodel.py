@@ -202,6 +202,47 @@ def test_store_from_rows_rejects_bad_split():
         FeatureStore.from_rows(2, [0, 0], [[True, True]], np.ones((2, 2)))
 
 
+def test_store_pools_are_read_only_views_of_one_matrix():
+    store = FeatureStore(2, {3: np.ones((2, 2)), 1: np.zeros((1, 2))},
+                         {1: np.full((2, 2), 2.0), 3: np.full((1, 2), 4.0)})
+    ids, flags, matrix = store.to_rows()
+    np.testing.assert_array_equal(ids, [1, 1, 1, 3, 3, 3])
+    np.testing.assert_array_equal(flags, [False, True, True, False, False, True])
+    for c in store.classes:
+        for pool in (store.support(c), store.query(c)):
+            assert not pool.flags.writeable
+            assert np.shares_memory(pool, matrix)
+            with pytest.raises(ValueError):
+                pool[...] = 0.0
+    assert not matrix.flags.writeable
+    sub = store.restrict([3])
+    assert not np.shares_memory(sub.to_rows()[2], matrix)  # a gather, not a view
+    np.testing.assert_array_equal(sub.query(3), [[4.0, 4.0]])
+
+
+def test_store_constructors_copy_their_input():
+    feats = np.arange(8.0).reshape(4, 2)
+    ids = np.array([2, 0, 2, 0])
+    flags = np.array([True, True, False, False])
+    store = FeatureStore.from_rows(2, ids, flags, feats)
+    pools = FeatureStore(2, {0: feats[:2]}, {0: feats[2:]})
+    feats[:] = -1.0
+    ids[:] = 7
+    flags[:] = False
+    assert store.classes == (0, 2) and pools.classes == (0,)
+    np.testing.assert_array_equal(store.support(0), [[6.0, 7.0]])
+    np.testing.assert_array_equal(store.query(2), [[0.0, 1.0]])
+    np.testing.assert_array_equal(pools.query(0), [[4.0, 5.0], [6.0, 7.0]])
+    assert feats.flags.writeable and ids.flags.writeable
+
+
+def test_store_non_finite_error_names_the_class():
+    feats = np.ones((6, 2))
+    feats[4, 1] = np.nan
+    with pytest.raises(ValidationError, match="class 5: non-finite"):
+        FeatureStore.from_rows(2, [1, 1, 5, 5, 5, 9], [False, True] * 3, feats)
+
+
 def test_batch_shape_and_empty():
     batch = Batch(np.ones((1, 2)), np.array([3]))
     assert len(batch) == 1 and batch.dimension == 2

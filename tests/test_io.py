@@ -1,8 +1,10 @@
 import hashlib
 import json
+import os
 import re
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from incrlin import io
+from incrlin import datamodel, io
 from incrlin.datamodel import EmbeddingTable, FeatureStore, WeightMatrix
 from incrlin.errors import FormatError, ValidationError
 from incrlin.synth import SynthSpec, generate
@@ -270,3 +272,106 @@ def test_csv_floats_survive_full_precision(tmp_path):
     io.save_feature_store_csv(store, path)
     back = io.load_feature_store_csv(path)
     np.testing.assert_array_equal(back.query(0), vals)
+
+
+# --- streamed FSCF load -----------------------------------------------------
+
+def _record_bytes(dim):
+    return 5 + 4 * dim
+
+
+def _small_blocks(monkeypatch, dim, records):
+    """Make the loader and the writer move ``records`` records per block."""
+    monkeypatch.setattr(datamodel, "BLOCK_BYTES", records * _record_bytes(dim))
+
+
+def _interleaved(n_classes=3, per_split=3, dim=4):
+    """Labels that cycle through classes and splits, and float32-exact rows."""
+    labels = [(c, q) for _ in range(per_split) for q in (True, False) for c in range(n_classes)]
+    feats = np.arange(len(labels) * dim, dtype=np.float64).reshape(len(labels), dim) / 8.0
+    return labels, feats
+
+
+def _expect_groups(store, labels, feats):
+    for c in store.classes:
+        for q, got in ((False, store.support(c)), (True, store.query(c))):
+            np.testing.assert_array_equal(got, feats[[i for i, lab in enumerate(labels)
+                                                      if lab == (c, q)]])
+
+
+# 18 records: fewer than one block, not a multiple of it, one record per block
+@pytest.mark.parametrize("per_block", [64, 4, 5, 1])
+def test_fscf_load_any_block_split(tmp_path, monkeypatch, per_block):
+    labels, feats = _interleaved()
+    _write_fscf(tmp_path / "in.fscf", 4, labels, feats)
+    _small_blocks(monkeypatch, 4, per_block)
+    store = io.load_feature_store_binary(tmp_path / "in.fscf")
+    assert store.classes == (0, 1, 2)
+    _expect_groups(store, labels, feats)
+    io.save_feature_store_binary(store, tmp_path / "out.fscf")
+    monkeypatch.undo()
+    io.save_feature_store_binary(store, tmp_path / "whole.fscf")
+    assert (tmp_path / "out.fscf").read_bytes() == (tmp_path / "whole.fscf").read_bytes()
+
+
+def test_fscf_bad_tag_in_second_block_names_record_and_offset(tmp_path, monkeypatch):
+    labels, feats = _interleaved()
+    path = tmp_path / "tag.fscf"
+    _write_fscf(path, 4, labels, feats)
+    blob = bytearray(path.read_bytes())
+    blob[16 + 6 * _record_bytes(4) + 4] = 2  # record 6's split tag
+    path.write_bytes(bytes(blob))
+    _small_blocks(monkeypatch, 4, 4)  # record 6 is in the second block
+    with pytest.raises(FormatError, match=rf"tag.fscf: record 6 at byte offset "
+                                          rf"{16 + 6 * _record_bytes(4)}: unknown split tag 2"):
+        io.load_feature_store_binary(path)
+
+
+def test_fscf_non_finite_in_later_block_names_its_class(tmp_path, monkeypatch):
+    labels, feats = _interleaved()
+    feats[13, 2] = np.inf  # record 13: class 1, query; sorted row 11, past the first blocks
+    _write_fscf(tmp_path / "inf.fscf", 4, labels, feats)
+    _small_blocks(monkeypatch, 4, 4)
+    with pytest.raises(ValidationError, match="class 1: non-finite feature entries"):
+        io.load_feature_store_binary(tmp_path / "inf.fscf")
+
+
+def test_fscf_record_count_must_match_file_size_before_allocating(tmp_path):
+    path = tmp_path / "count.fscf"
+    path.write_bytes(io.FEATURE_MAGIC + struct.pack("<III", 1, 2**32 - 1, 640) + bytes(2565))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=r"count.fscf: expected \d+ bytes, got 2581"):
+            io.load_feature_store_binary(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # 2**32 - 1 records would be terabytes
+
+
+def test_fscf_short_read_names_the_file(tmp_path, monkeypatch):
+    labels, feats = _interleaved()
+    path = tmp_path / "short.fscf"
+    _write_fscf(path, 4, labels, feats)
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-7])  # shrinks after the size check passes
+    monkeypatch.setattr(io.os, "fstat", lambda fd: os.stat_result((0,) * 6 + (size,) + (0,) * 3))
+    with pytest.raises(FormatError, match="short.fscf: short read"):
+        io.load_feature_store_binary(path)
+
+
+def test_fscf_load_peaks_at_the_store_plus_two_blocks(tmp_path):
+    store = generate(SynthSpec(n_classes=80, dimension=640, rng_seed=3)).store
+    path = tmp_path / "big.fscf"
+    io.save_feature_store_binary(store, path)
+    n = store.to_rows()[0].size
+    tracemalloc.start()
+    try:
+        back = io.load_feature_store_binary(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.classes == store.classes
+    # the float64 matrix, the reused record block and one cast block, and
+    # a few per-row label and order arrays
+    assert peak <= n * 640 * 8 + 2 * datamodel.BLOCK_BYTES + 64 * n
