@@ -226,8 +226,7 @@ class FeatureStore:
         return self._matrix[query_start:end]
 
     def query_count(self, class_id: int) -> int:
-        _, query_start, end = self._span(class_id)
-        return end - query_start
+        return len(self.query(class_id))
 
     def query_rows(self, positions: np.ndarray, u: np.ndarray) -> np.ndarray:
         """For each class ``classes[p]`` and u in [0, 1), its query row
@@ -236,12 +235,14 @@ class FeatureStore:
         return self._matrix[first + (u * (end - first)).astype(np.int64)]
 
     def restrict(self, class_ids: Iterable[int]) -> "FeatureStore":
-        """Sub-store containing only the given classes: one gather."""
+        """Sub-store of the given classes: a view if their rows are one run, else a gather."""
         ids = sorted(set(int(c) for c in class_ids))
         missing = [c for c in ids if c not in self._index]
         if missing:
             raise MissingExampleError(f"classes {missing} not in store")
-        rows = np.isin(self._ids, ids)
+        rows = np.flatnonzero(np.isin(self._ids, ids))
+        if rows.size and rows[-1] - rows[0] == rows.size - 1:
+            rows = slice(rows[0], rows[-1] + 1)
         return FeatureStore._from_sorted(self._dimension, self._ids[rows], self._flags[rows],
                                          self._matrix[rows])
 

@@ -332,8 +332,7 @@ def sample_episode(base_store: FeatureStore, novel_store: FeatureStore, n_way: i
     base_pick = rng.integers(0, len(base_store.classes), size=n_query)
     novel_pick = rng.integers(0, n_way, size=n_query)
     u = rng.random(n_query)
-    # Query i is row int(u[i] * pool size) of its class's query pool: one
-    # gather per store.
+    # Query i is row int(u[i] * pool size) of its class's query pool.
     base, novel = groups == 0, groups == 1
     novel_pos = np.searchsorted(novel_store.classes, chosen)[novel_pick[novel]]
     feats = np.empty((n_query, base_store.dimension))

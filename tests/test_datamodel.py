@@ -204,20 +204,24 @@ def test_store_from_rows_rejects_bad_split():
 
 def test_store_pools_are_read_only_views_of_one_matrix():
     store = FeatureStore(2, {3: np.ones((2, 2)), 1: np.zeros((1, 2))},
-                         {1: np.full((2, 2), 2.0), 3: np.full((1, 2), 4.0)})
+                         {1: np.full((2, 2), 2.0), 3: np.full((1, 2), 4.0), 2: np.ones((1, 2))})
     ids, flags, matrix = store.to_rows()
-    np.testing.assert_array_equal(ids, [1, 1, 1, 3, 3, 3])
-    np.testing.assert_array_equal(flags, [False, True, True, False, False, True])
+    np.testing.assert_array_equal(ids, [1, 1, 1, 2, 3, 3, 3])
+    np.testing.assert_array_equal(flags, [False, True, True, True, False, False, True])
     for c in store.classes:
         for pool in (store.support(c), store.query(c)):
             assert not pool.flags.writeable
-            assert np.shares_memory(pool, matrix)
+            assert np.shares_memory(pool, matrix) or pool.size == 0  # class 2 has no support
             with pytest.raises(ValueError):
                 pool[...] = 0.0
     assert not matrix.flags.writeable
-    sub = store.restrict([3])
-    assert not np.shares_memory(sub.to_rows()[2], matrix)  # a gather, not a view
-    np.testing.assert_array_equal(sub.query(3), [[4.0, 4.0]])
+    run = store.restrict([2, 3])  # one run of rows: a view
+    assert np.shares_memory(run.to_rows()[2], matrix) and not run.to_rows()[2].flags.writeable
+    apart = store.restrict([1, 3])  # two runs: a gather
+    assert not np.shares_memory(apart.to_rows()[2], matrix)
+    for sub in (run, apart):
+        np.testing.assert_array_equal(sub.query(3), [[4.0, 4.0]])
+        np.testing.assert_array_equal(sub.support(3), np.ones((2, 2)))
 
 
 def test_store_constructors_copy_their_input():
