@@ -187,6 +187,10 @@ def _load_vector_csv(path, prefix: str) -> dict[int, np.ndarray]:
                 cid, vector = int(rec[0]), np.array([float(v) for v in rec[1:]])
             except ValueError as err:
                 raise FormatError(f"{path}:{lineno}: {err}") from None
+            if not -2**63 <= cid < 2**63:
+                raise FormatError(f"{path}:{lineno}: class id {cid} does not fit 64 bits")
+            if not np.isfinite(vector).all():
+                raise FormatError(f"{path}:{lineno}: class {cid} has a non-finite value")
             if cid in items:
                 raise FormatError(f"{path}:{lineno}: class {cid} appears a second time")
             items[cid] = vector

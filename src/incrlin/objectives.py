@@ -5,10 +5,10 @@ respect to the trainable weight rows. The total is a minimization objective:
 negative mean log-likelihood plus the scaled penalties.
 
 ``ObjectiveStack.evaluate`` is the one implementation. It evaluates a stack
-of E same-shaped sessions at once, so many small episodes cost one call.
-``Objective`` builds and checks one session's objective; it holds that
-session as a stack of one, and ``Objective.evaluate_dense`` is the
-stack-of-one view.
+of E same-shaped sessions at once, so many small episodes cost one call; each
+penalty's sum of products is one ``einsum`` pass, and the gradient is built in
+place. ``Objective`` builds and checks one session's objective as a stack of
+one; ``Objective.evaluate_dense`` is the stack-of-one view.
 
 The rows are held in coordinates. In weight coordinates they are the (C, d)
 weights. In span coordinates a row is a combination of a session's spanning
@@ -180,7 +180,6 @@ class ObjectiveStack:
         (E, n)."""
         cfg = self.config
         n_members, n = label_pos.shape
-        members, rows = np.arange(n_members)[:, None], np.arange(n)
 
         if self.gram is None:
             fc = feats  # the rows' coordinates
@@ -191,17 +190,21 @@ class ObjectiveStack:
             logits = feats[..., :q] @ m.transpose(0, 2, 1)
             logits += fo[..., :c] * m[:, None, :, -2]
             logits += fo[..., c:] * m[:, None, :, -1]
+        # each example's label logit, as one index into the flat (E, n, C) logits
+        label = label_pos.ravel() + np.arange(0, logits.size, m.shape[1])
         logits -= logits.max(axis=2, keepdims=True)
-        expl = np.exp(logits)
-        z = expl.sum(axis=2)
+        picked = logits.ravel()[label]
+        p = np.exp(logits, out=logits)
+        z = p.sum(axis=2)
         # .mean(axis=1)'s arithmetic (sum, then divide by n) without its wrapper
-        data_loss = (np.log(z) - logits[members, rows, label_pos]).sum(axis=1) / n
-        p = expl / z[:, :, None]
-        p[members, rows, label_pos] -= 1.0
-        grad = p.transpose(0, 2, 1) @ fc / n
+        data_loss = (np.log(z) - picked.reshape(n_members, n)).sum(axis=1) / n
+        p /= z[:, :, None]
+        p.ravel()[label] -= 1.0
+        grad = p.transpose(0, 2, 1) @ fc
+        grad /= n
 
         m_image = self._gram(m)
-        rp = (m_image * m).reshape(n_members, -1).sum(axis=1)
+        rp = np.einsum("ecq,ecq->e", m_image, m)
         if cfg.alpha != 0.0:
             grad += (2.0 * cfg.alpha) * m
         # total = data_loss + alpha * rp + ro + gamma * rn, in that order; an
@@ -213,9 +216,10 @@ class ObjectiveStack:
         if k:
             diff = m[:, :k] - self.anchors
             image = diff if self.gram is None else m_image[:, :k] - self._anchor_image
-            sq = (image * diff).sum(axis=2)
+            sq = np.einsum("ecq,ecq->ec", image, diff)
             ro = (sq[:, None, :] @ self.betas[:, :, None])[:, 0, 0]
-            grad[:, :k] += (2.0 * self.betas)[:, :, None] * diff
+            diff *= (2.0 * self.betas)[:, :, None]
+            grad[:, :k] += diff
             total += ro
 
         if m.shape[1] > k and (self.projection is not None or self.targets is not None):
@@ -225,9 +229,10 @@ class ObjectiveStack:
                 resid = mn - (mn @ u) @ v.T
             else:
                 resid = mn - self.targets
-            rn = (self._gram(resid, slice(k, None)) * resid).reshape(n_members, -1).sum(axis=1)
+            rn = np.einsum("ecq,ecq->e", self._gram(resid, slice(k, None)), resid)
             if cfg.gamma != 0.0:
-                grad[:, k:] += (2.0 * cfg.gamma) * resid
+                resid *= 2.0 * cfg.gamma
+                grad[:, k:] += resid
             total += cfg.gamma * rn
 
         return ObjectiveTerms(data_loss, rp, ro, rn, total, grad)

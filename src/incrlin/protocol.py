@@ -52,16 +52,16 @@ from .trainer import fine_tune, fine_tune_stack, init_novel_weights, train_base
 # Weight entries (C * d per episode) fine-tuned together as one stack by
 # ``run_single_session``: a chunk holds max(1, EPISODE_BUDGET // (C * d))
 # episodes. Results do not depend on it: each episode's arithmetic is its own.
-# The budget is 24 episodes of 5-way 1-shot over 20 base classes at d=32
-# (C=25), where the step is call overhead and 24 runs as fast as larger
-# stacks. With 64 base classes at d=640, a stack of 24 ran 1.6-2.2x slower
-# than one episode at a time (its elementwise passes over (E, C, d) outgrow
-# the cache); the budget gives that shape chunks of one. The chunk is still
-# sized on C * d when the episodes train in span coordinates (5-way episodes at
-# d=640 do, see ``trainer.use_span``), though a step there costs O(C * r): the
-# stack's set-up and its final weights are still (E, C, d), and no benchmark
-# workload runs span-coordinate episodes to measure a budget on C * r.
-EPISODE_BUDGET = 24 * 25 * 32
+# The budget is 40 episodes of 5-way 1-shot over 20 base classes at d=32
+# (C=25): of 24, 40, 64 and 80, the smallest stack within noise of the
+# fastest over 200 episodes; stacks of 64 and 80 page-faulted on every step.
+# With 64 base classes at d=640, a stack of 24 ran 1.6-2.2x slower than one
+# episode at a time (its passes over (E, C, d) outgrow the cache); the budget
+# gives that shape chunks of one. The chunk is sized on C * d even when episodes
+# train in span coordinates (5-way episodes at d=640 do, see
+# ``trainer.use_span``): their set-up and final weights are still (E, C, d),
+# and no benchmark workload runs them to measure a budget on C * r.
+EPISODE_BUDGET = 40 * 25 * 32
 
 
 def predict(weights: WeightMatrix, features: np.ndarray,

@@ -228,6 +228,32 @@ def test_vector_csv_rejects_a_repeated_class(tmp_path):
         io.load_embeddings_csv(p)
 
 
+@pytest.mark.parametrize("load, prefix", [(io.load_weights_csv, "w"),
+                                           (io.load_embeddings_csv, "e")])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_vector_csv_non_finite_value_names_its_line(tmp_path, load, prefix, value):
+    p = tmp_path / "v.csv"
+    p.write_text(f"class_id,{prefix}0,{prefix}1\n3,1.0,2.0\n5,0.5,{value}\n")
+    with pytest.raises(FormatError, match=re.escape(f"{p}:3: class 5 has a non-finite value")):
+        load(p)
+
+
+@pytest.mark.parametrize("load, prefix", [(io.load_weights_csv, "w"),
+                                           (io.load_embeddings_csv, "e")])
+@pytest.mark.parametrize("cid", [2**64, 2**63, -2**63 - 1])
+def test_vector_csv_class_id_beyond_int64_names_its_line(tmp_path, load, prefix, cid):
+    p = tmp_path / "v.csv"
+    p.write_text(f"class_id,{prefix}0\n0,1.0\n{cid},2.0\n")
+    with pytest.raises(FormatError, match=re.escape(f"{p}:3: class id {cid} does not fit 64 bits")):
+        load(p)
+
+
+def test_vector_csv_keeps_class_ids_up_to_int64(tmp_path):
+    p = tmp_path / "v.csv"
+    p.write_text(f"class_id,w0\n{2**63 - 1},1.0\n{-2**63},2.0\n")
+    assert io.load_weights_csv(p).class_ids == (-2**63, 2**63 - 1)
+
+
 def test_manifest_round_trip_and_registry(tmp_path):
     path = tmp_path / "manifest.json"
     labels = {0: "cat", 1: "dog", 2: "newt"}

@@ -237,12 +237,12 @@ def _same_run(a, b):
 
 
 def _stack_matches_solo(problems):
-    # three members with their own data and rngs stop at their own epochs;
-    # each is bit-identical to fine-tuning it alone
+    # members with their own data and rngs stop at their own epochs; each is
+    # bit-identical to fine-tuning it alone
     cfg = problems[0][0]
     stacked = fine_tune_stack([p[2] for p in problems], [p[1] for p in problems],
                               [p[3] for p in problems], cfg,
-                              [np.random.default_rng(10 + i) for i in range(3)])
+                              [np.random.default_rng(10 + i) for i in range(len(problems))])
     solo = [fine_tune(p[2], p[1], p[3], cfg, np.random.default_rng(10 + i))
             for i, p in enumerate(problems)]
     for a, b in zip(stacked, solo):
@@ -258,6 +258,38 @@ def test_stack_members_match_solo_runs_in_span_coordinates():
     d = 4 * span_width(100, 2, projected=True, targets=False)
     assert use_span(span_width(100, 2, projected=True, targets=False), d)
     _stack_matches_solo([_stack_problem(seed=s, d=d) for s in (3, 4, 14)])  # 51, 52, 50 epochs
+
+
+def _episode_problem(seed, kind, d=32, n_base=20, n_way=5):
+    """A 5-way 1-shot episode over 20 anchored base rows at d=32 (C=25), the
+    shape of the benchmark's episodes. The base rows are the same for every
+    seed."""
+    base = np.random.default_rng(0).standard_normal((n_base, d)) / np.sqrt(d)
+    rng = np.random.default_rng(seed)
+    novel = tuple(range(n_base, n_base + n_way))
+    registry = ClassRegistry([range(n_base), novel])
+    cfg = RunConfig(regularizer_kind=kind, alpha=1e-3, beta_base=0.1, gamma=0.2,
+                    learning_rate=0.5, max_epochs=200, convergence_tolerance=1e-4,
+                    patience_epochs=3, rng_seed=0)
+    w0 = WeightMatrix(range(n_base + n_way),
+                      np.vstack([base, rng.standard_normal((n_way, d)) / np.sqrt(d)]))
+    data = Batch(rng.standard_normal((n_way, d)), np.array(novel))
+    anchors = WeightMatrix(range(n_base), base)
+    if kind == "subspace":
+        obj = Objective(cfg, registry, 1, anchors, basis=orthonormal_basis(list(base)))
+    else:
+        obj = Objective(cfg, registry, 1, anchors,
+                        targets={c: rng.standard_normal(d) / np.sqrt(d) for c in novel})
+    return cfg, obj, w0, data
+
+
+@pytest.mark.parametrize("kind", ["subspace", "semantic"])
+def test_large_episode_stack_members_match_solo_runs(kind):
+    # 48 episodes in one weight-coordinate stack, stopping at 73-101 epochs
+    # (subspace) or 24-26 (semantic): the one-pass reductions give each member
+    # the bits of its solo run
+    assert not use_span(span_width(5, 5, kind == "subspace", kind != "subspace"), 32)
+    _stack_matches_solo([_episode_problem(s, kind) for s in range(48)])
 
 
 def _rows_with_labels(feats, label_pos):
@@ -464,6 +496,46 @@ def test_span_coordinates_match_weight_coordinates_over_a_run(monkeypatch, kind,
     assert len(weight_runs) == len(span_runs) == 2
     for a, b in zip(weight_runs, span_runs):
         _close_runs(a, b)
+
+
+@pytest.mark.parametrize("span", [False, True])
+@pytest.mark.parametrize("kind", ["finetune", "subspace", "semantic"])
+def test_one_pass_loss_terms_match_two_pass_sums(monkeypatch, kind, span):
+    # each term of a three-member stack, in either coordinates, against sums
+    # over its weights taken the long way: form every product, then sum
+    n = 20
+    d = 4 * span_width(n, 2, kind == "subspace", kind == "semantic")
+    problems = [_stack_problem(n=n, seed=s, kind=kind, d=d) for s in (3, 4, 5)]
+    monkeypatch.setattr(trainer_mod, "use_span", lambda width, dimension: span)
+    stack = ObjectiveStack.concat([obj.stack for _, obj, _, _ in problems])
+    m = np.stack([w0.subset(obj.class_ids) for _, obj, w0, _ in problems])
+    feats = np.stack([data.features for *_, data in problems])
+    label_pos = np.stack([obj.label_rows(data.class_ids) for _, obj, _, data in problems])
+    coords, x, rows, to_weights = trainer_mod._coordinates(stack, m, feats)
+    assert (coords.gram is not None) == span
+    x = x + 0.1 * np.random.default_rng(0).standard_normal(x.shape)
+    terms = coords.evaluate(x, rows, label_pos)
+
+    w, k = to_weights(x), stack.n_old
+    logits = feats @ w.transpose(0, 2, 1)
+    top = logits.max(axis=2, keepdims=True)
+    log_z = np.log(np.exp(logits - top).sum(axis=2)) + top[..., 0]
+    picked = np.take_along_axis(logits, label_pos[..., None], axis=2)[..., 0]
+    novel = w[:, k:]
+    if kind == "subspace":
+        p = stack.projection[0]
+        resid = novel - novel @ p @ p.T
+    else:
+        resid = novel - (stack.targets if kind == "semantic" else novel)
+    expected = {
+        "data_loss": (log_z - picked).sum(axis=1) / n,
+        "r_prior": (w * w).sum(axis=(1, 2)),
+        "r_old": (stack.betas * ((w[:, :k] - stack.anchors) ** 2).sum(axis=2)).sum(axis=1),
+        "r_new": (resid * resid).sum(axis=(1, 2)),
+    }
+    for name, want in expected.items():
+        np.testing.assert_allclose(getattr(terms, name), want, rtol=1e-13, atol=0, err_msg=name)
+    assert (expected["r_new"] > 0).all() == (kind != "finetune")
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
