@@ -32,7 +32,7 @@ from .protocol import (
     sample_episode,
 )
 from .synth import SynthSpec, generate, incremental_split
-from .trainer import TrainReport, fine_tune, init_novel_weights, train_base
+from .trainer import TrainReport, fine_tune_stack, init_novel_weights, train_base
 
 __version__ = "0.1.0"
 
@@ -46,5 +46,5 @@ __all__ = [
     "delta_metric", "predict",
     "run_multi_session", "run_single_session", "sample_episode",
     "SynthSpec", "generate", "incremental_split",
-    "TrainReport", "fine_tune", "init_novel_weights", "train_base",
+    "TrainReport", "fine_tune_stack", "init_novel_weights", "train_base",
 ]

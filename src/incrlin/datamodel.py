@@ -391,7 +391,11 @@ class WeightMatrix:
 
     def subset(self, class_ids: Sequence[int]) -> np.ndarray:
         """Rows for the given classes, in the given order (a fresh array)."""
-        idx = [self._index[c] for c in class_ids]
+        try:
+            idx = [self._index[c] for c in class_ids]
+        except KeyError:
+            missing = [int(c) for c in class_ids if c not in self._index]
+            raise ValidationError(f"classes {missing} have no weight row") from None
         return self._m[idx].copy()
 
     def with_rows(self, rows: Mapping[int, np.ndarray]) -> "WeightMatrix":

@@ -7,8 +7,9 @@ negative mean log-likelihood plus the scaled penalties.
 ``ObjectiveStack.evaluate`` is the one implementation. It evaluates a stack
 of E same-shaped sessions at once, so many small episodes cost one call; each
 penalty's sum of products is one ``einsum`` pass, and the gradient is built in
-place. ``Objective`` builds and checks one session's objective as a stack of
-one; ``Objective.evaluate_dense`` is the stack-of-one view.
+place. ``Objective`` is one session's training problem: it checks the
+session's objective and holds it as a stack of one, with the start rows laid
+out and the data's label rows, which ``trainer.fine_tune_stack`` stacks.
 
 The rows are held in coordinates. In weight coordinates they are the (C, d)
 weights. In span coordinates a row is a combination of a session's spanning
@@ -28,7 +29,7 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from .datamodel import ClassRegistry, OrthonormalBasis, RunConfig, WeightMatrix
+from .datamodel import Batch, ClassRegistry, OrthonormalBasis, RunConfig, WeightMatrix
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -140,8 +141,10 @@ class ObjectiveStack:
     def concat(cls, stacks: Sequence["ObjectiveStack"]) -> "ObjectiveStack":
         """One stack of every member of ``stacks``, in order. They must share
         the config, the kind of new-class pull and every shape, and be in
-        weight coordinates."""
+        weight coordinates. A single stack is returned as it is, not copied."""
         first = stacks[0]
+        if len(stacks) == 1:
+            return first
         for s in stacks[1:]:
             if s._layout() != first._layout() or (
                     s.projection is not None
@@ -239,28 +242,30 @@ class ObjectiveStack:
 
 
 class Objective:
-    """Assembled per-session objective over the classes seen so far.
+    """One session's training problem: its objective, start rows and data.
 
     The trainable set is every row up to the current session, laid out in
     ``class_ids`` as the old classes (every class of the earlier sessions,
     ascending), then this session's novel classes (ascending); in the base
-    session every row is a novel one. Old rows stay trainable but are anchored
-    by the r_old term to their rows in ``anchors`` (None without old classes),
-    weighted ``beta_base`` for base classes and ``beta_prev_novel`` for later
-    ones. At most one new-class regularizer component is given, and none in
-    the base session: a subspace ``basis``, or ``targets``, a static row for
-    (at least) every novel class. With neither, r_new is 0. ``stack`` is this
-    session as an ``ObjectiveStack`` of one member.
+    session every row is a novel one. ``start`` is those rows of the given
+    start weights, (C, d) in that layout; ``features`` and ``label_pos`` are
+    the data's feature rows and each label's row. Old rows stay trainable but
+    are anchored by the r_old term to their rows in ``anchors`` (None without
+    old classes), weighted ``beta_base`` for base classes and
+    ``beta_prev_novel`` for later ones. At most one new-class regularizer
+    component is given, and none in the base session: a subspace ``basis``, or
+    ``targets``, a static row for (at least) every novel class. With neither,
+    r_new is 0. ``stack`` is this session's objective as an ``ObjectiveStack``
+    of one member; ``trainer.fine_tune_stack`` trains a list of these problems.
     """
 
     def __init__(self, config: RunConfig, registry: ClassRegistry, session: int,
-                 anchors: WeightMatrix | None, basis: OrthonormalBasis | None = None,
+                 start: WeightMatrix, data: Batch, anchors: WeightMatrix | None = None,
+                 basis: OrthonormalBasis | None = None,
                  targets: Mapping[int, np.ndarray] | None = None):
-        self.session = session
         old = registry.classes_up_to(session - 1) if session > 0 else ()
         novel = registry.classes_in(session)
         self.class_ids = old + novel
-        self._index = {c: i for i, c in enumerate(self.class_ids)}
 
         if (basis is not None) + (targets is not None) > (1 if session > 0 else 0):
             raise ConfigError("an objective takes at most one new-class regularizer "
@@ -287,22 +292,22 @@ class Objective:
         if len(dims) > 1:
             raise DimensionMismatchError(f"inconsistent component dimensions {sorted(dims)}")
 
+        self.start = start.subset(self.class_ids)
+        self.features = data.features
+        index = {c: i for i, c in enumerate(self.class_ids)}
+        try:
+            self.label_pos = np.array([index[c] for c in data.class_ids.tolist()], dtype=np.int64)
+        except KeyError as err:
+            raise ValidationError(f"class {err.args[0]} not active in session {session}") from None
+
         self.stack = ObjectiveStack(
             config, anchor_matrix[None], np.array(betas, dtype=np.float64)[None],
             None if basis is None else (basis.matrix, basis.matrix),
             None if target_matrix is None else target_matrix[None])
 
-    def label_rows(self, class_ids: np.ndarray) -> np.ndarray:
-        """The row of each label in this session's layout, ``class_ids``."""
-        try:
-            return np.array([self._index[int(c)] for c in class_ids], dtype=np.int64)
-        except KeyError as err:
-            raise ValidationError(f"class {err.args[0]} not active in session {self.session}") from None
-
-    def evaluate_dense(self, m: np.ndarray, feats: np.ndarray,
-                       label_pos: np.ndarray) -> ObjectiveTerms:
-        """``ObjectiveStack.evaluate`` of this session alone; ``m`` (C, d) must
-        be aligned to ``self.class_ids``."""
-        t = self.stack.evaluate(m[None], feats[None], label_pos[None])
+    def evaluate_dense(self, m: np.ndarray) -> ObjectiveTerms:
+        """``ObjectiveStack.evaluate`` of this session alone over its own data;
+        ``m`` (C, d) must be aligned to ``self.class_ids``."""
+        t = self.stack.evaluate(m[None], self.features[None], self.label_pos[None])
         return ObjectiveTerms(float(t.data_loss[0]), float(t.r_prior[0]), float(t.r_old[0]),
                               float(t.r_new[0]), float(t.total[0]), t.gradient_matrix[0])

@@ -13,8 +13,9 @@ every episode on its own. A failed episode (a sampling shortfall, a diverged
 fine-tune, or a query set that misses the base or the novel group) is counted
 and left out of the aggregates; the rest of its chunk goes on. Aggregates are
 taken in episode order, so the result does not depend on the chunk size. The
-multi-session run fine-tunes one session at a time and raises
-``DivergenceError``.
+multi-session run fine-tunes one session at a time, as a stack of one, and
+raises its ``DivergenceError``. Both build each session's training problem, an
+``Objective``, in ``_session_problem``.
 
 Accuracies are percentages in [0, 100] throughout.
 """
@@ -47,7 +48,7 @@ from .errors import (
 )
 from .linalg import fit_least_squares, orthonormal_basis
 from .objectives import Objective, semantic_targets
-from .trainer import fine_tune, fine_tune_stack, init_novel_weights, train_base
+from .trainer import fine_tune_stack, init_novel_weights, train_base
 
 # Weight entries (C * d per episode) fine-tuned together as one stack by
 # ``run_single_session``: a chunk holds max(1, EPISODE_BUDGET // (C * d))
@@ -184,15 +185,15 @@ def prepare_run(stream: SessionStream, base_weights: WeightMatrix | None,
     an embedding-driven regularizer needs an embedding for every class of the
     session plan, and ``semantic``/``description`` a positive ``tau``. A run
     that trains ``every_session`` of the plan (the multi-session protocol)
-    needs ``k_shot`` support examples of every novel class; an episodic run
-    samples its classes, and a short pool fails only the episodes that draw
-    it. If
-    ``base_weights`` is None, the base rows are then trained on the base
-    support pool from ``rng``. The base weights must have the features'
-    dimension and rows for exactly the base session's classes. This is the
-    one place the regularizer kind picks the new-class component, built once
-    per run: the subspace basis, or the targets of every novel class (from
-    embedding similarities, or from the fitted linear map).
+    needs ``k_shot`` support examples of every novel class, and at least one
+    without ``k_shot``; an episodic run samples its classes, and a short pool
+    fails only the episodes that draw it. If ``base_weights`` is None, the
+    base rows are then trained on the base support pool from ``rng``. The
+    base weights must have the features' dimension and rows for exactly the
+    base session's classes. This is the one place the regularizer kind picks
+    the new-class component, built once per run: the subspace basis, or the
+    targets of every novel class (from embedding similarities, or from the
+    fitted linear map).
     """
     config, registry, embeddings = stream.config, stream.registry, stream.embeddings
     kind = config.regularizer_kind
@@ -206,12 +207,13 @@ def prepare_run(stream: SessionStream, base_weights: WeightMatrix | None,
             raise MissingEmbeddingError(f"classes {missing} have no embedding")
     if kind in ("semantic", "description") and config.tau <= 0:
         raise ValidationError(f"temperature must be positive, got {config.tau}")
-    if every_session and stream.k_shot is not None:
+    if every_session:
+        need = stream.k_shot or 1
         for c in novel:
             pool = stream.store.support(c).shape[0]
-            if pool < stream.k_shot:
-                raise MissingExampleError(f"class {c} has {pool} support examples, "
-                                          f"need k_shot={stream.k_shot}")
+            if pool < need:
+                raise MissingExampleError(f"class {c} has {pool} support examples, need "
+                                          f"{'k_shot=' if stream.k_shot else ''}{need}")
 
     if base_weights is None:
         base_weights, _ = train_base(stream.store, base, config, rng=rng)
@@ -239,19 +241,16 @@ def prepare_run(stream: SessionStream, base_weights: WeightMatrix | None,
 
 def _session_problem(setup: RunSetup, weights: WeightMatrix, registry: ClassRegistry,
                      session: int, anchors: WeightMatrix, support: Batch,
-                     rng: np.random.Generator, memory: Batch | None = None,
-                     ) -> tuple[WeightMatrix, Objective, Batch]:
-    """One session's training problem: the weights, with its novel rows
-    imprinted from the support set and appended after the old rows (the
-    objective's row layout); its objective; and its data (the support
-    examples followed by the memory examples)."""
+                     rng: np.random.Generator, memory: Batch | None = None) -> Objective:
+    """One session's training problem: it starts from ``weights`` with the
+    session's novel rows imprinted from the support set, and trains on the
+    support examples followed by the memory examples."""
     novel = registry.classes_in(session)
-    weights = weights.with_rows(
+    start = weights.with_rows(
         init_novel_weights(support, setup.snapshot0.norms(), rng, classes=novel))
-    objective = Objective(setup.config, registry, session, anchors,
-                          basis=setup.basis, targets=setup.targets)
     data = support if memory is None else Batch.concat([support, memory])
-    return weights, objective, data
+    return Objective(setup.config, registry, session, start, data, anchors=anchors,
+                     basis=setup.basis, targets=setup.targets)
 
 
 def run_multi_session(stream: SessionStream, base_weights: WeightMatrix | None = None,
@@ -278,9 +277,14 @@ def run_multi_session(stream: SessionStream, base_weights: WeightMatrix | None =
             memory = update_memory(memory, stream.support_examples(t - 1), rng,
                                    expected_classes=registry.classes_in(t - 1))
         if t > 0 and registry.classes_in(t):
-            weights, objective, data = _session_problem(
-                setup, weights, registry, t, anchors, stream.support_examples(t), rng, memory)
-            weights, _ = fine_tune(weights, objective, data, config, rng)
+            # the problem (its start rows and data) is freed once trained,
+            # before the session's query batch is gathered and scored
+            [outcome] = fine_tune_stack([_session_problem(
+                setup, weights, registry, t, anchors, stream.support_examples(t), rng, memory)],
+                [rng])
+            if isinstance(outcome, DivergenceError):
+                raise outcome
+            weights, _ = outcome
             anchors = anchors.with_rows(
                 {c: weights.row(c) for c in registry.classes_in(t)}).frozen()
         results.append(_evaluate_session(weights, stream.query_batch_up_to(t),
@@ -402,12 +406,10 @@ def run_episodes(setup: RunSetup, episodes: Sequence[Episode],
             continue
         members.append(k)
     if members:
-        starts, objectives, data = zip(*problems)
-        trained = fine_tune_stack(starts, objectives, data, setup.config,
-                                  [rngs[k] for k in members])
-        for k, (weights, report) in zip(members, trained):
-            outcomes[k] = (DivergenceError(f"non-finite loss at epoch {report.epochs_run}")
-                           if report.diverged else _score_episode(weights, episodes[k], base))
+        trained = fine_tune_stack(problems, [rngs[k] for k in members])
+        for k, outcome in zip(members, trained):
+            outcomes[k] = (outcome if isinstance(outcome, DivergenceError)
+                           else _score_episode(outcome[0], episodes[k], base))
     return outcomes
 
 

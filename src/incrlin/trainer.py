@@ -19,9 +19,10 @@ trains in span coordinates: each step costs O(C r) instead of O(C d), and
 the (C, d) weights are formed once, at the end. Otherwise the coordinates are
 the weights. The arithmetic differs only in rounding; the loop, the stall
 rule and the mini-batches are the same.
-``fine_tune_stack`` trains the episodes of a single-session run; ``fine_tune``
-is a stack of one, raises ``DivergenceError``, and serves the multi-session
-protocol and ``train_base``.
+``fine_tune_stack`` is the one routine that fits weights: it trains a list of
+``Objective`` problems, the episodes of a single-session run as one stack, and
+a multi-session fine-tune or ``train_base`` as a stack of one. A member whose
+loss went non-finite gets a ``DivergenceError`` in place of its weights.
 """
 from __future__ import annotations
 
@@ -52,19 +53,16 @@ class TrainReport:
 
 
 def init_novel_weights(support: Batch, snapshot0_norms,
-                       rng: np.random.Generator,
-                       classes: Iterable[int] | None = None) -> dict[int, np.ndarray]:
-    """Initial weight rows for this session's classes.
+                       rng: np.random.Generator, classes: Iterable[int]) -> dict[int, np.ndarray]:
+    """Initial weight rows for ``classes``, the session's classes.
 
     Each row is the mean of the class's support features rescaled to the
     average norm of the base rows (weight imprinting). A degenerate mean falls
     back to a small random direction, 1% of that norm.
     """
     rho = float(np.mean(snapshot0_norms))
-    present = np.unique(support.class_ids).tolist()
-    wanted = present if classes is None else sorted(set(classes))
     rows: dict[int, np.ndarray] = {}
-    for c in wanted:
+    for c in sorted(set(classes)):
         stacked = support.features[support.class_ids == c]
         if stacked.shape[0] == 0:
             raise MissingExampleError(f"class {c} has no support examples to initialize from")
@@ -90,8 +88,7 @@ def _epoch_order(n: int, rngs: list[np.random.Generator]) -> np.ndarray | None:
 
 
 def _sgd(w: np.ndarray, objective: ObjectiveStack, feats: np.ndarray, label_pos: np.ndarray,
-         config: RunConfig, rngs: list[np.random.Generator],
-         ) -> tuple[np.ndarray, list[TrainReport]]:
+         rngs: list[np.random.Generator]) -> tuple[np.ndarray, list[TrainReport]]:
     """The epoch loop over a stack: coordinates (E, C, q), feature rows
     (E, n, ·), label positions (E, n). Every member steps on its own blocks
     and stops on its own stall streak, or at the end of the epoch in which its
@@ -100,6 +97,7 @@ def _sgd(w: np.ndarray, objective: ObjectiveStack, feats: np.ndarray, label_pos:
     Returns the final coordinates (a diverged member's are unusable) and one
     report each."""
     n_members, n = label_pos.shape
+    config = objective.config
     lr, tol = config.learning_rate, config.convergence_tolerance
     out = np.empty_like(w)
     reports: list[TrainReport | None] = [None] * n_members
@@ -231,48 +229,34 @@ def _coordinates(stack: ObjectiveStack, m: np.ndarray, feats: np.ndarray):
     return span, x, rows, to_weights
 
 
-def fine_tune_stack(weights: Sequence[WeightMatrix], objectives: Sequence[Objective],
-                    batches: Sequence[Batch], config: RunConfig,
-                    rngs: Sequence[np.random.Generator],
-                    ) -> list[tuple[WeightMatrix | None, TrainReport]]:
-    """Fine-tune E same-shaped sessions as one stacked SGD problem.
+def fine_tune_stack(objectives: Sequence[Objective], rngs: Sequence[np.random.Generator],
+                    ) -> list[tuple[WeightMatrix, TrainReport] | DivergenceError]:
+    """Fine-tune E same-shaped session problems as one stacked SGD problem.
 
-    Member e starts from ``weights[e]`` and minimizes ``objectives[e]`` over
-    ``batches[e]``, drawing its mini-batch shuffles from ``rngs[e]``. Its
-    rows are trained, and returned, in the objective's layout
-    (``Objective.class_ids``: old classes, then novel classes). The stack
-    trains in span coordinates when its spanning set is small against d
-    (``use_span``), else on the weights. Its result is bit-identical to
-    fine-tuning it alone. A member whose loss goes non-finite gets weights
-    None and a report with ``diverged`` set; the other members are
-    unaffected.
+    Member e starts from ``objectives[e].start`` and minimizes the objective
+    over its data, drawing its mini-batch shuffles from ``rngs[e]``. Its rows
+    are trained, and returned, in the objective's layout (``class_ids``: old
+    classes, then novel classes). Each member stops once its epoch loss
+    changes by less than ``convergence_tolerance`` for ``patience_epochs``
+    consecutive epochs, or at ``max_epochs``. The stack trains in span
+    coordinates when its spanning set is small against d (``use_span``),
+    else on the weights. A member's result is bit-identical to fine-tuning it
+    alone. A member whose loss goes non-finite gets a ``DivergenceError`` in
+    place of its weights and report; the other members are unaffected.
     """
     stack = ObjectiveStack.concat([o.stack for o in objectives])
-    m = np.stack([w.subset(o.class_ids) for w, o in zip(weights, objectives)])
-    feats = np.stack([b.features for b in batches])
-    label_pos = np.stack([o.label_rows(b.class_ids) for o, b in zip(objectives, batches)])
+    m = np.stack([o.start for o in objectives])
+    feats = np.stack([o.features for o in objectives])
+    label_pos = np.stack([o.label_pos for o in objectives])
     stack, x, rows, to_weights = _coordinates(stack, m, feats)
-    x, reports = _sgd(x, stack, rows, label_pos, config, list(rngs))
+    x, reports = _sgd(x, stack, rows, label_pos, list(rngs))
     with np.errstate(all="ignore"):  # a diverged member's weights are dropped
         m = to_weights(x)
-    return [(None if r.diverged else WeightMatrix(o.class_ids, m[e]), r)
+    lr = stack.config.learning_rate
+    return [DivergenceError(f"non-finite loss at epoch {r.epochs_run} (lr={lr}); "
+                            "reduce the learning rate")
+            if r.diverged else (WeightMatrix(o.class_ids, m[e]), r)
             for e, (o, r) in enumerate(zip(objectives, reports))]
-
-
-def fine_tune(weights: WeightMatrix, objective: Objective, batch: Batch,
-              config: RunConfig, rng: np.random.Generator) -> tuple[WeightMatrix, TrainReport]:
-    """Minimize the session objective by SGD over the support (+ memory) set:
-    ``fine_tune_stack`` of one member.
-
-    Stops once the epoch loss changes by less than ``convergence_tolerance``
-    for ``patience_epochs`` consecutive epochs, or at ``max_epochs``; raises
-    ``DivergenceError`` if the loss goes non-finite.
-    """
-    [(trained, report)] = fine_tune_stack([weights], [objective], [batch], config, [rng])
-    if report.diverged:
-        raise DivergenceError(f"non-finite loss at epoch {report.epochs_run} "
-                              f"(lr={config.learning_rate}); reduce the learning rate")
-    return trained, report
 
 
 def train_base(store: FeatureStore, base_classes: Iterable[int], config: RunConfig,
@@ -280,7 +264,8 @@ def train_base(store: FeatureStore, base_classes: Iterable[int], config: RunConf
     """Fit base-class rows on the base support pool (cross-entropy + prior only).
 
     The result plays the same role as ingested base weights: it becomes
-    snapshot 0, the first anchor table.
+    snapshot 0, the first anchor table. Raises ``DivergenceError`` if the
+    loss goes non-finite.
     """
     if rng is None:
         rng = np.random.default_rng(config.rng_seed)
@@ -288,6 +273,9 @@ def train_base(store: FeatureStore, base_classes: Iterable[int], config: RunConf
     registry = ClassRegistry.with_base(base)
     support = store.support_examples(base)
     rows = init_novel_weights(support, 1.0, rng, classes=base)
-    weights = WeightMatrix(base, np.stack([rows[c] for c in base]))
-    objective = Objective(config, registry, 0, None)
-    return fine_tune(weights, objective, support, config, rng)
+    [outcome] = fine_tune_stack(
+        [Objective(config, registry, 0, WeightMatrix(base, np.stack([rows[c] for c in base])),
+                   support)], [rng])
+    if isinstance(outcome, DivergenceError):
+        raise outcome
+    return outcome

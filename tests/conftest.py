@@ -33,10 +33,9 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / denom)
 
 
-def evaluate(obj, weights, batch):
-    """``obj`` at ``weights`` over ``batch``; gradient rows in ``obj.class_ids`` order."""
-    return obj.evaluate_dense(weights.subset(obj.class_ids), batch.features,
-                              obj.label_rows(batch.class_ids))
+def evaluate(obj, weights):
+    """``obj`` at ``weights`` over its own data; gradient rows in ``obj.class_ids`` order."""
+    return obj.evaluate_dense(weights.subset(obj.class_ids))
 
 
 # --- synthetic multi-session benchmark ---------------------------------------

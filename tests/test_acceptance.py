@@ -29,7 +29,7 @@ from incrlin.linalg import orthonormal_basis, project
 from incrlin.objectives import Objective
 from incrlin.protocol import delta_metric, run_single_session
 from incrlin.synth import SynthSpec, generate
-from incrlin.trainer import fine_tune, train_base
+from incrlin.trainer import fine_tune_stack, train_base
 
 
 def _report(name: str, passed: bool, detail: str = ""):
@@ -56,12 +56,13 @@ def _random_assembly(rng, kind):
     basis = orthonormal_basis(list(base_m)) if kind == "subspace" else None
     targets = ({c: rng.standard_normal(d) for c in novel_ids}
                if kind in ("semantic", "linmap", "description") else None)
-    obj = Objective(cfg, registry, 1, anchors, basis=basis, targets=targets)
     ids = base_ids + novel_ids
     weights = WeightMatrix(ids, rng.standard_normal((len(ids), d)))
     n = int(rng.integers(4, 11))
     batch = Batch(rng.standard_normal((n, d)), rng.choice(ids, size=n))
-    return obj, weights, batch
+    obj = Objective(cfg, registry, 1, weights, batch, anchors=anchors, basis=basis,
+                    targets=targets)
+    return obj, weights
 
 
 def test_criterion_gradient_suite():
@@ -70,11 +71,11 @@ def test_criterion_gradient_suite():
     worst = 0.0
     for kind in ("finetune", "subspace", "semantic", "linmap"):
         for _ in range(50):
-            obj, weights, batch = _random_assembly(rng, kind)
-            terms = evaluate(obj, weights, batch)
+            obj, weights = _random_assembly(rng, kind)
+            terms = evaluate(obj, weights)
 
-            def fn(w, obj=obj, weights=weights, batch=batch):
-                return evaluate(obj, WeightMatrix(weights.class_ids, w), batch).total
+            def fn(w, obj=obj, weights=weights):
+                return evaluate(obj, WeightMatrix(weights.class_ids, w)).total
 
             fd = fd_gradient(fn, weights.matrix.copy())
             worst = max(worst, rel_err(terms.gradient_matrix, fd))
@@ -253,11 +254,10 @@ def test_criterion_trainer_oracle_equivalence():
                     beta_prev_novel=0.05, gamma=gamma, learning_rate=lr,
                     max_epochs=5, convergence_tolerance=0.0, rng_seed=0)
     basis = orthonormal_basis(list(base))
-    obj = Objective(cfg, registry, 1, anchors, basis=basis)
     w0 = np.vstack([base, rng.standard_normal((1, 2))])
-    data = Batch(feats, labels)
-    trained, _ = fine_tune(WeightMatrix([0, 1, 2], w0), obj, data, cfg,
-                           np.random.default_rng(0))
+    obj = Objective(cfg, registry, 1, WeightMatrix([0, 1, 2], w0), Batch(feats, labels),
+                    anchors=anchors, basis=basis)
+    [(trained, _)] = fine_tune_stack([obj], [np.random.default_rng(0)])
 
     p = basis.matrix
     w = w0.copy()

@@ -34,8 +34,9 @@ def _terms(kind, registry, session, anchors, weights, batch, basis=None, targets
     """The session objective with every coefficient zero but ``coeffs``, and
     its terms at ``weights`` over ``batch``."""
     cfg = RunConfig(regularizer_kind=kind, **{**_ZERO, **coeffs})
-    obj = Objective(cfg, registry, session, anchors, basis=basis, targets=targets)
-    return obj, evaluate(obj, weights, batch)
+    obj = Objective(cfg, registry, session, weights, batch, anchors=anchors, basis=basis,
+                    targets=targets)
+    return obj, evaluate(obj, weights)
 
 
 def _null_batch(d, label):
@@ -85,7 +86,7 @@ def test_cross_entropy_gradient_finite_difference():
     m = WeightMatrix(ids, m).subset(obj.class_ids)  # the laid-out rows
 
     def fn(w):
-        return evaluate(obj, WeightMatrix(obj.class_ids, w), batch).data_loss
+        return evaluate(obj, WeightMatrix(obj.class_ids, w)).data_loss
 
     assert rel_err(terms.gradient_matrix, fd_gradient(fn, m)) < 1e-4
 
@@ -325,11 +326,11 @@ def test_rows_are_laid_out_old_then_novel():
     anchors = WeightMatrix([0, 2, 4], np.zeros((3, 2)))
     targets = {1: np.array([1.0, 1.0]), 3: np.array([3.0, 1.0])}
     cfg = RunConfig(regularizer_kind="semantic", **{**_ZERO, "beta_base": 1.0, "gamma": 1.0})
-    obj = Objective(cfg, registry, 1, anchors, targets=targets)
+    w = WeightMatrix(range(5), np.array([[c, 0.0] for c in range(5)]))
+    obj = Objective(cfg, registry, 1, w, _null_batch(2, 0), anchors=anchors, targets=targets)
     assert obj.class_ids == (0, 2, 4, 1, 3)
     assert obj.stack.n_old == 3
-    w = WeightMatrix(range(5), np.array([[c, 0.0] for c in range(5)]))
-    terms = evaluate(obj, w, _null_batch(2, 0))
+    terms = evaluate(obj, w)
     assert terms.r_old == 0.0 + 4.0 + 16.0  # base rows against their zero anchors
     assert terms.r_new == 1.0 + 1.0         # novel rows against their targets
     for c in (0, 2, 4):
@@ -352,9 +353,10 @@ def _assembly(kind="subspace", with_targets=False, seed=0, d=4, beta=(0.3, 0.15)
     basis = orthonormal_basis(list(base_m)) if kind == "subspace" else None
     targets = ({c: rng.standard_normal(d) for c in (3, 4)}
                if kind in ("semantic", "linmap", "description") or with_targets else None)
-    obj = Objective(cfg, registry, 1, anchors, basis=basis, targets=targets)
     weights = WeightMatrix([0, 1, 2, 3, 4], rng.standard_normal((5, d)))
     batch = Batch(rng.standard_normal((8, d)), rng.integers(0, 5, size=8))
+    obj = Objective(cfg, registry, 1, weights, batch, anchors=anchors, basis=basis,
+                    targets=targets)
     return cfg, obj, weights, batch, registry, anchors
 
 
@@ -373,14 +375,14 @@ def test_assemble_zero_coefficients_reduce_to_cross_entropy():
 
 def test_assemble_finetune_kind_zeroes_r_new():
     cfg, obj, weights, batch, *_ = _assembly(kind="finetune")
-    terms = evaluate(obj, weights, batch)
+    terms = evaluate(obj, weights)
     assert terms.r_new == 0.0
 
 
 def test_assemble_total_is_component_sum():
     for kind in ("finetune", "subspace", "semantic"):
         cfg, obj, weights, batch, *_ = _assembly(kind=kind)
-        terms = evaluate(obj, weights, batch)
+        terms = evaluate(obj, weights)
         assert terms.total == pytest.approx(
             terms.data_loss + cfg.alpha * terms.r_prior + terms.r_old + cfg.gamma * terms.r_new,
             rel=1e-12)
@@ -390,10 +392,10 @@ def test_assemble_total_is_component_sum():
 def test_assemble_gradient_finite_difference_all_kinds():
     for kind in ("finetune", "subspace", "semantic"):
         cfg, obj, weights, batch, *_ = _assembly(kind=kind, seed=11)
-        terms = evaluate(obj, weights, batch)
+        terms = evaluate(obj, weights)
 
         def fn(w):
-            return evaluate(obj, WeightMatrix(obj.class_ids, w), batch).total
+            return evaluate(obj, WeightMatrix(obj.class_ids, w)).total
 
         fd = fd_gradient(fn, weights.subset(obj.class_ids))
         assert rel_err(terms.gradient_matrix, fd) < 1e-4
@@ -406,29 +408,39 @@ def test_assemble_conflicting_components_rejected():
     basis = orthonormal_basis(list(anchors.matrix))
     targets = {3: np.ones(4), 4: np.ones(4)}
     with pytest.raises(ConfigError):
-        Objective(cfg, registry, 1, anchors, basis=basis, targets=targets)
+        Objective(cfg, registry, 1, weights, batch, anchors=anchors, basis=basis, targets=targets)
     with pytest.raises(ConfigError):
-        Objective(cfg, registry, 0, None, basis=basis)
+        Objective(cfg, registry, 0, weights, batch, basis=basis)
     with pytest.raises(ConfigError):
-        Objective(cfg, registry, 0, None, targets={0: np.ones(4), 1: np.ones(4), 2: np.ones(4)})
+        Objective(cfg, registry, 0, weights, batch,
+                  targets={0: np.ones(4), 1: np.ones(4), 2: np.ones(4)})
     with pytest.raises(MissingTargetError):
-        Objective(cfg, registry, 1, anchors, targets={3: np.ones(4)})
+        Objective(cfg, registry, 1, weights, batch, anchors=anchors, targets={3: np.ones(4)})
 
 
 def test_assemble_missing_snapshot_coverage():
     registry = ClassRegistry([(0, 1), (2,)])
     anchors = WeightMatrix([0], np.ones((1, 3)))  # class 1 missing
+    cfg = RunConfig(regularizer_kind="finetune")
+    start, batch = WeightMatrix([0, 1, 2], np.ones((3, 3))), _null_batch(3, 0)
     with pytest.raises(MissingSnapshotError, match=r"classes \[1\]"):
-        Objective(RunConfig(regularizer_kind="finetune"), registry, 1, anchors)
+        Objective(cfg, registry, 1, start, batch, anchors=anchors)
     with pytest.raises(MissingSnapshotError, match=r"classes \[0, 1\]"):
-        Objective(RunConfig(regularizer_kind="finetune"), registry, 1, None)
+        Objective(cfg, registry, 1, start, batch)
 
 
 def test_objective_rejects_inactive_batch_class():
-    cfg, obj, weights, batch, *_ = _assembly(kind="finetune")
+    cfg, _, weights, _, registry, anchors = _assembly(kind="finetune")
     bad = Batch(np.ones((1, 4)), np.array([99]))
     with pytest.raises(ValidationError):
-        evaluate(obj, weights, bad)
+        Objective(cfg, registry, 1, weights, bad, anchors=anchors)
+
+
+def test_objective_names_the_start_rows_it_lacks():
+    cfg, _, weights, batch, registry, anchors = _assembly(kind="finetune")
+    start = WeightMatrix([0, 1, 2, 4], weights.subset([0, 1, 2, 4]))  # class 3 missing
+    with pytest.raises(ValidationError, match=r"classes \[3\] have no weight row"):
+        Objective(cfg, registry, 1, start, batch, anchors=anchors)
 
 
 def test_regularizers_zero_exactly_at_anchor():
@@ -451,7 +463,8 @@ def test_regularizers_zero_exactly_at_anchor():
 
 @st.composite
 def _stack_members(draw):
-    """E same-shaped session-1 objectives with their weights and batches. Each
+    """E same-shaped session-1 objectives, each with the weights it starts from
+    and is evaluated at, and its own data. Each
     member permutes its class ids, so a label maps to member-specific rows;
     a subspace stack shares one basis."""
     kind = draw(st.sampled_from(("finetune", "subspace", "semantic")))
@@ -468,23 +481,24 @@ def _stack_members(draw):
         anchors = WeightMatrix(ids[:n_base], rng.standard_normal((n_base, d)))
         targets = ({c: rng.standard_normal(d) for c in ids[n_base:]}
                    if kind == "semantic" else None)
-        obj = Objective(cfg, registry, 1, anchors, basis=basis if kind == "subspace" else None,
-                        targets=targets)
-        weights = WeightMatrix(obj.class_ids, rng.standard_normal((len(ids), d)))
+        layout = registry.classes_up_to(0) + registry.classes_in(1)
+        weights = WeightMatrix(layout, rng.standard_normal((len(ids), d)))
         batch = Batch(rng.standard_normal((n, d)), rng.choice(ids, size=n))
-        members.append((obj, weights, batch))
+        obj = Objective(cfg, registry, 1, weights, batch, anchors=anchors,
+                        basis=basis if kind == "subspace" else None, targets=targets)
+        members.append((obj, weights))
     return members
 
 
 @settings(max_examples=60, deadline=None)
 @given(_stack_members())
 def test_stack_members_bit_identical_to_their_solo_evaluation(members):
-    stack = ObjectiveStack.concat([obj.stack for obj, _, _ in members])
-    terms = stack.evaluate(np.stack([w.matrix for _, w, _ in members]),
-                           np.stack([b.features for _, _, b in members]),
-                           np.stack([obj.label_rows(b.class_ids) for obj, _, b in members]))
-    for e, (obj, weights, batch) in enumerate(members):
-        solo = evaluate(obj, weights, batch)
+    stack = ObjectiveStack.concat([obj.stack for obj, _ in members])
+    terms = stack.evaluate(np.stack([w.matrix for _, w in members]),
+                           np.stack([obj.features for obj, _ in members]),
+                           np.stack([obj.label_pos for obj, _ in members]))
+    for e, (obj, weights) in enumerate(members):
+        solo = evaluate(obj, weights)
         for name in ("data_loss", "r_prior", "r_old", "r_new", "total"):
             assert getattr(terms, name)[e] == getattr(solo, name)
         assert terms.gradient_matrix[e].tobytes() == solo.gradient_matrix.tobytes()
@@ -493,11 +507,11 @@ def test_stack_members_bit_identical_to_their_solo_evaluation(members):
 @settings(max_examples=25, deadline=None)
 @given(_stack_members())
 def test_gradient_finite_difference_at_random_shapes(members):
-    obj, weights, batch = members[0]
-    terms = evaluate(obj, weights, batch)
+    obj, weights = members[0]
+    terms = evaluate(obj, weights)
 
     def fn(w):
-        return evaluate(obj, WeightMatrix(obj.class_ids, w), batch).total
+        return evaluate(obj, WeightMatrix(obj.class_ids, w)).total
 
     fd = fd_gradient(fn, weights.subset(obj.class_ids))
     assert rel_err(terms.gradient_matrix, fd) < 1e-4

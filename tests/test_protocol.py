@@ -51,6 +51,11 @@ def test_predict_invariant_to_positive_logit_rescaling():
     np.testing.assert_array_equal(a, b)
 
 
+def test_predict_names_the_classes_without_a_weight_row():
+    with pytest.raises(ValidationError, match=r"classes \[2\] have no weight row"):
+        predict(WeightMatrix([0, 1], np.eye(2)), np.ones((1, 2)), [0, 2])
+
+
 def _confusion(weights, batch, order):
     return _count_confusion(batch.class_ids, predict(weights, batch.features, order), order)
 
@@ -306,9 +311,9 @@ def test_run_multi_session_anchors_each_class_to_its_introducing_session(monkeyp
     anchors_of = {}
     real = protocol_mod.Objective
 
-    def recording(config, reg, session, anchors, **kwargs):
+    def recording(config, reg, session, start, data, anchors, **kwargs):
         anchors_of[session] = anchors
-        return real(config, reg, session, anchors, **kwargs)
+        return real(config, reg, session, start, data, anchors, **kwargs)
 
     monkeypatch.setattr(protocol_mod, "Objective", recording)
     weights_at = {}
@@ -536,6 +541,17 @@ def test_run_single_session_says_why_every_episode_failed():
         run_single_session(_single_stream(data, cfg), bw, n_episodes=3, n_way=3, n_query=1)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_run_single_session_says_how_to_stop_a_divergence():
+    # lr * 2 * alpha >> 1: every episode's prior term explodes
+    bw, cfg, data = _single_setup()
+    stream = _single_stream(data, cfg.replace(alpha=1.0, learning_rate=1e6))
+    with pytest.raises(EngineError, match=r"all 3 episodes failed; the first with DivergenceError: "
+                                          r"non-finite loss at epoch \d+ \(lr=1000000\.0\); "
+                                          r"reduce the learning rate$"):
+        run_single_session(stream, bw, n_episodes=3, n_way=3, n_query=12)
+
+
 def test_run_single_session_rejects_memory():
     bw, cfg, data = _single_setup()
     with pytest.raises(ConfigError):
@@ -636,13 +652,14 @@ _BOTH_PROTOCOL_FAULTS = ("semantic without embeddings", "missing embedding", "ta
     ("single", "n_way above the pool"),
     ("single", "memory"),
     ("multi", "k_shot above a novel pool"),
+    ("multi", "empty novel pool without k_shot"),
 ])
 def test_a_faulty_run_fails_before_any_base_fit(monkeypatch, protocol, fault):
     data = generate(SynthSpec(n_classes=16, dimension=8, rng_seed=0,
                               support_per_class=8, query_per_class=6))
     plan = _SINGLE_PLAN if protocol == "single" else incremental_split(16, 10, 3)
     cfg = RunConfig(regularizer_kind="semantic", tau=0.5, learning_rate=0.05, rng_seed=7)
-    embeddings, k_shot, n_way, named = data.embeddings, 1, 3, None
+    embeddings, k_shot, n_way, named, store = data.embeddings, 1, 3, None, None
     if fault == "semantic without embeddings":
         embeddings, error = None, ConfigError
     elif fault == "missing embedding":
@@ -656,12 +673,19 @@ def test_a_faulty_run_fails_before_any_base_fit(monkeypatch, protocol, fault):
     elif fault == "k_shot above a novel pool":
         k_shot, error = 9, MissingExampleError
         named = "class 10 has 8 support examples, need k_shot=9"
+    elif fault == "empty novel pool without k_shot":  # class 14 arrives in session 2
+        s = data.store
+        store = FeatureStore(s.dimension, {c: s.support(c) for c in s.classes if c != 14},
+                             {c: s.query(c) for c in s.classes})
+        k_shot, error = None, MissingExampleError
+        named = "class 14 has 0 support examples, need 1"
     else:
         cfg, error = cfg.replace(memory_enabled=True), ConfigError
     monkeypatch.setattr(protocol_mod, "train_base",
                         lambda *a, **k: pytest.fail("the base weights were fitted"))
     with pytest.raises(error, match=named):
-        stream = _single_stream(data, cfg, k_shot=k_shot, embeddings=embeddings, plan=plan)
+        stream = _single_stream(data, cfg, k_shot=k_shot, embeddings=embeddings, plan=plan,
+                                store=store)
         if protocol == "single":
             run_single_session(stream, n_episodes=3, n_way=n_way, n_query=8)
         else:

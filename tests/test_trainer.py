@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -21,7 +19,6 @@ from incrlin.protocol import run_multi_session
 from incrlin.trainer import (
     MINI_BATCH,
     _epoch_order,
-    fine_tune,
     fine_tune_stack,
     init_novel_weights,
     span_width,
@@ -40,7 +37,7 @@ def _batch(class_ids, features):
 def test_init_one_shot_scaled_mean():
     v = np.array([3.0, 0.0, 4.0])
     rows = init_novel_weights(_batch([7], [v]), snapshot0_norms=np.array([2.0, 4.0]),
-                              rng=np.random.default_rng(0))
+                              rng=np.random.default_rng(0), classes=[7])
     np.testing.assert_allclose(rows[7], 3.0 * v / 5.0, atol=1e-12)  # mean norm rho=3
 
 
@@ -48,7 +45,7 @@ def test_init_degenerate_mean_falls_back_to_small_random():
     v = np.array([1.0, -2.0, 0.5])
     rows = init_novel_weights(_batch([7, 7], [v, -v]),
                               snapshot0_norms=np.array([5.0]),
-                              rng=np.random.default_rng(0))
+                              rng=np.random.default_rng(0), classes=[7])
     assert np.linalg.norm(rows[7]) == pytest.approx(0.05, rel=1e-9)  # 0.01 * rho
 
 
@@ -57,7 +54,7 @@ def test_init_five_shot_beats_fresh_random_row_on_own_support():
     center = rng.standard_normal(16)
     support = _batch([3] * 5, center + 0.1 * rng.standard_normal((5, 16)))
     rho = 2.0
-    rows = init_novel_weights(support, rho, np.random.default_rng(2))
+    rows = init_novel_weights(support, rho, np.random.default_rng(2), classes=[3])
     rand = rng.standard_normal(16)
     rand *= rho / np.linalg.norm(rand)
     for feature in support.features:
@@ -69,8 +66,8 @@ def test_init_missing_class_error_and_determinism():
         init_novel_weights(_batch([0], [np.ones(2)]), 1.0,
                            np.random.default_rng(0), classes=[0, 1])
     sup = _batch([0], [[1.0, 2.0]])
-    a = init_novel_weights(sup, 1.0, np.random.default_rng(5))
-    b = init_novel_weights(sup, 1.0, np.random.default_rng(5))
+    a = init_novel_weights(sup, 1.0, np.random.default_rng(5), classes=[0])
+    b = init_novel_weights(sup, 1.0, np.random.default_rng(5), classes=[0])
     np.testing.assert_array_equal(a[0], b[0])
 
 
@@ -94,33 +91,41 @@ def test_epoch_batches_partition_above_threshold():
     assert not np.array_equal(order[0], order[1])  # from each member's own rng
 
 
-# --- fine_tune -------------------------------------------------------------------
+# --- one session: a stack of one --------------------------------------------------
 
-def _toy_objective(kind="finetune", alpha=0.0, beta=0.0, gamma=0.0, basis=None):
+def _solo(objective, rng):
+    """``fine_tune_stack`` of one member; raises its ``DivergenceError``."""
+    [outcome] = fine_tune_stack([objective], [rng])
+    if isinstance(outcome, DivergenceError):
+        raise outcome
+    return outcome
+
+
+def _toy_objective(w0, data, **fields):
+    """The base session of classes 0 and 1 from ``w0`` over ``data``, with
+    every penalty off but the ``fields`` set."""
     registry = ClassRegistry([(0, 1)])
-    cfg = RunConfig(regularizer_kind=kind, alpha=alpha, beta_base=beta,
-                    beta_prev_novel=beta, gamma=gamma, learning_rate=0.5,
-                    max_epochs=500, rng_seed=0)
-    return cfg, Objective(cfg, registry, 0, None)
+    cfg = RunConfig(regularizer_kind="finetune", alpha=0.0, beta_base=0.0,
+                    beta_prev_novel=0.0, gamma=0.0, learning_rate=0.5,
+                    max_epochs=500, rng_seed=0).replace(**fields)
+    return cfg, Objective(cfg, registry, 0, w0, data)
 
 
 def test_zero_learning_rate_keeps_weights_and_converges():
-    cfg, obj = _toy_objective()
-    cfg = cfg.replace(learning_rate=0.0)
     w0 = WeightMatrix([0, 1], np.array([[1.0, 2.0], [3.0, 4.0]]))
     data = Batch(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1]))
-    w1, report = fine_tune(w0, obj, data, cfg, np.random.default_rng(0))
+    cfg, obj = _toy_objective(w0, data, learning_rate=0.0)
+    w1, report = _solo(obj, np.random.default_rng(0))
     np.testing.assert_array_equal(w1.matrix, w0.matrix)
     assert report.converged
     assert report.epochs_run == cfg.patience_epochs + 1
 
 
 def test_separable_toy_reaches_full_support_accuracy():
-    cfg, obj = _toy_objective()
     batch = Batch(np.array([[1.0, 0.1], [0.9, -0.1], [-1.0, 0.2], [-0.8, 0.0]]),
                   np.array([0, 0, 1, 1]))
-    w0 = WeightMatrix([0, 1], np.zeros((2, 2)))
-    w1, report = fine_tune(w0, obj, batch, cfg, np.random.default_rng(0))
+    _, obj = _toy_objective(WeightMatrix([0, 1], np.zeros((2, 2))), batch)
+    w1, report = _solo(obj, np.random.default_rng(0))
     logits = batch.features @ w1.matrix.T
     preds = np.array([0, 1])[np.argmax(logits, axis=1)]
     assert np.array_equal(preds, batch.class_ids)
@@ -133,10 +138,9 @@ def test_fine_tune_bit_identical_given_seed():
     registry = ClassRegistry([(0, 1)])
     cfg = RunConfig(regularizer_kind="finetune", alpha=1e-3, learning_rate=0.1,
                     max_epochs=40, convergence_tolerance=0.0, rng_seed=0)
-    obj = Objective(cfg, registry, 0, None)
-    w0 = WeightMatrix([0, 1], np.zeros((2, 4)))
-    wa, ra = fine_tune(w0, obj, data, cfg, np.random.default_rng(11))
-    wb, rb = fine_tune(w0, obj, data, cfg, np.random.default_rng(11))
+    obj = Objective(cfg, registry, 0, WeightMatrix([0, 1], np.zeros((2, 4))), data)
+    wa, ra = _solo(obj, np.random.default_rng(11))
+    wb, rb = _solo(obj, np.random.default_rng(11))
     assert wa.matrix.tobytes() == wb.matrix.tobytes()
     assert (ra.epochs_run, ra.final_loss) == (rb.epochs_run, rb.final_loss)
 
@@ -152,11 +156,11 @@ def test_huge_gamma_forces_rows_into_subspace():
                     beta_prev_novel=0.1, gamma=1e4, learning_rate=1e-5,
                     max_epochs=2000, convergence_tolerance=0.0, rng_seed=0)
     basis = orthonormal_basis(list(base))
-    obj = Objective(cfg, registry, 1, anchors, basis=basis)
     support = _batch([4] * 5 + [5] * 5, rng.standard_normal((10, d)))
-    init = init_novel_weights(support, anchors.norms(), np.random.default_rng(0))
-    weights = anchors.with_rows(init)
-    trained, _ = fine_tune(weights, obj, support, cfg, np.random.default_rng(0))
+    init = init_novel_weights(support, anchors.norms(), np.random.default_rng(0), classes=[4, 5])
+    obj = Objective(cfg, registry, 1, anchors.with_rows(init), support, anchors=anchors,
+                    basis=basis)
+    trained, _ = _solo(obj, np.random.default_rng(0))
     p = basis.matrix
     for c in (4, 5):
         row = trained.row(c)
@@ -167,12 +171,21 @@ def test_huge_gamma_forces_rows_into_subspace():
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_divergence_raises():
     # lr * 2 * alpha >> 1 makes the prior term oscillate with exploding magnitude
-    cfg, obj = _toy_objective(alpha=1.0)
-    cfg = cfg.replace(learning_rate=1e6, max_epochs=100, convergence_tolerance=0.0)
     data = Batch(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1]))
+    _, obj = _toy_objective(WeightMatrix([0, 1], np.ones((2, 2))), data, alpha=1.0,
+                            learning_rate=1e6, max_epochs=100, convergence_tolerance=0.0)
     with pytest.raises(DivergenceError):
-        fine_tune(WeightMatrix([0, 1], np.ones((2, 2))), obj, data, cfg,
-                  np.random.default_rng(0))
+        _solo(obj, np.random.default_rng(0))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_train_base_divergence_names_the_remedy():
+    data = generate(SynthSpec(n_classes=6, dimension=8, rng_seed=0))
+    cfg = RunConfig(regularizer_kind="finetune", alpha=1.0, learning_rate=1e6, max_epochs=100,
+                    rng_seed=0)
+    with pytest.raises(DivergenceError, match=r"^non-finite loss at epoch \d+ "
+                                              r"\(lr=1000000\.0\); reduce the learning rate$"):
+        train_base(data.store, data.registry.base_classes, cfg)
 
 
 def test_smoothed_epoch_loss_non_increasing_on_fixture(monkeypatch):
@@ -203,12 +216,13 @@ def test_smoothed_epoch_loss_non_increasing_on_fixture(monkeypatch):
 
 # --- stacks -----------------------------------------------------------------------
 
-def _stack_problem(n=100, seed=3, kind="subspace", d=4):
+def _stack_problem(n=100, seed=3, kind="subspace", d=4, data_scale=None, **fields):
     """A session-1 problem over n support rows (> MINI_BATCH at the default
     n, so every epoch is shuffled into blocks), pulled toward the base span,
     or toward fixed targets for the embedding kinds. The base rows, and so
     the basis, are the same for every seed. Entries are scaled by sqrt(4 / d),
-    so row norms do not grow with d."""
+    so row norms do not grow with d. ``data_scale`` scales the support
+    features after they are drawn; ``fields`` override the config."""
     scale = np.sqrt(4 / d)
     base = np.random.default_rng(0).standard_normal((2, d)) * scale
     rng = np.random.default_rng(seed)
@@ -216,16 +230,17 @@ def _stack_problem(n=100, seed=3, kind="subspace", d=4):
     anchors = WeightMatrix([0, 1], base)
     cfg = RunConfig(regularizer_kind=kind, alpha=1e-3, beta_base=0.1, gamma=0.2,
                     learning_rate=0.05, max_epochs=120, convergence_tolerance=3e-3,
-                    patience_epochs=3, rng_seed=0)
+                    patience_epochs=3, rng_seed=0).replace(**fields)
     w0 = WeightMatrix([0, 1, 2, 3], np.vstack([base, rng.standard_normal((2, d)) * scale]))
     data = Batch(rng.standard_normal((n, d)) * scale, rng.integers(0, 4, size=n))
+    if data_scale is not None:
+        data = Batch(data.features * data_scale, data.class_ids)
     if kind == "subspace":
-        obj = Objective(cfg, registry, 1, anchors, basis=orthonormal_basis(list(base)))
-    else:
-        targets = ({c: rng.standard_normal(d) * scale for c in (2, 3)}
-                   if kind in FIXED_TARGET_KINDS else None)
-        obj = Objective(cfg, registry, 1, anchors, targets=targets)
-    return cfg, obj, w0, data
+        return Objective(cfg, registry, 1, w0, data, anchors=anchors,
+                         basis=orthonormal_basis(list(base)))
+    targets = ({c: rng.standard_normal(d) * scale for c in (2, 3)}
+               if kind in FIXED_TARGET_KINDS else None)
+    return Objective(cfg, registry, 1, w0, data, anchors=anchors, targets=targets)
 
 
 def _same_run(a, b):
@@ -236,15 +251,12 @@ def _same_run(a, b):
     assert ra.final_loss == rb.final_loss
 
 
-def _stack_matches_solo(problems):
+def _stack_matches_solo(objectives):
     # members with their own data and rngs stop at their own epochs; each is
     # bit-identical to fine-tuning it alone
-    cfg = problems[0][0]
-    stacked = fine_tune_stack([p[2] for p in problems], [p[1] for p in problems],
-                              [p[3] for p in problems], cfg,
-                              [np.random.default_rng(10 + i) for i in range(len(problems))])
-    solo = [fine_tune(p[2], p[1], p[3], cfg, np.random.default_rng(10 + i))
-            for i, p in enumerate(problems)]
+    stacked = fine_tune_stack(objectives,
+                              [np.random.default_rng(10 + i) for i in range(len(objectives))])
+    solo = [_solo(obj, np.random.default_rng(10 + i)) for i, obj in enumerate(objectives)]
     for a, b in zip(stacked, solo):
         _same_run(a, b)
     assert len({r.epochs_run for _, r in solo}) > 1  # members stopped at different epochs
@@ -276,11 +288,10 @@ def _episode_problem(seed, kind, d=32, n_base=20, n_way=5):
     data = Batch(rng.standard_normal((n_way, d)), np.array(novel))
     anchors = WeightMatrix(range(n_base), base)
     if kind == "subspace":
-        obj = Objective(cfg, registry, 1, anchors, basis=orthonormal_basis(list(base)))
-    else:
-        obj = Objective(cfg, registry, 1, anchors,
-                        targets={c: rng.standard_normal(d) / np.sqrt(d) for c in novel})
-    return cfg, obj, w0, data
+        return Objective(cfg, registry, 1, w0, data, anchors=anchors,
+                         basis=orthonormal_basis(list(base)))
+    return Objective(cfg, registry, 1, w0, data, anchors=anchors,
+                     targets={c: rng.standard_normal(d) / np.sqrt(d) for c in novel})
 
 
 @pytest.mark.parametrize("kind", ["subspace", "semantic"])
@@ -301,8 +312,8 @@ def test_sgd_steps_on_mini_batches_that_cover_each_epoch(monkeypatch, n_members)
     # every step sees at most MINI_BATCH rows of each member, and the steps of
     # an epoch pair each member's rows with their labels exactly once
     n, epochs = 150, 3
-    problems = [_stack_problem(n=n, seed=s) for s in (3, 4)[:n_members]]
-    cfg = dataclasses.replace(problems[0][0], max_epochs=epochs)  # no member stops early
+    # no member stops early
+    objectives = [_stack_problem(n=n, seed=s, max_epochs=epochs) for s in (3, 4)[:n_members]]
     calls = []
     evaluate = ObjectiveStack.evaluate
 
@@ -312,41 +323,34 @@ def test_sgd_steps_on_mini_batches_that_cover_each_epoch(monkeypatch, n_members)
 
     monkeypatch.setattr(ObjectiveStack, "evaluate", spy)
     rngs = [np.random.default_rng(10 + i) for i in range(n_members)]
-    if n_members == 1:
-        _, obj, w0, data = problems[0]
-        fine_tune(w0, obj, data, cfg, rngs[0])
-    else:
-        fine_tune_stack([p[2] for p in problems], [p[1] for p in problems],
-                        [p[3] for p in problems], cfg, rngs)
+    fine_tune_stack(objectives, rngs)
     sizes = [lab.shape[1] for _, lab in calls]
     assert max(sizes) <= MINI_BATCH
     per_epoch = -(-n // MINI_BATCH)
     assert len(calls) == epochs * per_epoch and sum(sizes) == epochs * n
     for k in range(0, len(calls), per_epoch):
         epoch = calls[k:k + per_epoch]
-        for e, (_, obj, _, data) in enumerate(problems):
+        for e, obj in enumerate(objectives):
             seen = _rows_with_labels(np.concatenate([f[e] for f, _ in epoch]),
                                      np.concatenate([lab[e] for _, lab in epoch]))
-            assert seen == _rows_with_labels(data.features, obj.label_rows(data.class_ids))
+            assert seen == _rows_with_labels(obj.features, obj.label_pos)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_diverged_member_leaves_the_rest_of_the_stack_untouched():
-    cfg, obj, w0, data = _stack_problem(n=6)
-    scaled = Batch(data.features * 1e155, data.class_ids)  # its first step overflows
-    stacked = fine_tune_stack([w0, w0], [obj, obj], [scaled, data], cfg,
-                              [np.random.default_rng(0), np.random.default_rng(1)])
-    (w_bad, r_bad), good = stacked
-    assert w_bad is None and r_bad.diverged and not r_bad.converged
-    _same_run(good, fine_tune(w0, obj, data, cfg, np.random.default_rng(1)))
+    obj = _stack_problem(n=6)
+    scaled = _stack_problem(n=6, data_scale=1e155)  # its first step overflows
+    bad, good = fine_tune_stack([scaled, obj], [np.random.default_rng(0), np.random.default_rng(1)])
+    assert isinstance(bad, DivergenceError)
+    _same_run(good, _solo(obj, np.random.default_rng(1)))
     with pytest.raises(DivergenceError):
-        fine_tune(w0, obj, scaled, cfg, np.random.default_rng(0))
+        _solo(scaled, np.random.default_rng(0))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_divergence_on_shuffled_blocks_stops_stepping_at_the_first_bad_block(monkeypatch):
-    cfg, obj, w0, data = _stack_problem(n=200)  # four blocks per epoch
-    scaled = Batch(data.features * 1e155, data.class_ids)  # its second block overflows
+    obj = _stack_problem(n=200)  # four blocks per epoch
+    scaled = _stack_problem(n=200, data_scale=1e155)  # its second block overflows
     seen = []
     evaluate = ObjectiveStack.evaluate
 
@@ -356,17 +360,16 @@ def test_divergence_on_shuffled_blocks_stops_stepping_at_the_first_bad_block(mon
 
     monkeypatch.setattr(ObjectiveStack, "evaluate", spy)
     with pytest.raises(DivergenceError, match="epoch 1"):
-        fine_tune(w0, obj, scaled, cfg, np.random.default_rng(0))
+        _solo(scaled, np.random.default_rng(0))
     assert len(seen) == 2  # a stack of one stops at its first non-finite block
 
     seen.clear()
-    (w_bad, r_bad), good = fine_tune_stack([w0, w0], [obj, obj], [scaled, data], cfg,
-                                           [np.random.default_rng(0), np.random.default_rng(1)])
-    assert w_bad is None and r_bad.diverged and r_bad.epochs_run == 1
+    bad, good = fine_tune_stack([scaled, obj], [np.random.default_rng(0), np.random.default_rng(1)])
+    assert isinstance(bad, DivergenceError) and "at epoch 1 " in str(bad)
     assert [m.shape[0] for m in seen[:5]] == [2, 2, 2, 2, 1]  # it leaves after epoch 1
     for m in seen[2:4]:  # and takes no step after its bad block
         np.testing.assert_array_equal(m[0], seen[1][0])
-    _same_run(good, fine_tune(w0, obj, data, cfg, np.random.default_rng(1)))
+    _same_run(good, _solo(obj, np.random.default_rng(1)))
 
 
 # --- straight-line SGD oracle ---------------------------------------------------------
@@ -385,11 +388,10 @@ def test_full_batch_sgd_matches_reference_implementation():
                     beta_prev_novel=bp, gamma=gamma, learning_rate=lr,
                     max_epochs=5, convergence_tolerance=0.0, rng_seed=0)
     basis = orthonormal_basis(list(base))
-    obj = Objective(cfg, registry, 1, anchors, basis=basis)
     w0 = np.vstack([base, rng.standard_normal((1, 2))])
-    data = Batch(feats, labels)
-    trained, report = fine_tune(WeightMatrix([0, 1, 2], w0), obj, data, cfg,
-                                np.random.default_rng(0))
+    obj = Objective(cfg, registry, 1, WeightMatrix([0, 1, 2], w0), Batch(feats, labels),
+                    anchors=anchors, basis=basis)
+    trained, report = _solo(obj, np.random.default_rng(0))
     assert report.epochs_run == 5
 
     # reference: straight-line numpy, same arithmetic order
@@ -441,11 +443,12 @@ def _both_bodies(monkeypatch, run):
 def _close_runs(weight_run, span_run):
     """The same stop epoch and outcome, and weights within 1e-12 of the
     largest entry."""
+    assert type(weight_run) is type(span_run)
+    if isinstance(weight_run, DivergenceError):
+        assert str(span_run) == str(weight_run)  # at the same epoch
+        return
     (wa, ra), (wb, rb) = weight_run, span_run
     assert (ra.epochs_run, ra.converged, ra.diverged) == (rb.epochs_run, rb.converged, rb.diverged)
-    if ra.diverged:
-        assert wa is None and wb is None
-        return
     assert wa.class_ids == wb.class_ids
     assert np.abs(wb.matrix - wa.matrix).max() <= 1e-12 * np.abs(wa.matrix).max()
 
@@ -476,15 +479,16 @@ def test_span_coordinates_match_weight_coordinates_over_a_run(monkeypatch, kind,
     def run():
         trained = []
 
-        def recording(*args, **kwargs):
-            trained.append(fine_tune(*args, **kwargs))
-            return trained[-1]
+        def recording(*args):
+            outcomes = fine_tune_stack(*args)
+            trained.extend(outcomes)
+            return outcomes
 
-        monkeypatch.setattr(protocol_mod, "fine_tune", recording)
+        monkeypatch.setattr(protocol_mod, "fine_tune_stack", recording)
         run_multi_session(stream, base_weights=bw)
         return trained
 
-    def spy_init(support, norms, rng, classes=None):
+    def spy_init(support, norms, rng, classes):
         rows = init(support, norms, rng, classes=classes)
         fallbacks.extend(c for c in rows if np.linalg.norm(support.features[
             support.class_ids == c].mean(axis=0)) == 0.0)
@@ -505,12 +509,12 @@ def test_one_pass_loss_terms_match_two_pass_sums(monkeypatch, kind, span):
     # over its weights taken the long way: form every product, then sum
     n = 20
     d = 4 * span_width(n, 2, kind == "subspace", kind == "semantic")
-    problems = [_stack_problem(n=n, seed=s, kind=kind, d=d) for s in (3, 4, 5)]
+    objectives = [_stack_problem(n=n, seed=s, kind=kind, d=d) for s in (3, 4, 5)]
     monkeypatch.setattr(trainer_mod, "use_span", lambda width, dimension: span)
-    stack = ObjectiveStack.concat([obj.stack for _, obj, _, _ in problems])
-    m = np.stack([w0.subset(obj.class_ids) for _, obj, w0, _ in problems])
-    feats = np.stack([data.features for *_, data in problems])
-    label_pos = np.stack([obj.label_rows(data.class_ids) for _, obj, _, data in problems])
+    stack = ObjectiveStack.concat([obj.stack for obj in objectives])
+    m = np.stack([obj.start for obj in objectives])
+    feats = np.stack([obj.features for obj in objectives])
+    label_pos = np.stack([obj.label_pos for obj in objectives])
     coords, x, rows, to_weights = trainer_mod._coordinates(stack, m, feats)
     assert (coords.gram is not None) == span
     x = x + 0.1 * np.random.default_rng(0).standard_normal(x.shape)
@@ -541,13 +545,11 @@ def test_one_pass_loss_terms_match_two_pass_sums(monkeypatch, kind, span):
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @pytest.mark.parametrize("kind", _KINDS)
 def test_span_stack_with_a_diverging_member_matches_weight_coordinates(monkeypatch, kind):
-    problems = [_stack_problem(seed=s, kind=kind) for s in (3, 4, 5)]
-    cfg, obj, w0, data = problems[1]
-    problems[1] = cfg, obj, w0, Batch(data.features * 1e155, data.class_ids)
+    objectives = [_stack_problem(seed=s, kind=kind, data_scale=1e155 if s == 4 else None)
+                  for s in (3, 4, 5)]
     weight_runs, span_runs = _both_bodies(monkeypatch, lambda: fine_tune_stack(
-        [p[2] for p in problems], [p[1] for p in problems], [p[3] for p in problems], cfg,
-        [np.random.default_rng(10 + i) for i in range(3)]))
-    assert [r.diverged for _, r in weight_runs] == [False, True, False]
+        objectives, [np.random.default_rng(10 + i) for i in range(3)]))
+    assert [isinstance(r, DivergenceError) for r in weight_runs] == [False, True, False]
     for a, b in zip(weight_runs, span_runs):
         _close_runs(a, b)
 
