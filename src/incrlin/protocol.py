@@ -5,23 +5,32 @@ Both protocols take the run's ``SessionStream`` and optional base weights,
 and start in ``prepare_run``: it checks every input, then fits the base
 weights if none were given, then builds the set-up the run shares.
 
-The episodic run trains its episodes in chunks of as many as fit
-``EPISODE_BUDGET``. For each chunk it samples the episodes and imprints their
-novel rows, each from its own ``SeedSequence((seed, i))`` streams, then
-fine-tunes the chunk as one stack (``trainer.fine_tune_stack``) and scores
-every episode on its own. A failed episode (a sampling shortfall, a diverged
-fine-tune, or a query set that misses the base or the novel group) is counted
-and left out of the aggregates; the rest of its chunk goes on. Aggregates are
-taken in episode order, so the result does not depend on the chunk size. The
-multi-session run fine-tunes one session at a time, as a stack of one, and
-raises its ``DivergenceError``. Both build each session's training problem, an
+The episodic run splits its episodes into chunks, one per CPU the process may
+run on unless that is more than fits ``EPISODE_BUDGET``, and trains the
+chunks in a pool of forked worker processes (serially on one CPU, where
+``fork`` is unavailable, or beside other threads). A chunk
+(``_episode_chunk``) samples its episodes and imprints their novel rows, each
+from its own ``SeedSequence((seed, i))`` streams, then fine-tunes them as one
+stack (``trainer.fine_tune_stack``) and scores every episode on its own. A
+failed episode (a sampling shortfall, a diverged fine-tune, or a query set
+that misses the base or the novel group) is counted and left out of the
+aggregates; the rest of its chunk goes on. Outcomes and aggregates are taken
+in episode order, so neither the result nor the failure an all-failed run
+names depends on the chunk size or the worker count. The multi-session run
+fine-tunes one session at a time, as a stack of one, and raises its
+``DivergenceError``. Both build each session's training problem, an
 ``Objective``, in ``_session_problem``.
 
 Accuracies are percentages in [0, 100] throughout.
 """
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
+import functools
+import multiprocessing
+import os
+import threading
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -52,7 +61,11 @@ from .trainer import fine_tune_stack, init_novel_weights, train_base
 
 # Weight entries (C * d per episode) fine-tuned together as one stack by
 # ``run_single_session``: a chunk holds max(1, EPISODE_BUDGET // (C * d))
-# episodes. Results do not depend on it: each episode's arithmetic is its own.
+# episodes, or its even share of the episodes per CPU if that is fewer: each
+# step has a fixed cost, so one stack per worker beats several smaller ones
+# (40 episodes on 2 CPUs, median of 8 calls: 0.27 s as four stacks of 10,
+# 0.20 s as two of 20). Results do not depend on it: each episode's
+# arithmetic is its own.
 # The budget is 40 episodes of 5-way 1-shot over 20 base classes at d=32
 # (C=25): of 24, 40, 64 and 80, the smallest stack within noise of the
 # fastest over 200 episodes; stacks of 64 and 80 page-faulted on every step.
@@ -314,6 +327,10 @@ def _check_episode_shape(novel_store: FeatureStore, n_way: int, k_shot: int,
     if len(novel_store.classes) < n_way:
         raise MissingExampleError(
             f"novel pool has {len(novel_store.classes)} classes, need n_way={n_way}")
+    able = sum(novel_store.support(c).shape[0] >= k_shot for c in novel_store.classes)
+    if able < n_way:
+        raise MissingExampleError(f"novel pool has {able} classes with k_shot={k_shot} "
+                                  f"support examples, need n_way={n_way}")
 
 
 def sample_episode(base_store: FeatureStore, novel_store: FeatureStore, n_way: int,
@@ -329,7 +346,7 @@ def sample_episode(base_store: FeatureStore, novel_store: FeatureStore, n_way: i
         pool = novel_store.support(int(c))
         if pool.shape[0] < k_shot:
             raise MissingExampleError(
-                f"class {int(c)} lacks {k_shot} support + query examples")
+                f"class {int(c)} has {pool.shape[0]} support examples, need k_shot={k_shot}")
         support.append(pool[rng.choice(pool.shape[0], size=k_shot, replace=False)])
 
     groups = rng.integers(0, 2, size=n_query)
@@ -448,6 +465,50 @@ class SingleSessionResult:
         return out
 
 
+def _episode_chunk(setup: RunSetup, base_store: FeatureStore, novel_store: FeatureStore,
+                   n_way: int, k_shot: int, n_query: int,
+                   start: int, stop: int) -> list[EpisodeResult | EngineError]:
+    """Sample, train and score episodes ``start`` to ``stop - 1``, episode i
+    from its own ``SeedSequence((seed, i))`` streams; their outcomes in
+    episode order, a sampling failure in its episode's place."""
+    outcomes: list[EpisodeResult | EngineError | None] = [None] * (stop - start)
+    members, episodes, rngs = [], [], []
+    for i in range(start, stop):
+        ss = np.random.SeedSequence(entropy=(setup.config.rng_seed, i))
+        rng_sample, rng_train = (np.random.default_rng(s) for s in ss.spawn(2))
+        try:
+            episodes.append(sample_episode(base_store, novel_store, n_way=n_way, k_shot=k_shot,
+                                           n_query=n_query, rng=rng_sample))
+        except EngineError as err:
+            outcomes[i - start] = err
+            continue
+        members.append(i - start)
+        rngs.append(rng_train)
+    for k, outcome in zip(members, run_episodes(setup, episodes, rngs)):
+        outcomes[k] = outcome
+    return outcomes
+
+
+_run_chunk = None  # set only in a forked pool worker: its run's chunk body
+
+
+def _adopt(run_chunk) -> None:
+    global _run_chunk
+    _run_chunk = run_chunk
+
+
+def _adopted_chunk(start: int, stop: int) -> list[EpisodeResult | EngineError]:
+    return _run_chunk(start, stop)
+
+
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask, where there is one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def run_single_session(stream: SessionStream, base_weights: WeightMatrix | None = None,
                        n_episodes: int = 2000, n_way: int = 5, n_query: int = 50,
                        keep_episodes: bool = False) -> SingleSessionResult:
@@ -458,7 +519,10 @@ def run_single_session(stream: SessionStream, base_weights: WeightMatrix | None 
     Base weights None are trained from ``default_rng(config.rng_seed)``. Every
     input is checked before any base fit or episode; failed episodes are
     excluded from the aggregates but counted. If every episode fails, the
-    error names the first failure."""
+    error names the first failure. The episodes train in stacks, one per CPU
+    in the process's affinity mask (``_cpus``), in forked worker processes;
+    restrict the mask (``taskset``) to restrict the workers. The result does
+    not depend on their number."""
     config, registry, k_shot = stream.config, stream.registry, stream.k_shot
     if config.memory_enabled:
         raise ConfigError("memory replay applies to the multi-session protocol only")
@@ -470,27 +534,31 @@ def run_single_session(stream: SessionStream, base_weights: WeightMatrix | None 
     novel_store = stream.store.restrict(registry.classes_in(1))
     _check_episode_shape(novel_store, n_way, k_shot, n_query)
     setup = prepare_run(stream, base_weights, np.random.default_rng(config.rng_seed))
-    chunk = max(1, EPISODE_BUDGET // ((len(base_store.classes) + n_way) * base_store.dimension))
-
-    ok, first_failure = [], None
-    for start in range(0, n_episodes, chunk):
-        episodes, rngs = [], []
-        for i in range(start, min(start + chunk, n_episodes)):
-            ss = np.random.SeedSequence(entropy=(config.rng_seed, i))
-            rng_sample, rng_train = (np.random.default_rng(s) for s in ss.spawn(2))
-            try:
-                episodes.append(sample_episode(base_store, novel_store, n_way=n_way,
-                                               k_shot=k_shot, n_query=n_query, rng=rng_sample))
-            except EngineError as err:
-                first_failure = first_failure or err
-                continue
-            rngs.append(rng_train)
-        for r in run_episodes(setup, episodes, rngs):
-            if isinstance(r, EngineError):
-                first_failure = first_failure or r
-            else:
-                ok.append(r)
+    cpus = _cpus()
+    chunk = min(max(1, EPISODE_BUDGET // ((len(base_store.classes) + n_way)
+                                          * base_store.dimension)), -(-n_episodes // cpus))
+    starts = range(0, n_episodes, chunk)
+    stops = [min(i + chunk, n_episodes) for i in starts]
+    run_chunk = functools.partial(_episode_chunk, setup, base_store, novel_store,
+                                  n_way, k_shot, n_query)
+    workers = min(cpus, len(starts))
+    # Forked workers inherit the chunk body and its set-up, so only the bounds
+    # and the outcomes are pickled; spawned ones would import numpy and
+    # unpickle the stores first, which costs more than a 40-episode call. A
+    # process with other threads is not forked (a lock one of them holds
+    # would stay locked in the child). A worker that dies breaks the pool,
+    # and the run raises.
+    if workers > 1 and threading.active_count() == 1 \
+            and "fork" in multiprocessing.get_all_start_methods():
+        with concurrent.futures.ProcessPoolExecutor(
+                workers, multiprocessing.get_context("fork"), _adopt, (run_chunk,)) as pool:
+            chunks = list(pool.map(_adopted_chunk, starts, stops))
+    else:
+        chunks = map(run_chunk, starts, stops)
+    outcomes = [r for c in chunks for r in c]
+    ok = [r for r in outcomes if not isinstance(r, EngineError)]
     if not ok:
+        first_failure = outcomes[0]
         raise EngineError(f"all {n_episodes} episodes failed; the first with "
                           f"{type(first_failure).__name__}: {first_failure}")
     stats = {name: _aggregate([getattr(r, name) for r in ok]) for name in (

@@ -49,7 +49,6 @@ class TrainReport:
     epochs_run: int
     final_loss: float
     converged: bool
-    diverged: bool = False
 
 
 def init_novel_weights(support: Batch, snapshot0_norms,
@@ -94,8 +93,8 @@ def _sgd(w: np.ndarray, objective: ObjectiveStack, feats: np.ndarray, label_pos:
     and stops on its own stall streak, or at the end of the epoch in which its
     loss went non-finite; stopped members leave the stack. The per-member bookkeeping
     runs on Python floats, as cheap for a stack of one as a scalar loop.
-    Returns the final coordinates (a diverged member's are unusable) and one
-    report each."""
+    Returns the final coordinates and one report each; a diverged member's
+    coordinates are unusable and its report's ``final_loss`` is non-finite."""
     n_members, n = label_pos.shape
     config = objective.config
     lr, tol = config.learning_rate, config.convergence_tolerance
@@ -139,7 +138,7 @@ def _sgd(w: np.ndarray, objective: ObjectiveStack, feats: np.ndarray, label_pos:
                     continue
                 reports[e] = TrainReport(epoch, loss, stalled)
             else:  # diverged
-                reports[e] = TrainReport(epoch, loss, False, True)
+                reports[e] = TrainReport(epoch, loss, False)
             out[e] = w[j]
         if len(keep) < len(live):
             if not keep:
@@ -255,7 +254,7 @@ def fine_tune_stack(objectives: Sequence[Objective], rngs: Sequence[np.random.Ge
     lr = stack.config.learning_rate
     return [DivergenceError(f"non-finite loss at epoch {r.epochs_run} (lr={lr}); "
                             "reduce the learning rate")
-            if r.diverged else (WeightMatrix(o.class_ids, m[e]), r)
+            if not math.isfinite(r.final_loss) else (WeightMatrix(o.class_ids, m[e]), r)
             for e, (o, r) in enumerate(zip(objectives, reports))]
 
 

@@ -1,3 +1,7 @@
+import os
+import threading
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
@@ -160,6 +164,27 @@ def test_sample_episode_insufficient_examples():
     with pytest.raises(MissingExampleError):
         sample_episode(base2, novel2, n_way=5, k_shot=3, n_query=10,
                        rng=np.random.default_rng(0))
+
+
+def test_sample_episode_names_a_short_support_pool():
+    # class 100 has one support row: with k_shot=2 it fails only the episodes
+    # that draw it, until fewer than n_way classes have k_shot rows
+    base, novel = _episode_stores(n_novel=3, support=3)
+    short = FeatureStore(novel.dimension,
+                         {c: novel.support(c)[:1 if c == 100 else 3] for c in novel.classes},
+                         {c: novel.query(c) for c in novel.classes})
+    failures = []
+    for seed in range(8):
+        try:
+            sample_episode(base, short, n_way=2, k_shot=2, n_query=10,
+                           rng=np.random.default_rng(seed))
+        except MissingExampleError as err:
+            failures.append(str(err))
+    assert 0 < len(failures) < 8
+    assert set(failures) == {"class 100 has 1 support examples, need k_shot=2"}
+    with pytest.raises(MissingExampleError, match="^novel pool has 2 classes with k_shot=2 "
+                                                  "support examples, need n_way=3$"):
+        sample_episode(base, short, n_way=3, k_shot=2, n_query=10, rng=np.random.default_rng(0))
 
 
 def test_query_groups_balanced_over_many_episodes():
@@ -449,15 +474,21 @@ def test_run_single_session_checks_episode_shape_first(monkeypatch, shape, error
         run_single_session(_single_stream(data, cfg, k_shot=kw.pop("k_shot")), bw, **kw)
 
 
+def _is_episode(rng, seed, index):
+    """Whether ``rng``, still undrawn, is the sampling stream of episode
+    ``index`` of a run at ``seed``: episodes are told apart by their streams,
+    since the episodes of a run may be sampled in several processes."""
+    own = np.random.default_rng(np.random.SeedSequence((seed, index)).spawn(2)[0])
+    return rng.bit_generator.state == own.bit_generator.state
+
+
 def test_run_single_session_counts_failed_episodes(monkeypatch):
     bw, cfg, data = _single_setup()
-    calls = {"i": -1}
 
-    def flaky(*args, **kwargs):
-        calls["i"] += 1
-        if calls["i"] == 2:
+    def flaky(*args, rng, **kwargs):
+        if _is_episode(rng, cfg.rng_seed, 2):
             raise MissingExampleError("synthetic failure")
-        return sample_episode(*args, **kwargs)
+        return sample_episode(*args, rng=rng, **kwargs)
 
     monkeypatch.setattr(protocol_mod, "sample_episode", flaky)
     result = run_single_session(_single_stream(data, cfg, k_shot=1), bw,
@@ -466,15 +497,15 @@ def test_run_single_session_counts_failed_episodes(monkeypatch):
     assert result.acc.n == 5
 
 
-def _diverging_at(index):
-    """``sample_episode`` whose episode number ``index`` (counting from 0) has
-    support features scaled until its training loss overflows."""
-    calls = {"i": -1}
+def _diverging_at(index, seed):
+    """``sample_episode`` whose episode number ``index`` (counting from 0) of
+    a run at ``seed`` has support features scaled until its training loss
+    overflows."""
 
-    def sample(*args, **kwargs):
-        episode = sample_episode(*args, **kwargs)
-        calls["i"] += 1
-        if calls["i"] != index:
+    def sample(*args, rng, **kwargs):
+        diverging = _is_episode(rng, seed, index)
+        episode = sample_episode(*args, rng=rng, **kwargs)
+        if not diverging:
             return episode
         support = Batch(episode.support.features * 1e155, episode.support.class_ids)
         return protocol_mod.Episode(episode.novel_classes, support, episode.query)
@@ -486,26 +517,95 @@ def _diverging_at(index):
 @pytest.mark.parametrize("kind, mini_batch", [
     ("finetune", None), ("subspace", None), ("semantic", None), ("subspace", 2)])
 def test_run_single_session_does_not_depend_on_chunk_size(monkeypatch, kind, mini_batch):
-    # chunks of one, of three and of every episode give the same result, with
-    # the middle episode diverging; a MINI_BATCH of 2 below the 3 support rows
-    # sends every member through its own shuffled blocks
+    # chunks of one, of three and of every episode, on one, two and three
+    # workers, give the same result, with the middle episode diverging; a
+    # MINI_BATCH of 2 below the 3 support rows sends every member through its
+    # own shuffled blocks
     bw, cfg, data = _single_setup()
     cfg = cfg.replace(regularizer_kind=kind, gamma=0.1, tau=0.5)
     if mini_batch is not None:
         monkeypatch.setattr(trainer_mod, "MINI_BATCH", mini_batch)
+    monkeypatch.setattr(protocol_mod, "sample_episode", _diverging_at(3, cfg.rng_seed))
 
-    def run(chunk):
+    def run(chunk, workers):
         # a budget of ``chunk`` episodes of 10 base + 3 novel rows at d=8
         monkeypatch.setattr(protocol_mod, "EPISODE_BUDGET", chunk * 13 * 8)
-        monkeypatch.setattr(protocol_mod, "sample_episode", _diverging_at(3))
+        monkeypatch.setattr(protocol_mod, "_cpus", lambda: workers)
         result = run_single_session(_single_stream(data, cfg, k_shot=1,
                                                    embeddings=data.embeddings),
                                     bw, n_episodes=7, n_way=3, n_query=12, keep_episodes=True)
         return result.as_dict(include_episodes=True)
 
-    one, three, every = run(1), run(3), run(8)
+    one, three, every = run(1, 1), run(3, 1), run(8, 1)
     assert one["n_failed"] == 1 and len(one["episodes"]) == 6
     assert one == three == every
+    for workers in (2, 3):
+        assert run(1, workers) == run(3, workers) == run(8, workers) == one
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("chunk", [1, 2, 8])
+def test_an_all_failed_run_names_the_failure_of_its_first_episode(monkeypatch, chunk, workers):
+    # episode 0 diverges and episode 1 draws too few support rows: whatever
+    # the chunks and workers, the error names episode 0's divergence
+    bw, cfg, data = _single_setup()
+    diverging = _diverging_at(0, cfg.rng_seed)
+
+    def sample(*args, rng, **kwargs):
+        if _is_episode(rng, cfg.rng_seed, 1):
+            raise MissingExampleError("synthetic shortfall")
+        return diverging(*args, rng=rng, **kwargs)
+
+    monkeypatch.setattr(protocol_mod, "sample_episode", sample)
+    monkeypatch.setattr(protocol_mod, "EPISODE_BUDGET", chunk * 13 * 8)
+    monkeypatch.setattr(protocol_mod, "_cpus", lambda: workers)
+    with pytest.raises(EngineError, match="all 2 episodes failed; the first with DivergenceError"):
+        run_single_session(_single_stream(data, cfg), bw, n_episodes=2, n_way=3, n_query=12)
+
+
+def test_a_dead_worker_fails_the_run(monkeypatch):
+    # a worker killed mid-run (here it exits on episode 3) raises in the
+    # parent instead of leaving the run waiting for its chunk
+    bw, cfg, data = _single_setup()
+    parent = os.getpid()
+
+    def dying(*args, rng, **kwargs):
+        if os.getpid() == parent:
+            pytest.fail("an episode ran in the test process")
+        if _is_episode(rng, cfg.rng_seed, 3):
+            os._exit(1)
+        return sample_episode(*args, rng=rng, **kwargs)
+
+    monkeypatch.setattr(protocol_mod, "sample_episode", dying)
+    monkeypatch.setattr(protocol_mod, "_cpus", lambda: 2)
+    with pytest.raises(BrokenProcessPool):
+        run_single_session(_single_stream(data, cfg), bw, n_episodes=6, n_way=3, n_query=12)
+
+
+def test_a_process_with_threads_is_not_forked(monkeypatch):
+    # with another thread alive, every episode is sampled in this process
+    bw, cfg, data = _single_setup()
+    parent, pids = os.getpid(), set()
+
+    def recording(*args, **kwargs):
+        pids.add(os.getpid())
+        return sample_episode(*args, **kwargs)
+
+    monkeypatch.setattr(protocol_mod, "sample_episode", recording)
+    monkeypatch.setattr(protocol_mod, "_cpus", lambda: 2)
+    done = threading.Event()
+    waiter = threading.Thread(target=done.wait, args=(30,))
+    waiter.start()
+    try:
+        result = run_single_session(_single_stream(data, cfg), bw, n_episodes=6, n_way=3,
+                                    n_query=12)
+    finally:
+        done.set()
+        waiter.join(30)
+    assert not waiter.is_alive()
+    assert result.acc.n == 6
+    assert pids == {parent}
 
 
 @pytest.mark.parametrize("kind", ["finetune", "subspace", "semantic"])
@@ -650,6 +750,7 @@ _BOTH_PROTOCOL_FAULTS = ("semantic without embeddings", "missing embedding", "ta
 @pytest.mark.parametrize("protocol, fault", [
     *[(p, f) for p in ("single", "multi") for f in _BOTH_PROTOCOL_FAULTS],
     ("single", "n_way above the pool"),
+    ("single", "k_shot above every novel pool"),
     ("single", "memory"),
     ("multi", "k_shot above a novel pool"),
     ("multi", "empty novel pool without k_shot"),
@@ -670,6 +771,9 @@ def test_a_faulty_run_fails_before_any_base_fit(monkeypatch, protocol, fault):
         k_shot, error = 0, ValidationError
     elif fault == "n_way above the pool":
         n_way, error = 7, MissingExampleError
+    elif fault == "k_shot above every novel pool":
+        k_shot, error = 9, MissingExampleError
+        named = "novel pool has 0 classes with k_shot=9 support examples, need n_way=3"
     elif fault == "k_shot above a novel pool":
         k_shot, error = 9, MissingExampleError
         named = "class 10 has 8 support examples, need k_shot=9"
