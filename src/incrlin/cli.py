@@ -111,7 +111,7 @@ def cmd_run_single(args) -> int:
         "n_way": args.n_way,
         "k_shot": args.k_shot,
         "n_query": args.n_query,
-        "result": result.as_dict(include_episodes=args.keep_episodes),
+        "result": result.as_dict(),
     })
     print(f"wrote {args.out}: {result.n_episodes} episodes "
           f"({result.n_failed} failed), accuracy {result.acc.mean:.2f}% "

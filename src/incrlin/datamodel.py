@@ -2,11 +2,12 @@
 
 Examples travel as a ``Batch`` (an (n, d) float64 feature matrix and its
 class ids), the only example type. A ``FeatureStore`` is one read-only matrix
-of rows sorted by class and split, plus per-class row offsets; every way in
-ends in one private core that checks the values (non-negative class ids, a
-query row per class, finite entries) and freezes the matrix, while ``io``
-checks only the file layout. Single vectors (weight rows, embeddings) are
-checked by ``as_feature``. Everything that survives a session
+of rows sorted by class and split, plus per-class row offsets. ``from_rows``
+copies and sorts any row table; the constructor takes over a sorted one.
+Every way in ends in the constructor, which checks the values (non-negative
+class ids, a query row per class, finite entries) and freezes the matrix,
+while ``io`` checks only the file layout. Single vectors (weight rows,
+embeddings) are checked by ``as_feature``. Everything that survives a session
 boundary (registries, the frozen anchor table of old-class rows, embedding
 tables) is immutable after construction.
 """
@@ -111,39 +112,16 @@ class FeatureStore:
     split (support first), each pool in table order; per-class row offsets
     locate the pools, and ``support``, ``query`` and ``to_rows`` are read-only
     views of it. Every class has a query example; support pools may be empty.
-    The public constructors copy their input, so stores are safe to share.
+    ``from_rows`` copies and sorts any row table, and the constructor takes
+    over a sorted one; either way stores are read-only, so safe to share.
     """
 
-    def __init__(self, dimension: int, support: Mapping[int, np.ndarray],
-                 query: Mapping[int, np.ndarray]):
-        if dimension <= 0:
-            raise ValidationError(f"dimension must be positive, got {dimension}")
-        pools: dict[tuple[int, bool], np.ndarray] = {}
-        for q, mapping in ((True, query), (False, support)):
-            for cid, rows in mapping.items():
-                arr = np.asarray(rows, dtype=np.float64)
-                if arr.ndim != 2:
-                    raise ValidationError(f"class {cid}: expected a (n, d) array, got shape {arr.shape}")
-                if arr.shape[1] != dimension:
-                    raise DimensionMismatchError(
-                        f"class {cid}: dimension {arr.shape[1]} != store dimension {dimension}")
-                if q and arr.shape[0] < 1:
-                    raise MissingExampleError(f"class {cid} has no query examples")
-                if not q and (int(cid), True) not in pools:
-                    raise MissingExampleError(
-                        f"class {cid} has support examples but no query examples")
-                pools[int(cid), q] = arr
-        keys = sorted(pools)  # by class, support first
-        sizes = [len(pools[k]) for k in keys]
-        self._adopt(dimension, np.repeat(np.array([c for c, _ in keys], dtype=np.int64), sizes),
-                    np.repeat(np.array([q for _, q in keys], dtype=bool), sizes),
-                    np.concatenate([pools[k] for k in keys] or [np.empty((0, dimension))]))
-
-    def _adopt(self, dimension: int, ids: np.ndarray, flags: np.ndarray,
-               matrix: np.ndarray) -> None:
-        """The one core: check a row table already sorted by class and split
-        (int64 class ids, bool query flags), take over its (n, d) float64
-        ``matrix`` and freeze all three."""
+    def __init__(self, dimension: int, class_ids: np.ndarray, is_query: np.ndarray,
+                 matrix: np.ndarray):
+        """Take over a row table already sorted by class, then split (support
+        first): int64 class ids (n,), bool query flags (n,) and an (n, d)
+        float64 ``matrix``. The arrays are checked and frozen, not copied."""
+        ids, flags = class_ids, is_query
         if ids.size == 0:
             raise ValidationError("feature store has no classes")
         same = ids[1:] == ids[:-1]
@@ -170,16 +148,10 @@ class FeatureStore:
         self._offsets = np.stack([starts, query_starts, ends], axis=1)  # (classes, 3)
 
     @classmethod
-    def _from_sorted(cls, dimension: int, class_ids, is_query, matrix) -> "FeatureStore":
-        """A store that takes over ``matrix``; see ``_adopt``."""
-        store = cls.__new__(cls)
-        store._adopt(dimension, class_ids, is_query, matrix)
-        return store
-
-    @classmethod
     def from_rows(cls, dimension: int, class_ids, is_query, features) -> "FeatureStore":
-        """Build from a row table: class ids (n,), query flags (n,) and features
-        (n, d). Rows keep their table order within each class and split."""
+        """Build from a row table in any order: class ids (n,), query flags (n,)
+        and features (n, d), copied into a fresh matrix sorted by class and
+        split. Rows keep their table order within each class and split."""
         ids = np.asarray(class_ids, dtype=np.int64)
         flags = np.asarray(is_query, dtype=bool)
         feats = np.asarray(features)
@@ -196,7 +168,7 @@ class FeatureStore:
         matrix = np.empty(feats.shape)
         for s, e in row_blocks(ids.size, matrix.itemsize * dimension):
             matrix[s:e] = feats[order[s:e]]
-        return cls._from_sorted(dimension, ids[order], flags[order], matrix)
+        return cls(dimension, ids[order], flags[order], matrix)
 
     @property
     def dimension(self) -> int:
@@ -225,9 +197,6 @@ class FeatureStore:
         _, query_start, end = self._span(class_id)
         return self._matrix[query_start:end]
 
-    def query_count(self, class_id: int) -> int:
-        return len(self.query(class_id))
-
     def query_rows(self, positions: np.ndarray, u: np.ndarray) -> np.ndarray:
         """For each class ``classes[p]`` and u in [0, 1), its query row
         ``int(u * query pool size)``: one gather."""
@@ -243,8 +212,7 @@ class FeatureStore:
         rows = np.flatnonzero(np.isin(self._ids, ids))
         if rows.size and rows[-1] - rows[0] == rows.size - 1:
             rows = slice(rows[0], rows[-1] + 1)
-        return FeatureStore._from_sorted(self._dimension, self._ids[rows], self._flags[rows],
-                                         self._matrix[rows])
+        return FeatureStore(self._dimension, self._ids[rows], self._flags[rows], self._matrix[rows])
 
     def support_examples(self, class_ids: Iterable[int], k: int | None = None) -> Batch:
         """Support examples of the given classes, stacked in ascending class

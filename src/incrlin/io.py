@@ -11,10 +11,11 @@ class_id to {"label": str, "session": int >= 0}.
 The CSV loader builds a row table for ``FeatureStore.from_rows``. The binary
 loader checks the header and the file size before it allocates, reads the
 labels block by block into one reused record buffer, then re-reads the blocks
-and scatters each row into its sorted row of the store's matrix; the binary
-writer fills one reused block of records at a time from ``to_rows``. Loaders
-check the file layout (header, fields, numbers, split tags, sizes, short
-reads) and raise ``FormatError`` naming the file and the line or byte offset.
+and scatters each row into its sorted row of the matrix it hands to the
+``FeatureStore`` constructor; the binary writer fills one reused block of
+records at a time from ``to_rows``. Loaders check the file layout (header,
+fields, numbers, split tags, sizes, short reads, no rows) and raise
+``FormatError`` naming the file and the line or byte offset.
 """
 from __future__ import annotations
 
@@ -127,12 +128,14 @@ def load_feature_store_binary(path) -> FeatureStore:
             raise FormatError(f"{path}: unsupported version {version} (expected {FEATURE_VERSION})")
         if dim == 0:
             raise FormatError(f"{path}: feature dimension is 0")
+        if n == 0:
+            raise FormatError(f"{path}: no records")
         dtype = _record_dtype(dim)
         size = os.fstat(fh.fileno()).st_size
         if size != 16 + n * dtype.itemsize:
             raise FormatError(f"{path}: expected {16 + n * dtype.itemsize} bytes, got {size}")
         blocks = row_blocks(n, dtype.itemsize)
-        records = np.empty(blocks[0][1] if n else 0, dtype=dtype)
+        records = np.empty(blocks[0][1], dtype=dtype)
         ids, is_query = np.empty(n, dtype=np.int64), np.empty(n, dtype=bool)
         for start, stop, block in _read_blocks(fh, path, blocks, records):  # pass 1: labels
             bad = np.flatnonzero(block["tag"] >= len(_SPLITS))
@@ -146,7 +149,7 @@ def load_feature_store_binary(path) -> FeatureStore:
         matrix = np.empty((n, dim))
         for start, stop, block in _read_blocks(fh, path, blocks, records):  # pass 2: rows
             matrix[dest[start:stop]] = block["x"]
-    return FeatureStore._from_sorted(dim, ids[order], is_query[order], matrix)
+    return FeatureStore(dim, ids[order], is_query[order], matrix)
 
 
 def load_feature_store(path) -> FeatureStore:

@@ -5,21 +5,21 @@ Both protocols take the run's ``SessionStream`` and optional base weights,
 and start in ``prepare_run``: it checks every input, then fits the base
 weights if none were given, then builds the set-up the run shares.
 
-The episodic run splits its episodes into chunks, one per CPU the process may
-run on unless that is more than fits ``EPISODE_BUDGET``, and trains the
-chunks in a pool of forked worker processes (serially on one CPU, where
-``fork`` is unavailable, or beside other threads). A chunk
-(``_episode_chunk``) samples its episodes and imprints their novel rows, each
-from its own ``SeedSequence((seed, i))`` streams, then fine-tunes them as one
-stack (``trainer.fine_tune_stack``) and scores every episode on its own. A
-failed episode (a sampling shortfall, a diverged fine-tune, or a query set
-that misses the base or the novel group) is counted and left out of the
-aggregates; the rest of its chunk goes on. Outcomes and aggregates are taken
-in episode order, so neither the result nor the failure an all-failed run
-names depends on the chunk size or the worker count. The multi-session run
-fine-tunes one session at a time, as a stack of one, and raises its
-``DivergenceError``. Both build each session's training problem, an
-``Objective``, in ``_session_problem``.
+The episodic run gives each CPU the process may run on an even share of the
+episodes, in even chunks that fit ``EPISODE_BUDGET``, and trains the chunks
+in a pool of forked worker processes (serially on one CPU, where ``fork`` is
+unavailable, or beside other threads). A chunk (``_episode_chunk``) samples
+its episodes and imprints their novel rows, each from its own
+``SeedSequence((seed, i))`` streams, then fine-tunes them as one stack
+(``trainer.fine_tune_stack``) and scores every episode on its own. Its one
+outcome list holds a failed episode's error (a sampling shortfall, a query
+set that misses the base or the novel group, or a diverged fine-tune) in the
+episode's place; the run counts it and leaves it out of the aggregates.
+Outcomes and aggregates are taken in episode order, so neither the result
+nor the failure an all-failed run names depends on the chunk size or the
+worker count. The multi-session run fine-tunes one session at a time, as a
+stack of one, and raises its ``DivergenceError``. Both build each session's
+training problem, an ``Objective``, in ``_session_problem``.
 
 Accuracies are percentages in [0, 100] throughout.
 """
@@ -60,12 +60,14 @@ from .objectives import Objective, semantic_targets
 from .trainer import fine_tune_stack, init_novel_weights, train_base
 
 # Weight entries (C * d per episode) fine-tuned together as one stack by
-# ``run_single_session``: a chunk holds max(1, EPISODE_BUDGET // (C * d))
-# episodes, or its even share of the episodes per CPU if that is fewer: each
+# ``run_single_session``: each CPU's even share of the episodes is cut into
+# the fewest even stacks of at most max(1, EPISODE_BUDGET // (C * d)). Each
 # step has a fixed cost, so one stack per worker beats several smaller ones
 # (40 episodes on 2 CPUs, median of 8 calls: 0.27 s as four stacks of 10,
-# 0.20 s as two of 20). Results do not depend on it: each episode's
-# arithmetic is its own.
+# 0.20 s as two of 20), and even stacks end together (200 episodes on 2
+# CPUs, median of 12 calls: finetune 0.635 s as six stacks of <= 34 against
+# 0.667 s as five of 40; subspace 0.81 s either way). Results do not depend
+# on it: each episode's arithmetic is its own.
 # The budget is 40 episodes of 5-way 1-shot over 20 base classes at d=32
 # (C=25): of 24, 40, 64 and 80, the smallest stack within noise of the
 # fastest over 200 episodes; stacks of 64 and 80 page-faulted on every step.
@@ -101,15 +103,6 @@ class Confusion:
 
     class_ids: tuple[int, ...]
     counts: np.ndarray
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def fraction_predicted_in(self, classes: Iterable[int]) -> float:
-        """Share of all predictions landing in the given classes."""
-        cols = [self.class_ids.index(c) for c in sorted(set(classes))]
-        return float(self.counts[:, cols].sum()) / max(1, self.total)
 
 
 def _count_confusion(golds: np.ndarray, preds: np.ndarray, order: Sequence[int]) -> Confusion:
@@ -396,40 +389,6 @@ def _score_episode(weights: WeightMatrix, episode: Episode, base: list[int]) -> 
     return EpisodeResult(bj, nj, 0.5 * (bj + nj), bi, ni, delta_metric(bj, bi, nj, ni))
 
 
-def run_episodes(setup: RunSetup, episodes: Sequence[Episode],
-                 rngs: Sequence[np.random.Generator]) -> list[EpisodeResult | EngineError]:
-    """Fine-tune fresh weights on every episode, all as one stack, and score
-    each joint vs individual.
-
-    Episode k imprints and trains from ``rngs[k]`` alone, so its result does
-    not depend on the other episodes. The episodes must share ``n_way`` and
-    ``k_shot``. An episode that fails (its set-up raises, its loss goes
-    non-finite, or its query set misses the base or the novel group) gets the
-    error in place of its result, and the others go on.
-    """
-    base = list(setup.snapshot0.class_ids)
-    outcomes: list[EpisodeResult | EngineError | None] = [None] * len(episodes)
-    members, problems = [], []
-    for k, (episode, rng) in enumerate(zip(episodes, rngs)):
-        base_mask = np.isin(episode.query.class_ids, base)
-        try:
-            if not base_mask.any() or base_mask.all():
-                raise MissingExampleError("episode query set misses one of the groups")
-            registry = ClassRegistry([base, episode.novel_classes])
-            problems.append(_session_problem(setup, setup.snapshot0, registry, 1,
-                                             setup.snapshot0, episode.support, rng))
-        except EngineError as err:
-            outcomes[k] = err
-            continue
-        members.append(k)
-    if members:
-        trained = fine_tune_stack(problems, [rngs[k] for k in members])
-        for k, outcome in zip(members, trained):
-            outcomes[k] = (outcome if isinstance(outcome, DivergenceError)
-                           else _score_episode(outcome[0], episodes[k], base))
-    return outcomes
-
-
 @dataclasses.dataclass(frozen=True)
 class AggregateStat:
     mean: float
@@ -457,10 +416,11 @@ class SingleSessionResult:
     abs_delta: float
     episodes: tuple[EpisodeResult, ...] | None = None
 
-    def as_dict(self, include_episodes: bool = False) -> dict:
+    def as_dict(self) -> dict:
+        """Plain data; ``episodes`` only if the run kept them."""
         out = dataclasses.asdict(self)
         episodes = out.pop("episodes")
-        if include_episodes and episodes is not None:
+        if episodes is not None:
             out["episodes"] = list(episodes)
         return out
 
@@ -468,24 +428,35 @@ class SingleSessionResult:
 def _episode_chunk(setup: RunSetup, base_store: FeatureStore, novel_store: FeatureStore,
                    n_way: int, k_shot: int, n_query: int,
                    start: int, stop: int) -> list[EpisodeResult | EngineError]:
-    """Sample, train and score episodes ``start`` to ``stop - 1``, episode i
-    from its own ``SeedSequence((seed, i))`` streams; their outcomes in
-    episode order, a sampling failure in its episode's place."""
+    """Sample episodes ``start`` to ``stop - 1``, fine-tune them as one stack
+    and score each joint vs individual; their outcomes in episode order.
+    Episode i draws only from its own ``SeedSequence((seed, i))`` streams. An
+    episode whose sampling, query groups, set-up or fine-tune fails gets the
+    error in place of its result, and the others go on."""
+    base = list(setup.snapshot0.class_ids)
     outcomes: list[EpisodeResult | EngineError | None] = [None] * (stop - start)
-    members, episodes, rngs = [], [], []
-    for i in range(start, stop):
+    members, problems = [], []  # (position, episode, training stream) of each stack member
+    for k, i in enumerate(range(start, stop)):
         ss = np.random.SeedSequence(entropy=(setup.config.rng_seed, i))
         rng_sample, rng_train = (np.random.default_rng(s) for s in ss.spawn(2))
         try:
-            episodes.append(sample_episode(base_store, novel_store, n_way=n_way, k_shot=k_shot,
-                                           n_query=n_query, rng=rng_sample))
+            episode = sample_episode(base_store, novel_store, n_way=n_way, k_shot=k_shot,
+                                     n_query=n_query, rng=rng_sample)
+            base_mask = np.isin(episode.query.class_ids, base)
+            if not base_mask.any() or base_mask.all():
+                raise MissingExampleError("episode query set misses one of the groups")
+            registry = ClassRegistry([base, episode.novel_classes])
+            problems.append(_session_problem(setup, setup.snapshot0, registry, 1,
+                                             setup.snapshot0, episode.support, rng_train))
         except EngineError as err:
-            outcomes[i - start] = err
+            outcomes[k] = err
             continue
-        members.append(i - start)
-        rngs.append(rng_train)
-    for k, outcome in zip(members, run_episodes(setup, episodes, rngs)):
-        outcomes[k] = outcome
+        members.append((k, episode, rng_train))
+    if members:
+        trained = fine_tune_stack(problems, [rng for _, _, rng in members])
+        for (k, episode, _), outcome in zip(members, trained):
+            outcomes[k] = (outcome if isinstance(outcome, DivergenceError)
+                           else _score_episode(outcome[0], episode, base))
     return outcomes
 
 
@@ -517,12 +488,13 @@ def run_single_session(stream: SessionStream, base_weights: WeightMatrix | None 
     group. The stream's plan has sessions 0 (base) and 1 (the novel pool), and
     each episode draws ``stream.k_shot`` support examples per novel class.
     Base weights None are trained from ``default_rng(config.rng_seed)``. Every
-    input is checked before any base fit or episode; failed episodes are
-    excluded from the aggregates but counted. If every episode fails, the
-    error names the first failure. The episodes train in stacks, one per CPU
-    in the process's affinity mask (``_cpus``), in forked worker processes;
-    restrict the mask (``taskset``) to restrict the workers. The result does
-    not depend on their number."""
+    input is checked before any base fit or episode; failed episodes (errors
+    in ``_episode_chunk``'s outcomes) are excluded from the aggregates but
+    counted, and the result lists the rest if ``keep_episodes``. If every
+    episode fails, the error names the first failure. The episodes train in
+    stacks, one or more per CPU in the process's affinity mask (``_cpus``), in
+    forked worker processes; restrict the mask (``taskset``) to restrict the
+    workers. The result does not depend on their number."""
     config, registry, k_shot = stream.config, stream.registry, stream.k_shot
     if config.memory_enabled:
         raise ConfigError("memory replay applies to the multi-session protocol only")
@@ -534,9 +506,10 @@ def run_single_session(stream: SessionStream, base_weights: WeightMatrix | None 
     novel_store = stream.store.restrict(registry.classes_in(1))
     _check_episode_shape(novel_store, n_way, k_shot, n_query)
     setup = prepare_run(stream, base_weights, np.random.default_rng(config.rng_seed))
+    budget = max(1, EPISODE_BUDGET // ((len(base_store.classes) + n_way) * base_store.dimension))
     cpus = _cpus()
-    chunk = min(max(1, EPISODE_BUDGET // ((len(base_store.classes) + n_way)
-                                          * base_store.dimension)), -(-n_episodes // cpus))
+    per_worker = -(-n_episodes // cpus)
+    chunk = -(-per_worker // -(-per_worker // budget))  # even stacks within the budget
     starts = range(0, n_episodes, chunk)
     stops = [min(i + chunk, n_episodes) for i in starts]
     run_chunk = functools.partial(_episode_chunk, setup, base_store, novel_store,

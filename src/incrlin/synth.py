@@ -66,7 +66,7 @@ def generate(spec: SynthSpec) -> SynthData:
         rng.standard_normal(out=block)
         block *= spec.within_class_stddev
         block += means[c]
-    store = FeatureStore._from_sorted(
+    store = FeatureStore(
         spec.dimension, np.repeat(np.arange(spec.n_classes), per_class),
         np.tile(np.arange(per_class) >= spec.support_per_class, spec.n_classes),
         z.reshape(-1, spec.dimension))

@@ -21,6 +21,8 @@ from incrlin.errors import (
     ValidationError,
 )
 
+from conftest import pools_store
+
 
 # --- registry ----------------------------------------------------------------
 
@@ -147,35 +149,35 @@ def test_weight_matrix_rows_and_subset_order():
 
 def test_store_requires_query_examples():
     with pytest.raises(MissingExampleError):
-        FeatureStore(2, {0: np.ones((1, 2))}, {0: np.empty((0, 2))})
+        pools_store(2, {0: np.ones((1, 2))}, {0: np.empty((0, 2))})
     with pytest.raises(MissingExampleError):
-        FeatureStore(2, {0: np.ones((1, 2))}, {1: np.ones((1, 2))})
+        pools_store(2, {0: np.ones((1, 2))}, {1: np.ones((1, 2))})
 
 
 def test_store_rejects_negative_class_ids():
     with pytest.raises(ValidationError, match="-1"):
-        FeatureStore(2, {-1: np.ones((1, 2))}, {-1: np.ones((1, 2))})
+        pools_store(2, {-1: np.ones((1, 2))}, {-1: np.ones((1, 2))})
     with pytest.raises(ValidationError, match="-3"):
         FeatureStore.from_rows(2, [0, -3], [True, True], np.ones((2, 2)))
 
 
 def test_store_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        FeatureStore(3, {}, {0: np.ones((1, 2))})
+        pools_store(3, {}, {0: np.ones((1, 2))})
 
 
 def test_store_restrict_and_counts():
-    store = FeatureStore(2, {0: np.ones((3, 2)), 1: np.zeros((2, 2))},
-                         {0: np.ones((4, 2)), 1: np.zeros((1, 2))})
+    store = pools_store(2, {0: np.ones((3, 2)), 1: np.zeros((2, 2))},
+                        {0: np.ones((4, 2)), 1: np.zeros((1, 2))})
     sub = store.restrict([1])
     assert sub.classes == (1,)
-    assert sub.support(1).shape[0] == 2 and sub.query_count(1) == 1
+    assert sub.support(1).shape[0] == 2 and sub.query(1).shape[0] == 1
     with pytest.raises(MissingExampleError):
         store.restrict([5])
 
 
 def test_store_support_examples_k_limit():
-    store = FeatureStore(2, {0: np.arange(10.0).reshape(5, 2)}, {0: np.ones((1, 2))})
+    store = pools_store(2, {0: np.arange(10.0).reshape(5, 2)}, {0: np.ones((1, 2))})
     got = store.support_examples([0], k=3)
     assert len(got) == 3
     with pytest.raises(MissingExampleError):
@@ -183,9 +185,9 @@ def test_store_support_examples_k_limit():
 
 
 def test_store_support_examples_stack_in_class_order():
-    store = FeatureStore(2, {5: np.full((2, 2), 5.0), 1: np.arange(6.0).reshape(3, 2),
-                             3: np.empty((0, 2))},
-                         {c: np.ones((1, 2)) for c in (1, 3, 5)})
+    store = pools_store(2, {5: np.full((2, 2), 5.0), 1: np.arange(6.0).reshape(3, 2),
+                            3: np.empty((0, 2))},
+                        {c: np.ones((1, 2)) for c in (1, 3, 5)})
     got = store.support_examples([5, 3, 1])
     np.testing.assert_array_equal(got.class_ids, [1, 1, 1, 5, 5])
     np.testing.assert_array_equal(got.features,
@@ -203,8 +205,8 @@ def test_store_from_rows_rejects_bad_split():
 
 
 def test_store_pools_are_read_only_views_of_one_matrix():
-    store = FeatureStore(2, {3: np.ones((2, 2)), 1: np.zeros((1, 2))},
-                         {1: np.full((2, 2), 2.0), 3: np.full((1, 2), 4.0), 2: np.ones((1, 2))})
+    store = pools_store(2, {3: np.ones((2, 2)), 1: np.zeros((1, 2))},
+                        {1: np.full((2, 2), 2.0), 3: np.full((1, 2), 4.0), 2: np.ones((1, 2))})
     ids, flags, matrix = store.to_rows()
     np.testing.assert_array_equal(ids, [1, 1, 1, 2, 3, 3, 3])
     np.testing.assert_array_equal(flags, [False, True, True, True, False, False, True])
@@ -224,12 +226,12 @@ def test_store_pools_are_read_only_views_of_one_matrix():
         np.testing.assert_array_equal(sub.support(3), np.ones((2, 2)))
 
 
-def test_store_constructors_copy_their_input():
+def test_store_from_rows_copies_its_input():
     feats = np.arange(8.0).reshape(4, 2)
     ids = np.array([2, 0, 2, 0])
     flags = np.array([True, True, False, False])
     store = FeatureStore.from_rows(2, ids, flags, feats)
-    pools = FeatureStore(2, {0: feats[:2]}, {0: feats[2:]})
+    pools = pools_store(2, {0: feats[:2]}, {0: feats[2:]})
     feats[:] = -1.0
     ids[:] = 7
     flags[:] = False
@@ -238,6 +240,23 @@ def test_store_constructors_copy_their_input():
     np.testing.assert_array_equal(store.query(2), [[0.0, 1.0]])
     np.testing.assert_array_equal(pools.query(0), [[4.0, 5.0], [6.0, 7.0]])
     assert feats.flags.writeable and ids.flags.writeable
+
+
+def test_store_constructor_takes_over_a_sorted_table():
+    # the constructor neither sorts nor copies: it checks the order, then
+    # freezes the arrays it was given and reads them in place
+    ids = np.array([0, 0, 2])
+    flags = np.array([False, True, True])
+    matrix = np.arange(6.0).reshape(3, 2)
+    store = FeatureStore(2, ids, flags, matrix)
+    assert store.classes == (0, 2)
+    assert not (ids.flags.writeable or flags.flags.writeable or matrix.flags.writeable)
+    assert np.shares_memory(store.query(2), matrix)
+    np.testing.assert_array_equal(store.support(0), [[0.0, 1.0]])
+    for bad_ids, bad_flags in (([2, 0, 0], [True, False, True]),  # classes out of order
+                               ([0, 0, 2], [True, False, True])):  # query before support
+        with pytest.raises(ValidationError, match="^row table is not sorted by class and split$"):
+            FeatureStore(2, np.array(bad_ids), np.array(bad_flags), np.arange(6.0).reshape(3, 2))
 
 
 def test_store_non_finite_error_names_the_class():
@@ -290,8 +309,8 @@ def test_orthonormal_basis_rejects_skewed_columns():
 
 
 def test_session_stream_validation_and_k_shot():
-    store = FeatureStore(2, {0: np.ones((4, 2)), 1: np.zeros((4, 2))},
-                         {0: np.ones((2, 2)), 1: np.zeros((2, 2))})
+    store = pools_store(2, {0: np.ones((4, 2)), 1: np.zeros((4, 2))},
+                        {0: np.ones((2, 2)), 1: np.zeros((2, 2))})
     reg = ClassRegistry([(0,), (1,)])
     stream = SessionStream(store, reg, RunConfig(), k_shot=2)
     assert len(stream.support_examples(0)) == 4  # base session uses the full pool

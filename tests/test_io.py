@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from incrlin import datamodel, io
-from incrlin.datamodel import EmbeddingTable, FeatureStore, WeightMatrix
+from incrlin.datamodel import EmbeddingTable, WeightMatrix
 from incrlin.errors import FormatError, ValidationError
 from incrlin.synth import SynthSpec, generate
+
+from conftest import pools_store
 
 
 def _store(seed=0):
@@ -90,8 +92,20 @@ def test_feature_binary_bad_files(tmp_path):
         io.load_feature_store_binary(zero_dim)
 
 
+@pytest.mark.parametrize("name, content, named", [
+    ("empty.fscf", io.FEATURE_MAGIC + struct.pack("<III", 1, 0, 3), "no records"),
+    ("empty.csv", b"class_id,split,f0,f1,f2\r\n", "no data rows"),
+])
+def test_feature_store_file_without_rows_names_itself(tmp_path, name, content, named):
+    # a well-formed header and not one row: a fault of the file, named by it
+    path = tmp_path / name
+    path.write_bytes(content)
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: {named}$"):
+        io.load_feature_store(path)
+
+
 def test_feature_binary_rejects_class_ids_beyond_u32(tmp_path):
-    store = FeatureStore(2, {}, {2**32: np.ones((1, 2))})
+    store = pools_store(2, {}, {2**32: np.ones((1, 2))})
     with pytest.raises(ValidationError, match=str(2**32)):
         io.save_feature_store_binary(store, tmp_path / "big.fscf")
     io.save_feature_store_csv(store, tmp_path / "big.csv")
@@ -122,8 +136,8 @@ def test_feature_csv_class_id_beyond_int64_names_its_line(tmp_path, cid):
 def test_feature_store_bytes_pinned(tmp_path):
     # digests of both formats as written before the writers were vectorised
     grid = np.arange(1.0, 25.0).reshape(8, 3) / 7.0
-    store = FeatureStore(3, {0: grid[:2], 5: -grid[2:5]},
-                         {0: grid[5:6], 2: grid[6:8], 5: 1e-3 * grid[:1]})
+    store = pools_store(3, {0: grid[:2], 5: -grid[2:5]},
+                        {0: grid[5:6], 2: grid[6:8], 5: 1e-3 * grid[:1]})
     io.save_feature_store_csv(store, tmp_path / "f.csv")
     io.save_feature_store_binary(store, tmp_path / "f.fscf")
     assert hashlib.sha256((tmp_path / "f.csv").read_bytes()).hexdigest() == \
@@ -293,7 +307,7 @@ def test_manifest_bad_files(tmp_path):
 def test_csv_floats_survive_full_precision(tmp_path):
     # repr round-trips doubles exactly
     vals = np.array([[np.pi, np.e, 1e-300, -1.2345678901234567e10, 0.1]])
-    store = FeatureStore(5, {0: vals}, {0: vals})
+    store = pools_store(5, {0: vals}, {0: vals})
     path = tmp_path / "f.csv"
     io.save_feature_store_csv(store, path)
     back = io.load_feature_store_csv(path)

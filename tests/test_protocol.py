@@ -11,7 +11,6 @@ from incrlin.datamodel import (
     Batch,
     ClassRegistry,
     EmbeddingTable,
-    FeatureStore,
     RunConfig,
     SessionStream,
     WeightMatrix,
@@ -28,7 +27,6 @@ from incrlin.protocol import (
     delta_metric,
     predict,
     prepare_run,
-    run_episodes,
     run_multi_session,
     run_single_session,
     sample_episode,
@@ -36,6 +34,8 @@ from incrlin.protocol import (
 )
 from incrlin.synth import SynthSpec, generate, incremental_split
 from incrlin.trainer import train_base
+
+from conftest import pools_store, recency_fraction
 
 
 # --- prediction and confusion ----------------------------------------------------
@@ -89,7 +89,7 @@ def test_confusion_row_sums_and_total():
     batch = Batch(rng.standard_normal((12, 3)), labels)
     conf = _confusion(w, batch, [0, 1])
     np.testing.assert_array_equal(conf.counts.sum(axis=1), [7, 5])
-    assert conf.total == 12
+    assert conf.counts.sum() == 12
 
 
 def test_recency_fraction_matches_direct_count():
@@ -100,7 +100,7 @@ def test_recency_fraction_matches_direct_count():
     recent = [4, 5]
     preds = predict(w, batch.features, range(6))
     direct = float(np.isin(preds, recent).mean())
-    assert conf.fraction_predicted_in(recent) == pytest.approx(direct, abs=1e-12)
+    assert recency_fraction(conf, recent) == pytest.approx(direct, abs=1e-12)
 
 
 # --- metrics -----------------------------------------------------------------------
@@ -130,7 +130,7 @@ def _episode_stores(seed=0, n_base=6, n_novel=8, d=4, support=6, query=5):
     def mk(classes):
         sup = {c: rng.standard_normal((support, d)) for c in classes}
         qry = {c: rng.standard_normal((query, d)) for c in classes}
-        return FeatureStore(d, sup, qry)
+        return pools_store(d, sup, qry)
     return mk(range(n_base)), mk(range(100, 100 + n_novel))
 
 
@@ -170,9 +170,9 @@ def test_sample_episode_names_a_short_support_pool():
     # class 100 has one support row: with k_shot=2 it fails only the episodes
     # that draw it, until fewer than n_way classes have k_shot rows
     base, novel = _episode_stores(n_novel=3, support=3)
-    short = FeatureStore(novel.dimension,
-                         {c: novel.support(c)[:1 if c == 100 else 3] for c in novel.classes},
-                         {c: novel.query(c) for c in novel.classes})
+    short = pools_store(novel.dimension,
+                        {c: novel.support(c)[:1 if c == 100 else 3] for c in novel.classes},
+                        {c: novel.query(c) for c in novel.classes})
     failures = []
     for seed in range(8):
         try:
@@ -225,7 +225,7 @@ def test_run_multi_session_shapes_and_session_zero():
     for t, r in enumerate(results):
         assert r.session == t
         assert r.confusion.counts.shape == (len(registry.classes_up_to(t)),) * 2
-        assert r.confusion.total == r.n_query
+        assert r.confusion.counts.sum() == r.n_query
         if t >= 1:
             assert 0.0 <= r.acc_novel <= 100.0
             assert min(r.acc_base, r.acc_novel) - 1e-9 <= r.acc_weighted
@@ -393,12 +393,22 @@ def _episode_stream(episode, base_ids, cfg):
     """A stream whose store holds the episode's queries and whose plan is the
     episode's: its base classes, then its novel classes."""
     q = episode.query
-    store = FeatureStore(q.dimension, {},
-                         {c: q.features[q.class_ids == c] for c in np.unique(q.class_ids).tolist()})
+    store = pools_store(q.dimension, {},
+                        {c: q.features[q.class_ids == c] for c in np.unique(q.class_ids).tolist()})
     return SessionStream(store, ClassRegistry([base_ids, episode.novel_classes]), cfg)
 
 
-def test_run_episode_perfect_classifier_has_zero_delta():
+def _run_crafted(monkeypatch, episode, base_ids, weights, cfg):
+    """The outcome of ``episode`` run as episode 0 of a one-episode chunk."""
+    stream = _episode_stream(episode, base_ids, cfg)
+    setup = prepare_run(stream, weights, np.random.default_rng(0))
+    monkeypatch.setattr(protocol_mod, "sample_episode", lambda *a, **k: episode)
+    [result] = protocol_mod._episode_chunk(setup, stream.store, stream.store,
+                                           len(episode.novel_classes), 1, len(episode.query), 0, 1)
+    return result
+
+
+def test_run_episode_perfect_classifier_has_zero_delta(monkeypatch):
     # crafted episode where every query is its own class's indicator vector
     base_ids = [0, 1]
     w = WeightMatrix(base_ids, 10 * np.eye(2, 4))
@@ -407,14 +417,13 @@ def test_run_episode_perfect_classifier_has_zero_delta():
     episode = protocol_mod.Episode((5,), support, query)
     cfg = RunConfig(regularizer_kind="finetune", alpha=0.0, beta_base=0.0,
                     learning_rate=0.1, max_epochs=30, rng_seed=0)
-    setup = prepare_run(_episode_stream(episode, base_ids, cfg), w, np.random.default_rng(0))
-    [result] = run_episodes(setup, [episode], [np.random.default_rng(0)])
+    result = _run_crafted(monkeypatch, episode, base_ids, w, cfg)
     assert result.acc_base_joint == 100.0
     assert result.acc_novel_joint == 100.0
     assert result.delta == 0.0
 
 
-def test_degenerate_one_class_dominance_pattern():
+def test_degenerate_one_class_dominance_pattern(monkeypatch):
     # every query feature lies along class 5's support direction, so the
     # imprinted class-5 row wins every argmax: an always-one-class classifier.
     # joint novel accuracy then equals 1/n_way (only class 5's queries right).
@@ -431,8 +440,7 @@ def test_degenerate_one_class_dominance_pattern():
     episode = protocol_mod.Episode((5, 6), support, query)
     cfg = RunConfig(regularizer_kind="finetune", alpha=0.0, beta_base=0.0,
                     learning_rate=0.0, max_epochs=1, rng_seed=0)  # imprint only
-    setup = prepare_run(_episode_stream(episode, base_ids, cfg), w, np.random.default_rng(0))
-    [result] = run_episodes(setup, [episode], [np.random.default_rng(0)])
+    result = _run_crafted(monkeypatch, episode, base_ids, w, cfg)
     n_way = 2
     assert result.acc_novel_joint == pytest.approx(100.0 / n_way)
     assert result.acc_novel_individual == pytest.approx(100.0 / n_way)
@@ -534,7 +542,7 @@ def test_run_single_session_does_not_depend_on_chunk_size(monkeypatch, kind, min
         result = run_single_session(_single_stream(data, cfg, k_shot=1,
                                                    embeddings=data.embeddings),
                                     bw, n_episodes=7, n_way=3, n_query=12, keep_episodes=True)
-        return result.as_dict(include_episodes=True)
+        return result.as_dict()
 
     one, three, every = run(1, 1), run(3, 1), run(8, 1)
     assert one["n_failed"] == 1 and len(one["episodes"]) == 6
@@ -608,6 +616,38 @@ def test_a_process_with_threads_is_not_forked(monkeypatch):
     assert pids == {parent}
 
 
+@pytest.mark.parametrize("n_episodes, sizes", [
+    (40, [20] * 2), (200, [34] * 5 + [30]), (2000, [40] * 50)])
+def test_episode_stacks_are_even_within_the_budget(monkeypatch, n_episodes, sizes):
+    # on 2 CPUs at a budget of 40 episodes, each CPU's share is cut into the
+    # fewest even stacks: 200 episodes make six stacks of <= 34, not five of 40
+    bw, cfg, data = _single_setup()
+    bounds = []
+
+    def recording(*args):
+        start, stop = args[-2:]
+        bounds.append((start, stop))
+        return [protocol_mod.EpisodeResult(50.0, 50.0, 50.0, 50.0, 50.0, 0.0)] * (stop - start)
+
+    monkeypatch.setattr(protocol_mod, "_episode_chunk", recording)
+    monkeypatch.setattr(protocol_mod, "EPISODE_BUDGET", 40 * 13 * 8)  # 10 base + 3 novel, d=8
+    monkeypatch.setattr(protocol_mod, "_cpus", lambda: 2)
+    # a live thread keeps the stacks in this process, where they are recorded
+    done = threading.Event()
+    waiter = threading.Thread(target=done.wait, args=(30,))
+    waiter.start()
+    try:
+        result = run_single_session(_single_stream(data, cfg), bw, n_episodes=n_episodes,
+                                    n_way=3, n_query=12)
+    finally:
+        done.set()
+        waiter.join(30)
+    assert not waiter.is_alive()
+    assert [stop - start for start, stop in bounds] == sizes
+    assert [start for start, _ in bounds] == [sum(sizes[:i]) for i in range(len(sizes))]
+    assert result.acc.n == n_episodes
+
+
 @pytest.mark.parametrize("kind", ["finetune", "subspace", "semantic"])
 def test_run_single_session_does_not_depend_on_where_novel_ids_sit(kind):
     # base ids 0..9 become the even ids and novel ids 10..15 the odd ids
@@ -618,8 +658,8 @@ def test_run_single_session_does_not_depend_on_where_novel_ids_sit(kind):
 
     def run(new_id):
         s = data.store
-        store = FeatureStore(s.dimension, {new_id(c): s.support(c) for c in s.classes},
-                             {new_id(c): s.query(c) for c in s.classes})
+        store = pools_store(s.dimension, {new_id(c): s.support(c) for c in s.classes},
+                            {new_id(c): s.query(c) for c in s.classes})
         plan = [[new_id(c) for c in classes] for classes in _SINGLE_PLAN]
         weights = WeightMatrix([new_id(c) for c in bw.class_ids], bw.matrix)
         embeddings = EmbeddingTable({new_id(c): data.embeddings.vector(c)
@@ -628,7 +668,7 @@ def test_run_single_session_does_not_depend_on_where_novel_ids_sit(kind):
                                 store=store)
         result = run_single_session(stream, weights, n_episodes=6, n_way=3, n_query=12,
                                     keep_episodes=True)
-        return result.as_dict(include_episodes=True)
+        return result.as_dict()
 
     interleaved = run(lambda c: 2 * c if c < 10 else 2 * (c - 10) + 1)
     assert interleaved == run(lambda c: c)
@@ -779,8 +819,8 @@ def test_a_faulty_run_fails_before_any_base_fit(monkeypatch, protocol, fault):
         named = "class 10 has 8 support examples, need k_shot=9"
     elif fault == "empty novel pool without k_shot":  # class 14 arrives in session 2
         s = data.store
-        store = FeatureStore(s.dimension, {c: s.support(c) for c in s.classes if c != 14},
-                             {c: s.query(c) for c in s.classes})
+        store = pools_store(s.dimension, {c: s.support(c) for c in s.classes if c != 14},
+                            {c: s.query(c) for c in s.classes})
         k_shot, error = None, MissingExampleError
         named = "class 14 has 0 support examples, need 1"
     else:
@@ -806,7 +846,7 @@ def test_run_single_session_fits_missing_base_weights_from_the_run_seed(monkeypa
                         lambda *a, **k: fits.append(1) or train_base(*a, **k))
     fitted = run_single_session(_single_stream(data, cfg), **kw)
     assert len(fits) == 1
-    assert fitted.as_dict(include_episodes=True) == given.as_dict(include_episodes=True)
+    assert fitted.as_dict() == given.as_dict()
 
 
 @pytest.mark.parametrize("protocol", ["single", "multi"])

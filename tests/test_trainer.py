@@ -7,7 +7,6 @@ from incrlin.datamodel import (
     FIXED_TARGET_KINDS,
     Batch,
     ClassRegistry,
-    FeatureStore,
     RunConfig,
     SessionStream,
     WeightMatrix,
@@ -26,6 +25,8 @@ from incrlin.trainer import (
     use_span,
 )
 from incrlin.synth import SynthSpec, generate
+
+from conftest import pools_store
 
 
 # --- initialization -------------------------------------------------------------
@@ -464,7 +465,7 @@ def test_span_coordinates_match_weight_coordinates_over_a_run(monkeypatch, kind,
                               support_per_class=6, query_per_class=3))
     support = {c: data.store.support(c) for c in data.store.classes}
     support[8] = np.repeat(support[8][:3], 2, axis=0) * np.array([1.0, -1.0] * 3)[:, None]
-    store = FeatureStore(12, support, {c: data.store.query(c) for c in data.store.classes})
+    store = pools_store(12, support, {c: data.store.query(c) for c in data.store.classes})
     registry = ClassRegistry([range(6), (6, 7), (8, 9)])
     cfg = RunConfig(regularizer_kind=kind, alpha=1e-3, beta_base=0.2, beta_prev_novel=0.1,
                     gamma=0.3, tau=0.5, learning_rate=0.05, max_epochs=400, rng_seed=5,
