@@ -2,15 +2,13 @@
 
 Subcommands: train-base, run-multi, run-single, synth-gen, report. Result
 files are versioned JSON (``"schema": 1``) with the fully resolved
-configuration embedded for provenance. ``INCRLIN_LOG`` sets the log level.
+configuration embedded for provenance.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
-import logging
-import os
 import sys
 from pathlib import Path
 
@@ -25,15 +23,6 @@ from .synth import SynthSpec, generate, incremental_split
 from .trainer import train_base
 
 RESULT_SCHEMA = 1
-
-log = logging.getLogger("incrlin")
-
-
-def _setup_logging() -> None:
-    level = os.environ.get("INCRLIN_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
-
 
 def _load_inputs(args):
     """The feature store and the manifest's session plan (None without one)."""
@@ -57,10 +46,9 @@ def cmd_train_base(args) -> int:
     base_classes = registry.base_classes if registry is not None else store.classes
     weights, report = train_base(store, base_classes, cfg)
     io.save_weights_csv(weights, args.out)
-    log.info("trained %d base rows in %d epochs (final loss %.6f)",
-             len(weights), report.epochs_run, report.final_loss)
     print(f"wrote {args.out}: {len(weights)} classes, dimension {weights.dimension}, "
-          f"{report.epochs_run} epochs{' (converged)' if report.converged else ''}")
+          f"{report.epochs_run} epochs{' (converged)' if report.converged else ''}, "
+          f"final loss {report.final_loss:.6f}")
     return 0
 
 
@@ -291,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

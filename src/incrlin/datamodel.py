@@ -71,7 +71,10 @@ class Batch:
 
     def __post_init__(self):
         f = np.asarray(self.features, dtype=np.float64)
-        c = np.asarray(self.class_ids, dtype=np.int64)
+        c = np.asarray(self.class_ids)
+        if c.dtype.kind not in "iu":
+            raise ValidationError(f"batch class ids must be integers, got {c.dtype}")
+        c = c.astype(np.int64, copy=False)
         if f.ndim != 2 or c.ndim != 1 or f.shape[0] != c.shape[0]:
             raise ValidationError(f"inconsistent batch shapes {f.shape} / {c.shape}")
         if f.shape[0] == 0:
@@ -105,6 +108,20 @@ def row_blocks(n: int, row_bytes: int) -> list[tuple[int, int]]:
     return [(s, min(s + step, n)) for s in range(0, n, step)]
 
 
+def _check_row_table(dimension: int, ids: np.ndarray, flags: np.ndarray,
+                     features: np.ndarray) -> None:
+    """Shapes of a row table: ids (n,), flags (n,), features (n, ``dimension``)."""
+    if ids.ndim != 1 or flags.shape != ids.shape or features.ndim != 2 \
+            or features.shape[0] != ids.size:
+        raise ValidationError(
+            f"inconsistent row table shapes {ids.shape} / {flags.shape} / {features.shape}")
+    if dimension <= 0:
+        raise ValidationError(f"dimension must be positive, got {dimension}")
+    if features.shape[1] != dimension:
+        raise DimensionMismatchError(
+            f"features have dimension {features.shape[1]}, store dimension {dimension}")
+
+
 class FeatureStore:
     """Class-labeled feature vectors split into a support pool and a query pool.
 
@@ -119,9 +136,14 @@ class FeatureStore:
     def __init__(self, dimension: int, class_ids: np.ndarray, is_query: np.ndarray,
                  matrix: np.ndarray):
         """Take over a row table already sorted by class, then split (support
-        first): int64 class ids (n,), bool query flags (n,) and an (n, d)
+        first): integer class ids (n,), bool query flags (n,) and an (n, d)
         float64 ``matrix``. The arrays are checked and frozen, not copied."""
-        ids, flags = class_ids, is_query
+        ids, flags, matrix = np.asarray(class_ids), np.asarray(is_query), np.asarray(matrix)
+        if ids.dtype.kind not in "iu" or flags.dtype != bool or matrix.dtype != np.float64:
+            raise ValidationError(f"row table must be integer class ids, bool query flags and "
+                                  f"float64 features, got {ids.dtype} / {flags.dtype} / "
+                                  f"{matrix.dtype}")
+        _check_row_table(dimension, ids, flags, matrix)
         if ids.size == 0:
             raise ValidationError("feature store has no classes")
         same = ids[1:] == ids[:-1]
@@ -155,15 +177,7 @@ class FeatureStore:
         ids = np.asarray(class_ids, dtype=np.int64)
         flags = np.asarray(is_query, dtype=bool)
         feats = np.asarray(features)
-        if ids.ndim != 1 or flags.shape != ids.shape or feats.ndim != 2 \
-                or feats.shape[0] != ids.size:
-            raise ValidationError(
-                f"inconsistent row table shapes {ids.shape} / {flags.shape} / {feats.shape}")
-        if dimension <= 0:
-            raise ValidationError(f"dimension must be positive, got {dimension}")
-        if feats.shape[1] != dimension:
-            raise DimensionMismatchError(
-                f"features have dimension {feats.shape[1]}, store dimension {dimension}")
+        _check_row_table(dimension, ids, flags, feats)
         order = np.lexsort((flags, ids))  # by class, support first; stable
         matrix = np.empty(feats.shape)
         for s, e in row_blocks(ids.size, matrix.itemsize * dimension):
@@ -262,10 +276,6 @@ class ClassRegistry:
                         f"class {c} appears in sessions {self._session_of[c]} and {t}")
                 self._session_of[c] = t
 
-    @classmethod
-    def with_base(cls, base_classes: Iterable[int]) -> "ClassRegistry":
-        return cls([tuple(base_classes)])
-
     @property
     def n_sessions(self) -> int:
         return len(self._sessions)
@@ -326,13 +336,6 @@ class WeightMatrix:
         self._index = {c: i for i, c in enumerate(ids)}
         self._m = m
 
-    @classmethod
-    def from_rows(cls, rows: Mapping[int, np.ndarray]) -> "WeightMatrix":
-        if not rows:
-            raise ValidationError("no weight rows given")
-        ids = list(rows)
-        return cls(ids, np.stack([as_feature(rows[c]) for c in ids]))
-
     @property
     def class_ids(self) -> tuple[int, ...]:
         return self._ids
@@ -379,9 +382,6 @@ class WeightMatrix:
         out = WeightMatrix(self._ids, self._m)
         out._m.setflags(write=False)
         return out
-
-    def as_dict(self) -> dict[int, np.ndarray]:
-        return {c: self._m[i].copy() for c, i in self._index.items()}
 
     def norms(self) -> np.ndarray:
         return np.linalg.norm(self._m, axis=1)

@@ -8,14 +8,19 @@ u32 record count, u32 dimension, then per record u32 class_id, u8 split tag
 ``class_id,e0,...`` / ``class_id,w0,...``. Manifest: JSON object mapping
 class_id to {"label": str, "session": int >= 0}.
 
-The CSV loader builds a row table for ``FeatureStore.from_rows``. The binary
-loader checks the header and the file size before it allocates, reads the
-labels block by block into one reused record buffer, then re-reads the blocks
-and scatters each row into its sorted row of the matrix it hands to the
-``FeatureStore`` constructor; the binary writer fills one reused block of
-records at a time from ``to_rows``. Loaders check the file layout (header,
-fields, numbers, split tags, sizes, short reads, no rows) and raise
-``FormatError`` naming the file and the line or byte offset.
+The three CSVs share one codec. ``_write_csv`` writes each row's label
+fields, then ``repr`` of each value, with CRLF line ends. ``_read_csv``
+checks the header and each row's field count, class id (fits 64 bits) and
+values (finite numbers), skipping blank lines; the feature loader adds the
+split check and hands a row table to ``FeatureStore.from_rows``, the vector
+loader the repeated-class check. The binary loader checks the header and the
+file size before it allocates, reads the labels block by block into one
+reused record buffer, then re-reads the blocks and scatters each row into its
+sorted row of the matrix it hands to the ``FeatureStore`` constructor; the
+binary writer fills one reused block of records at a time from ``to_rows``.
+Every layout fault (header, fields, split tags, sizes, short reads, no rows)
+and every CSV value fault is a ``FormatError`` naming the file and the line
+or byte offset.
 """
 from __future__ import annotations
 
@@ -40,51 +45,66 @@ def _record_dtype(dimension: int) -> np.dtype:
     return np.dtype([("class_id", "<u4"), ("tag", "u1"), ("x", "<f4", (dimension,))])
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+# --- the CSV codec ---------------------------------------------------------
+
+def _write_csv(path, header: list[str], labels, rows) -> None:
+    """A header line, then per row its label fields (a sequence each) and the
+    ``repr`` of each value, which reads back exactly; CRLF line ends."""
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for fields, row in zip(labels, rows):
+            fh.write(",".join([*map(str, fields), *map(repr, row.tolist())]) + "\r\n")
+
+
+def _read_csv(path: Path, label_columns: tuple[str, ...], prefix: str):
+    """The data rows of a CSV headed ``label_columns`` and at least one value
+    column, as ``(line, class id, other label fields, values)``; the class id
+    is the first label and the values are finite float64. A file without data
+    rows is a fault."""
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        width = len(label_columns)
+        if not header or tuple(header[:width]) != label_columns or len(header) == width:
+            raise FormatError(f"{path}: expected header '{','.join(label_columns)},{prefix}0,...'")
+        empty = True
+        for rec in reader:
+            if not rec:
+                continue
+            line, empty = reader.line_num, False
+            if len(rec) != len(header):
+                raise FormatError(f"{path}:{line}: expected {len(header)} fields, got {len(rec)}")
+            try:
+                cid, values = int(rec[0]), np.array(rec[width:], dtype=np.float64)
+            except ValueError as err:
+                raise FormatError(f"{path}:{line}: {err}") from None
+            if not -2**63 <= cid < 2**63:
+                raise FormatError(f"{path}:{line}: class id {cid} does not fit 64 bits")
+            if not np.isfinite(values).all():
+                raise FormatError(f"{path}:{line}: class {cid} has a non-finite value")
+            yield line, cid, rec[1:width], values
+    if empty:
+        raise FormatError(f"{path}: no data rows")
 
 
 # --- feature stores --------------------------------------------------------
 
 def save_feature_store_csv(store: FeatureStore, path) -> None:
     ids, is_query, feats = store.to_rows()
-    header = ["class_id", "split"] + [f"f{i}" for i in range(store.dimension)]
-    with Path(path).open("w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for cid, q, row in zip(ids.tolist(), is_query.tolist(), feats):
-            fh.write(f"{cid},{_SPLITS[q]},{','.join(map(repr, row.tolist()))}\r\n")
+    _write_csv(path, ["class_id", "split"] + [f"f{i}" for i in range(store.dimension)],
+               ((c, _SPLITS[q]) for c, q in zip(ids.tolist(), is_query.tolist())), feats)
 
 
 def load_feature_store_csv(path) -> FeatureStore:
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[:2] != ["class_id", "split"]:
-            raise FormatError(f"{path}: expected header starting 'class_id,split'")
-        dim = len(header) - 2
-        if dim < 1:
-            raise FormatError(f"{path}: no feature columns")
-        ids, is_query, feats = [], [], []
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != dim + 2:
-                raise FormatError(f"{path}:{lineno}: expected {dim + 2} fields, got {len(rec)}")
-            try:
-                cid = int(rec[0])
-                feats.append(np.array([float(v) for v in rec[2:]]))
-            except ValueError as err:
-                raise FormatError(f"{path}:{lineno}: {err}") from None
-            if not -2**63 <= cid < 2**63:
-                raise FormatError(f"{path}:{lineno}: class id {cid} does not fit 64 bits")
-            ids.append(cid)
-            if rec[1] not in _SPLITS:
-                raise FormatError(f"{path}:{lineno}: unknown split {rec[1]!r}")
-            is_query.append(rec[1] == "query")
-    if not ids:
-        raise FormatError(f"{path}: no data rows")
-    return FeatureStore.from_rows(dim, ids, is_query, np.array(feats))
+    ids, is_query, feats = [], [], []
+    for line, cid, (split,), values in _read_csv(path, ("class_id", "split"), "f"):
+        if split not in _SPLITS:
+            raise FormatError(f"{path}:{line}: unknown split {split!r}")
+        ids.append(cid)
+        is_query.append(split == "query")
+        feats.append(values)
+    return FeatureStore.from_rows(feats[0].size, ids, is_query, np.array(feats))
 
 
 def save_feature_store_binary(store: FeatureStore, path) -> None:
@@ -164,46 +184,23 @@ def load_feature_store(path) -> FeatureStore:
 
 # --- per-class vector tables ------------------------------------------------
 
-def _save_vector_csv(path, prefix: str, items: dict[int, np.ndarray], dimension: int) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class_id"] + [f"{prefix}{i}" for i in range(dimension)])
-        for cid in sorted(items):
-            writer.writerow([cid] + [_fmt(v) for v in items[cid]])
+def _save_vector_csv(path, prefix: str, ids, matrix: np.ndarray) -> None:
+    _write_csv(path, ["class_id"] + [f"{prefix}{i}" for i in range(matrix.shape[1])],
+               ((c,) for c in ids), matrix)
 
 
 def _load_vector_csv(path, prefix: str) -> dict[int, np.ndarray]:
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "class_id" or len(header) < 2:
-            raise FormatError(f"{path}: expected header 'class_id,{prefix}0,...'")
-        dim = len(header) - 1
-        items: dict[int, np.ndarray] = {}
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != dim + 1:
-                raise FormatError(f"{path}:{lineno}: expected {dim + 1} fields, got {len(rec)}")
-            try:
-                cid, vector = int(rec[0]), np.array([float(v) for v in rec[1:]])
-            except ValueError as err:
-                raise FormatError(f"{path}:{lineno}: {err}") from None
-            if not -2**63 <= cid < 2**63:
-                raise FormatError(f"{path}:{lineno}: class id {cid} does not fit 64 bits")
-            if not np.isfinite(vector).all():
-                raise FormatError(f"{path}:{lineno}: class {cid} has a non-finite value")
-            if cid in items:
-                raise FormatError(f"{path}:{lineno}: class {cid} appears a second time")
-            items[cid] = vector
-    if not items:
-        raise FormatError(f"{path}: no data rows")
+    items: dict[int, np.ndarray] = {}
+    for line, cid, _, vector in _read_csv(path, ("class_id",), prefix):
+        if cid in items:
+            raise FormatError(f"{path}:{line}: class {cid} appears a second time")
+        items[cid] = vector
     return items
 
 
 def save_embeddings_csv(table: EmbeddingTable, path) -> None:
-    _save_vector_csv(path, "e", {c: table.vector(c) for c in table.classes}, table.dimension)
+    _save_vector_csv(path, "e", table.classes, np.stack([table.vector(c) for c in table.classes]))
 
 
 def load_embeddings_csv(path) -> EmbeddingTable:
@@ -211,12 +208,14 @@ def load_embeddings_csv(path) -> EmbeddingTable:
 
 
 def save_weights_csv(weights: WeightMatrix, path) -> None:
-    _save_vector_csv(path, "w", weights.as_dict(), weights.dimension)
+    ids = sorted(weights.class_ids)
+    _save_vector_csv(path, "w", ids, weights.subset(ids))
 
 
 def load_weights_csv(path) -> WeightMatrix:
     items = _load_vector_csv(path, "w")
-    return WeightMatrix.from_rows({c: items[c] for c in sorted(items)})
+    ids = sorted(items)
+    return WeightMatrix(ids, np.stack([items[c] for c in ids]))
 
 
 # --- manifest ---------------------------------------------------------------

@@ -8,8 +8,9 @@ negative mean log-likelihood plus the scaled penalties.
 of E same-shaped sessions at once, so many small episodes cost one call; each
 penalty's sum of products is one ``einsum`` pass, and the gradient is built in
 place. ``Objective`` is one session's training problem: it checks the
-session's objective and holds it as a stack of one, with the start rows laid
-out and the data's label rows, which ``trainer.fine_tune_stack`` stacks.
+session's objective and holds its arrays, the start rows laid out and the
+data's label rows. ``ObjectiveStack.of`` is the one way to stack problems,
+for ``trainer.fine_tune_stack`` and for ``Objective.evaluate_dense``.
 
 The rows are held in coordinates. In weight coordinates they are the (C, d)
 weights. In span coordinates a row is a combination of a session's spanning
@@ -138,26 +139,25 @@ class ObjectiveStack:
         self._anchor_image = self._gram(anchors, slice(0, self.n_old))
 
     @classmethod
-    def concat(cls, stacks: Sequence["ObjectiveStack"]) -> "ObjectiveStack":
-        """One stack of every member of ``stacks``, in order. They must share
-        the config, the kind of new-class pull and every shape, and be in
-        weight coordinates. A single stack is returned as it is, not copied."""
-        first = stacks[0]
-        if len(stacks) == 1:
-            return first
-        for s in stacks[1:]:
-            if s._layout() != first._layout() or (
-                    s.projection is not None
-                    and not np.array_equal(s.projection[0], first.projection[0])):
+    def of(cls, objectives: Sequence["Objective"]) -> "ObjectiveStack":
+        """The stack of the given session problems, in order, in weight
+        coordinates. They must share the config, the new-class pull (one
+        basis, targets, or neither) and every shape."""
+        first = objectives[0]
+
+        def layout(o):
+            return (o.config, o.basis is None, o.start.shape, o.features.shape,
+                    o.anchors.shape, None if o.targets is None else o.targets.shape)
+
+        for o in objectives[1:]:
+            if layout(o) != layout(first) or (
+                    o.basis is not None and not np.array_equal(o.basis.matrix, first.basis.matrix)):
                 raise ValidationError("stacked objectives need the same config, "
                                       "regularizer and shapes")
-        targets = None if first.targets is None else np.concatenate([s.targets for s in stacks])
-        return cls(first.config, np.concatenate([s.anchors for s in stacks]),
-                   np.concatenate([s.betas for s in stacks]), first.projection, targets)
-
-    def _layout(self) -> tuple:
-        return (self.config, self.projection is None, self.anchors.shape[1:],
-                None if self.targets is None else self.targets.shape[1:])
+        projection = None if first.basis is None else (first.basis.matrix, first.basis.matrix)
+        return cls(first.config, np.stack([o.anchors for o in objectives]),
+                   np.stack([o.betas for o in objectives]), projection,
+                   None if first.targets is None else np.stack([o.targets for o in objectives]))
 
     def take(self, members) -> "ObjectiveStack":
         """The sub-stack of the given members (an index or boolean mask)."""
@@ -250,13 +250,14 @@ class Objective:
     session every row is a novel one. ``start`` is those rows of the given
     start weights, (C, d) in that layout; ``features`` and ``label_pos`` are
     the data's feature rows and each label's row. Old rows stay trainable but
-    are anchored by the r_old term to their rows in ``anchors`` (None without
-    old classes), weighted ``beta_base`` for base classes and
-    ``beta_prev_novel`` for later ones. At most one new-class regularizer
+    are anchored by the r_old term to their rows in the given ``anchors``
+    table (None without old classes), weighted ``beta_base`` for base classes
+    and ``beta_prev_novel`` for later ones. At most one new-class regularizer
     component is given, and none in the base session: a subspace ``basis``, or
     ``targets``, a static row for (at least) every novel class. With neither,
-    r_new is 0. ``stack`` is this session's objective as an ``ObjectiveStack``
-    of one member; ``trainer.fine_tune_stack`` trains a list of these problems.
+    r_new is 0. ``ObjectiveStack.of`` stacks the checked ``anchors`` (k, d),
+    (0, 0) without old classes, ``betas`` (k,), ``targets`` (a row per novel
+    class, or None), ``basis`` and ``config``.
     """
 
     def __init__(self, config: RunConfig, registry: ClassRegistry, session: int,
@@ -274,19 +275,21 @@ class Objective:
         missing = [c for c in old if anchors is None or c not in anchors]
         if missing:
             raise MissingSnapshotError(f"classes {missing} have no anchor row")
-        anchor_matrix = anchors.subset(old) if old else np.zeros((0, 0))
-        betas = [config.beta_base if registry.session_of(c) == 0 else config.beta_prev_novel
-                 for c in old]
+        self.config = config
+        self.anchors = anchors.subset(old) if old else np.zeros((0, 0))
+        self.betas = np.array([config.beta_base if registry.session_of(c) == 0
+                               else config.beta_prev_novel for c in old], dtype=np.float64)
+        self.basis = basis
 
-        target_matrix = None
+        self.targets = None
         if targets is not None:
             missing = [c for c in novel if c not in targets]
             if missing:
                 raise MissingTargetError(f"classes {missing} have no regularization target")
             if novel:
-                target_matrix = np.stack([np.asarray(targets[c], dtype=np.float64) for c in novel])
+                self.targets = np.stack([np.asarray(targets[c], dtype=np.float64) for c in novel])
 
-        dims = {a.shape[1] for a in (anchor_matrix, target_matrix,
+        dims = {a.shape[1] for a in (self.anchors, self.targets,
                                      None if basis is None else basis.matrix.T)
                 if a is not None and a.size}
         if len(dims) > 1:
@@ -300,14 +303,9 @@ class Objective:
         except KeyError as err:
             raise ValidationError(f"class {err.args[0]} not active in session {session}") from None
 
-        self.stack = ObjectiveStack(
-            config, anchor_matrix[None], np.array(betas, dtype=np.float64)[None],
-            None if basis is None else (basis.matrix, basis.matrix),
-            None if target_matrix is None else target_matrix[None])
-
     def evaluate_dense(self, m: np.ndarray) -> ObjectiveTerms:
         """``ObjectiveStack.evaluate`` of this session alone over its own data;
         ``m`` (C, d) must be aligned to ``self.class_ids``."""
-        t = self.stack.evaluate(m[None], self.features[None], self.label_pos[None])
+        t = ObjectiveStack.of([self]).evaluate(m[None], self.features[None], self.label_pos[None])
         return ObjectiveTerms(float(t.data_loss[0]), float(t.r_prior[0]), float(t.r_old[0]),
                               float(t.r_new[0]), float(t.total[0]), t.gradient_matrix[0])

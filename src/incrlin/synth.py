@@ -76,7 +76,7 @@ def generate(spec: SynthSpec) -> SynthData:
     else:
         vectors = {c: rng.standard_normal(spec.dimension) for c in range(spec.n_classes)}
     embeddings = EmbeddingTable(vectors)
-    registry = ClassRegistry.with_base(range(spec.n_classes))
+    registry = ClassRegistry([range(spec.n_classes)])
     return SynthData(store, embeddings, registry, means)
 
 

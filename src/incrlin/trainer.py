@@ -243,7 +243,7 @@ def fine_tune_stack(objectives: Sequence[Objective], rngs: Sequence[np.random.Ge
     alone. A member whose loss goes non-finite gets a ``DivergenceError`` in
     place of its weights and report; the other members are unaffected.
     """
-    stack = ObjectiveStack.concat([o.stack for o in objectives])
+    stack = ObjectiveStack.of(objectives)
     m = np.stack([o.start for o in objectives])
     feats = np.stack([o.features for o in objectives])
     label_pos = np.stack([o.label_pos for o in objectives])
@@ -269,7 +269,7 @@ def train_base(store: FeatureStore, base_classes: Iterable[int], config: RunConf
     if rng is None:
         rng = np.random.default_rng(config.rng_seed)
     base = sorted(set(base_classes))
-    registry = ClassRegistry.with_base(base)
+    registry = ClassRegistry([base])
     support = store.support_examples(base)
     rows = init_novel_weights(support, 1.0, rng, classes=base)
     [outcome] = fine_tune_stack(

@@ -259,6 +259,23 @@ def test_store_constructor_takes_over_a_sorted_table():
             FeatureStore(2, np.array(bad_ids), np.array(bad_flags), np.arange(6.0).reshape(3, 2))
 
 
+def test_store_constructor_checks_its_arrays_agree():
+    ids, flags = np.array([0, 0, 1, 1]), np.array([False, True, False, True])
+    with pytest.raises(DimensionMismatchError):
+        FeatureStore(3, ids, flags, np.ones((4, 5)))
+    with pytest.raises(ValidationError, match="shapes"):  # 3 rows for 4 ids
+        FeatureStore(5, ids, flags, np.ones((3, 5)))
+    with pytest.raises(ValidationError, match="shapes"):
+        FeatureStore(5, ids, flags[:3], np.ones((4, 5)))
+    for bad in ((ids + 0.5, flags, np.ones((4, 2))),  # float class ids
+                (ids, flags.astype(np.int64), np.ones((4, 2))),  # integer flags
+                (ids, flags, np.ones((4, 2), dtype=np.float32))):
+        with pytest.raises(ValidationError, match="^row table must be"):
+            FeatureStore(2, *bad)
+    with pytest.raises(ValidationError, match="dimension must be positive"):
+        FeatureStore(0, ids, flags, np.ones((4, 0)))
+
+
 def test_store_non_finite_error_names_the_class():
     feats = np.ones((6, 2))
     feats[4, 1] = np.nan
@@ -271,6 +288,13 @@ def test_batch_shape_and_empty():
     assert len(batch) == 1 and batch.dimension == 2
     with pytest.raises(ValidationError):
         Batch(np.empty((0, 2)), np.empty(0, dtype=np.int64))
+
+
+def test_batch_rejects_non_integer_class_ids():
+    for bad in ([1.7, 2.2], [np.nan, 1.0], ["1", "2"]):
+        with pytest.raises(ValidationError, match="class ids must be integers"):
+            Batch(np.ones((2, 2)), bad)
+    assert Batch(np.ones((2, 2)), np.array([1, 2], dtype=np.int32)).class_ids.dtype == np.int64
 
 
 def test_batch_concat_keeps_row_order():

@@ -243,11 +243,14 @@ def test_vector_csv_rejects_a_repeated_class(tmp_path):
 
 
 @pytest.mark.parametrize("load, prefix", [(io.load_weights_csv, "w"),
-                                           (io.load_embeddings_csv, "e")])
+                                           (io.load_embeddings_csv, "e"),
+                                           (io.load_feature_store_csv, "f")])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
 def test_vector_csv_non_finite_value_names_its_line(tmp_path, load, prefix, value):
     p = tmp_path / "v.csv"
-    p.write_text(f"class_id,{prefix}0,{prefix}1\n3,1.0,2.0\n5,0.5,{value}\n")
+    # a feature CSV has a second label column, the split
+    labels, split = ("class_id,split", ",query") if prefix == "f" else ("class_id", "")
+    p.write_text(f"{labels},{prefix}0,{prefix}1\n3{split},1.0,2.0\n5{split},0.5,{value}\n")
     with pytest.raises(FormatError, match=re.escape(f"{p}:3: class 5 has a non-finite value")):
         load(p)
 

@@ -329,7 +329,7 @@ def test_rows_are_laid_out_old_then_novel():
     w = WeightMatrix(range(5), np.array([[c, 0.0] for c in range(5)]))
     obj = Objective(cfg, registry, 1, w, _null_batch(2, 0), anchors=anchors, targets=targets)
     assert obj.class_ids == (0, 2, 4, 1, 3)
-    assert obj.stack.n_old == 3
+    assert ObjectiveStack.of([obj]).n_old == 3
     terms = evaluate(obj, w)
     assert terms.r_old == 0.0 + 4.0 + 16.0  # base rows against their zero anchors
     assert terms.r_new == 1.0 + 1.0         # novel rows against their targets
@@ -493,7 +493,7 @@ def _stack_members(draw):
 @settings(max_examples=60, deadline=None)
 @given(_stack_members())
 def test_stack_members_bit_identical_to_their_solo_evaluation(members):
-    stack = ObjectiveStack.concat([obj.stack for obj, _ in members])
+    stack = ObjectiveStack.of([obj for obj, _ in members])
     terms = stack.evaluate(np.stack([w.matrix for _, w in members]),
                            np.stack([obj.features for obj, _ in members]),
                            np.stack([obj.label_pos for obj, _ in members]))
@@ -520,7 +520,12 @@ def test_gradient_finite_difference_at_random_shapes(members):
 def test_stack_rejects_members_of_another_layout():
     _, obj, *_ = _assembly(kind="subspace")
     _, wider, *_ = _assembly(kind="subspace", d=5)
-    _, finetune, *_ = _assembly(kind="finetune")
-    for other in (wider, finetune):
+    cfg, finetune, *_ = _assembly(kind="finetune")
+    # a finetune problem with three novel classes, not two: another n_way
+    three_way = Objective(cfg, ClassRegistry([(0, 1, 2), (3, 4, 5)]), 1,
+                          WeightMatrix(range(6), np.ones((6, 4))),
+                          Batch(np.ones((8, 4)), np.arange(8) % 6),
+                          anchors=WeightMatrix([0, 1, 2], np.ones((3, 4))))
+    for first, other in ((obj, wider), (obj, finetune), (finetune, three_way)):
         with pytest.raises(ValidationError):
-            ObjectiveStack.concat([obj.stack, other.stack])
+            ObjectiveStack.of([first, other])

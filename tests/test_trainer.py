@@ -512,7 +512,7 @@ def test_one_pass_loss_terms_match_two_pass_sums(monkeypatch, kind, span):
     d = 4 * span_width(n, 2, kind == "subspace", kind == "semantic")
     objectives = [_stack_problem(n=n, seed=s, kind=kind, d=d) for s in (3, 4, 5)]
     monkeypatch.setattr(trainer_mod, "use_span", lambda width, dimension: span)
-    stack = ObjectiveStack.concat([obj.stack for obj in objectives])
+    stack = ObjectiveStack.of(objectives)
     m = np.stack([obj.start for obj in objectives])
     feats = np.stack([obj.features for obj in objectives])
     label_pos = np.stack([obj.label_pos for obj in objectives])
