@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import io
 from .config import load_config_file, resolve_run_config
 from .datamodel import REGULARIZER_KINDS, SessionStream, WeightMatrix
@@ -23,6 +21,15 @@ from .synth import SynthSpec, generate, incremental_split
 from .trainer import train_base
 
 RESULT_SCHEMA = 1
+
+
+def _plain_label(label) -> str:
+    """A run label: one plain, non-empty file-name part, since it names the
+    report's rows and confusion files."""
+    if not isinstance(label, str) or label in ("", ".", "..") or "/" in label or "\\" in label:
+        raise argparse.ArgumentTypeError(f"label {label!r} is not a plain name")
+    return label
+
 
 def _load_inputs(args):
     """The feature store and the manifest's session plan (None without one)."""
@@ -109,9 +116,8 @@ def cmd_run_single(args) -> int:
 
 def cmd_synth_gen(args) -> int:
     spec = SynthSpec(n_classes=args.classes, dimension=args.dim,
-                     mean_scale=args.mu, within_class_stddev=args.sigma,
-                     support_per_class=args.support, query_per_class=args.query,
-                     embedding_mode=args.embedding_mode, rng_seed=args.seed)
+                     within_class_stddev=args.sigma, support_per_class=args.support,
+                     query_per_class=args.query, rng_seed=args.seed)
     data = generate(spec)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -145,17 +151,25 @@ def _load_result(path) -> dict:
 
 
 def cmd_report(args) -> int:
+    # Every result is read and its label checked before any report file is written.
+    results, path_of = [], {}
+    for res_path in args.results:
+        payload = _load_result(res_path)
+        try:
+            label = _plain_label(payload.get("label", Path(res_path).stem))
+        except argparse.ArgumentTypeError as err:
+            raise FormatError(f"{res_path}: {err}") from None
+        if label in path_of:
+            raise FormatError(f"{res_path}: label {label!r} is also the label of {path_of[label]}")
+        path_of[label] = res_path
+        results.append((res_path, label, payload))
+
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     multi_rows = []
     single_rows = []
     max_sessions = 0
-    for res_path in args.results:
-        payload = _load_result(res_path)
-        label = payload.get("label", Path(res_path).stem)
-        # The label names the confusion files: it must stay one name part.
-        if not isinstance(label, str) or label in (".", "..") or "/" in label or "\\" in label:
-            raise FormatError(f"{res_path}: label {label!r} is not a plain name")
+    for res_path, label, payload in results:
         protocol = payload.get("protocol")
         if protocol not in ("multi-session", "single-session"):
             raise FormatError(f"{res_path}: unknown protocol {protocol!r}")
@@ -212,14 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Incremental linear classifiers over frozen features.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_out=True):
+    def add_common(p):
         p.add_argument("--features", required=True, help="feature store (CSV or binary)")
         p.add_argument("--manifest", help="class manifest JSON (labels + session plan)")
         p.add_argument("--embeddings", help="per-class embedding CSV")
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="rng seed override")
-        if needs_out:
-            p.add_argument("--out", required=True, help="output path")
+        p.add_argument("--out", required=True, help="output path")
 
     p = sub.add_parser("train-base", help="fit base-class weights on a feature store")
     add_common(p)
@@ -236,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-confusion", action="store_true",
                    help="omit confusion matrices from the output")
     p.add_argument("--dump-weights", help="export the final-session weights to this CSV")
-    p.add_argument("--label", help="run label used in reports")
+    p.add_argument("--label", type=_plain_label,
+                   help="run label used in reports (default: the --out file's stem)")
     p.set_defaults(func=cmd_run_multi)
 
     p = sub.add_parser("run-single", help="run the episodic single-session protocol")
@@ -249,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-query", type=int, default=50)
     p.add_argument("--keep-episodes", action="store_true",
                    help="include per-episode records in the output")
-    p.add_argument("--label", help="run label used in reports")
+    p.add_argument("--label", type=_plain_label,
+                   help="run label used in reports (default: the --out file's stem)")
     p.set_defaults(func=cmd_run_single)
 
     p = sub.add_parser("synth-gen", help="write synthetic fixtures")
@@ -258,10 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=32)
     p.add_argument("--support", type=int, default=25)
     p.add_argument("--query", type=int, default=25)
-    p.add_argument("--mu", type=float, default=1.0, help="class mean scale")
     p.add_argument("--sigma", type=float, default=0.3, help="within-class stddev")
-    p.add_argument("--embedding-mode", choices=["from-means", "random"],
-                   default="from-means")
     p.add_argument("--base", type=int, default=20,
                    help="base class count for the manifest session plan")
     p.add_argument("--per-session", type=int, default=None,
@@ -286,8 +298,9 @@ def main(argv=None) -> int:
     except EngineError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except FileNotFoundError as err:
-        print(f"error: missing file: {err.filename}", file=sys.stderr)
+    except OSError as err:  # a file that cannot be opened, read or written
+        where = "" if err.filename is None else f": {err.filename}"
+        print(f"error: {err.strerror or err}{where}", file=sys.stderr)
         return 1
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .datamodel import RunConfig, normalize_kind
+from .datamodel import RunConfig
 from .errors import ConfigError, FormatError
 
 # (protocol, kind, shots): shots=None matches any shot count not listed. A
@@ -71,7 +71,7 @@ def preset_config(protocol: str = "multi", kind: str = "finetune",
     """Default RunConfig for a protocol / regularizer / shot-count combination."""
     if protocol not in ("multi", "single"):
         raise ConfigError(f"unknown protocol {protocol!r}")
-    kind = normalize_kind(kind)
+    RunConfig(regularizer_kind=kind)  # the kind check, before the kind keys a preset
     entry = _PRESETS.get((protocol, kind, k_shot)) or _PRESETS.get((protocol, kind, None))
     if entry is None:
         # single-session with an unlisted shot count: fall back to the 1-shot row
@@ -107,7 +107,7 @@ def resolve_run_config(protocol: str, file_cfg: dict | None = None,
     """
     overrides = _file_fields(file_cfg or {}, "config")
     overrides.update((k, v) for k, v in (cli_overrides or {}).items() if v is not None)
-    kind = normalize_kind(overrides.pop("regularizer_kind", "finetune"))
+    kind = overrides.pop("regularizer_kind", "finetune")
     try:
         return preset_config(protocol, kind, k_shot, **overrides)
     except TypeError as err:

@@ -32,23 +32,6 @@ REGULARIZER_KINDS = ("finetune", "subspace", "semantic", "linmap", "description"
 # The kinds that pull each new row toward a static target row of its own.
 FIXED_TARGET_KINDS = ("semantic", "linmap", "description")
 
-_KIND_ALIASES = {
-    "fine-tune": "finetune",
-    "fine_tune": "finetune",
-    "linear-map": "linmap",
-    "linear_map": "linmap",
-}
-
-
-def normalize_kind(kind: str) -> str:
-    """Map spelling variants of a regularizer kind onto its canonical token."""
-    if not isinstance(kind, str):
-        raise ConfigError(f"regularizer kind must be a string, got {kind!r}")
-    k = _KIND_ALIASES.get(kind.strip().lower(), kind.strip().lower())
-    if k not in REGULARIZER_KINDS:
-        raise ConfigError(f"unknown regularizer kind {kind!r}; expected one of {REGULARIZER_KINDS}")
-    return k
-
 
 def as_feature(values, dimension: int | None = None) -> np.ndarray:
     """Coerce to a finite 1-D float64 vector, optionally checking its length."""
@@ -281,10 +264,6 @@ class ClassRegistry:
         return len(self._sessions)
 
     @property
-    def last_session(self) -> int:
-        return len(self._sessions) - 1
-
-    @property
     def base_classes(self) -> tuple[int, ...]:
         return self._sessions[0]
 
@@ -301,16 +280,13 @@ class ClassRegistry:
 
     @property
     def all_classes(self) -> tuple[int, ...]:
-        return self.classes_up_to(self.last_session)
+        return self.classes_up_to(len(self._sessions) - 1)
 
     def session_of(self, class_id: int) -> int:
         try:
             return self._session_of[class_id]
         except KeyError:
             raise ValidationError(f"class {class_id} not registered") from None
-
-    def __contains__(self, class_id: int) -> bool:
-        return class_id in self._session_of
 
 
 class WeightMatrix:
@@ -430,11 +406,6 @@ class EmbeddingTable:
         self._vectors = items
         for v in self._vectors.values():
             v.setflags(write=False)
-        self._dimension = dims.pop()
-
-    @property
-    def dimension(self) -> int:
-        return self._dimension
 
     @property
     def classes(self) -> tuple[int, ...]:
@@ -454,19 +425,17 @@ class EmbeddingTable:
 
 
 def update_memory(memory: Batch | None, support: Batch, rng: np.random.Generator,
-                  expected_classes: Iterable[int] | None = None) -> Batch:
+                  expected_classes: Iterable[int]) -> Batch:
     """Archive one uniformly chosen support example per new class.
 
     ``memory`` (None before the first archive) holds one example per archived
     class in archive order; its rows are kept verbatim and the new ones
-    appended. ``expected_classes``, when given, is the class set the support
-    must cover.
+    appended. ``expected_classes`` is the class set the support must cover.
     """
     present = np.unique(support.class_ids).tolist()
-    if expected_classes is not None:
-        missing = sorted(set(expected_classes) - set(present))
-        if missing:
-            raise MissingExampleError(f"no support examples for classes {missing}")
+    missing = sorted(set(expected_classes) - set(present))
+    if missing:
+        raise MissingExampleError(f"no support examples for classes {missing}")
     if memory is not None:
         overlap = sorted(set(present) & set(memory.class_ids.tolist()))
         if overlap:
@@ -497,7 +466,10 @@ class RunConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "regularizer_kind", normalize_kind(self.regularizer_kind))
+        kind = self.regularizer_kind
+        if not isinstance(kind, str) or kind not in REGULARIZER_KINDS:
+            raise ConfigError(f"unknown regularizer kind {kind!r}; "
+                              f"expected one of {REGULARIZER_KINDS}")
         for name in ("max_epochs", "patience_epochs", "rng_seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -516,9 +488,6 @@ class RunConfig:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.rng_seed < 0:
             raise ConfigError(f"rng_seed must be non-negative, got {self.rng_seed}")
-
-    def replace(self, **changes) -> "RunConfig":
-        return dataclasses.replace(self, **changes)
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -289,11 +289,13 @@ class Objective:
             if novel:
                 self.targets = np.stack([np.asarray(targets[c], dtype=np.float64) for c in novel])
 
-        dims = {a.shape[1] for a in (self.anchors, self.targets,
-                                     None if basis is None else basis.matrix.T)
-                if a is not None and a.size}
+        dims = {start.dimension, data.dimension}
+        dims.update(a.shape[1] for a in (self.anchors, self.targets) if a is not None and a.size)
+        if basis is not None:
+            dims.add(basis.dimension)
         if len(dims) > 1:
-            raise DimensionMismatchError(f"inconsistent component dimensions {sorted(dims)}")
+            raise DimensionMismatchError("start rows, data and components have inconsistent "
+                                         f"dimensions {sorted(dims)}")
 
         self.start = start.subset(self.class_ids)
         self.features = data.features

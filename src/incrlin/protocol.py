@@ -1,9 +1,11 @@
 """Evaluation protocols: the multi-session incremental run and the episodic
 single-session run, plus all accuracy / confusion / interference metrics.
 
-Both protocols take the run's ``SessionStream`` and optional base weights,
-and start in ``prepare_run``: it checks every input, then fits the base
-weights if none were given, then builds the set-up the run shares.
+Both protocols take the run's ``SessionStream`` and optional base weights.
+Each checks its own inputs (the multi-session support pools, the episode
+shape), then calls ``prepare_run``: it checks the regularizer's inputs, then
+fits the base weights if none were given, then builds the set-up the run
+shares.
 
 The episodic run gives each CPU the process may run on an even share of the
 episodes, in even chunks that fit ``EPISODE_BUDGET``, and trains the chunks
@@ -183,23 +185,20 @@ class RunSetup:
 
 
 def prepare_run(stream: SessionStream, base_weights: WeightMatrix | None,
-                rng: np.random.Generator, every_session: bool = False) -> RunSetup:
-    """Check a run's inputs and build its shared set-up; the only place a run
-    fits its base weights.
+                rng: np.random.Generator) -> RunSetup:
+    """Check a run's regularizer inputs and build its shared set-up; the only
+    place a run fits its base weights.
 
     The checks that need no weights come first, so a fault costs no base fit:
     an embedding-driven regularizer needs an embedding for every class of the
-    session plan, and ``semantic``/``description`` a positive ``tau``. A run
-    that trains ``every_session`` of the plan (the multi-session protocol)
-    needs ``k_shot`` support examples of every novel class, and at least one
-    without ``k_shot``; an episodic run samples its classes, and a short pool
-    fails only the episodes that draw it. If ``base_weights`` is None, the
-    base rows are then trained on the base support pool from ``rng``. The
-    base weights must have the features' dimension and rows for exactly the
-    base session's classes. This is the one place the regularizer kind picks
-    the new-class component, built once per run: the subspace basis, or the
-    targets of every novel class (from embedding similarities, or from the
-    fitted linear map).
+    session plan, and ``semantic``/``description`` a positive ``tau``. Each
+    protocol checks its own inputs (support pools, episode shape) before it
+    calls this. If ``base_weights`` is None, the base rows are then trained on
+    the base support pool from ``rng``. The base weights must have the
+    features' dimension and rows for exactly the base session's classes. This
+    is the one place the regularizer kind picks the new-class component, built
+    once per run: the subspace basis, or the targets of every novel class (from
+    embedding similarities, or from the fitted linear map).
     """
     config, registry, embeddings = stream.config, stream.registry, stream.embeddings
     kind = config.regularizer_kind
@@ -213,13 +212,6 @@ def prepare_run(stream: SessionStream, base_weights: WeightMatrix | None,
             raise MissingEmbeddingError(f"classes {missing} have no embedding")
     if kind in ("semantic", "description") and config.tau <= 0:
         raise ValidationError(f"temperature must be positive, got {config.tau}")
-    if every_session:
-        need = stream.k_shot or 1
-        for c in novel:
-            pool = stream.store.support(c).shape[0]
-            if pool < need:
-                raise MissingExampleError(f"class {c} has {pool} support examples, need "
-                                          f"{'k_shot=' if stream.k_shot else ''}{need}")
 
     if base_weights is None:
         base_weights, _ = train_base(stream.store, base, config, rng=rng)
@@ -269,11 +261,20 @@ def run_multi_session(stream: SessionStream, base_weights: WeightMatrix | None =
     memory when enabled) and is scored on the query pools of every class seen
     so far. Each class's row as it stood after its own session joins the
     anchor table. ``on_session_end(t, weights)`` is called with a frozen
-    weight copy after each session, for weight export.
+    weight copy after each session, for weight export. Every novel class
+    needs ``k_shot`` support examples (at least one without ``k_shot``),
+    checked before any base fit.
     """
     config, registry = stream.config, stream.registry
+    need = stream.k_shot or 1
+    for t in range(1, registry.n_sessions):
+        for c in registry.classes_in(t):
+            pool = stream.store.support(c).shape[0]
+            if pool < need:
+                raise MissingExampleError(f"class {c} has {pool} support examples, need "
+                                          f"{'k_shot=' if stream.k_shot else ''}{need}")
     rng = np.random.default_rng(config.rng_seed)
-    setup = prepare_run(stream, base_weights, rng, every_session=True)
+    setup = prepare_run(stream, base_weights, rng)
 
     weights = anchors = setup.snapshot0
     memory = None

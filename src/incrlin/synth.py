@@ -1,12 +1,12 @@
-"""Deterministic synthetic fixtures: Gaussian class clusters with matching
-semantic embeddings, sized for desk-scale runs."""
+"""Deterministic synthetic fixtures: Gaussian class clusters whose semantic
+embeddings are their class means, sized for desk-scale runs."""
 from __future__ import annotations
 
 import dataclasses
 
 import numpy as np
 
-from .datamodel import ClassRegistry, EmbeddingTable, FeatureStore
+from .datamodel import EmbeddingTable, FeatureStore
 from .errors import ValidationError
 
 
@@ -15,9 +15,8 @@ class SynthSpec:
     """Shape of a synthetic dataset.
 
     Class means are drawn uniformly on the sphere of radius ``mean_scale``;
-    examples are isotropic Gaussians around them. ``from-means`` embeddings
-    reuse the class means so semantic similarity mirrors feature geometry;
-    ``random`` embeddings are an uninformative control.
+    examples are isotropic Gaussians around them. Each class's embedding is
+    its mean, so semantic similarity mirrors feature geometry.
     """
 
     n_classes: int
@@ -26,7 +25,6 @@ class SynthSpec:
     within_class_stddev: float = 0.3
     support_per_class: int = 25
     query_per_class: int = 25
-    embedding_mode: str = "from-means"
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -36,23 +34,20 @@ class SynthSpec:
             raise ValidationError("within_class_stddev must be positive")
         if self.support_per_class < 1 or self.query_per_class < 1:
             raise ValidationError("per-class counts must be >= 1")
-        if self.embedding_mode not in ("from-means", "random"):
-            raise ValidationError(f"unknown embedding mode {self.embedding_mode!r}")
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class SynthData:
     store: FeatureStore
     embeddings: EmbeddingTable
-    registry: ClassRegistry
     class_means: np.ndarray  # (n_classes, dimension)
 
 
 def generate(spec: SynthSpec) -> SynthData:
-    """Generate a feature store, an embedding table, and a flat registry.
+    """Generate a feature store and an embedding table.
 
-    Deterministic given the seed. Class ids are 0..n_classes-1; the registry
-    places them all in session 0, callers impose their own session plan.
+    Deterministic given the seed. Class ids are 0..n_classes-1; callers
+    impose their own session plan (``incremental_split``).
     """
     rng = np.random.default_rng(spec.rng_seed)
     g = rng.standard_normal((spec.n_classes, spec.dimension))
@@ -71,13 +66,8 @@ def generate(spec: SynthSpec) -> SynthData:
         np.tile(np.arange(per_class) >= spec.support_per_class, spec.n_classes),
         z.reshape(-1, spec.dimension))
 
-    if spec.embedding_mode == "from-means":
-        vectors = {c: means[c] for c in range(spec.n_classes)}
-    else:
-        vectors = {c: rng.standard_normal(spec.dimension) for c in range(spec.n_classes)}
-    embeddings = EmbeddingTable(vectors)
-    registry = ClassRegistry([range(spec.n_classes)])
-    return SynthData(store, embeddings, registry, means)
+    embeddings = EmbeddingTable({c: means[c] for c in range(spec.n_classes)})
+    return SynthData(store, embeddings, means)
 
 
 def incremental_split(n_classes: int, n_base: int, n_per_session: int) -> list[list[int]]:

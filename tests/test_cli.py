@@ -1,4 +1,6 @@
+import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import incrlin.protocol as protocol_mod
 from incrlin import io
 from incrlin.cli import main
 from incrlin.config import load_config_file, preset_config, resolve_run_config
-from incrlin.datamodel import WeightMatrix
+from incrlin.datamodel import RunConfig, WeightMatrix
 from incrlin.errors import ConfigError
 
 
@@ -78,6 +80,21 @@ def test_config_file_rejects_mistyped_counts_and_flags(tmp_path, section, key, v
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({section: {key: value}}))
     with pytest.raises(ConfigError, match=key):
+        resolve_run_config("multi", load_config_file(p), {})
+
+
+@pytest.mark.parametrize("kind", ["fine-tune", " Linear_Map", "Subspace", ["subspace"],
+                                  {"kind": "linmap"}, None])
+def test_regularizer_kind_names_are_exact(tmp_path, kind):
+    # the five names the CLI takes, as written; an unhashable kind is named too
+    named = f"unknown regularizer kind {re.escape(repr(kind))}"
+    with pytest.raises(ConfigError, match=named):
+        RunConfig(regularizer_kind=kind)
+    with pytest.raises(ConfigError, match=named):
+        preset_config("single", kind, k_shot=5)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"regularizer": {"kind": kind}}))
+    with pytest.raises(ConfigError, match=named):
         resolve_run_config("multi", load_config_file(p), {})
 
 
@@ -221,7 +238,32 @@ def test_missing_file_is_reported(tmp_path, capsys):
     rc = main(["train-base", "--features", str(tmp_path / "nope.csv"),
                "--out", str(tmp_path / "w.csv")])
     assert rc == 1
-    assert "error" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: No such file or directory: {tmp_path / 'nope.csv'}\n"
+
+
+@pytest.mark.parametrize("command, extra", [("train-base", []),
+                                            ("run-single", ["--episodes", "2"])])
+def test_out_that_is_a_directory_is_reported(fixture_dir, tmp_path, capsys, command, extra):
+    labels, _ = io.load_manifest(fixture_dir / "manifest.json")
+    io.save_manifest(tmp_path / "manifest.json", labels, {c: int(c >= 8) for c in range(14)})
+    out = tmp_path / "results"
+    out.mkdir()
+    rc = main([command, "--features", str(fixture_dir / "features.csv"),
+               "--manifest", str(tmp_path / "manifest.json"), "--out", str(out)] + extra)
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: Is a directory: {out}\n"
+
+
+@pytest.mark.parametrize("command", ["run-multi", "run-single"])
+@pytest.mark.parametrize("label", ["../x", "a/b", "..", ""])
+def test_label_that_is_not_a_plain_name_fails_before_any_file_is_read(tmp_path, capsys,
+                                                                      command, label):
+    # the features file does not exist: reading it would be exit 1, not a usage error
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--features", str(tmp_path / "nope.csv"), "--label", label,
+              "--out", str(tmp_path / "r.json")])
+    assert exc.value.code == 2
+    assert f"label {label!r} is not a plain name" in capsys.readouterr().err
 
 
 def test_report_renders_tables(fixture_dir, tmp_path):
@@ -238,6 +280,25 @@ def test_report_renders_tables(fixture_dir, tmp_path):
     assert table[1].startswith("ft,")
     grids = list((tmp_path / "rep").glob("confusion_ft_s*.csv"))
     assert len(grids) == 3
+
+
+def test_report_renders_an_episode_table(fixture_dir, tmp_path):
+    labels, _ = io.load_manifest(fixture_dir / "manifest.json")
+    io.save_manifest(tmp_path / "manifest.json", labels, {c: int(c >= 8) for c in range(14)})
+    result = tmp_path / "res.json"
+    rc = main(["run-single", "--features", str(fixture_dir / "features.csv"),
+               "--manifest", str(tmp_path / "manifest.json"), "--episodes", "4",
+               "--n-way", "3", "--n-query", "12", "--label", "ep", "--out", str(result)])
+    assert rc == 0
+    rc = main(["report", "--results", str(result), "--out-dir", str(tmp_path / "rep")])
+    assert rc == 0
+    r = json.loads(result.read_text())["result"]
+    with (tmp_path / "rep" / "episodes.csv").open(newline="") as fh:
+        assert list(csv.reader(fh)) == [
+            ["model", "acc", "ci95", "delta", "abs_delta", "n_episodes", "n_failed"],
+            ["ep", f"{r['acc']['mean']:.2f}", f"{r['acc']['ci95']:.2f}",
+             f"{r['delta']['mean']:.2f}", f"{r['abs_delta']:.2f}", "4", str(r["n_failed"])]]
+    assert sorted(p.name for p in (tmp_path / "rep").iterdir()) == ["episodes.csv"]
 
 
 def _report_on(tmp_path, capsys, text):
@@ -267,14 +328,37 @@ def _multi_result(label="m", session=0):
     "{not json",
     _multi_result(label="x/../../escaped"),
     _multi_result(label=".."),
+    _multi_result(label=""),
     _multi_result(session="1"),
 ], ids=["array", "no-sessions", "bad-result", "invalid-json", "label-path", "label-dotdot",
-        "session-string"])
+        "label-empty", "session-string"])
 def test_report_rejects_malformed_result_files(tmp_path, capsys, text):
     # with confusion_x/ present, the label-path case escaped --out-dir
     (tmp_path / "rep" / "confusion_x").mkdir(parents=True)
     assert _report_on(tmp_path, capsys, text) == (1, True)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "rep"]
+
+
+@pytest.mark.parametrize("labels, stems", [(("same", "same"), ("a", "b")),
+                                           ((None, None), ("run", "run"))],
+                         ids=["label", "file-stem"])
+def test_report_rejects_a_label_two_results_share(tmp_path, capsys, labels, stems):
+    # the second result's rows and confusion files would overwrite the first's
+    paths = []
+    for i, (label, stem) in enumerate(zip(labels, stems)):
+        payload = json.loads(_multi_result())
+        payload.pop("label")
+        if label is not None:
+            payload["label"] = label
+        (tmp_path / str(i)).mkdir()
+        paths.append(tmp_path / str(i) / f"{stem}.json")
+        paths[-1].write_text(json.dumps(payload))
+    rc = main(["report", "--results", *map(str, paths), "--out-dir", str(tmp_path / "rep")])
+    assert rc == 1
+    shared = labels[0] or stems[0]
+    assert capsys.readouterr().err == (f"error: {paths[1]}: label {shared!r} is also the label "
+                                       f"of {paths[0]}\n")
+    assert not (tmp_path / "rep").exists()
 
 
 def test_resolved_config_is_recorded(fixture_dir, tmp_path):

@@ -5,6 +5,8 @@ The data batch is a single all-zero feature row wherever a test reads a
 penalty's gradient: its logits are all zero, so the cross-entropy gradient
 is exactly zero and the total gradient is the penalty's own.
 """
+import re
+
 import numpy as np
 import pytest
 from conftest import evaluate, fd_gradient, rel_err
@@ -19,6 +21,7 @@ from incrlin.datamodel import (
 )
 from incrlin.errors import (
     ConfigError,
+    DimensionMismatchError,
     MissingSnapshotError,
     MissingTargetError,
     ValidationError,
@@ -97,6 +100,23 @@ def test_cross_entropy_errors():
         _ce(w, Batch(np.empty((0, 3)), np.empty(0, dtype=np.int64)))
     with pytest.raises(ValidationError):
         _ce(w, Batch(np.ones((1, 3)), np.array([9])))
+
+
+@pytest.mark.parametrize("dims", [dict(anchors=4), dict(data=6), dict(basis=3)],
+                         ids=["anchors", "data", "basis"])
+def test_objective_checks_every_operand_dimension(dims):
+    # session 1: base class 0 anchored, novel class 1; every operand at d=5
+    # but the one named
+    d = {"start": 5, "data": 5, "anchors": 5, "basis": 5, **dims}
+    registry = ClassRegistry([(0,), (1,)])
+    start = WeightMatrix([0, 1], np.ones((2, d["start"])))
+    data = Batch(np.ones((2, d["data"])), np.array([0, 1]))
+    anchors = WeightMatrix([0], np.ones((1, d["anchors"])))
+    basis = orthonormal_basis(list(np.eye(d["basis"])[:2]))
+    with pytest.raises(DimensionMismatchError,
+                       match=re.escape(f"inconsistent dimensions {sorted(set(d.values()))}")):
+        Objective(RunConfig(regularizer_kind="subspace"), registry, 1, start, data,
+                  anchors=anchors, basis=basis)
 
 
 # --- r_prior -------------------------------------------------------------------

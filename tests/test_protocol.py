@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import threading
 from concurrent.futures.process import BrokenProcessPool
@@ -17,6 +18,7 @@ from incrlin.datamodel import (
 )
 from incrlin.errors import (
     ConfigError,
+    DivergenceError,
     EngineError,
     MissingEmbeddingError,
     MissingExampleError,
@@ -215,7 +217,7 @@ def _bench_setup(seed=0, kind="finetune", memory=False):
 
 def test_run_multi_session_shapes_and_session_zero():
     data, registry, cfg, stream = _bench_setup()
-    base_cfg = cfg.replace(regularizer_kind="finetune")
+    base_cfg = dataclasses.replace(cfg, regularizer_kind="finetune")
     bw, _ = train_base(data.store.restrict(registry.base_classes),
                        registry.base_classes, base_cfg)
     results = run_multi_session(stream, base_weights=bw)
@@ -267,13 +269,26 @@ def test_run_multi_session_memory_buffer_grows_per_session(monkeypatch):
     buffers = _record_memory(monkeypatch)
     run_multi_session(stream, base_weights=bw)
     # after running all 4 incremental sessions the buffer archives sessions 0..3
-    expected = sum(len(registry.classes_in(t)) for t in range(registry.last_session))
+    expected = sum(len(registry.classes_in(t)) for t in range(registry.n_sessions - 1))
     assert len(buffers[-1]) == expected
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_run_multi_session_raises_a_session_divergence():
+    # base weights fitted at a sane rate; session 1's fine-tune at lr * 2 * alpha >> 1
+    data, registry, cfg, _ = _bench_setup()
+    bw, _ = train_base(data.store.restrict(registry.base_classes), registry.base_classes, cfg)
+    stream = SessionStream(data.store, registry,
+                           dataclasses.replace(cfg, alpha=1.0, learning_rate=1e6), k_shot=5)
+    with pytest.raises(DivergenceError, match=r"^non-finite loss at epoch \d+ "
+                                              r"\(lr=1000000\.0\); reduce the learning rate$"):
+        run_multi_session(stream, base_weights=bw)
 
 
 def test_run_multi_session_semantic_requires_embeddings():
     data, registry, cfg, _ = _bench_setup(kind="semantic")
-    stream = SessionStream(data.store, registry, cfg.replace(regularizer_kind="semantic"),
+    stream = SessionStream(data.store, registry,
+                           dataclasses.replace(cfg, regularizer_kind="semantic"),
                            embeddings=None, k_shot=5)
     bw, _ = train_base(data.store.restrict(registry.base_classes),
                        registry.base_classes, cfg)
@@ -449,6 +464,24 @@ def test_degenerate_one_class_dominance_pattern(monkeypatch):
     assert result.delta == pytest.approx(-50.0)
 
 
+@pytest.mark.parametrize("query_ids", [(0, 1), (5,)], ids=["base-only", "novel-only"])
+def test_episode_whose_query_misses_a_group_fails_alone(monkeypatch, query_ids):
+    base_ids = [0, 1]
+    full = protocol_mod.Episode((5,), Batch(np.eye(4)[[2]], np.array([5])),
+                                Batch(np.eye(4)[[0, 1, 2]], np.array([0, 1, 5])))
+    keep = np.isin(full.query.class_ids, query_ids)
+    episode = protocol_mod.Episode(full.novel_classes, full.support,
+                                   Batch(full.query.features[keep], full.query.class_ids[keep]))
+    cfg = RunConfig(regularizer_kind="finetune", learning_rate=0.0, max_epochs=1, rng_seed=0)
+    stream = _episode_stream(full, base_ids, cfg)
+    setup = prepare_run(stream, WeightMatrix(base_ids, np.eye(2, 4)), np.random.default_rng(0))
+    monkeypatch.setattr(protocol_mod, "sample_episode", lambda *a, **k: episode)
+    [outcome] = protocol_mod._episode_chunk(setup, stream.store, stream.store, 1, 1,
+                                            len(episode.query), 0, 1)
+    assert isinstance(outcome, MissingExampleError)
+    assert str(outcome) == "episode query set misses one of the groups"
+
+
 def test_run_single_session_deterministic():
     bw, cfg, data = _single_setup()
     kw = dict(n_episodes=12, n_way=3, n_query=16)
@@ -530,7 +563,7 @@ def test_run_single_session_does_not_depend_on_chunk_size(monkeypatch, kind, min
     # MINI_BATCH of 2 below the 3 support rows sends every member through its
     # own shuffled blocks
     bw, cfg, data = _single_setup()
-    cfg = cfg.replace(regularizer_kind=kind, gamma=0.1, tau=0.5)
+    cfg = dataclasses.replace(cfg, regularizer_kind=kind, gamma=0.1, tau=0.5)
     if mini_batch is not None:
         monkeypatch.setattr(trainer_mod, "MINI_BATCH", mini_batch)
     monkeypatch.setattr(protocol_mod, "sample_episode", _diverging_at(3, cfg.rng_seed))
@@ -654,7 +687,7 @@ def test_run_single_session_does_not_depend_on_where_novel_ids_sit(kind):
     # 1..11, each group in its own order: the episodes train on the same
     # old-then-novel rows and give the same result
     bw, cfg, data = _single_setup()
-    cfg = cfg.replace(regularizer_kind=kind, gamma=0.1, tau=0.5)
+    cfg = dataclasses.replace(cfg, regularizer_kind=kind, gamma=0.1, tau=0.5)
 
     def run(new_id):
         s = data.store
@@ -685,7 +718,7 @@ def test_run_single_session_says_why_every_episode_failed():
 def test_run_single_session_says_how_to_stop_a_divergence():
     # lr * 2 * alpha >> 1: every episode's prior term explodes
     bw, cfg, data = _single_setup()
-    stream = _single_stream(data, cfg.replace(alpha=1.0, learning_rate=1e6))
+    stream = _single_stream(data, dataclasses.replace(cfg, alpha=1.0, learning_rate=1e6))
     with pytest.raises(EngineError, match=r"all 3 episodes failed; the first with DivergenceError: "
                                           r"non-finite loss at epoch \d+ \(lr=1000000\.0\); "
                                           r"reduce the learning rate$"):
@@ -695,15 +728,16 @@ def test_run_single_session_says_how_to_stop_a_divergence():
 def test_run_single_session_rejects_memory():
     bw, cfg, data = _single_setup()
     with pytest.raises(ConfigError):
-        run_single_session(_single_stream(data, cfg.replace(memory_enabled=True)), bw,
-                           n_episodes=2)
+        run_single_session(_single_stream(data, dataclasses.replace(cfg, memory_enabled=True)),
+                           bw, n_episodes=2)
 
 
 def test_run_single_session_semantic_needs_embeddings():
     bw, cfg, data = _single_setup()
     with pytest.raises(ConfigError):
-        run_single_session(_single_stream(data, cfg.replace(regularizer_kind="semantic")), bw,
-                           n_episodes=2)
+        run_single_session(
+            _single_stream(data, dataclasses.replace(cfg, regularizer_kind="semantic")), bw,
+            n_episodes=2)
 
 
 def _without(embeddings, class_id):
@@ -715,7 +749,7 @@ def test_missing_embedding_raises_before_any_work():
     for kind in ("semantic", "description", "linmap"):
         for missing in (3, 12):  # a base class, then a class of the novel pool
             with pytest.raises(MissingEmbeddingError, match=rf"\[{missing}\]"):
-                stream = _single_stream(data, cfg.replace(regularizer_kind=kind),
+                stream = _single_stream(data, dataclasses.replace(cfg, regularizer_kind=kind),
                                         embeddings=_without(data.embeddings, missing))
                 run_single_session(stream, bw, n_episodes=4, n_way=3)
     data, registry, cfg, _ = _bench_setup(kind="semantic")
@@ -750,8 +784,9 @@ def test_session_confusion_matches_public_confusion_matrix():
 def test_run_single_session_semantic_and_linmap():
     bw, cfg, data = _single_setup()
     for kind in ("semantic", "linmap"):
-        stream = _single_stream(data, cfg.replace(regularizer_kind=kind, gamma=0.1, tau=0.5),
-                                k_shot=1, embeddings=data.embeddings)
+        stream = _single_stream(
+            data, dataclasses.replace(cfg, regularizer_kind=kind, gamma=0.1, tau=0.5),
+            k_shot=1, embeddings=data.embeddings)
         result = run_single_session(stream, bw, n_episodes=4, n_way=3, n_query=12)
         assert result.acc.n == 4
 
@@ -765,8 +800,9 @@ def test_run_single_session_builds_targets_once_per_run(monkeypatch, kind, fit):
     real = getattr(protocol_mod, fit)
     monkeypatch.setattr(protocol_mod, fit, lambda *a, **k: calls.append(1) or real(*a, **k))
     monkeypatch.setattr(protocol_mod, "EPISODE_BUDGET", 2 * 13 * 8)  # chunks of 2 episodes
-    stream = _single_stream(data, cfg.replace(regularizer_kind=kind, gamma=0.1, tau=0.5),
-                            k_shot=1, embeddings=data.embeddings)
+    stream = _single_stream(
+        data, dataclasses.replace(cfg, regularizer_kind=kind, gamma=0.1, tau=0.5),
+        k_shot=1, embeddings=data.embeddings)
     result = run_single_session(stream, bw, n_episodes=5, n_way=3, n_query=12)
     assert result.acc.n == 5
     assert len(calls) == 1
@@ -777,8 +813,9 @@ def test_run_single_session_zero_temperature_fails_before_sampling(monkeypatch):
     monkeypatch.setattr(protocol_mod, "sample_episode",
                         lambda *a, **k: pytest.fail("an episode was sampled"))
     with pytest.raises(ValidationError, match="temperature must be positive"):
-        stream = _single_stream(data, cfg.replace(regularizer_kind="semantic", tau=0.0),
-                                embeddings=data.embeddings)
+        stream = _single_stream(
+            data, dataclasses.replace(cfg, regularizer_kind="semantic", tau=0.0),
+            embeddings=data.embeddings)
         run_single_session(stream, bw, n_episodes=3, n_way=3)
 
 
@@ -806,7 +843,7 @@ def test_a_faulty_run_fails_before_any_base_fit(monkeypatch, protocol, fault):
     elif fault == "missing embedding":
         embeddings, error = _without(data.embeddings, 12), MissingEmbeddingError
     elif fault == "tau 0":
-        cfg, error = cfg.replace(tau=0.0), ValidationError
+        cfg, error = dataclasses.replace(cfg, tau=0.0), ValidationError
     elif fault == "k_shot 0":
         k_shot, error = 0, ValidationError
     elif fault == "n_way above the pool":
@@ -824,7 +861,7 @@ def test_a_faulty_run_fails_before_any_base_fit(monkeypatch, protocol, fault):
         k_shot, error = None, MissingExampleError
         named = "class 14 has 0 support examples, need 1"
     else:
-        cfg, error = cfg.replace(memory_enabled=True), ConfigError
+        cfg, error = dataclasses.replace(cfg, memory_enabled=True), ConfigError
     monkeypatch.setattr(protocol_mod, "train_base",
                         lambda *a, **k: pytest.fail("the base weights were fitted"))
     with pytest.raises(error, match=named):

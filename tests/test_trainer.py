@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -106,9 +108,9 @@ def _toy_objective(w0, data, **fields):
     """The base session of classes 0 and 1 from ``w0`` over ``data``, with
     every penalty off but the ``fields`` set."""
     registry = ClassRegistry([(0, 1)])
-    cfg = RunConfig(regularizer_kind="finetune", alpha=0.0, beta_base=0.0,
-                    beta_prev_novel=0.0, gamma=0.0, learning_rate=0.5,
-                    max_epochs=500, rng_seed=0).replace(**fields)
+    cfg = dataclasses.replace(RunConfig(regularizer_kind="finetune", alpha=0.0, beta_base=0.0,
+                                        beta_prev_novel=0.0, gamma=0.0, learning_rate=0.5,
+                                        max_epochs=500, rng_seed=0), **fields)
     return cfg, Objective(cfg, registry, 0, w0, data)
 
 
@@ -186,7 +188,7 @@ def test_train_base_divergence_names_the_remedy():
                     rng_seed=0)
     with pytest.raises(DivergenceError, match=r"^non-finite loss at epoch \d+ "
                                               r"\(lr=1000000\.0\); reduce the learning rate$"):
-        train_base(data.store, data.registry.base_classes, cfg)
+        train_base(data.store, data.store.classes, cfg)
 
 
 def test_smoothed_epoch_loss_non_increasing_on_fixture(monkeypatch):
@@ -204,8 +206,8 @@ def test_smoothed_epoch_loss_non_increasing_on_fixture(monkeypatch):
         return terms
 
     monkeypatch.setattr(ObjectiveStack, "evaluate", spy)
-    _, report = train_base(data.store, data.registry.base_classes, cfg)
-    n = len(data.store.support_examples(data.registry.base_classes))
+    _, report = train_base(data.store, data.store.classes, cfg)
+    n = len(data.store.support_examples(data.store.classes))
     per_epoch = -(-n // MINI_BATCH)
     assert len(blocks) == report.epochs_run * per_epoch
     trace = np.array([sum(total * size for total, size in blocks[k:k + per_epoch]) / n
@@ -229,9 +231,10 @@ def _stack_problem(n=100, seed=3, kind="subspace", d=4, data_scale=None, **field
     rng = np.random.default_rng(seed)
     registry = ClassRegistry([(0, 1), (2, 3)])
     anchors = WeightMatrix([0, 1], base)
-    cfg = RunConfig(regularizer_kind=kind, alpha=1e-3, beta_base=0.1, gamma=0.2,
-                    learning_rate=0.05, max_epochs=120, convergence_tolerance=3e-3,
-                    patience_epochs=3, rng_seed=0).replace(**fields)
+    cfg = dataclasses.replace(RunConfig(regularizer_kind=kind, alpha=1e-3, beta_base=0.1,
+                                        gamma=0.2, learning_rate=0.05, max_epochs=120,
+                                        convergence_tolerance=3e-3, patience_epochs=3,
+                                        rng_seed=0), **fields)
     w0 = WeightMatrix([0, 1, 2, 3], np.vstack([base, rng.standard_normal((2, d)) * scale]))
     data = Batch(rng.standard_normal((n, d)) * scale, rng.integers(0, 4, size=n))
     if data_scale is not None:
@@ -470,7 +473,8 @@ def test_span_coordinates_match_weight_coordinates_over_a_run(monkeypatch, kind,
     cfg = RunConfig(regularizer_kind=kind, alpha=1e-3, beta_base=0.2, beta_prev_novel=0.1,
                     gamma=0.3, tau=0.5, learning_rate=0.05, max_epochs=400, rng_seed=5,
                     memory_enabled=memory)
-    bw, _ = train_base(store.restrict(range(6)), range(6), cfg.replace(regularizer_kind="finetune"))
+    bw, _ = train_base(store.restrict(range(6)), range(6),
+                       dataclasses.replace(cfg, regularizer_kind="finetune"))
     stream = SessionStream(store, registry, cfg, embeddings=data.embeddings, k_shot=4)
     if memory:
         monkeypatch.setattr(trainer_mod, "MINI_BATCH", 8)
