@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
+import os
 import sys
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 from . import io
@@ -31,6 +34,21 @@ def _plain_label(label) -> str:
     return label
 
 
+def _check_out(*paths) -> None:
+    """Fail before any input is read on an output path that cannot be
+    created as a file: a directory, or one whose parent directory is missing.
+    The file itself is neither created nor truncated here."""
+    for path in filter(None, paths):
+        parent = Path(path).parent
+        if Path(path).is_dir():
+            code = errno.EISDIR
+        elif not parent.is_dir():
+            code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+        else:
+            continue
+        raise OSError(code, os.strerror(code), path)
+
+
 def _load_inputs(args):
     """The feature store and the manifest's session plan (None without one)."""
     store = io.load_feature_store(args.features)
@@ -47,6 +65,7 @@ def _write_result(args, cfg, extra: dict) -> None:
 
 
 def cmd_train_base(args) -> int:
+    _check_out(args.out)
     store, registry = _load_inputs(args)
     file_cfg = load_config_file(args.config) if args.config else {}
     cfg = resolve_run_config("multi", file_cfg, {"rng_seed": args.seed})
@@ -78,6 +97,7 @@ def _run_inputs(args, protocol: str) -> tuple[SessionStream, WeightMatrix | None
 
 
 def cmd_run_multi(args) -> int:
+    _check_out(args.out, args.dump_weights)
     stream, base_weights = _run_inputs(args, "multi")
     final_weights: dict = {}
     hook = (lambda t, w: final_weights.update({t: w})) if args.dump_weights else None
@@ -97,6 +117,7 @@ def cmd_run_multi(args) -> int:
 
 
 def cmd_run_single(args) -> int:
+    _check_out(args.out)
     stream, base_weights = _run_inputs(args, "single")
     result = run_single_session(stream, base_weights, n_episodes=args.episodes,
                                 n_way=args.n_way, n_query=args.n_query,
@@ -301,6 +322,9 @@ def main(argv=None) -> int:
     except OSError as err:  # a file that cannot be opened, read or written
         where = "" if err.filename is None else f": {err.filename}"
         print(f"error: {err.strerror or err}{where}", file=sys.stderr)
+        return 1
+    except BrokenExecutor as err:  # a pool worker was killed (say, out of memory)
+        print(f"error: a worker process died: {err}", file=sys.stderr)
         return 1
 
 

@@ -11,20 +11,37 @@ class_id to {"label": str, "session": int >= 0}.
 The three CSVs share one codec. ``_write_csv`` writes each row's label
 fields, then ``repr`` of each value, with CRLF line ends. ``_read_csv``
 checks the header and each row's field count, class id (fits 64 bits) and
-values (finite numbers), skipping blank lines; the feature loader adds the
-split check and hands a row table to ``FeatureStore.from_rows``, the vector
-loader the repeated-class check. The binary loader checks the header and the
-file size before it allocates, reads the labels block by block into one
-reused record buffer, then re-reads the blocks and scatters each row into its
-sorted row of the matrix it hands to the ``FeatureStore`` constructor; the
-binary writer fills one reused block of records at a time from ``to_rows``.
-Every layout fault (header, fields, split tags, sizes, short reads, no rows)
-and every CSV value fault is a ``FormatError`` naming the file and the line
-or byte offset.
+values (finite numbers), skipping blank lines, and returns one row table; the
+feature loader adds the split check and hands the table to
+``FeatureStore.from_rows``, the vector loader the repeated-class check. The
+codec works in blocks of rows (``_block_count``). A file of at most
+``BLOCK_BYTES`` is one block, read and written in this process row by row;
+weight, embedding and desk-scale feature files are. A larger one is cut into
+even blocks of about a quarter of that and mapped over ``pool.fork_map``, one
+forked worker per CPU. The writer has each worker format its block into a
+text buffer and writes the buffers in order. The reader cuts the file at line
+ends in a binary pre-pass that counts the lines before each cut; each worker
+reopens the file at its block's byte offset, streams its lines through
+``csv.reader`` and hands back the block's rows as one matrix, and the message
+of its first fault, so no process holds the file's text. The rows are
+checked in file order, each block's fault raised after the loader has checked
+the rows before it, so the bytes, the rows and the fault a file is named for
+do not depend on the number of workers.
+
+The binary loader checks the header and the file size before it allocates,
+reads the labels block by block into one reused record buffer, then re-reads
+the blocks and scatters each row into its sorted row of the matrix it hands to
+the ``FeatureStore`` constructor; the binary writer fills one reused block of
+records at a time from ``to_rows``. Every layout fault (header, fields, split
+tags, sizes, short reads, no rows) and every CSV value fault is a
+``FormatError`` naming the file and the line or byte offset.
 """
 from __future__ import annotations
 
 import csv
+import functools
+import io as stdio
+import itertools
 import json
 import os
 import struct
@@ -32,7 +49,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .datamodel import ClassRegistry, EmbeddingTable, FeatureStore, WeightMatrix, row_blocks
+from . import pool
+from .datamodel import (
+    BLOCK_BYTES,
+    ClassRegistry,
+    EmbeddingTable,
+    FeatureStore,
+    WeightMatrix,
+    row_blocks,
+)
 from .errors import FormatError, ValidationError
 
 FEATURE_MAGIC = b"FSCF"
@@ -47,44 +72,151 @@ def _record_dtype(dimension: int) -> np.dtype:
 
 # --- the CSV codec ---------------------------------------------------------
 
-def _write_csv(path, header: list[str], labels, rows) -> None:
-    """A header line, then per row its label fields (a sequence each) and the
-    ``repr`` of each value, which reads back exactly; CRLF line ends."""
+# The most bytes one value takes in a CSV row: the longest float64 ``repr``
+# (``-1.2345678901234567e-308``) and its comma. It bounds the bytes of a row
+# when the writer cuts its rows into blocks.
+_VALUE_BYTES = 25
+
+
+def _block_count(n_bytes: int) -> int:
+    """The blocks the CSV codec cuts ``n_bytes`` of rows into: one, read or
+    written in this process, up to ``BLOCK_BYTES``, where a pool start would
+    cost about as much as it saves; above it, even blocks of at most about a
+    quarter of ``BLOCK_BYTES`` for ``pool.fork_map``. A block in flight costs
+    the parent about twice its size in the pool's result thread, whose freed
+    memory malloc keeps, so smaller blocks keep the parent's peak low."""
+    return 1 if n_bytes <= BLOCK_BYTES else -(-4 * n_bytes // BLOCK_BYTES)
+
+
+def _write_rows(write, labels, rows) -> None:
+    """Per row, its label fields (a sequence each) and the ``repr`` of each
+    value, which reads back exactly, with a CRLF line end, to ``write``."""
+    for fields, row in zip(labels, rows):
+        write(",".join([*map(str, fields), *map(repr, row.tolist())]) + "\r\n")
+
+
+def _format_block(columns, rows, start: int, stop: int) -> str:
+    """The text of rows ``start:stop``, for a pool worker to hand back."""
+    text: list[str] = []
+    _write_rows(text.append, zip(*(c[start:stop] for c in columns)), rows[start:stop])
+    return "".join(text)
+
+
+def _write_csv(path, header: list[str], columns, rows: np.ndarray) -> None:
+    """A header line, then the rows, each led by its fields of the label
+    ``columns`` (a sequence each). The rows of one block go straight to the
+    file; those of more are formatted block by block by ``pool.fork_map`` and
+    written in order."""
+    n, d = rows.shape
+    blocks = _block_count(n * d * _VALUE_BYTES)
     with Path(path).open("w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for fields, row in zip(labels, rows):
-            fh.write(",".join([*map(str, fields), *map(repr, row.tolist())]) + "\r\n")
+        if blocks < 2:
+            _write_rows(fh.write, zip(*columns), rows)
+            return
+        step = -(-n // blocks)
+        starts = range(0, n, step)
+        for text in pool.fork_map(functools.partial(_format_block, columns, rows),
+                                  starts, [min(i + step, n) for i in starts]):
+            fh.write(text)
 
 
-def _read_csv(path: Path, label_columns: tuple[str, ...], prefix: str):
+def _line_blocks(path: Path) -> list[tuple[int, int, int | None]]:
+    """The file cut into ``_block_count`` even blocks that end on line ends,
+    as (byte offset, lines before the block, lines up to its end or None for
+    the end of the file); lines end where the text reader ends them (LF, CRLF
+    or a lone CR). A file of one block is not read. A file with a quote is
+    one block, since a quoted field may hold a line end."""
+    size = path.stat().st_size
+    n = _block_count(size)
+    if n < 2:
+        return [(0, 0, None)]
+    step = -(-size // n)
+    blocks, offset, line = [], 0, 0
+    with path.open("rb") as fh:
+        while chunk := fh.read(step):
+            chunk += fh.readline()  # on to the next LF
+            if b'"' in chunk:
+                return [(0, 0, None)]
+            stop = line + chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+            blocks.append((offset, line, stop))
+            offset, line = offset + len(chunk), stop
+    blocks[-1] = (*blocks[-1][:2], None)  # the last line may lack its line end
+    return blocks
+
+
+def _read_block(path: Path, width: int, n_fields: int, offset: int, first: int,
+                stop: int | None):
+    """The data rows of a block of ``_line_blocks`` (from byte ``offset``, the
+    lines after the first ``first`` up to line ``stop``) of a CSV whose header
+    has ``n_fields`` fields, the first ``width`` of them labels: lists of
+    their lines, class ids and other label fields, their (rows, values)
+    matrix, and the message of the first fault or None; the rows end before
+    the fault. The block at the start of the file skips the header."""
+    lines, ids, labels, rows, fault = [], [], [], [], None
+    raw = path.open("rb")
+    raw.seek(offset)
+    with stdio.TextIOWrapper(raw, newline="") as fh:
+        reader = csv.reader(fh if stop is None else itertools.islice(fh, stop - first))
+        if first == 0:
+            next(reader, None)
+        try:
+            for rec in reader:
+                if not rec:
+                    continue
+                line = first + reader.line_num
+                if len(rec) != n_fields:
+                    raise FormatError(f"{path}:{line}: expected {n_fields} fields, got {len(rec)}")
+                try:
+                    cid, values = int(rec[0]), np.array(rec[width:], dtype=np.float64)
+                except ValueError as err:
+                    raise FormatError(f"{path}:{line}: {err}") from None
+                if not -2**63 <= cid < 2**63:
+                    raise FormatError(f"{path}:{line}: class id {cid} does not fit 64 bits")
+                if not np.isfinite(values).all():
+                    raise FormatError(f"{path}:{line}: class {cid} has a non-finite value")
+                lines.append(line)
+                ids.append(cid)
+                labels.append(rec[1:width])
+                rows.append(values)
+        except FormatError as err:
+            fault = str(err)
+    return lines, ids, labels, np.array(rows).reshape(len(rows), n_fields - width), fault
+
+
+def _read_csv(path: Path, label_columns: tuple[str, ...], prefix: str, check):
     """The data rows of a CSV headed ``label_columns`` and at least one value
-    column, as ``(line, class id, other label fields, values)``; the class id
-    is the first label and the values are finite float64. A file without data
-    rows is a fault."""
+    column, as (class ids, other label fields, values); the class id is the
+    first label and the values, one (rows, d) matrix, are finite float64. The
+    loader's ``check(line, class id, other label fields)`` sees each row in
+    file order, and raises its own fault before a codec fault later in the
+    file is raised. A file without data rows is a fault. The rows of one block
+    (``_line_blocks``) are parsed in this process, those of more by
+    ``pool.fork_map``."""
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        width = len(label_columns)
-        if not header or tuple(header[:width]) != label_columns or len(header) == width:
-            raise FormatError(f"{path}: expected header '{','.join(label_columns)},{prefix}0,...'")
-        empty = True
-        for rec in reader:
-            if not rec:
-                continue
-            line, empty = reader.line_num, False
-            if len(rec) != len(header):
-                raise FormatError(f"{path}:{line}: expected {len(header)} fields, got {len(rec)}")
-            try:
-                cid, values = int(rec[0]), np.array(rec[width:], dtype=np.float64)
-            except ValueError as err:
-                raise FormatError(f"{path}:{line}: {err}") from None
-            if not -2**63 <= cid < 2**63:
-                raise FormatError(f"{path}:{line}: class id {cid} does not fit 64 bits")
-            if not np.isfinite(values).all():
-                raise FormatError(f"{path}:{line}: class {cid} has a non-finite value")
-            yield line, cid, rec[1:width], values
-    if empty:
+        header = next(csv.reader(fh), None)
+    width = len(label_columns)
+    if not header or tuple(header[:width]) != label_columns or len(header) == width:
+        raise FormatError(f"{path}: expected header '{','.join(label_columns)},{prefix}0,...'")
+    parse = functools.partial(_read_block, path, width, len(header))
+    blocks = _line_blocks(path)
+    if len(blocks) == 1:
+        parsed = [parse(*blocks[0])]
+    else:  # each matrix is copied out of the pool's result thread as it comes
+        parsed = [(*rows, values.copy(), fault)
+                  for *rows, values, fault in pool.fork_map(parse, *zip(*blocks))]
+    ids, labels = [], []
+    for block_lines, block_ids, block_labels, _, fault in parsed:
+        for row in zip(block_lines, block_ids, block_labels):
+            check(*row)
+        ids += block_ids
+        labels += block_labels
+        if fault is not None:
+            raise FormatError(fault)
+    if not ids:
         raise FormatError(f"{path}: no data rows")
+    matrices = [values for *_, values, _ in parsed]
+    return ids, labels, matrices[0] if len(matrices) == 1 else np.concatenate(matrices)
 
 
 # --- feature stores --------------------------------------------------------
@@ -92,19 +224,18 @@ def _read_csv(path: Path, label_columns: tuple[str, ...], prefix: str):
 def save_feature_store_csv(store: FeatureStore, path) -> None:
     ids, is_query, feats = store.to_rows()
     _write_csv(path, ["class_id", "split"] + [f"f{i}" for i in range(store.dimension)],
-               ((c, _SPLITS[q]) for c, q in zip(ids.tolist(), is_query.tolist())), feats)
+               (ids.tolist(), [_SPLITS[q] for q in is_query.tolist()]), feats)
 
 
 def load_feature_store_csv(path) -> FeatureStore:
     path = Path(path)
-    ids, is_query, feats = [], [], []
-    for line, cid, (split,), values in _read_csv(path, ("class_id", "split"), "f"):
-        if split not in _SPLITS:
-            raise FormatError(f"{path}:{line}: unknown split {split!r}")
-        ids.append(cid)
-        is_query.append(split == "query")
-        feats.append(values)
-    return FeatureStore.from_rows(feats[0].size, ids, is_query, np.array(feats))
+
+    def check(line: int, cid: int, labels: list[str]) -> None:
+        if labels[0] not in _SPLITS:
+            raise FormatError(f"{path}:{line}: unknown split {labels[0]!r}")
+
+    ids, labels, feats = _read_csv(path, ("class_id", "split"), "f", check)
+    return FeatureStore.from_rows(feats.shape[1], ids, [s == "query" for s, in labels], feats)
 
 
 def save_feature_store_binary(store: FeatureStore, path) -> None:
@@ -186,17 +317,20 @@ def load_feature_store(path) -> FeatureStore:
 
 def _save_vector_csv(path, prefix: str, ids, matrix: np.ndarray) -> None:
     _write_csv(path, ["class_id"] + [f"{prefix}{i}" for i in range(matrix.shape[1])],
-               ((c,) for c in ids), matrix)
+               (ids,), matrix)
 
 
 def _load_vector_csv(path, prefix: str) -> dict[int, np.ndarray]:
     path = Path(path)
-    items: dict[int, np.ndarray] = {}
-    for line, cid, _, vector in _read_csv(path, ("class_id",), prefix):
-        if cid in items:
+    seen: set[int] = set()
+
+    def check(line: int, cid: int, _) -> None:
+        if cid in seen:
             raise FormatError(f"{path}:{line}: class {cid} appears a second time")
-        items[cid] = vector
-    return items
+        seen.add(cid)
+
+    ids, _, vectors = _read_csv(path, ("class_id",), prefix, check)
+    return dict(zip(ids, vectors))
 
 
 def save_embeddings_csv(table: EmbeddingTable, path) -> None:

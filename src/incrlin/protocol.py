@@ -9,11 +9,11 @@ shares.
 
 The episodic run gives each CPU the process may run on an even share of the
 episodes, in even chunks that fit ``EPISODE_BUDGET``, and trains the chunks
-in a pool of forked worker processes (serially on one CPU, where ``fork`` is
-unavailable, or beside other threads). A chunk (``_episode_chunk``) samples
-its episodes and imprints their novel rows, each from its own
-``SeedSequence((seed, i))`` streams, then fine-tunes them as one stack
-(``trainer.fine_tune_stack``) and scores every episode on its own. Its one
+with ``pool.fork_map``: in forked worker processes, or serially on one CPU,
+where ``fork`` is unavailable, or beside other threads. A chunk
+(``_episode_chunk``) samples its episodes and imprints their novel rows, each
+from its own ``SeedSequence((seed, i))`` streams, then fine-tunes them as one
+stack (``trainer.fine_tune_stack``) and scores every episode on its own. Its one
 outcome list holds a failed episode's error (a sampling shortfall, a query
 set that misses the base or the novel group, or a diverged fine-tune) in the
 episode's place; the run counts it and leaves it out of the aggregates.
@@ -27,16 +27,13 @@ Accuracies are percentages in [0, 100] throughout.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import functools
-import multiprocessing
-import os
-import threading
 from collections.abc import Iterable, Sequence
 
 import numpy as np
 
+from . import pool
 from .datamodel import (
     FIXED_TARGET_KINDS,
     Batch,
@@ -461,26 +458,6 @@ def _episode_chunk(setup: RunSetup, base_store: FeatureStore, novel_store: Featu
     return outcomes
 
 
-_run_chunk = None  # set only in a forked pool worker: its run's chunk body
-
-
-def _adopt(run_chunk) -> None:
-    global _run_chunk
-    _run_chunk = run_chunk
-
-
-def _adopted_chunk(start: int, stop: int) -> list[EpisodeResult | EngineError]:
-    return _run_chunk(start, stop)
-
-
-def _cpus() -> int:
-    """CPUs this process may run on: its affinity mask, where there is one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def run_single_session(stream: SessionStream, base_weights: WeightMatrix | None = None,
                        n_episodes: int = 2000, n_way: int = 5, n_query: int = 50,
                        keep_episodes: bool = False) -> SingleSessionResult:
@@ -493,9 +470,10 @@ def run_single_session(stream: SessionStream, base_weights: WeightMatrix | None 
     in ``_episode_chunk``'s outcomes) are excluded from the aggregates but
     counted, and the result lists the rest if ``keep_episodes``. If every
     episode fails, the error names the first failure. The episodes train in
-    stacks, one or more per CPU in the process's affinity mask (``_cpus``), in
-    forked worker processes; restrict the mask (``taskset``) to restrict the
-    workers. The result does not depend on their number."""
+    stacks, one or more per CPU in the process's affinity mask
+    (``pool.cpus``), mapped over ``pool.fork_map``'s forked workers; restrict
+    the mask (``taskset``) to restrict the workers. The result does not depend
+    on their number."""
     config, registry, k_shot = stream.config, stream.registry, stream.k_shot
     if config.memory_enabled:
         raise ConfigError("memory replay applies to the multi-session protocol only")
@@ -508,27 +486,16 @@ def run_single_session(stream: SessionStream, base_weights: WeightMatrix | None 
     _check_episode_shape(novel_store, n_way, k_shot, n_query)
     setup = prepare_run(stream, base_weights, np.random.default_rng(config.rng_seed))
     budget = max(1, EPISODE_BUDGET // ((len(base_store.classes) + n_way) * base_store.dimension))
-    cpus = _cpus()
+    cpus = pool.cpus()
     per_worker = -(-n_episodes // cpus)
     chunk = -(-per_worker // -(-per_worker // budget))  # even stacks within the budget
     starts = range(0, n_episodes, chunk)
     stops = [min(i + chunk, n_episodes) for i in starts]
-    run_chunk = functools.partial(_episode_chunk, setup, base_store, novel_store,
-                                  n_way, k_shot, n_query)
-    workers = min(cpus, len(starts))
     # Forked workers inherit the chunk body and its set-up, so only the bounds
     # and the outcomes are pickled; spawned ones would import numpy and
-    # unpickle the stores first, which costs more than a 40-episode call. A
-    # process with other threads is not forked (a lock one of them holds
-    # would stay locked in the child). A worker that dies breaks the pool,
-    # and the run raises.
-    if workers > 1 and threading.active_count() == 1 \
-            and "fork" in multiprocessing.get_all_start_methods():
-        with concurrent.futures.ProcessPoolExecutor(
-                workers, multiprocessing.get_context("fork"), _adopt, (run_chunk,)) as pool:
-            chunks = list(pool.map(_adopted_chunk, starts, stops))
-    else:
-        chunks = map(run_chunk, starts, stops)
+    # unpickle the stores first, which costs more than a 40-episode call.
+    chunks = pool.fork_map(functools.partial(_episode_chunk, setup, base_store, novel_store,
+                                             n_way, k_shot, n_query), starts, stops)
     outcomes = [r for c in chunks for r in c]
     ok = [r for r in outcomes if not isinstance(r, EngineError)]
     if not ok:

@@ -1,11 +1,13 @@
 import csv
 import json
+import os
 import re
 
 import numpy as np
 import pytest
 
 import incrlin.cli as cli_mod
+import incrlin.pool as pool_mod
 import incrlin.protocol as protocol_mod
 from incrlin import io
 from incrlin.cli import main
@@ -252,6 +254,58 @@ def test_out_that_is_a_directory_is_reported(fixture_dir, tmp_path, capsys, comm
                "--manifest", str(tmp_path / "manifest.json"), "--out", str(out)] + extra)
     assert rc == 1
     assert capsys.readouterr().err == f"error: Is a directory: {out}\n"
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("train-base", "--out"), ("run-single", "--out"), ("run-multi", "--out"),
+    ("run-multi", "--dump-weights")])
+@pytest.mark.parametrize("where, named", [
+    ("results", "Is a directory"), ("missing/r.json", "No such file or directory"),
+    ("file/r.json", "Not a directory")])
+def test_unwritable_out_fails_before_any_input_is_loaded(fixture_dir, tmp_path, capsys,
+                                                         monkeypatch, command, flag,
+                                                         where, named):
+    # nothing is loaded, and no file is created
+    (tmp_path / "results").mkdir()
+    (tmp_path / "file").write_text("")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(io, "load_feature_store",
+                        lambda *a: pytest.fail("the feature store was loaded"))
+    rc = main([command, "--features", str(fixture_dir / "features.csv"),
+               "--manifest", str(fixture_dir / "manifest.json")]
+              + (["--out", where] if flag == "--out" else ["--out", "ok.json", flag, where]))
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {named}: {where}\n"
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["data", "file", "results"]
+    assert not any((tmp_path / "results").iterdir())
+
+
+@pytest.mark.parametrize("dies_in", ["episode", "csv block"])
+def test_a_dead_worker_is_an_error_line(fixture_dir, tmp_path, capsys, monkeypatch, dies_in):
+    # a pool worker that exits mid-run, while training episodes or parsing a
+    # block of a feature CSV cut into blocks of ~256 B, gives one error line
+    parent = os.getpid()
+    labels, _ = io.load_manifest(fixture_dir / "manifest.json")
+    io.save_manifest(tmp_path / "manifest.json", labels, {c: int(c >= 8) for c in range(14)})
+
+    def dying(*args, **kwargs):
+        if os.getpid() == parent:
+            pytest.fail(f"a {dies_in} job ran in the test process")
+        os._exit(1)
+
+    if dies_in == "episode":
+        monkeypatch.setattr(protocol_mod, "sample_episode", dying)
+    else:
+        monkeypatch.setattr(io, "BLOCK_BYTES", 1024)
+        monkeypatch.setattr(io, "_read_block", dying)
+    monkeypatch.setattr(pool_mod, "cpus", lambda: 2)
+    rc = main(["run-single", "--features", str(fixture_dir / "features.csv"),
+               "--manifest", str(tmp_path / "manifest.json"), "--episodes", "6",
+               "--n-way", "3", "--n-query", "12", "--out", str(tmp_path / "r.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a worker process died: ") and err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("command", ["run-multi", "run-single"])

@@ -4,6 +4,7 @@ import os
 import re
 import struct
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import incrlin.pool as pool_mod
 from incrlin import datamodel, io
 from incrlin.datamodel import EmbeddingTable, WeightMatrix
 from incrlin.errors import FormatError, ValidationError
@@ -418,3 +420,143 @@ def test_fscf_load_peaks_at_the_store_plus_two_blocks(tmp_path):
     # the float64 matrix, the reused record block and one cast block, and
     # a few per-row label and order arrays
     assert peak <= n * 640 * 8 + 2 * datamodel.BLOCK_BYTES + 64 * n
+
+
+# --- CSV blocks over the pool -----------------------------------------------
+
+def _block_store():
+    return generate(SynthSpec(n_classes=6, dimension=5, rng_seed=4,
+                              support_per_class=10, query_per_class=5)).store
+
+
+def _recording(monkeypatch, tmp_path, name):
+    """Wrap ``io.<name>`` to note the pid of every call in a file, which the
+    calls in a forked worker write to as well."""
+    job, log = getattr(io, name), tmp_path / f"{name}.pids"
+
+    def recorded(*args):
+        with log.open("a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return job(*args)
+
+    monkeypatch.setattr(io, name, recorded)
+    return lambda: log.read_text().split() if log.exists() else []
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_feature_csv_in_blocks_gives_the_same_bytes_and_rows(tmp_path, monkeypatch, workers):
+    # ~9 kB of rows in blocks of ~256 B: the bytes of one block written in this
+    # process, and the rows read back, whatever the number of workers
+    store = _block_store()
+    io.save_feature_store_csv(store, tmp_path / "whole.csv")
+    monkeypatch.setattr(io, "BLOCK_BYTES", 1024)
+    monkeypatch.setattr(pool_mod, "cpus", lambda: workers)
+    formatted = _recording(monkeypatch, tmp_path, "_format_block")
+    parsed = _recording(monkeypatch, tmp_path, "_read_block")
+    path = tmp_path / "blocks.csv"
+    io.save_feature_store_csv(store, path)
+    assert path.read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    back = io.load_feature_store_csv(path)
+    for got, want in zip(back.to_rows(), store.to_rows()):
+        np.testing.assert_array_equal(got, want)
+    n_blocks = len(io._line_blocks(path))
+    assert n_blocks > 5 and len(parsed()) == n_blocks and len(formatted()) > 5
+    for pids in (set(parsed()), set(formatted())):  # one pool each
+        assert (pids == {str(os.getpid())}) == (workers == 1) and len(pids) <= workers
+
+
+def test_first_bad_block_names_the_fault(tmp_path, monkeypatch):
+    # bad values in blocks 2 and 4: the error names block 2's line, as the
+    # file read in one block does
+    io.save_feature_store_csv(_block_store(), tmp_path / "bad.csv")
+    monkeypatch.setattr(io, "BLOCK_BYTES", 1024)
+    monkeypatch.setattr(pool_mod, "cpus", lambda: 2)
+    path = tmp_path / "bad.csv"
+    blocks = io._line_blocks(path)
+    lines = path.read_bytes().split(b"\r\n")
+    for block in (1, 3):  # the second row of blocks 2 and 4; line i + 1 is lines[i]
+        fields = lines[blocks[block][1] + 1].split(b",")
+        fields[2] = b"x" + fields[2][1:]  # same length: the blocks stay put
+        lines[blocks[block][1] + 1] = b",".join(fields)
+    path.write_bytes(b"\r\n".join(lines))
+    assert io._line_blocks(path) == blocks
+    line = blocks[1][1] + 2
+    with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:{line}: could not convert"):
+        io.load_feature_store_csv(path)
+    monkeypatch.setattr(io, "BLOCK_BYTES", 1 << 21)
+    with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:{line}: could not convert"):
+        io.load_feature_store_csv(path)
+
+
+@pytest.mark.parametrize("block_bytes", [16, 37, 64, 1 << 21])
+def test_line_numbers_hold_across_blocks_with_blank_lines_and_mixed_line_ends(
+        tmp_path, monkeypatch, block_bytes):
+    # rows end in CRLF, LF or a lone CR, or add a blank line with LF then
+    # CRLF or CRLF then LF: five rows take seven lines, so row 15 is line 23
+    ends = ["\r\n", "\n", "\r", "\n\r\n", "\r\n\n"]
+    rows = [f"{k % 3},{('support', 'query')[k % 2]},{k}.25,{k}.5" + ends[k % 5]
+            for k in range(20)]
+    good = "class_id,split,f0,f1\r\n" + "".join(rows)
+    path = tmp_path / "mixed.csv"
+    path.write_bytes(good.replace(",15.5", ",x").encode())
+    monkeypatch.setattr(io, "BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(pool_mod, "cpus", lambda: 2)
+    with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:23: could not convert "
+                                          r"string to float: 'x'$"):
+        io.load_feature_store_csv(path)
+    path.write_bytes(good.encode())
+    lines = []
+    io._read_csv(path, ("class_id", "split"), "f", lambda line, *_: lines.append(line))
+    assert lines == [2 + 7 * (k // 5) + [0, 1, 2, 3, 5][k % 5] for k in range(20)]
+
+
+@pytest.mark.parametrize("block_bytes", [30, 40, 60])
+def test_a_quoted_line_end_is_read_as_in_one_block(tmp_path, monkeypatch, block_bytes):
+    # a quoted value may hold a line end, which float() strips: the file reads
+    # as in one block wherever the cuts would fall
+    path = tmp_path / "w.csv"
+    path.write_text("class_id,w0\n" + "".join(f"{c},1.0\n" for c in range(5)) + '9,"3\n"\n'
+                    + "".join(f"{c},1.0\n" for c in range(10, 15)))
+    whole = io.load_weights_csv(path)
+    monkeypatch.setattr(io, "BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(pool_mod, "cpus", lambda: 2)
+    back = io.load_weights_csv(path)
+    assert back.class_ids == whole.class_ids and back.row(9).tolist() == [3.0]
+    np.testing.assert_array_equal(back.matrix, whole.matrix)
+
+
+@pytest.mark.parametrize("text, named", [
+    # a split fault in an early block comes before a value fault in a later one
+    ("class_id,split,f0\n" + "0,query,1.0\n" * 9 + "0,train,1.0\n" + "0,query,1.0\n" * 20
+     + "0,query,x\n", "bad.csv:11: unknown split 'train'"),
+    # so does a repeated class, which only the loader sees across blocks
+    ("class_id,w0\n" + "".join(f"{c},1.0\n" for c in range(20)) + "3,2.0\n" + "30,x\n",
+     "bad.csv:22: class 3 appears a second time"),
+])
+def test_a_loader_fault_before_a_codec_fault_is_named_first(tmp_path, monkeypatch, text, named):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    monkeypatch.setattr(io, "BLOCK_BYTES", 64)
+    monkeypatch.setattr(pool_mod, "cpus", lambda: 2)
+    load = io.load_feature_store_csv if text.startswith("class_id,split") else io.load_weights_csv
+    with pytest.raises(FormatError, match=re.escape(named) + "$"):
+        load(path)
+
+
+def test_a_process_with_threads_does_not_fork_for_a_csv_load(tmp_path, monkeypatch):
+    store = _block_store()
+    io.save_feature_store_csv(store, tmp_path / "f.csv")
+    monkeypatch.setattr(io, "BLOCK_BYTES", 1024)
+    monkeypatch.setattr(pool_mod, "cpus", lambda: 2)
+    parsed = _recording(monkeypatch, tmp_path, "_read_block")
+    done = threading.Event()
+    waiter = threading.Thread(target=done.wait, args=(30,))
+    waiter.start()
+    try:
+        back = io.load_feature_store_csv(tmp_path / "f.csv")
+    finally:
+        done.set()
+        waiter.join(30)
+    assert not waiter.is_alive()
+    assert back.classes == store.classes
+    assert parsed() == [str(os.getpid())] * len(io._line_blocks(tmp_path / "f.csv")) != []

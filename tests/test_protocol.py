@@ -6,6 +6,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
+import incrlin.pool as pool_mod
 import incrlin.protocol as protocol_mod
 import incrlin.trainer as trainer_mod
 from incrlin.datamodel import (
@@ -571,7 +572,7 @@ def test_run_single_session_does_not_depend_on_chunk_size(monkeypatch, kind, min
     def run(chunk, workers):
         # a budget of ``chunk`` episodes of 10 base + 3 novel rows at d=8
         monkeypatch.setattr(protocol_mod, "EPISODE_BUDGET", chunk * 13 * 8)
-        monkeypatch.setattr(protocol_mod, "_cpus", lambda: workers)
+        monkeypatch.setattr(pool_mod, "cpus", lambda: workers)
         result = run_single_session(_single_stream(data, cfg, k_shot=1,
                                                    embeddings=data.embeddings),
                                     bw, n_episodes=7, n_way=3, n_query=12, keep_episodes=True)
@@ -600,7 +601,7 @@ def test_an_all_failed_run_names_the_failure_of_its_first_episode(monkeypatch, c
 
     monkeypatch.setattr(protocol_mod, "sample_episode", sample)
     monkeypatch.setattr(protocol_mod, "EPISODE_BUDGET", chunk * 13 * 8)
-    monkeypatch.setattr(protocol_mod, "_cpus", lambda: workers)
+    monkeypatch.setattr(pool_mod, "cpus", lambda: workers)
     with pytest.raises(EngineError, match="all 2 episodes failed; the first with DivergenceError"):
         run_single_session(_single_stream(data, cfg), bw, n_episodes=2, n_way=3, n_query=12)
 
@@ -619,7 +620,7 @@ def test_a_dead_worker_fails_the_run(monkeypatch):
         return sample_episode(*args, rng=rng, **kwargs)
 
     monkeypatch.setattr(protocol_mod, "sample_episode", dying)
-    monkeypatch.setattr(protocol_mod, "_cpus", lambda: 2)
+    monkeypatch.setattr(pool_mod, "cpus", lambda: 2)
     with pytest.raises(BrokenProcessPool):
         run_single_session(_single_stream(data, cfg), bw, n_episodes=6, n_way=3, n_query=12)
 
@@ -634,7 +635,7 @@ def test_a_process_with_threads_is_not_forked(monkeypatch):
         return sample_episode(*args, **kwargs)
 
     monkeypatch.setattr(protocol_mod, "sample_episode", recording)
-    monkeypatch.setattr(protocol_mod, "_cpus", lambda: 2)
+    monkeypatch.setattr(pool_mod, "cpus", lambda: 2)
     done = threading.Event()
     waiter = threading.Thread(target=done.wait, args=(30,))
     waiter.start()
@@ -664,7 +665,7 @@ def test_episode_stacks_are_even_within_the_budget(monkeypatch, n_episodes, size
 
     monkeypatch.setattr(protocol_mod, "_episode_chunk", recording)
     monkeypatch.setattr(protocol_mod, "EPISODE_BUDGET", 40 * 13 * 8)  # 10 base + 3 novel, d=8
-    monkeypatch.setattr(protocol_mod, "_cpus", lambda: 2)
+    monkeypatch.setattr(pool_mod, "cpus", lambda: 2)
     # a live thread keeps the stacks in this process, where they are recorded
     done = threading.Event()
     waiter = threading.Thread(target=done.wait, args=(30,))
