@@ -2,8 +2,11 @@
 
 Examples travel as a ``Batch`` (an (n, d) float64 feature matrix and its
 class ids), the only example type. A ``FeatureStore`` is one read-only matrix
-of rows sorted by class and split, plus per-class row offsets. ``from_rows``
-copies and sorts any row table; the constructor takes over a sorted one.
+of rows sorted by class and split, plus per-class row offsets; the matrix
+keeps the dtype its rows were read in (float32 from the binary format,
+float64 otherwise), and every ``Batch`` it hands out is float64. ``from_rows``
+copies and sorts any row table into a float64 matrix; the constructor takes
+over a sorted one.
 Every way in ends in the constructor, which checks the values (non-negative
 class ids, a query row per class, finite entries) and freezes the matrix,
 while ``io`` checks only the file layout. Single vectors (weight rows,
@@ -108,10 +111,12 @@ def _check_row_table(dimension: int, ids: np.ndarray, flags: np.ndarray,
 class FeatureStore:
     """Class-labeled feature vectors split into a support pool and a query pool.
 
-    One read-only (n, d) float64 matrix holds the rows, sorted by class, then
-    split (support first), each pool in table order; per-class row offsets
-    locate the pools, and ``support``, ``query`` and ``to_rows`` are read-only
-    views of it. Every class has a query example; support pools may be empty.
+    One read-only (n, d) float32 or float64 matrix holds the rows, sorted by
+    class, then split (support first), each pool in table order; per-class row
+    offsets locate the pools, and ``support``, ``query`` and ``to_rows`` are
+    read-only views of it, in its dtype. ``support_examples`` and
+    ``query_batch`` gather into a fresh float64 ``Batch``. Every class has a
+    query example; support pools may be empty.
     ``from_rows`` copies and sorts any row table, and the constructor takes
     over a sorted one; either way stores are read-only, so safe to share.
     """
@@ -120,12 +125,14 @@ class FeatureStore:
                  matrix: np.ndarray):
         """Take over a row table already sorted by class, then split (support
         first): integer class ids (n,), bool query flags (n,) and an (n, d)
-        float64 ``matrix``. The arrays are checked and frozen, not copied."""
+        float32 or float64 ``matrix``. The arrays are checked and frozen, not
+        copied."""
         ids, flags, matrix = np.asarray(class_ids), np.asarray(is_query), np.asarray(matrix)
-        if ids.dtype.kind not in "iu" or flags.dtype != bool or matrix.dtype != np.float64:
+        if ids.dtype.kind not in "iu" or flags.dtype != bool \
+                or matrix.dtype not in (np.float32, np.float64):
             raise ValidationError(f"row table must be integer class ids, bool query flags and "
-                                  f"float64 features, got {ids.dtype} / {flags.dtype} / "
-                                  f"{matrix.dtype}")
+                                  f"float32 or float64 features, got {ids.dtype} / "
+                                  f"{flags.dtype} / {matrix.dtype}")
         _check_row_table(dimension, ids, flags, matrix)
         if ids.size == 0:
             raise ValidationError("feature store has no classes")
@@ -155,8 +162,8 @@ class FeatureStore:
     @classmethod
     def from_rows(cls, dimension: int, class_ids, is_query, features) -> "FeatureStore":
         """Build from a row table in any order: class ids (n,), query flags (n,)
-        and features (n, d), copied into a fresh matrix sorted by class and
-        split. Rows keep their table order within each class and split."""
+        and features (n, d), copied into a fresh float64 matrix sorted by class
+        and split. Rows keep their table order within each class and split."""
         ids = np.asarray(class_ids, dtype=np.int64)
         flags = np.asarray(is_query, dtype=bool)
         feats = np.asarray(features)
@@ -182,9 +189,12 @@ class FeatureStore:
         except KeyError:
             raise MissingExampleError(f"class {class_id} not in store") from None
 
-    def _gather(self, spans) -> np.ndarray:
-        """Indices of the rows in the given (start, stop) ranges, in order."""
-        return np.concatenate([np.arange(s, e) for s, e in spans] or [np.arange(0)])
+    def _gather(self, spans) -> Batch:
+        """The rows in the given (start, stop) ranges, in order, as a
+        ``Batch``: cast to float64 in the one copy that stacks them."""
+        spans = list(spans) or [(0, 0)]
+        return Batch(np.concatenate([self._matrix[s:e] for s, e in spans], dtype=np.float64),
+                     np.concatenate([self._ids[s:e] for s, e in spans]))
 
     def support(self, class_id: int) -> np.ndarray:
         start, query_start, _ = self._span(class_id)
@@ -221,15 +231,13 @@ class FeatureStore:
                 raise MissingExampleError(
                     f"class {c} has {query_start - start} support examples, need {k}")
             spans.append((start, query_start if k is None else start + k))
-        rows = self._gather(spans)
-        if rows.size == 0:
+        if all(s == e for s, e in spans):
             raise MissingExampleError("no support examples for the requested classes")
-        return Batch(self._matrix[rows], self._ids[rows])
+        return self._gather(spans)
 
     def query_batch(self, class_ids: Iterable[int]) -> Batch:
         """All query examples of the given classes, stacked in ascending class order."""
-        rows = self._gather(self._span(c)[1:] for c in sorted(set(class_ids)))
-        return Batch(self._matrix[rows], self._ids[rows])
+        return self._gather(self._span(c)[1:] for c in sorted(set(class_ids)))
 
     def to_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The store as a read-only row table (class ids, query flags, features):

@@ -19,29 +19,32 @@ codec works in blocks of rows (``_block_count``). A file of at most
 weight, embedding and desk-scale feature files are. A larger one is cut into
 even blocks of about a quarter of that and mapped over ``pool.fork_map``, one
 forked worker per CPU. The writer has each worker format its block into a
-text buffer and writes the buffers in order. The reader cuts the file at line
-ends in a binary pre-pass that counts the lines before each cut; each worker
-reopens the file at its block's byte offset, streams its lines through
-``csv.reader`` and hands back the block's rows as one matrix, and the message
-of its first fault, so no process holds the file's text. The rows are
-checked in file order, each block's fault raised after the loader has checked
-the rows before it, so the bytes, the rows and the fault a file is named for
-do not depend on the number of workers.
+text buffer and writes the buffers in order. The reader cuts the file after
+an LF near each even cut, reading only there; each worker reads its block,
+parses its lines through ``csv.reader`` and hands back the block's rows as
+one matrix, its first fault with a block-local line number, and its count of
+lines, which the parent adds up to number the next block's lines. A block
+that holds a quote, which may open a field that runs past its end, sends the
+file back to be parsed as one block, which is streamed. The rows are checked
+in file order, each block's fault raised after the loader has checked the
+rows before it, so the bytes, the rows and the fault a file is named for do
+not depend on the number of workers.
 
 The binary loader checks the header and the file size before it allocates,
 reads the labels block by block into one reused record buffer, then re-reads
-the blocks and scatters each row into its sorted row of the matrix it hands to
-the ``FeatureStore`` constructor; the binary writer fills one reused block of
-records at a time from ``to_rows``. Every layout fault (header, fields, split
-tags, sizes, short reads, no rows) and every CSV value fault is a
-``FormatError`` naming the file and the line or byte offset.
+the blocks and scatters each record's float32 values into its sorted row of
+the float32 matrix it hands to the ``FeatureStore`` constructor, which keeps
+it as it is; the binary writer fills one reused block of records at a time
+from ``to_rows``. Every layout fault (header, fields, split tags, sizes,
+short reads, no rows) and every CSV fault (values, a byte that is not UTF-8,
+a field past ``csv``'s size limit) is a ``FormatError`` naming the file and
+the line or byte offset.
 """
 from __future__ import annotations
 
 import csv
 import functools
 import io as stdio
-import itertools
 import json
 import os
 import struct
@@ -121,67 +124,97 @@ def _write_csv(path, header: list[str], columns, rows: np.ndarray) -> None:
             fh.write(text)
 
 
-def _line_blocks(path: Path) -> list[tuple[int, int, int | None]]:
-    """The file cut into ``_block_count`` even blocks that end on line ends,
-    as (byte offset, lines before the block, lines up to its end or None for
-    the end of the file); lines end where the text reader ends them (LF, CRLF
-    or a lone CR). A file of one block is not read. A file with a quote is
-    one block, since a quoted field may hold a line end."""
+def _line_blocks(path: Path) -> list[tuple[int, int | None]]:
+    """The file cut into ``_block_count`` even blocks that end on an LF, as
+    (byte offset, end offset or None for the end of the file). Only the cuts
+    are read: each seeks a block's length on and reads on to the next LF."""
     size = path.stat().st_size
     n = _block_count(size)
     if n < 2:
-        return [(0, 0, None)]
-    step = -(-size // n)
-    blocks, offset, line = [], 0, 0
+        return [(0, None)]
+    cuts, step = [0], -(-size // n)
     with path.open("rb") as fh:
-        while chunk := fh.read(step):
-            chunk += fh.readline()  # on to the next LF
-            if b'"' in chunk:
-                return [(0, 0, None)]
-            stop = line + chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
-            blocks.append((offset, line, stop))
-            offset, line = offset + len(chunk), stop
-    blocks[-1] = (*blocks[-1][:2], None)  # the last line may lack its line end
-    return blocks
+        while cuts[-1] + step < size:
+            fh.seek(cuts[-1] + step)
+            fh.readline()
+            if fh.tell() >= size:
+                break
+            cuts.append(fh.tell())
+    return list(zip(cuts, [*cuts[1:], None]))
 
 
-def _read_block(path: Path, width: int, n_fields: int, offset: int, first: int,
-                stop: int | None):
-    """The data rows of a block of ``_line_blocks`` (from byte ``offset``, the
-    lines after the first ``first`` up to line ``stop``) of a CSV whose header
-    has ``n_fields`` fields, the first ``width`` of them labels: lists of
-    their lines, class ids and other label fields, their (rows, values)
-    matrix, and the message of the first fault or None; the rows end before
-    the fault. The block at the start of the file skips the header."""
+def _parse_rows(text, width: int, n_fields: int, header: bool):
+    """The data rows of the CSV lines of ``text`` (the file's header first if
+    ``header``), whose header has ``n_fields`` fields, the first ``width`` of
+    them labels: lists of their lines, class ids and other label fields, their
+    (rows, values) matrix, the first fault as (line, message) or None, and the
+    lines read. The rows end before the fault; lines count from 1 at the
+    start of ``text``."""
     lines, ids, labels, rows, fault = [], [], [], [], None
-    raw = path.open("rb")
-    raw.seek(offset)
-    with stdio.TextIOWrapper(raw, newline="") as fh:
-        reader = csv.reader(fh if stop is None else itertools.islice(fh, stop - first))
-        if first == 0:
+    reader = csv.reader(text)
+    try:
+        if header:
             next(reader, None)
+        for rec in reader:
+            if not rec:
+                continue
+            line = reader.line_num
+            if len(rec) != n_fields:
+                fault = (line, f"expected {n_fields} fields, got {len(rec)}")
+                break
+            try:
+                cid, values = int(rec[0]), np.array(rec[width:], dtype=np.float64)
+            except ValueError as err:
+                fault = (line, str(err))
+                break
+            if not -2**63 <= cid < 2**63:
+                fault = (line, f"class id {cid} does not fit 64 bits")
+                break
+            if not np.isfinite(values).all():
+                fault = (line, f"class {cid} has a non-finite value")
+                break
+            lines.append(line)
+            ids.append(cid)
+            labels.append(rec[1:width])
+            rows.append(values)
+    except csv.Error as err:  # a field past csv's size limit
+        fault = (reader.line_num, str(err))
+    values = np.array(rows).reshape(len(rows), n_fields - width)
+    return lines, ids, labels, values, fault, reader.line_num
+
+
+def _read_block(path: Path, width: int, n_fields: int, offset: int, stop: int | None):
+    """``_parse_rows`` of a block of ``_line_blocks``, from byte ``offset`` to
+    ``stop`` (None: to the end of the file, streamed), with block-local line
+    numbers; the block at the start of the file skips the header. A block that
+    ends before the end of the file and holds a quote, which may open a field
+    that runs past its end, is not parsed: None."""
+    with path.open("rb") as fh:
+        fh.seek(offset)
+        data = None if stop is None else fh.read(stop - offset)
+        if data is not None and b'"' in data:
+            return None
+        text = stdio.TextIOWrapper(fh if data is None else stdio.BytesIO(data), "utf-8",
+                                   newline="")
         try:
-            for rec in reader:
-                if not rec:
-                    continue
-                line = first + reader.line_num
-                if len(rec) != n_fields:
-                    raise FormatError(f"{path}:{line}: expected {n_fields} fields, got {len(rec)}")
-                try:
-                    cid, values = int(rec[0]), np.array(rec[width:], dtype=np.float64)
-                except ValueError as err:
-                    raise FormatError(f"{path}:{line}: {err}") from None
-                if not -2**63 <= cid < 2**63:
-                    raise FormatError(f"{path}:{line}: class id {cid} does not fit 64 bits")
-                if not np.isfinite(values).all():
-                    raise FormatError(f"{path}:{line}: class {cid} has a non-finite value")
-                lines.append(line)
-                ids.append(cid)
-                labels.append(rec[1:width])
-                rows.append(values)
-        except FormatError as err:
-            fault = str(err)
-    return lines, ids, labels, np.array(rows).reshape(len(rows), n_fields - width), fault
+            return _parse_rows(text, width, n_fields, offset == 0)
+        except UnicodeDecodeError:
+            pass
+    # The text reader decodes ahead of the rows it hands out: find the first
+    # byte that is not UTF-8 and parse the lines before its own.
+    with path.open("rb") as fh:
+        fh.seek(offset)
+        data = fh.read(-1 if stop is None else stop - offset)
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        head = data[:err.start]
+    own = max(head.rfind(b"\n"), head.rfind(b"\r")) + 1  # where the byte's line starts
+    *rows, fault, n_lines = _parse_rows(stdio.StringIO(head[:own].decode("utf-8"), newline=""),
+                                        width, n_fields, offset == 0)
+    # its line, counting line ends as the text reader does: LF, CRLF or a lone CR
+    line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+    return (*rows, fault or (line, f"byte 0x{data[len(head)]:02x} is not UTF-8"), n_lines)
 
 
 def _read_csv(path: Path, label_columns: tuple[str, ...], prefix: str, check):
@@ -190,32 +223,40 @@ def _read_csv(path: Path, label_columns: tuple[str, ...], prefix: str, check):
     first label and the values, one (rows, d) matrix, are finite float64. The
     loader's ``check(line, class id, other label fields)`` sees each row in
     file order, and raises its own fault before a codec fault later in the
-    file is raised. A file without data rows is a fault. The rows of one block
-    (``_line_blocks``) are parsed in this process, those of more by
-    ``pool.fork_map``."""
-    with path.open(newline="") as fh:
-        header = next(csv.reader(fh), None)
+    file is raised. A file without data rows is a fault, and so is one that is
+    not UTF-8 text. The rows of one block (``_line_blocks``) are parsed in this
+    process, those of more by ``pool.fork_map``, each block's line numbers
+    shifted by the lines of the blocks before it; a file in which a block holds
+    a quote is parsed again as one block."""
+    # A byte that is not UTF-8 is named by the block that holds it, not here.
+    with path.open(encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        try:
+            header = next(csv.reader(fh), None)
+        except csv.Error as err:  # a field past csv's size limit
+            raise FormatError(f"{path}:1: {err}") from None
     width = len(label_columns)
     if not header or tuple(header[:width]) != label_columns or len(header) == width:
         raise FormatError(f"{path}: expected header '{','.join(label_columns)},{prefix}0,...'")
     parse = functools.partial(_read_block, path, width, len(header))
     blocks = _line_blocks(path)
-    if len(blocks) == 1:
-        parsed = [parse(*blocks[0])]
-    else:  # each matrix is copied out of the pool's result thread as it comes
-        parsed = [(*rows, values.copy(), fault)
-                  for *rows, values, fault in pool.fork_map(parse, *zip(*blocks))]
-    ids, labels = [], []
-    for block_lines, block_ids, block_labels, _, fault in parsed:
-        for row in zip(block_lines, block_ids, block_labels):
-            check(*row)
+    parsed = None
+    if len(blocks) > 1:  # each matrix is copied out of the pool's result thread as it comes
+        parsed = [None if block is None else (*block[:3], block[3].copy(), *block[4:])
+                  for block in pool.fork_map(parse, *zip(*blocks))]
+    if parsed is None or None in parsed:
+        parsed = [parse(0, None)]
+    ids, labels, first = [], [], 0
+    for block_lines, block_ids, block_labels, _, fault, n_lines in parsed:
+        for line, *row in zip(block_lines, block_ids, block_labels):
+            check(first + line, *row)
         ids += block_ids
         labels += block_labels
         if fault is not None:
-            raise FormatError(fault)
+            raise FormatError(f"{path}:{first + fault[0]}: {fault[1]}")
+        first += n_lines
     if not ids:
         raise FormatError(f"{path}: no data rows")
-    matrices = [values for *_, values, _ in parsed]
+    matrices = [values for *_, values, _, _ in parsed]
     return ids, labels, matrices[0] if len(matrices) == 1 else np.concatenate(matrices)
 
 
@@ -297,7 +338,7 @@ def load_feature_store_binary(path) -> FeatureStore:
             ids[start:stop], is_query[start:stop] = block["class_id"], block["tag"] == 1
         order = np.lexsort((is_query, ids))  # by class, support first; stable
         dest = np.argsort(order)  # the sorted row of each record
-        matrix = np.empty((n, dim))
+        matrix = np.empty((n, dim), dtype=np.float32)
         for start, stop, block in _read_blocks(fh, path, blocks, records):  # pass 2: rows
             matrix[dest[start:stop]] = block["x"]
     return FeatureStore(dim, ids[order], is_query[order], matrix)

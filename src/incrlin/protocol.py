@@ -352,7 +352,7 @@ def sample_episode(base_store: FeatureStore, novel_store: FeatureStore, n_way: i
     feats[novel] = novel_store.query_rows(novel_pos, u[novel])
     labels = np.where(base, np.array(base_store.classes)[base_pick], chosen[novel_pick])
     return Episode(tuple(int(c) for c in chosen),
-                   Batch(np.concatenate(support), np.repeat(chosen, k_shot)),
+                   Batch(np.concatenate(support, dtype=np.float64), np.repeat(chosen, k_shot)),
                    Batch(feats, labels))
 
 

@@ -195,6 +195,26 @@ def test_base_weights_of_another_dimension_fail_up_front(fixture_dir, tmp_path, 
     assert err.startswith("error: base weights have dimension 4, features have dimension 6")
 
 
+@pytest.mark.parametrize("bad, named", [
+    (b"\xff", "byte 0xff is not UTF-8"),
+    (b"1" * 200_000, "field larger than field limit (131072)"),
+], ids=["bad-byte", "long-field"])
+def test_base_weights_that_csv_cannot_read_are_an_error_line(fixture_dir, tmp_path, capsys,
+                                                             bad, named):
+    # a byte that is not UTF-8, or a field past csv's size limit, on line 4
+    weights = tmp_path / "base.csv"
+    io.save_weights_csv(WeightMatrix(range(8), np.ones((8, 6))), weights)
+    lines = weights.read_bytes().split(b"\r\n")
+    lines[3] = lines[3][:-3] + bad
+    weights.write_bytes(b"\r\n".join(lines))
+    rc = main(["run-multi", "--features", str(fixture_dir / "features.csv"),
+               "--manifest", str(fixture_dir / "manifest.json"), "--base-weights", str(weights),
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {weights}:4: {named}\n"
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("command, extra, named", [
     ("run-single", ["--n-way", "50"], "n_way=50"),
     ("run-single", ["--k-shot", "0"], "k_shot must be >= 1, got 0"),

@@ -266,9 +266,14 @@ def test_store_constructor_checks_its_arrays_agree():
         FeatureStore(5, ids, flags[:3], np.ones((4, 5)))
     for bad in ((ids + 0.5, flags, np.ones((4, 2))),  # float class ids
                 (ids, flags.astype(np.int64), np.ones((4, 2))),  # integer flags
-                (ids, flags, np.ones((4, 2), dtype=np.float32))):
+                (ids, flags, np.ones((4, 2), dtype=np.float16)),
+                (ids, flags, np.ones((4, 2), dtype=np.int64)),
+                (ids, flags, np.ones((4, 2), dtype=object))):
         with pytest.raises(ValidationError, match="^row table must be"):
             FeatureStore(2, *bad)
+    # float32 rows, as the binary format holds them, are kept as they are
+    store = FeatureStore(2, ids, flags, np.ones((4, 2), dtype=np.float32))
+    assert store.to_rows()[2].dtype == np.float32
     with pytest.raises(ValidationError, match="dimension must be positive"):
         FeatureStore(0, ids, flags, np.ones((4, 0)))
 

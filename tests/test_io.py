@@ -16,8 +16,9 @@ from hypothesis.extra.numpy import arrays
 
 import incrlin.pool as pool_mod
 from incrlin import datamodel, io
-from incrlin.datamodel import EmbeddingTable, WeightMatrix
+from incrlin.datamodel import EmbeddingTable, FeatureStore, WeightMatrix
 from incrlin.errors import FormatError, ValidationError
+from incrlin.protocol import sample_episode
 from incrlin.synth import SynthSpec, generate
 
 from conftest import pools_store
@@ -417,9 +418,33 @@ def test_fscf_load_peaks_at_the_store_plus_two_blocks(tmp_path):
     finally:
         tracemalloc.stop()
     assert back.classes == store.classes
-    # the float64 matrix, the reused record block and one cast block, and
-    # a few per-row label and order arrays
-    assert peak <= n * 640 * 8 + 2 * datamodel.BLOCK_BYTES + 64 * n
+    # the float32 matrix, the reused record block and one block the scatter
+    # copies, and a few per-row label and order arrays
+    assert back.to_rows()[2].dtype == np.float32
+    assert peak <= n * 640 * 4 + 2 * datamodel.BLOCK_BYTES + 64 * n
+
+
+def test_a_store_keeps_the_dtype_its_rows_were_read_in(tmp_path):
+    # float32 from FSCF, float64 from CSV, synth and from_rows; every Batch
+    # any of them hands out is float64, with the rows' values
+    store = _store()
+    io.save_feature_store_binary(store, tmp_path / "s.fscf")
+    io.save_feature_store_csv(store, tmp_path / "s.csv")
+    ids, flags, matrix = store.to_rows()
+    stores = {"fscf": io.load_feature_store(tmp_path / "s.fscf"),
+              "csv": io.load_feature_store(tmp_path / "s.csv"), "synth": store,
+              "from_rows": FeatureStore.from_rows(5, ids, flags, matrix.astype(np.float32))}
+    for name, s in stores.items():
+        want = np.float32 if name == "fscf" else np.float64
+        assert s.to_rows()[2].dtype == s.restrict([0, 1]).to_rows()[2].dtype == want, name
+        episode = sample_episode(s.restrict([0, 1]), s.restrict([2, 3]), n_way=2, k_shot=2,
+                                 n_query=6, rng=np.random.default_rng(0))
+        for batch in (s.support_examples(s.classes), s.support_examples([3, 1], k=2),
+                      s.query_batch(s.classes), episode.support, episode.query):
+            assert batch.features.dtype == np.float64, name
+    rows = stores["fscf"].support_examples(store.classes).features
+    np.testing.assert_array_equal(rows, store.support_examples(store.classes).features
+                                  .astype(np.float32))
 
 
 # --- CSV blocks over the pool -----------------------------------------------
@@ -473,14 +498,16 @@ def test_first_bad_block_names_the_fault(tmp_path, monkeypatch):
     monkeypatch.setattr(pool_mod, "cpus", lambda: 2)
     path = tmp_path / "bad.csv"
     blocks = io._line_blocks(path)
-    lines = path.read_bytes().split(b"\r\n")
+    text = path.read_bytes()
+    lines = text.split(b"\r\n")
+    before = [text[:offset].count(b"\r\n") for offset, _ in blocks]  # lines before each block
     for block in (1, 3):  # the second row of blocks 2 and 4; line i + 1 is lines[i]
-        fields = lines[blocks[block][1] + 1].split(b",")
+        fields = lines[before[block] + 1].split(b",")
         fields[2] = b"x" + fields[2][1:]  # same length: the blocks stay put
-        lines[blocks[block][1] + 1] = b",".join(fields)
+        lines[before[block] + 1] = b",".join(fields)
     path.write_bytes(b"\r\n".join(lines))
     assert io._line_blocks(path) == blocks
-    line = blocks[1][1] + 2
+    line = before[1] + 2
     with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:{line}: could not convert"):
         io.load_feature_store_csv(path)
     monkeypatch.setattr(io, "BLOCK_BYTES", 1 << 21)
@@ -560,3 +587,41 @@ def test_a_process_with_threads_does_not_fork_for_a_csv_load(tmp_path, monkeypat
     assert not waiter.is_alive()
     assert back.classes == store.classes
     assert parsed() == [str(os.getpid())] * len(io._line_blocks(tmp_path / "f.csv")) != []
+
+
+@pytest.mark.parametrize("load, header", [(io.load_feature_store_csv, b"class_id,split,f0"),
+                                          (io.load_weights_csv, b"class_id,w0"),
+                                          (io.load_embeddings_csv, b"class_id,e0")])
+@pytest.mark.parametrize("bad, named", [
+    (b"\xff1.0", "byte 0xff is not UTF-8"),
+    (b"1" * 200_000, "field larger than field limit (131072)"),
+], ids=["bad-byte", "long-field"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_bad_byte_or_an_overlong_field_names_its_line(tmp_path, monkeypatch, load, header,
+                                                        bad, named, workers):
+    # row 30 of 40 (line 32) holds a byte that is not UTF-8, or a field past
+    # csv's size limit: a FormatError naming that line, whether the file is
+    # read in this process or in blocks of ~64 B by forked workers
+    split = b",query" if b"split" in header else b""
+    rows = [b"%d%s,1.0" % (c, split) for c in range(40)]
+    rows[30] = b"30%s,%s" % (split, bad)
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"\n".join([header, *rows]) + b"\n")
+    if workers > 1:
+        monkeypatch.setattr(io, "BLOCK_BYTES", 256)
+        monkeypatch.setattr(pool_mod, "cpus", lambda: workers)
+        assert len(io._line_blocks(path)) > 2
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{path}:32: {named}')}$"):
+        load(path)
+
+
+def test_a_fault_before_a_bad_byte_in_the_same_text_chunk_is_named_first(tmp_path):
+    # the text reader decodes the whole small file at once, so the bad byte
+    # on line 5 fails the read before the rows of lines 2-4 are parsed
+    path = tmp_path / "w.csv"
+    path.write_bytes(b"class_id,w0\n0,1.0\n1,x\n2,2.0\n3,\xff\n")
+    with pytest.raises(FormatError, match=re.escape(f"{path}:3: could not convert")):
+        io.load_weights_csv(path)
+    path.write_bytes(b"class_id,w0\n0,1.0\n1,2.0\r2,2.0\r\n3,\xfe\n")
+    with pytest.raises(FormatError, match=re.escape(f"{path}:5: byte 0xfe is not UTF-8")):
+        io.load_weights_csv(path)

@@ -13,6 +13,7 @@ from incrlin.datamodel import (
     Batch,
     ClassRegistry,
     EmbeddingTable,
+    FeatureStore,
     RunConfig,
     SessionStream,
     WeightMatrix,
@@ -706,6 +707,29 @@ def test_run_single_session_does_not_depend_on_where_novel_ids_sit(kind):
 
     interleaved = run(lambda c: 2 * c if c < 10 else 2 * (c - 10) + 1)
     assert interleaved == run(lambda c: c)
+
+
+def _float32_twins(store):
+    """The store's rows rounded to float32, in a float32 store and in a float64 one."""
+    ids, flags, matrix = store.to_rows()
+    rows = matrix.astype(np.float32)
+    return [FeatureStore(store.dimension, ids, flags, m) for m in (rows, rows.astype(np.float64))]
+
+
+def test_a_float32_store_gives_the_results_of_its_float64_twin():
+    # a store keeps float32 rows as the binary format holds them; every Batch
+    # is float64, so both protocols give the same results as on the same
+    # values held in float64
+    data, registry, cfg, _ = _bench_setup(kind="subspace", memory=True)
+    multi = [[r.as_dict() for r in run_multi_session(
+        SessionStream(store, registry, cfg, embeddings=data.embeddings, k_shot=5))]
+        for store in _float32_twins(data.store)]
+    assert multi[0] == multi[1]
+    bw, cfg, data = _single_setup()
+    single = [run_single_session(_single_stream(data, cfg, store=store), bw, n_episodes=6,
+                                 n_way=3, n_query=12, keep_episodes=True).as_dict()
+              for store in _float32_twins(data.store)]
+    assert single[0] == single[1]
 
 
 def test_run_single_session_says_why_every_episode_failed():
