@@ -172,7 +172,8 @@ def _load_result(path) -> dict:
 
 
 def cmd_report(args) -> int:
-    # Every result is read and its label checked before any report file is written.
+    # Every result is read, its label checked and its rows built before any
+    # report file is written, so a failed report writes nothing.
     results, path_of = [], {}
     for res_path in args.results:
         payload = _load_result(res_path)
@@ -185,10 +186,9 @@ def cmd_report(args) -> int:
         path_of[label] = res_path
         results.append((res_path, label, payload))
 
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     multi_rows = []
     single_rows = []
+    grids = {}  # confusion file name -> its rows
     max_sessions = 0
     for res_path, label, payload in results:
         protocol = payload.get("protocol")
@@ -208,12 +208,9 @@ def cmd_report(args) -> int:
                 for rec in sessions:
                     conf = rec.get("confusion")
                     if conf:
-                        grid_path = out / f"confusion_{label}_s{rec['session']}.csv"
-                        with grid_path.open("w", newline="") as fh:
-                            writer = csv.writer(fh)
-                            writer.writerow(["gold\\pred"] + conf["class_ids"])
-                            for cid, row in zip(conf["class_ids"], conf["counts"]):
-                                writer.writerow([cid] + row)
+                        grids[f"confusion_{label}_s{rec['session']}.csv"] = (
+                            [["gold\\pred"] + conf["class_ids"]]
+                            + [[cid] + row for cid, row in zip(conf["class_ids"], conf["counts"])])
             else:
                 result = payload["result"]
                 single_rows.append([label, f"{result['acc']['mean']:.2f}",
@@ -225,6 +222,11 @@ def cmd_report(args) -> int:
             raise FormatError(f"{res_path}: malformed {protocol} result "
                               f"({type(err).__name__}: {err})") from None
 
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, rows in grids.items():
+        with (out / name).open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
     if multi_rows:
         with (out / "sessions.csv").open("w", newline="") as fh:
             writer = csv.writer(fh)

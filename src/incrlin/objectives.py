@@ -13,11 +13,14 @@ data's label rows. ``ObjectiveStack.of`` is the one way to stack problems,
 for ``trainer.fine_tune_stack`` and for ``Objective.evaluate_dense``.
 
 The rows are held in coordinates. In weight coordinates they are the (C, d)
-weights. In span coordinates a row is a combination of a session's spanning
-rows B plus its own start and anchor rows, and the stack carries their Gram
-products; the gradient is returned in the same coordinates, so one SGD step is
-the same update either way. Weight coordinates are the B = I_d case of the
-same body: the Gram products are skipped, not multiplied by an identity.
+weights. In span coordinates a row is its coefficients on an orthonormal basis
+Q of a session's spanning rows, plus one coefficient each on the parts of its
+start and anchor rows outside span Q, and the stack carries each row's 2 × 2
+Gram of those two parts (its ``metric``). The features lie in span Q, so the
+logits and the gradient are the same products in either coordinates, and the
+gradient is returned in the coordinates it was taken in: one SGD step is the
+same update either way. Only the penalty values read the metric. Weight
+coordinates are the Q = I_d case of the same body, with no outside parts.
 
 Every session lays out its weight rows in one order: the old classes
 (ascending), then the session's novel classes (ascending). The penalties only
@@ -100,43 +103,38 @@ class ObjectiveStack:
     Member e trains C weight rows, laid out old classes first, then novel
     classes, each held as coordinates of width q. The first ``n_old`` rows are
     anchored to ``anchors[e]`` with weights ``betas[e]``; the rows after them
-    are pulled toward ``targets[e]``, or toward the base span: the
-    ``projection`` pair (U, V) maps rows x to their projections (x U) Vᵀ. With
-    neither, r_new is 0. Both groups are plain slices of every member,
-    whatever its class ids. Every product is a per-member ``matmul`` and every
-    sum runs over one member's own entries, so a member's terms and gradient
-    do not depend on the other members of the stack.
+    are pulled toward ``targets[e]``, or toward their projections (x P) Pᵀ onto
+    the base span, with P = ``projection[e]`` the span's orthonormal basis (in
+    span coordinates, its coefficients on Q). With neither, r_new is 0. Both
+    groups are plain slices of every member, whatever its class ids. Every
+    product is a per-member ``matmul`` and every sum runs over one member's own
+    entries, so a member's terms and gradient do not depend on the other
+    members of the stack.
 
-    Without a ``gram`` the coordinates are the weights themselves (q = d):
-    features are (E, n, d), anchors and targets are rows of R^d and the
-    projection is (P, P) for the orthonormal basis P. With a ``gram`` the
-    stack is in span coordinates, built by ``trainer.fine_tune_stack``: a row
-    is x_B · B + s·w0 + t·a, with B the member's (r, d) spanning rows, w0 and a
-    the row's start and anchor (both zero for novel rows), and x = (x_B, s, t)
-    of width q = r + 2. ``gram`` is B Bᵀ zero-padded to (E, q, q); ``own`` is
-    (E, 2, C, q), for each row the products of its start and anchor with the
-    rows of B (doubled) and with each other. A row's squared norm is then
-    x · (x ``gram`` + (s, t) ``own``). Each feature row is given as its products
-    with B, its coordinates, and its products with every row's start and
-    anchor: (E, n, 2q + 2C).
+    Without a ``metric`` the coordinates are the weights themselves (q = d):
+    features, anchors, targets and P are in R^d. With a ``metric`` the stack
+    is in span coordinates, built by ``trainer.fine_tune_stack``: a row is
+    x_Q · Qᵀ + s·u + t·v, with Q (d, q - 2) an orthonormal basis of the
+    member's spanning rows, u and v the parts of the row's start and anchor
+    outside span Q (both zero for novel rows), and x = (x_Q, s, t).
+    ``metric`` (E, C, 2, 2) is each row's Gram of (u, v), so a row's squared
+    norm is |x_Q|² + (s, t) ``metric`` (s, t)ᵀ. The features lie in span Q and
+    are given as their coefficients on Q, with s = t = 0, so a logit is the
+    same dot product in either coordinates.
     """
 
-    __slots__ = ("config", "n_old", "anchors", "betas", "projection", "targets", "gram", "own",
-                 "_anchor_image")
+    __slots__ = ("config", "n_old", "anchors", "betas", "projection", "targets", "metric")
 
     def __init__(self, config: RunConfig, anchors: np.ndarray, betas: np.ndarray,
-                 projection: tuple[np.ndarray, np.ndarray] | None = None,
-                 targets: np.ndarray | None = None,
-                 gram: np.ndarray | None = None, own: np.ndarray | None = None):
+                 projection: np.ndarray | None = None, targets: np.ndarray | None = None,
+                 metric: np.ndarray | None = None):
         self.config = config
         self.anchors = anchors        # (E, n_old, q); (E, 0, 0) without old rows
         self.betas = betas            # (E, n_old)
         self.n_old = betas.shape[1]
-        self.projection = projection
+        self.projection = projection  # (E, q, rank) or None
         self.targets = targets        # (E, C - n_old, q) or None
-        self.gram = gram
-        self.own = own
-        self._anchor_image = self._gram(anchors, slice(0, self.n_old))
+        self.metric = metric
 
     @classmethod
     def of(cls, objectives: Sequence["Objective"]) -> "ObjectiveStack":
@@ -154,7 +152,8 @@ class ObjectiveStack:
                     o.basis is not None and not np.array_equal(o.basis.matrix, first.basis.matrix)):
                 raise ValidationError("stacked objectives need the same config, "
                                       "regularizer and shapes")
-        projection = None if first.basis is None else (first.basis.matrix, first.basis.matrix)
+        projection = None if first.basis is None else np.broadcast_to(
+            first.basis.matrix, (len(objectives),) + first.basis.matrix.shape)
         return cls(first.config, np.stack([o.anchors for o in objectives]),
                    np.stack([o.betas for o in objectives]), projection,
                    None if first.targets is None else np.stack([o.targets for o in objectives]))
@@ -163,36 +162,25 @@ class ObjectiveStack:
         """The sub-stack of the given members (an index or boolean mask)."""
         pick = lambda a: None if a is None else a[members]  # noqa: E731
         return ObjectiveStack(self.config, self.anchors[members], self.betas[members],
-                              self.projection, pick(self.targets), pick(self.gram), pick(self.own))
+                              pick(self.projection), pick(self.targets), pick(self.metric))
 
-    def _gram(self, v: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    def _image(self, v: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
         """The image of coordinates ``v`` (E, R, q), of the given rows, under
-        the row Gram: the row-wise dot of the image with ``v`` is each row's
-        squared norm. In weight coordinates the Gram is the identity and
-        ``v`` is returned as it is."""
-        if self.gram is None:
+        the row metric: the row-wise dot of the image with ``v`` is each row's
+        squared norm. In weight coordinates ``v`` is returned as it is."""
+        if self.metric is None:
             return v
-        image = v @ self.gram
-        image += v[..., -2:-1] * self.own[:, 0, rows]
-        image += v[..., -1:] * self.own[:, 1, rows]
+        image = v.copy()
+        image[..., -2:] = np.einsum("erij,erj->eri", self.metric[:, rows], v[..., -2:])
         return image
 
     def evaluate(self, m: np.ndarray, feats: np.ndarray, label_pos: np.ndarray) -> ObjectiveTerms:
         """Terms and gradients of every member: coordinates ``m`` (E, C, q),
-        feature rows (E, n, d) or (E, n, 2q + 2C) and label row positions
-        (E, n)."""
+        feature coordinates (E, n, q) and label row positions (E, n)."""
         cfg = self.config
         n_members, n = label_pos.shape
 
-        if self.gram is None:
-            fc = feats  # the rows' coordinates
-            logits = feats @ m.transpose(0, 2, 1)
-        else:
-            c, q = m.shape[1:]
-            fc, fo = feats[..., q:2 * q], feats[..., 2 * q:]
-            logits = feats[..., :q] @ m.transpose(0, 2, 1)
-            logits += fo[..., :c] * m[:, None, :, -2]
-            logits += fo[..., c:] * m[:, None, :, -1]
+        logits = feats @ m.transpose(0, 2, 1)
         # each example's label logit, as one index into the flat (E, n, C) logits
         label = label_pos.ravel() + np.arange(0, logits.size, m.shape[1])
         logits -= logits.max(axis=2, keepdims=True)
@@ -203,11 +191,10 @@ class ObjectiveStack:
         data_loss = (np.log(z) - picked.reshape(n_members, n)).sum(axis=1) / n
         p /= z[:, :, None]
         p.ravel()[label] -= 1.0
-        grad = p.transpose(0, 2, 1) @ fc
+        grad = p.transpose(0, 2, 1) @ feats
         grad /= n
 
-        m_image = self._gram(m)
-        rp = np.einsum("ecq,ecq->e", m_image, m)
+        rp = np.einsum("ecq,ecq->e", self._image(m), m)
         if cfg.alpha != 0.0:
             grad += (2.0 * cfg.alpha) * m
         # total = data_loss + alpha * rp + ro + gamma * rn, in that order; an
@@ -218,8 +205,7 @@ class ObjectiveStack:
 
         if k:
             diff = m[:, :k] - self.anchors
-            image = diff if self.gram is None else m_image[:, :k] - self._anchor_image
-            sq = np.einsum("ecq,ecq->ec", image, diff)
+            sq = np.einsum("ecq,ecq->ec", self._image(diff, slice(0, k)), diff)
             ro = (sq[:, None, :] @ self.betas[:, :, None])[:, 0, 0]
             diff *= (2.0 * self.betas)[:, :, None]
             grad[:, :k] += diff
@@ -228,11 +214,11 @@ class ObjectiveStack:
         if m.shape[1] > k and (self.projection is not None or self.targets is not None):
             mn = m[:, k:]
             if self.projection is not None:
-                u, v = self.projection
-                resid = mn - (mn @ u) @ v.T
+                u = self.projection
+                resid = mn - (mn @ u) @ u.transpose(0, 2, 1)
             else:
                 resid = mn - self.targets
-            rn = np.einsum("ecq,ecq->e", self._gram(resid, slice(k, None)), resid)
+            rn = np.einsum("ecq,ecq->e", self._image(resid, slice(k, None)), resid)
             if cfg.gamma != 0.0:
                 resid *= 2.0 * cfg.gamma
                 grad[:, k:] += resid

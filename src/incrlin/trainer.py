@@ -15,10 +15,11 @@ final loss are bit-identical to training it alone.
 Within a session, SGD keeps every row in a small fixed span: its start row,
 its anchor, the training rows, their projections onto the base span and the
 fixed targets. When that span is small against d (``use_span``), a stack
-trains in span coordinates: each step costs O(C r) instead of O(C d), and
-the (C, d) weights are formed once, at the end. Otherwise the coordinates are
-the weights. The arithmetic differs only in rounding; the loop, the stall
-rule and the mini-batches are the same.
+trains in span coordinates, on coefficients over an orthonormal basis of that
+span: each step costs O(C r) instead of O(C d), and the (C, d) weights are
+formed once, at the end. Otherwise the coordinates are the weights. The
+arithmetic differs only in rounding; the loop, the stall rule and the
+mini-batches are the same.
 ``fine_tune_stack`` is the one routine that fits weights: it trains a list of
 ``Objective`` problems, the episodes of a single-session run as one stack, and
 a multi-session fine-tune or ``train_base`` as a stack of one. A member whose
@@ -161,71 +162,81 @@ def span_width(n_rows: int, n_novel: int, projected: bool, targets: bool) -> int
 
 def use_span(width: int, dimension: int) -> bool:
     """Train in span coordinates when the spanning set has at most a quarter
-    as many rows as the feature dimension. A span step makes about a dozen
-    more numpy calls than a weight step (the Gram image, the start and anchor
-    terms), so it wins only once its arithmetic on (C, r) is well below that
-    on (C, d). Measured per step (one BLAS thread): C=65-100 at d=640 and
-    r=30-125, 1.9-5.2x faster; C=25 at d=32 and r=10, 0.7-0.9x for stacks of
-    1-16 members, so 5-way 1-shot episodes at d=32 stay on the weights.
+    as many rows as the feature dimension. A span step makes a few more
+    numpy calls than a weight step (the metric's image of the old rows'
+    coordinates), so it wins only once its arithmetic on (C, r) is well below
+    that on (C, d). Measured per step (one BLAS thread): C=69-100 at d=640 and
+    r=30-125, 2.4-12x faster; C=25 at d=32 and r=10, 0.5-1.2x as fast for
+    stacks of 1-20 members, so 5-way 1-shot episodes at d=32 stay on the
+    weights.
     """
     return 4 * width <= dimension
 
 
 def _coordinates(stack: ObjectiveStack, m: np.ndarray, feats: np.ndarray):
     """The coordinates a stack trains in, from its shapes: its objective, start
-    coordinates, feature rows, and the map from final coordinates back to
-    (E, C, d) weights.
+    coordinates, feature coordinates, and the map from final coordinates back
+    to (E, C, d) weights.
 
-    In span coordinates a row is x_B · B + s·w0 + t·a (see ``ObjectiveStack``).
-    Every SGD step keeps it so: the data gradient lies in the span of the
-    features, r_prior and r_old scale a row and add its anchor, and the pull
-    moves a novel row toward its target or its projection, both in B. This is
-    the one place B and its products are built."""
+    In span coordinates a row is x_Q · Qᵀ + s·u + t·v (see ``ObjectiveStack``),
+    with Q an orthonormal basis of the member's spanning rows B, from one
+    batched QR. Every SGD step keeps a row so: the data gradient lies in the
+    span of the features, r_prior and r_old scale a row and add its anchor,
+    and the pull moves a novel row toward its target or its projection, both
+    in B. This is the one place Q and the rows' coefficients on it are built.
+    An old row's start and anchor are projected onto Q twice, so what is left
+    of them, u and v, is orthogonal to Q to rounding."""
     n_members, c, d = m.shape
     k, n = stack.n_old, feats.shape[1]
     if not use_span(span_width(n, c - k, stack.projection is not None,
                                stack.targets is not None), d):
         return stack, m, feats, lambda x: x
     b = np.concatenate([feats, m[:, k:]], axis=1)
-    r0 = b.shape[1]
     if stack.projection is not None:
-        p = stack.projection[0]
-        b = np.concatenate([b, (b @ p) @ p.T], axis=1)
+        p = stack.projection
+        b = np.concatenate([b, (b @ p) @ p.transpose(0, 2, 1)], axis=1)
     elif stack.targets is not None:
         b = np.concatenate([b, stack.targets], axis=1)
-    r = b.shape[1]
+    basis = np.linalg.qr(b.transpose(0, 2, 1))[0]  # (E, d, r), r = min(d, rows of B)
+    r = basis.shape[2]
     q = r + 2
-    eye = np.eye(q)
+    qt = basis.transpose(0, 2, 1)
 
-    starts = np.zeros((n_members, 2, c, d))  # each old row's start and anchor
+    def on_basis(rows):  # (E, R, d) rows in span Q as (E, R, q) coordinates, s = t = 0
+        x = np.zeros(rows.shape[:2] + (q,))
+        x[..., :r] = rows @ basis
+        return x
+
+    old = np.zeros((n_members, 2 * c, d))  # each old row's start, then its anchor
     if k:
-        starts[:, 0, :k], starts[:, 1, :k] = m[:, :k], stack.anchors
-    gram = np.zeros((n_members, q, q))
-    gram[:, :r, :r] = b @ b.transpose(0, 2, 1)
-    b_starts = b @ starts.reshape(n_members, 2 * c, d).transpose(0, 2, 1)  # (E, r, 2C)
-    starts_gram = (starts[:, :, None] * starts[:, None]).sum(axis=4)  # (E, 2, 2, C)
-    own = np.concatenate([2.0 * b_starts.reshape(n_members, r, 2, c).transpose(0, 2, 3, 1),
-                          starts_gram.transpose(0, 1, 3, 2)], axis=3)
-    rows = np.concatenate([gram[:, :n], np.broadcast_to(eye[:n], (n_members, n, q)),
-                           b_starts[:, :n]], axis=2)
+        old[:, :k], old[:, c:c + k] = m[:, :k], stack.anchors
+    coef = old @ basis
+    rest = old - coef @ qt
+    again = rest @ basis
+    rest -= again @ qt
+    coef += again
+    u, v = rest[:, :c], rest[:, c:]
+    pair = rest.reshape(n_members, 2, c, d)
+    metric = np.einsum("eicd,ejcd->ecij", pair, pair)  # (E, C, 2, 2), zero for novel rows
 
     x = np.zeros((n_members, c, q))
-    x[:, :k, r] = 1.0
-    x[:, k:] = eye[n:r0]
-    anchors = np.broadcast_to(eye[r + 1], (n_members, k, q))
+    x[:, :k, :r], x[:, :k, r] = coef[:, :k], 1.0
+    x[:, k:, :r] = m[:, k:] @ basis
+    anchors = np.zeros((n_members, k, q))
+    anchors[..., :r] = coef[:, c:c + k]
+    anchors[..., r + 1] = 1.0
     projection = targets = None
-    if stack.projection is not None:  # (x_1, x_2) over (B_0, B_0 P Pᵀ) projects to (0, x_1 + x_2)
-        u, v = np.zeros((q, r0)), np.zeros((q, r0))
-        u[:r0] = u[r0:r] = v[r0:r] = np.eye(r0)
-        projection = (u, v)
+    if stack.projection is not None:
+        projection = np.zeros((n_members, q, p.shape[2]))
+        projection[:, :r] = qt @ p
     elif stack.targets is not None:
-        targets = np.broadcast_to(eye[r0:r], (n_members, c - k, q))
+        targets = on_basis(stack.targets)
 
     def to_weights(x):
-        return x[..., :r] @ b + x[..., r, None] * starts[:, 0] + x[..., r + 1, None] * starts[:, 1]
+        return x[..., :r] @ qt + x[..., r, None] * u + x[..., r + 1, None] * v
 
-    span = ObjectiveStack(stack.config, anchors, stack.betas, projection, targets, gram, own)
-    return span, x, rows, to_weights
+    span = ObjectiveStack(stack.config, anchors, stack.betas, projection, targets, metric)
+    return span, x, on_basis(feats), to_weights
 
 
 def fine_tune_stack(objectives: Sequence[Objective], rngs: Sequence[np.random.Generator],

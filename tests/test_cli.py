@@ -435,6 +435,21 @@ def test_report_rejects_a_label_two_results_share(tmp_path, capsys, labels, stem
     assert not (tmp_path / "rep").exists()
 
 
+def test_a_failed_report_writes_no_file(tmp_path, capsys):
+    # the good result's confusion grid is built before the bad result fails,
+    # but only written once every result has passed
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(_multi_result(label="good"))
+    payload = json.loads(_multi_result(label="bad"))
+    del payload["sessions"][0]["acc_weighted"]
+    bad.write_text(json.dumps(payload))
+    out = tmp_path / "rep"
+    out.mkdir()
+    assert main(["report", "--results", str(good), str(bad), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: malformed multi-session result")
+    assert list(out.iterdir()) == []
+
+
 def test_resolved_config_is_recorded(fixture_dir, tmp_path):
     out = tmp_path / "r.json"
     rc = main(["run-multi", "--features", str(fixture_dir / "features.csv"),

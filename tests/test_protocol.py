@@ -26,6 +26,7 @@ from incrlin.errors import (
     MissingExampleError,
     ValidationError,
 )
+from incrlin.objectives import ObjectiveStack
 from incrlin.protocol import (
     _count_confusion,
     delta_metric,
@@ -557,17 +558,31 @@ def _diverging_at(index, seed):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
-@pytest.mark.parametrize("kind, mini_batch", [
-    ("finetune", None), ("subspace", None), ("semantic", None), ("subspace", 2)])
-def test_run_single_session_does_not_depend_on_chunk_size(monkeypatch, kind, mini_batch):
+@pytest.mark.parametrize("kind, mini_batch, span", [
+    ("finetune", None, False), ("subspace", None, False), ("semantic", None, False),
+    ("subspace", 2, False), ("finetune", None, True), ("subspace", None, True),
+    ("semantic", None, True), ("subspace", 2, True),
+], ids=["finetune-None", "subspace-None", "semantic-None", "subspace-2",
+        "finetune-None-span", "subspace-None-span", "semantic-None-span", "subspace-2-span"])
+def test_run_single_session_does_not_depend_on_chunk_size(monkeypatch, kind, mini_batch, span):
     # chunks of one, of three and of every episode, on one, two and three
     # workers, give the same result, with the middle episode diverging; a
     # MINI_BATCH of 2 below the 3 support rows sends every member through its
-    # own shuffled blocks
+    # own shuffled blocks. With ``span`` every episode trains in span
+    # coordinates, its old rows starting at their anchors.
     bw, cfg, data = _single_setup()
     cfg = dataclasses.replace(cfg, regularizer_kind=kind, gamma=0.1, tau=0.5)
     if mini_batch is not None:
         monkeypatch.setattr(trainer_mod, "MINI_BATCH", mini_batch)
+    monkeypatch.setattr(trainer_mod, "use_span", lambda width, dimension: span)
+    bodies = set()  # the coordinates of every step taken in this process
+    evaluate = ObjectiveStack.evaluate
+
+    def spy(self, *args):
+        bodies.add(self.metric is not None)
+        return evaluate(self, *args)
+
+    monkeypatch.setattr(ObjectiveStack, "evaluate", spy)
     monkeypatch.setattr(protocol_mod, "sample_episode", _diverging_at(3, cfg.rng_seed))
 
     def run(chunk, workers):
@@ -580,6 +595,7 @@ def test_run_single_session_does_not_depend_on_chunk_size(monkeypatch, kind, min
         return result.as_dict()
 
     one, three, every = run(1, 1), run(3, 1), run(8, 1)
+    assert bodies == {span}
     assert one["n_failed"] == 1 and len(one["episodes"]) == 6
     assert one == three == every
     for workers in (2, 3):

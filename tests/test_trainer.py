@@ -432,7 +432,7 @@ def _both_bodies(monkeypatch, run):
     evaluate = ObjectiveStack.evaluate
 
     def spy(self, m, feats, label_pos):
-        spans.append(self.gram is not None)
+        spans.append(self.metric is not None)
         return evaluate(self, m, feats, label_pos)
 
     monkeypatch.setattr(ObjectiveStack, "evaluate", spy)
@@ -457,18 +457,18 @@ def _close_runs(weight_run, span_run):
     assert np.abs(wb.matrix - wa.matrix).max() <= 1e-12 * np.abs(wa.matrix).max()
 
 
-@pytest.mark.parametrize("memory", [False, True])
-@pytest.mark.parametrize("kind", _KINDS)
-def test_span_coordinates_match_weight_coordinates_over_a_run(monkeypatch, kind, memory):
-    # three sessions, so the base rows start session 2 away from their
-    # anchors; class 8's first four support rows are v, -v, w, -w, so its
-    # mean is zero and its start row is a random one; with memory, a
-    # MINI_BATCH of 8 below the 14 and 16 rows shuffles every epoch into blocks
-    data = generate(SynthSpec(n_classes=10, dimension=12, rng_seed=5,
+def _three_sessions(monkeypatch, kind, memory, dimension=12):
+    """A run of three sessions, so the base rows start session 2 away from
+    their anchors; class 8's first four support rows are v, -v, w, -w, so its
+    mean is zero and its start row is a random one; with memory, a MINI_BATCH
+    of 8 below the 14 and 16 rows shuffles every epoch into blocks. Returns a
+    function that runs it, returning each session's outcome, and the list of
+    classes whose start row fell back to a random one, filled as it runs."""
+    data = generate(SynthSpec(n_classes=10, dimension=dimension, rng_seed=5,
                               support_per_class=6, query_per_class=3))
     support = {c: data.store.support(c) for c in data.store.classes}
     support[8] = np.repeat(support[8][:3], 2, axis=0) * np.array([1.0, -1.0] * 3)[:, None]
-    store = pools_store(12, support, {c: data.store.query(c) for c in data.store.classes})
+    store = pools_store(dimension, support, {c: data.store.query(c) for c in data.store.classes})
     registry = ClassRegistry([range(6), (6, 7), (8, 9)])
     cfg = RunConfig(regularizer_kind=kind, alpha=1e-3, beta_base=0.2, beta_prev_novel=0.1,
                     gamma=0.3, tau=0.5, learning_rate=0.05, max_epochs=400, rng_seed=5,
@@ -500,11 +500,67 @@ def test_span_coordinates_match_weight_coordinates_over_a_run(monkeypatch, kind,
         return rows
 
     monkeypatch.setattr(protocol_mod, "init_novel_weights", spy_init)
+    return run, fallbacks
+
+
+@pytest.mark.parametrize("memory", [False, True])
+@pytest.mark.parametrize("kind", _KINDS)
+def test_span_coordinates_match_weight_coordinates_over_a_run(monkeypatch, kind, memory):
+    run, fallbacks = _three_sessions(monkeypatch, kind, memory)
     weight_runs, span_runs = _both_bodies(monkeypatch, run)
     assert fallbacks == [8, 8]
     assert len(weight_runs) == len(span_runs) == 2
     for a, b in zip(weight_runs, span_runs):
         _close_runs(a, b)
+
+
+def _basis_rows(to_weights, n_members, c, q):
+    """The rows of Qᵀ (E, q - 2, d), read off ``to_weights`` one block of C
+    unit coordinates at a time."""
+    eye, blocks = np.eye(q)[:q - 2], []
+    for j in range(0, q - 2, c):
+        unit = np.zeros((n_members, c, q))
+        part = eye[j:j + c]
+        unit[:, :len(part)] = part
+        blocks.append(to_weights(unit)[:, :len(part)])
+    return np.concatenate(blocks, axis=1)
+
+
+@pytest.mark.parametrize("dimension", [12, 64])
+@pytest.mark.parametrize("kind", ["finetune", "subspace", "semantic"])
+def test_span_coordinates_round_trip(monkeypatch, kind, dimension):
+    # every fine-tune of a three-session run with memory, in span coordinates:
+    # session 1, whose old rows start at their anchors, and session 2, whose
+    # do not and whose class 8 starts from a random row. At d=12 the spanning
+    # rows outnumber d, so Q spans all of R^d; at d=64 it does not.
+    run, fallbacks = _three_sessions(monkeypatch, kind, memory=True, dimension=dimension)
+    monkeypatch.setattr(trainer_mod, "use_span", lambda width, dimension: True)
+    coordinates, calls = trainer_mod._coordinates, []
+
+    def spy(stack, m, feats):
+        span, x, rows, to_weights = coordinates(stack, m, feats)
+        calls.append(((stack, m, feats), (span, x.copy(), rows, to_weights)))  # x is trained in place
+        return span, x, rows, to_weights
+
+    monkeypatch.setattr(trainer_mod, "_coordinates", spy)
+    run()
+    assert fallbacks == [8] and len(calls) == 2
+    widths = []
+    for (stack, m, feats), (span, x, rows, to_weights) in calls:
+        n_members, c, q = x.shape
+        k, scale = stack.n_old, np.abs(m).max()
+        qt = _basis_rows(to_weights, n_members, c, q)
+        widths.append(q - 2)
+        np.testing.assert_allclose(qt @ qt.transpose(0, 2, 1), np.broadcast_to(
+            np.eye(q - 2), (n_members, q - 2, q - 2)), rtol=0, atol=1e-14)
+        assert np.abs(to_weights(x) - m).max() <= 1e-14 * scale
+        at_anchors = x.copy()
+        at_anchors[:, :k] = span.anchors
+        assert np.abs(to_weights(at_anchors)[:, :k] - stack.anchors).max() <= 1e-14 * scale
+        assert not rows[..., -2:].any() and not span.metric[:, k:].any()
+        np.testing.assert_allclose(rows[..., :-2] @ qt, feats, rtol=0,
+                                   atol=1e-14 * np.abs(feats).max())
+    assert all(w == dimension for w in widths) if dimension == 12 else max(widths) < dimension
 
 
 @pytest.mark.parametrize("span", [False, True])
@@ -521,7 +577,7 @@ def test_one_pass_loss_terms_match_two_pass_sums(monkeypatch, kind, span):
     feats = np.stack([obj.features for obj in objectives])
     label_pos = np.stack([obj.label_pos for obj in objectives])
     coords, x, rows, to_weights = trainer_mod._coordinates(stack, m, feats)
-    assert (coords.gram is not None) == span
+    assert (coords.metric is not None) == span
     x = x + 0.1 * np.random.default_rng(0).standard_normal(x.shape)
     terms = coords.evaluate(x, rows, label_pos)
 
