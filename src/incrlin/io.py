@@ -8,27 +8,23 @@ u32 record count, u32 dimension, then per record u32 class_id, u8 split tag
 ``class_id,e0,...`` / ``class_id,w0,...``. Manifest: JSON object mapping
 class_id to {"label": str, "session": int >= 0}.
 
-The three CSVs share one codec. ``_write_csv`` writes each row's label
-fields, then ``repr`` of each value, with CRLF line ends. ``_read_csv``
-checks the header and each row's field count, class id (fits 64 bits) and
-values (finite numbers), skipping blank lines, and returns one row table; the
-feature loader adds the split check and hands the table to
-``FeatureStore.from_rows``, the vector loader the repeated-class check. The
-codec works in blocks of rows (``_block_count``). A file of at most
-``BLOCK_BYTES`` is one block, read and written in this process row by row;
-weight, embedding and desk-scale feature files are. A larger one is cut into
-even blocks of about a quarter of that and mapped over ``pool.fork_map``, one
-forked worker per CPU. The writer has each worker format its block into a
-text buffer and writes the buffers in order. The reader cuts the file after
-an LF near each even cut, reading only there; each worker reads its block,
-parses its lines through ``csv.reader`` and hands back the block's rows as
-one matrix, its first fault with a block-local line number, and its count of
-lines, which the parent adds up to number the next block's lines. A block
-that holds a quote, which may open a field that runs past its end, sends the
-file back to be parsed as one block, which is streamed. The rows are checked
-in file order, each block's fault raised after the loader has checked the
-rows before it, so the bytes, the rows and the fault a file is named for do
-not depend on the number of workers.
+The three CSVs share one codec. ``_write_csv`` writes each row's label fields,
+then ``repr`` of each value, with CRLF line ends. A file of at most
+``BLOCK_BYTES`` of rows is written in this process; a larger one is cut into
+even blocks (``_block_count``) that ``pool.fork_map`` formats, one forked
+worker per CPU, and the blocks' text is written in order, so the bytes do not
+depend on the number of workers. ``_read_csv`` checks the header, then reads
+the rows with ``np.loadtxt`` in this process and checks them: finite values,
+then the loader's own check (the feature loader's split names, the vector
+loader's repeated classes). Where numpy fails, reads no row, or a check fails,
+``_read_streamed`` reads the file again line by line through ``csv.reader``,
+``int`` and ``float``, skipping blank lines; that reading defines the format.
+It names the first fault by its line, the loader's fault before a codec fault
+later in the file; or, where numpy only rejected what it allows (a quoted
+field, ``1_000``), its rows are the result. numpy is given no line that it
+would read and the streamed reader would not (``_loadtxt_lines``), so both
+read a file to the same rows, bit for bit. The feature loader hands its table
+to ``FeatureStore.from_rows``.
 
 The binary loader checks the header and the file size before it allocates,
 reads the labels block by block into one reused record buffer, then re-reads
@@ -48,6 +44,7 @@ import io as stdio
 import json
 import os
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -82,8 +79,8 @@ _VALUE_BYTES = 25
 
 
 def _block_count(n_bytes: int) -> int:
-    """The blocks the CSV codec cuts ``n_bytes`` of rows into: one, read or
-    written in this process, up to ``BLOCK_BYTES``, where a pool start would
+    """The blocks the CSV writer cuts ``n_bytes`` of rows into: one, written
+    in this process, up to ``BLOCK_BYTES``, where a pool start would
     cost about as much as it saves; above it, even blocks of at most about a
     quarter of ``BLOCK_BYTES`` for ``pool.fork_map``. A block in flight costs
     the parent about twice its size in the pool's result thread, whose freed
@@ -124,37 +121,33 @@ def _write_csv(path, header: list[str], columns, rows: np.ndarray) -> None:
             fh.write(text)
 
 
-def _line_blocks(path: Path) -> list[tuple[int, int | None]]:
-    """The file cut into ``_block_count`` even blocks that end on an LF, as
-    (byte offset, end offset or None for the end of the file). Only the cuts
-    are read: each seeks a block's length on and reads on to the next LF."""
-    size = path.stat().st_size
-    n = _block_count(size)
-    if n < 2:
-        return [(0, None)]
-    cuts, step = [0], -(-size // n)
-    with path.open("rb") as fh:
-        while cuts[-1] + step < size:
-            fh.seek(cuts[-1] + step)
-            fh.readline()
-            if fh.tell() >= size:
-                break
-            cuts.append(fh.tell())
-    return list(zip(cuts, [*cuts[1:], None]))
+# Where numpy's parser reads a line that csv.reader and int()/float() reject:
+# it strips the ASCII separators \x1c-\x1f around a number as spaces, and it
+# has no field size limit.
+_SEPARATORS = ("\x1c", "\x1d", "\x1e", "\x1f")
 
 
-def _parse_rows(text, width: int, n_fields: int, header: bool):
-    """The data rows of the CSV lines of ``text`` (the file's header first if
-    ``header``), whose header has ``n_fields`` fields, the first ``width`` of
-    them labels: lists of their lines, class ids and other label fields, their
-    (rows, values) matrix, the first fault as (line, message) or None, and the
-    lines read. The rows end before the fault; lines count from 1 at the
-    start of ``text``."""
+def _loadtxt_lines(fh):
+    """The lines of ``fh`` for ``np.loadtxt``, up to one with a separator or a
+    field past ``csv``'s size limit, where a ValueError ends the read."""
+    limit = csv.field_size_limit()
+    for line in fh:
+        if any(s in line for s in _SEPARATORS) or (
+                len(line) > limit and max(map(len, line.split(","))) > limit):
+            raise ValueError("a line for the streamed reader")
+        yield line
+
+
+def _parse_rows(text, width: int, n_fields: int):
+    """The data rows of the CSV lines of ``text``, a header first, whose header
+    has ``n_fields`` fields, the first ``width`` of them labels: their lines
+    (from 1 at the start of ``text``), class ids (int64), other label fields
+    ((rows, width - 1) str) and (rows, values) float64 matrix, and the first
+    fault as (line, message) or None. The rows end before the fault."""
     lines, ids, labels, rows, fault = [], [], [], [], None
     reader = csv.reader(text)
     try:
-        if header:
-            next(reader, None)
+        next(reader, None)
         for rec in reader:
             if not rec:
                 continue
@@ -179,85 +172,84 @@ def _parse_rows(text, width: int, n_fields: int, header: bool):
             rows.append(values)
     except csv.Error as err:  # a field past csv's size limit
         fault = (reader.line_num, str(err))
-    values = np.array(rows).reshape(len(rows), n_fields - width)
-    return lines, ids, labels, values, fault, reader.line_num
+    n = len(rows)
+    return (lines, np.array(ids, dtype=np.int64), np.array(labels, dtype=str).reshape(n, width - 1),
+            np.array(rows).reshape(n, n_fields - width), fault)
 
 
-def _read_block(path: Path, width: int, n_fields: int, offset: int, stop: int | None):
-    """``_parse_rows`` of a block of ``_line_blocks``, from byte ``offset`` to
-    ``stop`` (None: to the end of the file, streamed), with block-local line
-    numbers; the block at the start of the file skips the header. A block that
-    ends before the end of the file and holds a quote, which may open a field
-    that runs past its end, is not parsed: None."""
-    with path.open("rb") as fh:
-        fh.seek(offset)
-        data = None if stop is None else fh.read(stop - offset)
-        if data is not None and b'"' in data:
-            return None
-        text = stdio.TextIOWrapper(fh if data is None else stdio.BytesIO(data), "utf-8",
-                                   newline="")
+def _read_streamed(path: Path, width: int, n_fields: int, check):
+    """The rows of ``path`` as ``_read_csv`` returns them, read line by line
+    by ``_parse_rows``, which defines the format; or the ``FormatError`` of the
+    first fault, naming its line. The loader's ``check`` sees the rows before
+    a codec fault, so its own fault comes first."""
+    with path.open(encoding="utf-8", newline="") as fh:
         try:
-            return _parse_rows(text, width, n_fields, offset == 0)
+            *rows, fault = _parse_rows(fh, width, n_fields)
         except UnicodeDecodeError:
-            pass
-    # The text reader decodes ahead of the rows it hands out: find the first
-    # byte that is not UTF-8 and parse the lines before its own.
-    with path.open("rb") as fh:
-        fh.seek(offset)
-        data = fh.read(-1 if stop is None else stop - offset)
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as err:
-        head = data[:err.start]
-    own = max(head.rfind(b"\n"), head.rfind(b"\r")) + 1  # where the byte's line starts
-    *rows, fault, n_lines = _parse_rows(stdio.StringIO(head[:own].decode("utf-8"), newline=""),
-                                        width, n_fields, offset == 0)
-    # its line, counting line ends as the text reader does: LF, CRLF or a lone CR
-    line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-    return (*rows, fault or (line, f"byte 0x{data[len(head)]:02x} is not UTF-8"), n_lines)
+            rows = None
+    if rows is None:
+        # The text reader decodes ahead of the rows it hands out: find the
+        # first byte that is not UTF-8 and parse the lines before its own.
+        data = path.read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            head = data[:err.start]
+        own = max(head.rfind(b"\n"), head.rfind(b"\r")) + 1  # where the byte's line starts
+        *rows, fault = _parse_rows(stdio.StringIO(head[:own].decode("utf-8"), newline=""),
+                                   width, n_fields)
+        # its line, counting line ends as the text reader does: LF, CRLF or a lone CR
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        fault = fault or (line, f"byte 0x{data[len(head)]:02x} is not UTF-8")
+    lines, ids, labels, values = rows
+    bad = check(ids, labels)
+    if bad is not None:
+        raise FormatError(f"{path}:{lines[bad[0]]}: {bad[1]}")
+    if fault is not None:
+        raise FormatError(f"{path}:{fault[0]}: {fault[1]}")
+    if not lines:
+        raise FormatError(f"{path}: no data rows")
+    return ids, labels, values
 
 
 def _read_csv(path: Path, label_columns: tuple[str, ...], prefix: str, check):
     """The data rows of a CSV headed ``label_columns`` and at least one value
-    column, as (class ids, other label fields, values); the class id is the
-    first label and the values, one (rows, d) matrix, are finite float64. The
-    loader's ``check(line, class id, other label fields)`` sees each row in
-    file order, and raises its own fault before a codec fault later in the
-    file is raised. A file without data rows is a fault, and so is one that is
-    not UTF-8 text. The rows of one block (``_line_blocks``) are parsed in this
-    process, those of more by ``pool.fork_map``, each block's line numbers
-    shifted by the lines of the blocks before it; a file in which a block holds
-    a quote is parsed again as one block."""
-    # A byte that is not UTF-8 is named by the block that holds it, not here.
+    column, as class ids (int64), other label fields ((rows, labels - 1) str)
+    and values, a finite float64 (rows, d) matrix. The loader's
+    ``check(ids, labels)`` gives its first bad row as (row, message), or None.
+    ``np.loadtxt`` reads the rows in this process; a file it fails on, reads
+    no row from, or whose rows fail a check is read again by
+    ``_read_streamed``, which names the fault or reads the rows."""
+    # A byte that is not UTF-8 is named by the streamed reader, not here.
     with path.open(encoding="utf-8", errors="surrogateescape", newline="") as fh:
         try:
             header = next(csv.reader(fh), None)
         except csv.Error as err:  # a field past csv's size limit
             raise FormatError(f"{path}:1: {err}") from None
-    width = len(label_columns)
-    if not header or tuple(header[:width]) != label_columns or len(header) == width:
-        raise FormatError(f"{path}: expected header '{','.join(label_columns)},{prefix}0,...'")
-    parse = functools.partial(_read_block, path, width, len(header))
-    blocks = _line_blocks(path)
-    parsed = None
-    if len(blocks) > 1:  # each matrix is copied out of the pool's result thread as it comes
-        parsed = [None if block is None else (*block[:3], block[3].copy(), *block[4:])
-                  for block in pool.fork_map(parse, *zip(*blocks))]
-    if parsed is None or None in parsed:
-        parsed = [parse(0, None)]
-    ids, labels, first = [], [], 0
-    for block_lines, block_ids, block_labels, _, fault, n_lines in parsed:
-        for line, *row in zip(block_lines, block_ids, block_labels):
-            check(first + line, *row)
-        ids += block_ids
-        labels += block_labels
-        if fault is not None:
-            raise FormatError(f"{path}:{first + fault[0]}: {fault[1]}")
-        first += n_lines
-    if not ids:
-        raise FormatError(f"{path}: no data rows")
-    matrices = [values for *_, values, _, _ in parsed]
-    return ids, labels, matrices[0] if len(matrices) == 1 else np.concatenate(matrices)
+        width = len(label_columns)
+        if not header or tuple(header[:width]) != label_columns or len(header) == width:
+            raise FormatError(f"{path}: expected header '{','.join(label_columns)},{prefix}0,...'")
+        # U8 holds every split name and truncates no longer label to one.
+        dtype = [("id", "i8"), ("labels", "U8", (width - 1,)),
+                 ("x", "f8", (len(header) - width,))]
+        # numpy reads blocks of about BLOCK_BYTES, whose columns are joined
+        # after. One table grown to hold every row kept ~45 MB more of the
+        # heap after a 5k x 640 load, which raised `ingest`'s peak memory.
+        rows = max(1, BLOCK_BYTES // np.dtype(dtype).itemsize)
+        lines, blocks = _loadtxt_lines(fh), []
+        try:  # no comment lines: a '#' line is a fault
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no rows left
+                while (block := np.loadtxt(lines, dtype=dtype, comments=None, delimiter=",",
+                                           ndmin=1, max_rows=rows)).size:
+                    blocks.append(block)
+        except ValueError:
+            blocks = []
+    if blocks:
+        ids, labels, values = (np.concatenate([b[f] for b in blocks]) for f in ("id", "labels", "x"))
+        if np.isfinite(values).all() and check(ids, labels) is None:
+            return ids, labels, values
+    return _read_streamed(path, width, len(header), check)
 
 
 # --- feature stores --------------------------------------------------------
@@ -269,14 +261,12 @@ def save_feature_store_csv(store: FeatureStore, path) -> None:
 
 
 def load_feature_store_csv(path) -> FeatureStore:
-    path = Path(path)
+    def check(ids, labels):
+        bad = np.flatnonzero(~np.isin(labels[:, 0], _SPLITS))
+        return (bad[0], f"unknown split {str(labels[bad[0], 0])!r}") if bad.size else None
 
-    def check(line: int, cid: int, labels: list[str]) -> None:
-        if labels[0] not in _SPLITS:
-            raise FormatError(f"{path}:{line}: unknown split {labels[0]!r}")
-
-    ids, labels, feats = _read_csv(path, ("class_id", "split"), "f", check)
-    return FeatureStore.from_rows(feats.shape[1], ids, [s == "query" for s, in labels], feats)
+    ids, labels, feats = _read_csv(Path(path), ("class_id", "split"), "f", check)
+    return FeatureStore.from_rows(feats.shape[1], ids, labels[:, 0] == "query", feats)
 
 
 def save_feature_store_binary(store: FeatureStore, path) -> None:
@@ -362,16 +352,15 @@ def _save_vector_csv(path, prefix: str, ids, matrix: np.ndarray) -> None:
 
 
 def _load_vector_csv(path, prefix: str) -> dict[int, np.ndarray]:
-    path = Path(path)
-    seen: set[int] = set()
+    def check(ids, _):
+        _, first = np.unique(ids, return_index=True)
+        again = np.ones(ids.size, dtype=bool)
+        again[first] = False
+        bad = np.flatnonzero(again)
+        return (bad[0], f"class {ids[bad[0]]} appears a second time") if bad.size else None
 
-    def check(line: int, cid: int, _) -> None:
-        if cid in seen:
-            raise FormatError(f"{path}:{line}: class {cid} appears a second time")
-        seen.add(cid)
-
-    ids, _, vectors = _read_csv(path, ("class_id",), prefix, check)
-    return dict(zip(ids, vectors))
+    ids, _, vectors = _read_csv(Path(path), ("class_id",), prefix, check)
+    return dict(zip(ids.tolist(), vectors))
 
 
 def save_embeddings_csv(table: EmbeddingTable, path) -> None:

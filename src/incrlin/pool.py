@@ -11,8 +11,8 @@ one of them holds would stay locked in the child. Callers make the result not
 depend on where or on how many workers the jobs ran. A worker that dies breaks
 the pool, and the caller's iteration raises ``BrokenProcessPool``.
 
-The episodic run trains its episode stacks with it, and the CSV codec formats
-and parses its row blocks with it.
+The episodic run trains its episode stacks with it, and the CSV writer formats
+its row blocks with it.
 """
 from __future__ import annotations
 

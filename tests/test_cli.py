@@ -302,8 +302,8 @@ def test_unwritable_out_fails_before_any_input_is_loaded(fixture_dir, tmp_path, 
 
 @pytest.mark.parametrize("dies_in", ["episode", "csv block"])
 def test_a_dead_worker_is_an_error_line(fixture_dir, tmp_path, capsys, monkeypatch, dies_in):
-    # a pool worker that exits mid-run, while training episodes or parsing a
-    # block of a feature CSV cut into blocks of ~256 B, gives one error line
+    # a pool worker that exits mid-run, while training episodes or formatting
+    # a block of a feature CSV written in blocks of ~256 B, gives one error line
     parent = os.getpid()
     labels, _ = io.load_manifest(fixture_dir / "manifest.json")
     io.save_manifest(tmp_path / "manifest.json", labels, {c: int(c >= 8) for c in range(14)})
@@ -313,19 +313,23 @@ def test_a_dead_worker_is_an_error_line(fixture_dir, tmp_path, capsys, monkeypat
             pytest.fail(f"a {dies_in} job ran in the test process")
         os._exit(1)
 
+    monkeypatch.setattr(pool_mod, "cpus", lambda: 2)
     if dies_in == "episode":
         monkeypatch.setattr(protocol_mod, "sample_episode", dying)
+        out = tmp_path / "r.json"
+        rc = main(["run-single", "--features", str(fixture_dir / "features.csv"),
+                   "--manifest", str(tmp_path / "manifest.json"), "--episodes", "6",
+                   "--n-way", "3", "--n-query", "12", "--out", str(out)])
     else:
         monkeypatch.setattr(io, "BLOCK_BYTES", 1024)
-        monkeypatch.setattr(io, "_read_block", dying)
-    monkeypatch.setattr(pool_mod, "cpus", lambda: 2)
-    rc = main(["run-single", "--features", str(fixture_dir / "features.csv"),
-               "--manifest", str(tmp_path / "manifest.json"), "--episodes", "6",
-               "--n-way", "3", "--n-query", "12", "--out", str(tmp_path / "r.json")])
+        monkeypatch.setattr(io, "_format_block", dying)
+        out = tmp_path / "synth" / "embeddings.csv"
+        rc = main(["synth-gen", "--out-dir", str(tmp_path / "synth"), "--classes", "6",
+                   "--dim", "8", "--support", "5", "--query", "5"])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: a worker process died: ") and err.count("\n") == 1
-    assert not (tmp_path / "r.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run-multi", "run-single"])

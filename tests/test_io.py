@@ -1,11 +1,12 @@
 import hashlib
+import io as stdio
 import json
 import os
 import re
 import struct
 import tempfile
-import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -447,7 +448,7 @@ def test_a_store_keeps_the_dtype_its_rows_were_read_in(tmp_path):
                                   .astype(np.float32))
 
 
-# --- CSV blocks over the pool -----------------------------------------------
+# --- the CSV codec ----------------------------------------------------------
 
 def _block_store():
     return generate(SynthSpec(n_classes=6, dimension=5, rng_seed=4,
@@ -470,54 +471,98 @@ def _recording(monkeypatch, tmp_path, name):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_feature_csv_in_blocks_gives_the_same_bytes_and_rows(tmp_path, monkeypatch, workers):
-    # ~9 kB of rows in blocks of ~256 B: the bytes of one block written in this
-    # process, and the rows read back, whatever the number of workers
+    # ~9 kB of rows written in blocks of ~256 B: the bytes of one block written
+    # in this process whatever the number of workers; and the rows read back,
+    # which numpy reads in blocks of 12
     store = _block_store()
     io.save_feature_store_csv(store, tmp_path / "whole.csv")
     monkeypatch.setattr(io, "BLOCK_BYTES", 1024)
     monkeypatch.setattr(pool_mod, "cpus", lambda: workers)
     formatted = _recording(monkeypatch, tmp_path, "_format_block")
-    parsed = _recording(monkeypatch, tmp_path, "_read_block")
     path = tmp_path / "blocks.csv"
     io.save_feature_store_csv(store, path)
     assert path.read_bytes() == (tmp_path / "whole.csv").read_bytes()
     back = io.load_feature_store_csv(path)
     for got, want in zip(back.to_rows(), store.to_rows()):
         np.testing.assert_array_equal(got, want)
-    n_blocks = len(io._line_blocks(path))
-    assert n_blocks > 5 and len(parsed()) == n_blocks and len(formatted()) > 5
-    for pids in (set(parsed()), set(formatted())):  # one pool each
-        assert (pids == {str(os.getpid())}) == (workers == 1) and len(pids) <= workers
+    pids = set(formatted())
+    assert len(formatted()) > 5
+    assert (pids == {str(os.getpid())}) == (workers == 1) and len(pids) <= workers
 
 
-def test_first_bad_block_names_the_fault(tmp_path, monkeypatch):
-    # bad values in blocks 2 and 4: the error names block 2's line, as the
-    # file read in one block does
-    io.save_feature_store_csv(_block_store(), tmp_path / "bad.csv")
-    monkeypatch.setattr(io, "BLOCK_BYTES", 1024)
-    monkeypatch.setattr(pool_mod, "cpus", lambda: 2)
-    path = tmp_path / "bad.csv"
-    blocks = io._line_blocks(path)
-    text = path.read_bytes()
-    lines = text.split(b"\r\n")
-    before = [text[:offset].count(b"\r\n") for offset, _ in blocks]  # lines before each block
-    for block in (1, 3):  # the second row of blocks 2 and 4; line i + 1 is lines[i]
-        fields = lines[before[block] + 1].split(b",")
-        fields[2] = b"x" + fields[2][1:]  # same length: the blocks stay put
-        lines[before[block] + 1] = b",".join(fields)
-    path.write_bytes(b"\r\n".join(lines))
-    assert io._line_blocks(path) == blocks
-    line = before[1] + 2
-    with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:{line}: could not convert"):
-        io.load_feature_store_csv(path)
-    monkeypatch.setattr(io, "BLOCK_BYTES", 1 << 21)
-    with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:{line}: could not convert"):
-        io.load_feature_store_csv(path)
+def _read(load, path):
+    """What ``load`` reads from ``path``, as bytes, or its fault's text."""
+    try:
+        table = load(path)
+    except FormatError as err:
+        return str(err)
+    if isinstance(table, FeatureStore):
+        return [a.tobytes() for a in table.to_rows()]
+    return table.class_ids, table.matrix.tobytes()
 
 
-@pytest.mark.parametrize("block_bytes", [16, 37, 64, 1 << 21])
-def test_line_numbers_hold_across_blocks_with_blank_lines_and_mixed_line_ends(
-        tmp_path, monkeypatch, block_bytes):
+_F = "class_id,split,f0,f1\r\n"  # a feature CSV
+_W = "class_id,w0,w1\r\n"  # a weight CSV
+
+
+@pytest.mark.parametrize("text, fast", [
+    # numpy's parser reads these as int() and float() do
+    (_F + " 1 ,query, 2.5 ,\t3\t\r\n", True),
+    (_F + "+1,query,+3,1E5\r\n+1,support,-0.0,5e-324\r\n", True),
+    (_W + f"{2**63 - 1},1,2\r\n{-2**63},1,2\r\n", True),
+    (_F + "0,query,1,2\r1,query,3,4\r", True),
+    (_F + "0,query,1,2\n1,query,3,4\r\n2,query,5,6\r0,support,7,8\r\n", True),
+    (_F + "0,query,1,2\r\n\r\n0,support,3,4\r\n", True),
+    (_W + "7,1.0,2.0\r\n3,0.5,0.25\r\n", True),
+    # numpy rejects these, and the streamed reader reads them
+    (_F + "1_000,query,1_000,2\r\n", False),
+    (_F + "\u0661,query,\u0661,2\r\n", False),
+    (_F + '1,"query","2.5",3\r\n', False),
+    (_W + '9,"3\n",1\r\n', False),
+    # faults, which only the streamed reader names
+    (_F + "0,query,1,2\r\n1,query,2.5\x1d,3\r\n", False),
+    (_F + "\x1c1,query,2.5,3\r\n", False),
+    (_F + "1,query," + "0" * 200_000 + ",3\r\n", False),
+    (_F + "1,query,1,2\r\n  \r\n", False),
+    (_F + "1,query,1,2\r\n#1,query,1,2\r\n", False),
+    (_F + "1,supportive,1,2\r\n", False),
+    (_F + "1, support,1,2\r\n", False),
+    (_F + "1.0,query,1,2\r\n", False),
+    (_F + f"{2**63},query,1,2\r\n", False),
+    (_F + "1,query,nan,2\r\n", False),
+    (_F + "1,query,x,2\r\n2,query,y,2\r\n", False),
+    (_F + "1,query,1,2\r\n2,query,\udcff,2\r\n", False),
+    (_F, False),
+    (_F + "\r\n\r\n", False),
+    (_W + "7,1.0,2.0\r\n3,0.5,0.25\r\n7,1.0,2.0\r\n", False),
+], ids=["padded", "signs-exponent-zero-subnormal", "int64-bounds", "lone-cr",
+        "mixed-line-ends", "blank-line", "weights",
+        "underscores", "arabic-digit", "quoted", "quoted-line-end",
+        "separator-after", "separator-before", "long-field", "whitespace-line", "hash-line",
+        "supportive", "space-support", "id-1.0", "id-2**63", "nan", "two-bad-values",
+        "bad-byte", "header-only", "blank-lines-only", "repeated-class"])
+def test_a_csv_reads_as_the_streamed_reader_reads_it(tmp_path, monkeypatch, text, fast):
+    # bit for bit the rows, or the fault's text, that the loader gives with no
+    # line left to numpy; numpy reads the file where it reads it the same
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    load = io.load_feature_store_csv if text.startswith(_F) else io.load_weights_csv
+    streamed, read_streamed = [], io._read_streamed
+    monkeypatch.setattr(io, "_read_streamed", lambda *a: streamed.append(a) or read_streamed(*a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _read(load, path)
+    assert (not streamed) == fast
+
+    def no_lines(fh):
+        raise ValueError("no line for numpy")
+        yield
+
+    monkeypatch.setattr(io, "_loadtxt_lines", no_lines)
+    assert got == _read(load, path)
+
+
+def test_line_numbers_hold_across_blank_lines_and_mixed_line_ends(tmp_path):
     # rows end in CRLF, LF or a lone CR, or add a blank line with LF then
     # CRLF or CRLF then LF: five rows take seven lines, so row 15 is line 23
     ends = ["\r\n", "\n", "\r", "\n\r\n", "\r\n\n"]
@@ -526,67 +571,36 @@ def test_line_numbers_hold_across_blocks_with_blank_lines_and_mixed_line_ends(
     good = "class_id,split,f0,f1\r\n" + "".join(rows)
     path = tmp_path / "mixed.csv"
     path.write_bytes(good.replace(",15.5", ",x").encode())
-    monkeypatch.setattr(io, "BLOCK_BYTES", block_bytes)
-    monkeypatch.setattr(pool_mod, "cpus", lambda: 2)
     with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:23: could not convert "
                                           r"string to float: 'x'$"):
         io.load_feature_store_csv(path)
-    path.write_bytes(good.encode())
-    lines = []
-    io._read_csv(path, ("class_id", "split"), "f", lambda line, *_: lines.append(line))
+    lines = io._parse_rows(stdio.StringIO(good, newline=""), 2, 4)[0]
     assert lines == [2 + 7 * (k // 5) + [0, 1, 2, 3, 5][k % 5] for k in range(20)]
 
 
-@pytest.mark.parametrize("block_bytes", [30, 40, 60])
-def test_a_quoted_line_end_is_read_as_in_one_block(tmp_path, monkeypatch, block_bytes):
-    # a quoted value may hold a line end, which float() strips: the file reads
-    # as in one block wherever the cuts would fall
+def test_a_quoted_line_end_is_read_as_one_value(tmp_path):
+    # a quoted value may hold a line end, which float() strips
     path = tmp_path / "w.csv"
     path.write_text("class_id,w0\n" + "".join(f"{c},1.0\n" for c in range(5)) + '9,"3\n"\n'
                     + "".join(f"{c},1.0\n" for c in range(10, 15)))
-    whole = io.load_weights_csv(path)
-    monkeypatch.setattr(io, "BLOCK_BYTES", block_bytes)
-    monkeypatch.setattr(pool_mod, "cpus", lambda: 2)
     back = io.load_weights_csv(path)
-    assert back.class_ids == whole.class_ids and back.row(9).tolist() == [3.0]
-    np.testing.assert_array_equal(back.matrix, whole.matrix)
+    assert back.class_ids == (*range(5), 9, *range(10, 15)) and back.row(9).tolist() == [3.0]
 
 
 @pytest.mark.parametrize("text, named", [
-    # a split fault in an early block comes before a value fault in a later one
+    # a split fault comes before a value fault later in the file
     ("class_id,split,f0\n" + "0,query,1.0\n" * 9 + "0,train,1.0\n" + "0,query,1.0\n" * 20
      + "0,query,x\n", "bad.csv:11: unknown split 'train'"),
-    # so does a repeated class, which only the loader sees across blocks
+    # so does a repeated class
     ("class_id,w0\n" + "".join(f"{c},1.0\n" for c in range(20)) + "3,2.0\n" + "30,x\n",
      "bad.csv:22: class 3 appears a second time"),
 ])
-def test_a_loader_fault_before_a_codec_fault_is_named_first(tmp_path, monkeypatch, text, named):
+def test_a_loader_fault_before_a_codec_fault_is_named_first(tmp_path, text, named):
     path = tmp_path / "bad.csv"
     path.write_text(text)
-    monkeypatch.setattr(io, "BLOCK_BYTES", 64)
-    monkeypatch.setattr(pool_mod, "cpus", lambda: 2)
     load = io.load_feature_store_csv if text.startswith("class_id,split") else io.load_weights_csv
     with pytest.raises(FormatError, match=re.escape(named) + "$"):
         load(path)
-
-
-def test_a_process_with_threads_does_not_fork_for_a_csv_load(tmp_path, monkeypatch):
-    store = _block_store()
-    io.save_feature_store_csv(store, tmp_path / "f.csv")
-    monkeypatch.setattr(io, "BLOCK_BYTES", 1024)
-    monkeypatch.setattr(pool_mod, "cpus", lambda: 2)
-    parsed = _recording(monkeypatch, tmp_path, "_read_block")
-    done = threading.Event()
-    waiter = threading.Thread(target=done.wait, args=(30,))
-    waiter.start()
-    try:
-        back = io.load_feature_store_csv(tmp_path / "f.csv")
-    finally:
-        done.set()
-        waiter.join(30)
-    assert not waiter.is_alive()
-    assert back.classes == store.classes
-    assert parsed() == [str(os.getpid())] * len(io._line_blocks(tmp_path / "f.csv")) != []
 
 
 @pytest.mark.parametrize("load, header", [(io.load_feature_store_csv, b"class_id,split,f0"),
@@ -596,21 +610,14 @@ def test_a_process_with_threads_does_not_fork_for_a_csv_load(tmp_path, monkeypat
     (b"\xff1.0", "byte 0xff is not UTF-8"),
     (b"1" * 200_000, "field larger than field limit (131072)"),
 ], ids=["bad-byte", "long-field"])
-@pytest.mark.parametrize("workers", [1, 2])
-def test_a_bad_byte_or_an_overlong_field_names_its_line(tmp_path, monkeypatch, load, header,
-                                                        bad, named, workers):
+def test_a_bad_byte_or_an_overlong_field_names_its_line(tmp_path, load, header, bad, named):
     # row 30 of 40 (line 32) holds a byte that is not UTF-8, or a field past
-    # csv's size limit: a FormatError naming that line, whether the file is
-    # read in this process or in blocks of ~64 B by forked workers
+    # csv's size limit: a FormatError naming that line
     split = b",query" if b"split" in header else b""
     rows = [b"%d%s,1.0" % (c, split) for c in range(40)]
     rows[30] = b"30%s,%s" % (split, bad)
     path = tmp_path / "bad.csv"
     path.write_bytes(b"\n".join([header, *rows]) + b"\n")
-    if workers > 1:
-        monkeypatch.setattr(io, "BLOCK_BYTES", 256)
-        monkeypatch.setattr(pool_mod, "cpus", lambda: workers)
-        assert len(io._line_blocks(path)) > 2
     with pytest.raises(FormatError, match=f"^{re.escape(f'{path}:32: {named}')}$"):
         load(path)
 
