@@ -4,13 +4,17 @@ One evaluation reports every term's value and the exact gradient with
 respect to the trainable weight rows. The total is a minimization objective:
 negative mean log-likelihood plus the scaled penalties.
 
-``ObjectiveStack.evaluate`` is the one implementation. It evaluates a stack
-of E same-shaped sessions at once, so many small episodes cost one call; each
-penalty's sum of products is one ``einsum`` pass, and the gradient is built in
-place. ``Objective`` is one session's training problem: it checks the
-session's objective and holds its arrays, the start rows laid out and the
-data's label rows. ``ObjectiveStack.of`` is the one way to stack problems,
-for ``trainer.fine_tune_stack`` and for ``Objective.evaluate_dense``.
+``ObjectiveStack`` is the one implementation. It works on a stack of E
+same-shaped sessions at once, so many small episodes cost one call; each
+penalty's sum of products is one ``einsum`` pass. Its ``step`` is one SGD
+step, taken in place: every penalty is quadratic, so the step scales the rows,
+adds a constant and subtracts the data gradient, with the learning rate and
+the penalty weights folded into per-stack constants, and no gradient is
+formed. ``evaluate`` returns the gradient, assembled from the same pieces.
+``Objective`` is one session's training problem: it checks the session's
+objective and holds its arrays, the start rows laid out and the data's label
+rows. ``ObjectiveStack.of`` is the one way to stack problems, for
+``trainer.fine_tune_stack`` and for ``Objective.evaluate_dense``.
 
 The rows are held in coordinates. In weight coordinates they are the (C, d)
 weights. In span coordinates a row is its coefficients on an orthonormal basis
@@ -77,13 +81,14 @@ def semantic_targets(novel_embeddings: Mapping[int, np.ndarray],
 
 
 class ObjectiveTerms:
-    """Loss decomposition and total gradient for one evaluation.
+    """Loss decomposition for one evaluation or step, and an evaluation's
+    total gradient.
 
     ``total`` = data_loss + alpha * r_prior + r_old + gamma * r_new, where
     r_old already carries its beta weights and r_new is raw. For a stack the
     terms are (E,) arrays and the gradient is (E, C, q) in the stack's
     coordinates; for one session they are floats and the gradient is (C, d),
-    rows in the objective's layout.
+    rows in the objective's layout. A step's terms carry no gradient (None).
     """
 
     __slots__ = ("data_loss", "r_prior", "r_old", "r_new", "total", "gradient_matrix")
@@ -108,7 +113,7 @@ class ObjectiveStack:
     span coordinates, its coefficients on Q). With neither, r_new is 0. Both
     groups are plain slices of every member, whatever its class ids. Every
     product is a per-member ``matmul`` and every sum runs over one member's own
-    entries, so a member's terms and gradient do not depend on the other
+    entries, so a member's terms, gradient and step do not depend on the other
     members of the stack.
 
     Without a ``metric`` the coordinates are the weights themselves (q = d):
@@ -120,10 +125,22 @@ class ObjectiveStack:
     ``metric`` (E, C, 2, 2) is each row's Gram of (u, v), so a row's squared
     norm is |x_Q|² + (s, t) ``metric`` (s, t)ᵀ. The features lie in span Q and
     are given as their coefficients on Q, with s = t = 0, so a logit is the
-    same dot product in either coordinates.
+    same dot product in either coordinates. A novel row's s and t stay 0:
+    every part of its gradient (features, targets, P) has zero s, t entries.
+
+    Every penalty is quadratic, so its gradient is linear in the rows: row by
+    row, rate · x − bias, less 2γ (x P) Pᵀ on the novel rows of a subspace
+    pull. The rate is 2α, plus 2β on an old row or 2γ on a pulled novel row;
+    the bias is 2β times the anchor on an old row, 2γ times the target on a
+    target row. An SGD step x ← x − lr · gradient is therefore
+    x ← keep ⊙ x + shift (+ 2 lr γ (x P) Pᵀ) − (lr / n) · (p − y)ᵀ F, with
+    keep = 1 − lr · rate and shift = lr · bias: (E, C, q) arrays built at a
+    stack's first ``step`` and sliced by ``take``. ``evaluate`` assembles the
+    gradient from the same rates and biases at lr = 1.
     """
 
-    __slots__ = ("config", "n_old", "anchors", "betas", "projection", "targets", "metric")
+    __slots__ = ("config", "n_old", "anchors", "betas", "projection", "targets", "metric",
+                 "keep", "shift")
 
     def __init__(self, config: RunConfig, anchors: np.ndarray, betas: np.ndarray,
                  projection: np.ndarray | None = None, targets: np.ndarray | None = None,
@@ -135,6 +152,7 @@ class ObjectiveStack:
         self.projection = projection  # (E, q, rank) or None
         self.targets = targets        # (E, C - n_old, q) or None
         self.metric = metric
+        self.keep = self.shift = None  # (E, C, q), built by the first step
 
     @classmethod
     def of(cls, objectives: Sequence["Objective"]) -> "ObjectiveStack":
@@ -161,8 +179,10 @@ class ObjectiveStack:
     def take(self, members) -> "ObjectiveStack":
         """The sub-stack of the given members (an index or boolean mask)."""
         pick = lambda a: None if a is None else a[members]  # noqa: E731
-        return ObjectiveStack(self.config, self.anchors[members], self.betas[members],
-                              pick(self.projection), pick(self.targets), pick(self.metric))
+        sub = ObjectiveStack(self.config, self.anchors[members], self.betas[members],
+                             pick(self.projection), pick(self.targets), pick(self.metric))
+        sub.keep, sub.shift = pick(self.keep), pick(self.shift)
+        return sub
 
     def _image(self, v: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
         """The image of coordinates ``v`` (E, R, q), of the given rows, under
@@ -174,9 +194,31 @@ class ObjectiveStack:
         image[..., -2:] = np.einsum("erij,erj->eri", self.metric[:, rows], v[..., -2:])
         return image
 
-    def evaluate(self, m: np.ndarray, feats: np.ndarray, label_pos: np.ndarray) -> ObjectiveTerms:
-        """Terms and gradients of every member: coordinates ``m`` (E, C, q),
-        feature coordinates (E, n, q) and label row positions (E, n)."""
+    def _penalty_rows(self, shape: tuple[int, int, int], scale: float):
+        """``scale`` times the penalties' gradient rates (E, C, 1) and biases
+        (E, C, q), for coordinates of the given shape; the bias is None where
+        every row's is zero."""
+        cfg = self.config
+        n_members, n_rows, q = shape
+        k = self.n_old
+        pulled = self.projection is not None or self.targets is not None
+        rate = np.full((n_members, n_rows, 1),
+                       2.0 * cfg.alpha + (2.0 * cfg.gamma if pulled else 0.0))
+        rate[:, :k, 0] = 2.0 * cfg.alpha + 2.0 * self.betas
+        rate *= scale
+        if not k and self.targets is None:
+            return rate, None
+        bias = np.zeros(shape)
+        if k:
+            bias[:, :k] = (scale * 2.0 * self.betas)[:, :, None] * self.anchors
+        if self.targets is not None:
+            bias[:, k:] = (scale * 2.0 * cfg.gamma) * self.targets
+        return rate, bias
+
+    def _forward(self, m: np.ndarray, feats: np.ndarray, label_pos: np.ndarray):
+        """Every member's terms at ``m`` (without a gradient), its softmax
+        residual p − y (E, n, C), and the projections (x P) Pᵀ of its novel
+        rows, or None without a subspace pull of nonzero weight."""
         cfg = self.config
         n_members, n = label_pos.shape
 
@@ -191,40 +233,73 @@ class ObjectiveStack:
         data_loss = (np.log(z) - picked.reshape(n_members, n)).sum(axis=1) / n
         p /= z[:, :, None]
         p.ravel()[label] -= 1.0
-        grad = p.transpose(0, 2, 1) @ feats
-        grad /= n
 
         rp = np.einsum("ecq,ecq->e", self._image(m), m)
-        if cfg.alpha != 0.0:
-            grad += (2.0 * cfg.alpha) * m
         # total = data_loss + alpha * rp + ro + gamma * rn, in that order; an
         # absent term adds an exact zero, so it is left out.
         total = data_loss + cfg.alpha * rp
         ro = rn = np.zeros(n_members)
         k = self.n_old
+        pull = None
 
         if k:
             diff = m[:, :k] - self.anchors
             sq = np.einsum("ecq,ecq->ec", self._image(diff, slice(0, k)), diff)
             ro = (sq[:, None, :] @ self.betas[:, :, None])[:, 0, 0]
-            diff *= (2.0 * self.betas)[:, :, None]
-            grad[:, :k] += diff
             total += ro
 
         if m.shape[1] > k and (self.projection is not None or self.targets is not None):
             mn = m[:, k:]
             if self.projection is not None:
                 u = self.projection
-                resid = mn - (mn @ u) @ u.transpose(0, 2, 1)
+                pull = (mn @ u) @ u.transpose(0, 2, 1)
+                resid = mn - pull
             else:
                 resid = mn - self.targets
-            rn = np.einsum("ecq,ecq->e", self._image(resid, slice(k, None)), resid)
-            if cfg.gamma != 0.0:
-                resid *= 2.0 * cfg.gamma
-                grad[:, k:] += resid
+            # a novel row's metric is zero and its s, t entries are 0, so its
+            # squared norm is its plain sum of squares
+            rn = np.einsum("ecq,ecq->e", resid, resid)
             total += cfg.gamma * rn
+            if cfg.gamma == 0.0:
+                pull = None
 
-        return ObjectiveTerms(data_loss, rp, ro, rn, total, grad)
+        return ObjectiveTerms(data_loss, rp, ro, rn, total, None), p, pull
+
+    def step(self, m: np.ndarray, feats: np.ndarray, label_pos: np.ndarray) -> ObjectiveTerms:
+        """One SGD step of every member, in place: coordinates ``m`` (E, C, q)
+        become m − lr · gradient over feature coordinates (E, n, q) and label
+        row positions (E, n). Returns the terms at ``m`` before the step,
+        without a gradient."""
+        terms, p, pull = self._forward(m, feats, label_pos)
+        lr = self.config.learning_rate
+        if self.keep is None:
+            rate, self.shift = self._penalty_rows(m.shape, lr)
+            self.keep = np.repeat(1.0 - rate, m.shape[2], axis=2)
+        p *= lr / label_pos.shape[1]
+        data = p.transpose(0, 2, 1) @ feats
+        m *= self.keep
+        if self.shift is not None:
+            m += self.shift
+        if pull is not None:
+            pull *= 2.0 * lr * self.config.gamma
+            m[:, self.n_old:] += pull
+        m -= data
+        return terms
+
+    def evaluate(self, m: np.ndarray, feats: np.ndarray, label_pos: np.ndarray) -> ObjectiveTerms:
+        """Terms and gradients of every member: coordinates ``m`` (E, C, q),
+        feature coordinates (E, n, q) and label row positions (E, n)."""
+        terms, p, pull = self._forward(m, feats, label_pos)
+        grad = p.transpose(0, 2, 1) @ feats
+        grad /= label_pos.shape[1]
+        rate, bias = self._penalty_rows(m.shape, 1.0)
+        grad += rate * m
+        if bias is not None:
+            grad -= bias
+        if pull is not None:
+            grad[:, self.n_old:] -= (2.0 * self.config.gamma) * pull
+        terms.gradient_matrix = grad
+        return terms
 
 
 class Objective:

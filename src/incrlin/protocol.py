@@ -108,9 +108,8 @@ def _count_confusion(golds: np.ndarray, preds: np.ndarray, order: Sequence[int])
     """Confusion counts of predictions; ``order`` is ascending and holds every
     gold and predicted class."""
     k = len(order)
-    counts = np.zeros((k, k), dtype=np.int64)
-    np.add.at(counts, (np.searchsorted(order, golds), np.searchsorted(order, preds)), 1)
-    return Confusion(tuple(order), counts)
+    cells = np.searchsorted(order, golds) * k + np.searchsorted(order, preds)
+    return Confusion(tuple(order), np.bincount(cells, minlength=k * k).reshape(k, k))
 
 
 def weighted_accuracy(acc_base: float, acc_novel: float | None,
@@ -156,11 +155,12 @@ def _evaluate_session(weights: WeightMatrix, query: Batch, registry: ClassRegist
         acc_novel = accuracy(golds[~base_mask], preds[~base_mask])
     acc_w = weighted_accuracy(acc_base, acc_novel, len(base), len(novel_classes))
 
-    per_class: dict[int, float] = {}
-    for c in active:
-        mask = golds == c
-        if mask.any():
-            per_class[c] = accuracy(golds[mask], preds[mask])
+    # hits and rows per class are integer counts, so hits / rows is the
+    # correctly rounded mean that ``accuracy`` takes
+    gold_pos = np.searchsorted(active, golds)
+    rows = np.bincount(gold_pos, minlength=len(active)).tolist()
+    hits = np.bincount(gold_pos[golds == preds], minlength=len(active)).tolist()
+    per_class = {c: 100.0 * (h / r) for c, h, r in zip(active, hits, rows) if r}
     conf = _count_confusion(golds, preds, active) if collect_confusion else None
     return SessionResult(session, acc_base, acc_novel, acc_w, per_class, conf, len(query))
 

@@ -4,13 +4,14 @@ its convergence rule, and base-class training.
 There is one epoch loop, and it runs on a stack of E same-shaped sessions
 (members): each member's rows, old rows before novel rows, as coordinates
 (E, C, q), its feature rows and its label row positions (E, n).
-Each SGD step is one ``ObjectiveStack.evaluate`` call, whose products are
-batched ``matmul`` over the stack. Every member draws its mini-batch
-shuffles from its own generator and keeps its own stall streak. It leaves
-the stack when it stalls, at ``max_epochs``, or at the end of the epoch in
-which its loss went non-finite (it has then diverged; it takes no step after
-the mini-batch whose loss was non-finite). A member's weights, stop epoch and
-final loss are bit-identical to training it alone.
+Each SGD step is one ``ObjectiveStack.step`` call, which updates the
+coordinates in place with batched ``matmul`` over the stack and forms no
+gradient. Every member draws its mini-batch shuffles from its own generator
+and keeps its own stall streak. It leaves the stack when it stalls, at
+``max_epochs``, or at the end of the epoch in which its loss went non-finite
+(it has then diverged; on shuffled mini-batches, its rows stay where the
+first block whose loss was non-finite found them). A member's weights, stop epoch and final loss are
+bit-identical to training it alone.
 
 Within a session, SGD keeps every row in a small fixed span: its start row,
 its anchor, the training rows, their projections onto the base span and the
@@ -98,7 +99,7 @@ def _sgd(w: np.ndarray, objective: ObjectiveStack, feats: np.ndarray, label_pos:
     coordinates are unusable and its report's ``final_loss`` is non-finite."""
     n_members, n = label_pos.shape
     config = objective.config
-    lr, tol = config.learning_rate, config.convergence_tolerance
+    tol = config.convergence_tolerance
     out = np.empty_like(w)
     reports: list[TrainReport | None] = [None] * n_members
     prev: list[float | None] = [None] * n_members
@@ -110,22 +111,23 @@ def _sgd(w: np.ndarray, objective: ObjectiveStack, feats: np.ndarray, label_pos:
         if order is not None:
             members = np.arange(len(live))[:, None]
             ep_feats, ep_labels = feats[members, order], label_pos[members, order]
+        before = None if order is None else np.empty_like(w)
         loss_sum = 0.0
         for start in range(0, n, MINI_BATCH):
             block = slice(start, start + MINI_BATCH)
-            terms = objective.evaluate(w, ep_feats[:, block], ep_labels[:, block])
+            if before is not None:
+                np.copyto(before, w)
+            terms = objective.step(w, ep_feats[:, block], ep_labels[:, block])
             loss_sum = loss_sum + terms.total * min(MINI_BATCH, n - start)
-            step = terms.gradient_matrix
-            step *= lr
             # With several blocks per epoch, a member whose loss went
             # non-finite (the sum over members then is too) takes no further
-            # steps; it leaves at the end of the epoch.
-            if order is not None and not math.isfinite(sum(loss_sum.tolist())):
+            # steps, this block's included: its rows go back to where the
+            # block found them. It leaves at the end of the epoch.
+            if before is not None and not math.isfinite(sum(loss_sum.tolist())):
                 bad = ~np.isfinite(loss_sum)
+                w[bad] = before[bad]
                 if bad.all():
                     break
-                step[bad] = 0.0
-            w -= step
 
         keep = []
         for j, (e, loss) in enumerate(zip(live, (loss_sum / n).tolist())):

@@ -549,3 +549,26 @@ def test_stack_rejects_members_of_another_layout():
     for first, other in ((obj, wider), (obj, finetune), (finetune, three_way)):
         with pytest.raises(ValidationError):
             ObjectiveStack.of([first, other])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stack_members())
+def test_stack_step_bit_identical_to_each_members_solo_step(members):
+    # two steps: the whole stack's, then each member's alone from the
+    # sub-stack ``take`` slices, with the constants the first step built
+    stack = ObjectiveStack.of([obj for obj, _ in members])
+    m = np.stack([w.matrix for _, w in members])
+    terms = stack.step(m, np.stack([obj.features for obj, _ in members]),
+                       np.stack([obj.label_pos for obj, _ in members]))
+    assert terms.gradient_matrix is None
+    for e, (obj, weights) in enumerate(members):
+        solo_stack, solo_m = ObjectiveStack.of([obj]), weights.matrix[None].copy()
+        solo = solo_stack.step(solo_m, obj.features[None], obj.label_pos[None])
+        for name in ("data_loss", "r_prior", "r_old", "r_new", "total"):
+            assert getattr(terms, name)[e] == getattr(solo, name)[0]
+        assert m[e].tobytes() == solo_m[0].tobytes()
+        sub_m = m[e:e + 1].copy()
+        sub = stack.take([e]).step(sub_m, obj.features[None], obj.label_pos[None])
+        again = solo_stack.step(solo_m, obj.features[None], obj.label_pos[None])
+        assert sub.total[0] == again.total[0]
+        assert sub_m.tobytes() == solo_m.tobytes()

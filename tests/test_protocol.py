@@ -576,13 +576,13 @@ def test_run_single_session_does_not_depend_on_chunk_size(monkeypatch, kind, min
         monkeypatch.setattr(trainer_mod, "MINI_BATCH", mini_batch)
     monkeypatch.setattr(trainer_mod, "use_span", lambda width, dimension: span)
     bodies = set()  # the coordinates of every step taken in this process
-    evaluate = ObjectiveStack.evaluate
+    step = ObjectiveStack.step
 
     def spy(self, *args):
         bodies.add(self.metric is not None)
-        return evaluate(self, *args)
+        return step(self, *args)
 
-    monkeypatch.setattr(ObjectiveStack, "evaluate", spy)
+    monkeypatch.setattr(ObjectiveStack, "step", spy)
     monkeypatch.setattr(protocol_mod, "sample_episode", _diverging_at(3, cfg.rng_seed))
 
     def run(chunk, workers):
@@ -820,6 +820,33 @@ def test_session_confusion_matches_public_confusion_matrix():
             direct[active.index(gold), active.index(pred)] += 1
         assert r.confusion.class_ids == active
         np.testing.assert_array_equal(r.confusion.counts, direct)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_session_scores_match_a_loop_over_classes(seed):
+    # random weights and query labels over 12 active classes, one of which
+    # (class 9) has no query row: the per-class accuracies and the confusion
+    # counts, bit for bit, against one mask per class and one count per row
+    rng = np.random.default_rng(seed)
+    registry = ClassRegistry([range(8), range(8, 12)])
+    active = registry.classes_up_to(1)
+    weights = WeightMatrix(active, rng.standard_normal((12, 6)))
+    golds = rng.choice([c for c in active if c != 9], size=200)
+    query = Batch(rng.standard_normal((200, 6)), golds)
+    result = protocol_mod._evaluate_session(weights, query, registry, 1, True)
+
+    preds = predict(weights, query.features, active)
+    per_class, counts = {}, np.zeros((12, 12), dtype=np.int64)
+    for c in active:
+        mask = golds == c
+        if mask.any():
+            per_class[c] = 100.0 * float(np.mean(golds[mask] == preds[mask]))
+    for gold, pred in zip(golds, preds):
+        counts[active.index(gold), active.index(pred)] += 1
+    assert 9 not in result.per_class_accuracy
+    assert list(result.per_class_accuracy.items()) == list(per_class.items())
+    assert result.confusion.counts.dtype == np.int64
+    np.testing.assert_array_equal(result.confusion.counts, counts)
 
 
 def test_run_single_session_semantic_and_linmap():

@@ -198,14 +198,14 @@ def test_smoothed_epoch_loss_non_increasing_on_fixture(monkeypatch):
     cfg = RunConfig(regularizer_kind="finetune", alpha=1e-3, learning_rate=0.05,
                     max_epochs=300, rng_seed=0)
     blocks = []
-    evaluate = ObjectiveStack.evaluate
+    step = ObjectiveStack.step
 
     def spy(self, m, feats, label_pos):
-        terms = evaluate(self, m, feats, label_pos)
+        terms = step(self, m, feats, label_pos)
         blocks.append((float(terms.total[0]), label_pos.shape[1]))
         return terms
 
-    monkeypatch.setattr(ObjectiveStack, "evaluate", spy)
+    monkeypatch.setattr(ObjectiveStack, "step", spy)
     _, report = train_base(data.store, data.store.classes, cfg)
     n = len(data.store.support_examples(data.store.classes))
     per_epoch = -(-n // MINI_BATCH)
@@ -319,13 +319,13 @@ def test_sgd_steps_on_mini_batches_that_cover_each_epoch(monkeypatch, n_members)
     # no member stops early
     objectives = [_stack_problem(n=n, seed=s, max_epochs=epochs) for s in (3, 4)[:n_members]]
     calls = []
-    evaluate = ObjectiveStack.evaluate
+    step = ObjectiveStack.step
 
     def spy(self, m, feats, label_pos):
         calls.append((feats.copy(), label_pos.copy()))
-        return evaluate(self, m, feats, label_pos)
+        return step(self, m, feats, label_pos)
 
-    monkeypatch.setattr(ObjectiveStack, "evaluate", spy)
+    monkeypatch.setattr(ObjectiveStack, "step", spy)
     rngs = [np.random.default_rng(10 + i) for i in range(n_members)]
     fine_tune_stack(objectives, rngs)
     sizes = [lab.shape[1] for _, lab in calls]
@@ -356,13 +356,13 @@ def test_divergence_on_shuffled_blocks_stops_stepping_at_the_first_bad_block(mon
     obj = _stack_problem(n=200)  # four blocks per epoch
     scaled = _stack_problem(n=200, data_scale=1e155)  # its second block overflows
     seen = []
-    evaluate = ObjectiveStack.evaluate
+    step = ObjectiveStack.step
 
     def spy(self, m, feats, label_pos):
         seen.append(m.copy())
-        return evaluate(self, m, feats, label_pos)
+        return step(self, m, feats, label_pos)
 
-    monkeypatch.setattr(ObjectiveStack, "evaluate", spy)
+    monkeypatch.setattr(ObjectiveStack, "step", spy)
     with pytest.raises(DivergenceError, match="epoch 1"):
         _solo(scaled, np.random.default_rng(0))
     assert len(seen) == 2  # a stack of one stops at its first non-finite block
@@ -429,13 +429,13 @@ def _both_bodies(monkeypatch, run):
     """``run()`` with the selection rule forced to weight coordinates, then to
     span coordinates; each run must step in the coordinates it was sent to."""
     results, spans = [], []
-    evaluate = ObjectiveStack.evaluate
+    step = ObjectiveStack.step
 
     def spy(self, m, feats, label_pos):
         spans.append(self.metric is not None)
-        return evaluate(self, m, feats, label_pos)
+        return step(self, m, feats, label_pos)
 
-    monkeypatch.setattr(ObjectiveStack, "evaluate", spy)
+    monkeypatch.setattr(ObjectiveStack, "step", spy)
     for span in (False, True):
         monkeypatch.setattr(trainer_mod, "use_span", lambda width, dimension: span)
         spans.clear()
@@ -579,9 +579,12 @@ def test_one_pass_loss_terms_match_two_pass_sums(monkeypatch, kind, span):
     coords, x, rows, to_weights = trainer_mod._coordinates(stack, m, feats)
     assert (coords.metric is not None) == span
     x = x + 0.1 * np.random.default_rng(0).standard_normal(x.shape)
+    k = stack.n_old
+    if span:  # a novel row's s, t stay 0 wherever SGD takes it (see below)
+        x[:, k:, -2:] = 0.0
     terms = coords.evaluate(x, rows, label_pos)
 
-    w, k = to_weights(x), stack.n_old
+    w = to_weights(x)
     logits = feats @ w.transpose(0, 2, 1)
     top = logits.max(axis=2, keepdims=True)
     log_z = np.log(np.exp(logits - top).sum(axis=2)) + top[..., 0]
@@ -601,6 +604,59 @@ def test_one_pass_loss_terms_match_two_pass_sums(monkeypatch, kind, span):
     for name, want in expected.items():
         np.testing.assert_allclose(getattr(terms, name), want, rtol=1e-13, atol=0, err_msg=name)
     assert (expected["r_new"] > 0).all() == (kind != "finetune")
+
+
+@pytest.mark.parametrize("span", [False, True])
+@pytest.mark.parametrize("kind", _KINDS)
+def test_one_step_is_a_step_along_the_gradient(monkeypatch, kind, span):
+    # one in-place step of a three-member stack, in either coordinates, lands
+    # within rounding of m - lr * gradient, and reports the terms at m
+    n = 20
+    d = 4 * span_width(n, 2, kind == "subspace", kind in FIXED_TARGET_KINDS)
+    objectives = [_stack_problem(n=n, seed=s, kind=kind, d=d) for s in (3, 4, 5)]
+    monkeypatch.setattr(trainer_mod, "use_span", lambda width, dimension: span)
+    stack = ObjectiveStack.of(objectives)
+    m = np.stack([obj.start for obj in objectives])
+    feats = np.stack([obj.features for obj in objectives])
+    label_pos = np.stack([obj.label_pos for obj in objectives])
+    coords, x, rows, _ = trainer_mod._coordinates(stack, m, feats)
+    assert (coords.metric is not None) == span
+    x = x + 0.1 * np.random.default_rng(0).standard_normal(x.shape)  # old rows off their anchors
+    if span:
+        x[:, stack.n_old:, -2:] = 0.0
+    terms = coords.evaluate(x, rows, label_pos)
+    stepped = x.copy()
+    step_terms = coords.step(stepped, rows, label_pos)
+
+    for name in ("data_loss", "r_prior", "r_old", "r_new", "total"):
+        np.testing.assert_array_equal(getattr(step_terms, name), getattr(terms, name))
+    want = x - stack.config.learning_rate * terms.gradient_matrix
+    assert np.abs(stepped - x).max() > 1e-3
+    assert np.abs(stepped - want).max() <= 1e-15 * np.abs(x).max()
+
+
+@pytest.mark.parametrize("memory", [False, True])
+@pytest.mark.parametrize("kind", ["subspace", "semantic", "linmap"])
+def test_novel_rows_keep_zero_outside_parts_in_span_coordinates(monkeypatch, kind, memory):
+    # a novel row's s and t start at 0, and every part of its step (features,
+    # targets, P) has zero s, t entries, so they stay exactly 0; its metric
+    # rows are 0 too, so r_new is the plain sum of squares of its coordinates
+    run, _ = _three_sessions(monkeypatch, kind, memory)
+    monkeypatch.setattr(trainer_mod, "use_span", lambda width, dimension: True)
+    step, outside = ObjectiveStack.step, []
+
+    def spy(self, m, feats, label_pos):
+        k = self.n_old
+        assert self.metric is not None and not self.metric[:, k:].any()
+        assert not feats[..., -2:].any()
+        terms = step(self, m, feats, label_pos)
+        outside.append(m[:, k:, -2:].copy())
+        return terms
+
+    monkeypatch.setattr(ObjectiveStack, "step", spy)
+    run()
+    assert len(outside) > 100
+    assert not np.concatenate([o.ravel() for o in outside]).any()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
