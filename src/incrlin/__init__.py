@@ -18,7 +18,7 @@ from .datamodel import (
     update_memory,
 )
 from .errors import EngineError
-from .linalg import fit_least_squares, orthonormal_basis, project
+from .linalg import fit_least_squares, orthonormal_basis
 from .objectives import Objective, ObjectiveTerms, semantic_targets
 from .protocol import (
     Episode,
@@ -40,7 +40,7 @@ __all__ = [
     "Batch", "ClassRegistry", "EmbeddingTable", "FeatureStore", "LinearMap",
     "OrthonormalBasis", "RunConfig", "SessionStream",
     "WeightMatrix", "update_memory", "EngineError",
-    "fit_least_squares", "orthonormal_basis", "project",
+    "fit_least_squares", "orthonormal_basis",
     "Objective", "ObjectiveTerms", "semantic_targets",
     "Episode", "EpisodeResult", "SessionResult", "SingleSessionResult",
     "delta_metric", "predict",

@@ -396,10 +396,6 @@ class OrthonormalBasis:
     def dimension(self) -> int:
         return self._p.shape[0]
 
-    @property
-    def rank(self) -> int:
-        return self._p.shape[1]
-
 
 class EmbeddingTable:
     """Per-class semantic vectors (of the class labels or descriptions)."""

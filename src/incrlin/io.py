@@ -13,18 +13,21 @@ then ``repr`` of each value, with CRLF line ends. A file of at most
 ``BLOCK_BYTES`` of rows is written in this process; a larger one is cut into
 even blocks (``_block_count``) that ``pool.fork_map`` formats, one forked
 worker per CPU, and the blocks' text is written in order, so the bytes do not
-depend on the number of workers. ``_read_csv`` checks the header, then reads
-the rows with ``np.loadtxt`` in this process and checks them: finite values,
-then the loader's own check (the feature loader's split names, the vector
-loader's repeated classes). Where numpy fails, reads no row, or a check fails,
-``_read_streamed`` reads the file again line by line through ``csv.reader``,
-``int`` and ``float``, skipping blank lines; that reading defines the format.
-It names the first fault by its line, the loader's fault before a codec fault
-later in the file; or, where numpy only rejected what it allows (a quoted
-field, ``1_000``), its rows are the result. numpy is given no line that it
-would read and the streamed reader would not (``_loadtxt_lines``), so both
-read a file to the same rows, bit for bit. The feature loader hands its table
-to ``FeatureStore.from_rows``.
+depend on the number of workers. ``_read_csv`` opens a CSV once, with a
+``surrogateescape`` decoder, and checks the header: its label columns, then
+any byte that is not UTF-8, named at line 1. It reads the rows with
+``np.loadtxt`` in this process and checks them: finite values, then the
+loader's own check (the feature loader's split names, the vector loader's
+repeated classes). Where numpy fails, reads no row, or a check fails, it
+seeks back to the start and ``_parse_rows`` reads the same handle line by
+line through ``csv.reader``, ``int`` and ``float``, skipping blank lines;
+that reading defines the format. It names the first fault by its line, the
+loader's fault before a codec fault later in the file; a record's byte that
+is not UTF-8 is named before the record's other faults. Or, where numpy only
+rejected what it allows (a quoted field, ``1_000``), its rows are the result.
+numpy is given no line that it would read and ``_parse_rows`` would not
+(``_loadtxt_lines``), so both read a file to the same rows, bit for bit. The
+feature loader hands its table to ``FeatureStore.from_rows``.
 
 The binary loader checks the header and the file size before it allocates,
 reads the labels block by block into one reused record buffer, then re-reads
@@ -40,7 +43,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import io as stdio
 import json
 import os
 import struct
@@ -138,12 +140,24 @@ def _loadtxt_lines(fh):
         yield line
 
 
+def _bad_byte(fields) -> int | None:
+    """The first byte of ``fields`` that is not UTF-8, which the reader's
+    ``surrogateescape`` decoder hands out as a lone surrogate, or None."""
+    try:
+        ",".join(fields).encode("utf-8")
+    except UnicodeEncodeError as err:  # byte b is escaped as U+DC00 + b
+        return ord(err.object[err.start]) - 0xDC00
+    return None
+
+
 def _parse_rows(text, width: int, n_fields: int):
     """The data rows of the CSV lines of ``text``, a header first, whose header
     has ``n_fields`` fields, the first ``width`` of them labels: their lines
     (from 1 at the start of ``text``), class ids (int64), other label fields
     ((rows, width - 1) str) and (rows, values) float64 matrix, and the first
-    fault as (line, message) or None. The rows end before the fault."""
+    fault as (line, message) or None. A record's byte that is not UTF-8 is
+    its first fault, named at the record's last line. The rows end before the
+    fault."""
     lines, ids, labels, rows, fault = [], [], [], [], None
     reader = csv.reader(text)
     try:
@@ -152,6 +166,9 @@ def _parse_rows(text, width: int, n_fields: int):
             if not rec:
                 continue
             line = reader.line_num
+            if (byte := _bad_byte(rec)) is not None:
+                fault = (line, f"byte 0x{byte:02x} is not UTF-8")
+                break
             if len(rec) != n_fields:
                 fault = (line, f"expected {n_fields} fields, got {len(rec)}")
                 break
@@ -177,50 +194,17 @@ def _parse_rows(text, width: int, n_fields: int):
             np.array(rows).reshape(n, n_fields - width), fault)
 
 
-def _read_streamed(path: Path, width: int, n_fields: int, check):
-    """The rows of ``path`` as ``_read_csv`` returns them, read line by line
-    by ``_parse_rows``, which defines the format; or the ``FormatError`` of the
-    first fault, naming its line. The loader's ``check`` sees the rows before
-    a codec fault, so its own fault comes first."""
-    with path.open(encoding="utf-8", newline="") as fh:
-        try:
-            *rows, fault = _parse_rows(fh, width, n_fields)
-        except UnicodeDecodeError:
-            rows = None
-    if rows is None:
-        # The text reader decodes ahead of the rows it hands out: find the
-        # first byte that is not UTF-8 and parse the lines before its own.
-        data = path.read_bytes()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as err:
-            head = data[:err.start]
-        own = max(head.rfind(b"\n"), head.rfind(b"\r")) + 1  # where the byte's line starts
-        *rows, fault = _parse_rows(stdio.StringIO(head[:own].decode("utf-8"), newline=""),
-                                   width, n_fields)
-        # its line, counting line ends as the text reader does: LF, CRLF or a lone CR
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        fault = fault or (line, f"byte 0x{data[len(head)]:02x} is not UTF-8")
-    lines, ids, labels, values = rows
-    bad = check(ids, labels)
-    if bad is not None:
-        raise FormatError(f"{path}:{lines[bad[0]]}: {bad[1]}")
-    if fault is not None:
-        raise FormatError(f"{path}:{fault[0]}: {fault[1]}")
-    if not lines:
-        raise FormatError(f"{path}: no data rows")
-    return ids, labels, values
-
-
 def _read_csv(path: Path, label_columns: tuple[str, ...], prefix: str, check):
     """The data rows of a CSV headed ``label_columns`` and at least one value
     column, as class ids (int64), other label fields ((rows, labels - 1) str)
     and values, a finite float64 (rows, d) matrix. The loader's
     ``check(ids, labels)`` gives its first bad row as (row, message), or None.
     ``np.loadtxt`` reads the rows in this process; a file it fails on, reads
-    no row from, or whose rows fail a check is read again by
-    ``_read_streamed``, which names the fault or reads the rows."""
-    # A byte that is not UTF-8 is named by the streamed reader, not here.
+    no row from, or whose rows fail a check is read again, through the same
+    handle, by ``_parse_rows``, which names the fault or reads the rows. The
+    loader's ``check`` sees the rows before a codec fault, so its own fault
+    comes first."""
+    # A byte that is not UTF-8 reaches both parsers as a lone surrogate.
     with path.open(encoding="utf-8", errors="surrogateescape", newline="") as fh:
         try:
             header = next(csv.reader(fh), None)
@@ -229,6 +213,8 @@ def _read_csv(path: Path, label_columns: tuple[str, ...], prefix: str, check):
         width = len(label_columns)
         if not header or tuple(header[:width]) != label_columns or len(header) == width:
             raise FormatError(f"{path}: expected header '{','.join(label_columns)},{prefix}0,...'")
+        if (byte := _bad_byte(header)) is not None:
+            raise FormatError(f"{path}:1: byte 0x{byte:02x} is not UTF-8")
         # U8 holds every split name and truncates no longer label to one.
         dtype = [("id", "i8"), ("labels", "U8", (width - 1,)),
                  ("x", "f8", (len(header) - width,))]
@@ -245,11 +231,20 @@ def _read_csv(path: Path, label_columns: tuple[str, ...], prefix: str, check):
                     blocks.append(block)
         except ValueError:
             blocks = []
-    if blocks:
-        ids, labels, values = (np.concatenate([b[f] for b in blocks]) for f in ("id", "labels", "x"))
-        if np.isfinite(values).all() and check(ids, labels) is None:
-            return ids, labels, values
-    return _read_streamed(path, width, len(header), check)
+        if blocks:
+            ids, labels, values = (np.concatenate([b[f] for b in blocks]) for f in ("id", "labels", "x"))
+            if np.isfinite(values).all() and check(ids, labels) is None:
+                return ids, labels, values
+        fh.seek(0)
+        lines, ids, labels, values, fault = _parse_rows(fh, width, len(header))
+    bad = check(ids, labels)
+    if bad is not None:
+        raise FormatError(f"{path}:{lines[bad[0]]}: {bad[1]}")
+    if fault is not None:
+        raise FormatError(f"{path}:{fault[0]}: {fault[1]}")
+    if not lines:
+        raise FormatError(f"{path}: no data rows")
+    return ids, labels, values
 
 
 # --- feature stores --------------------------------------------------------

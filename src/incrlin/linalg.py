@@ -1,5 +1,5 @@
-"""Dense linear algebra: orthonormal bases via Householder QR, projections,
-and ridge least squares for the embedding-to-weight map."""
+"""Dense linear algebra: orthonormal bases via Householder QR, and ridge
+least squares for the embedding-to-weight map."""
 from __future__ import annotations
 
 from collections.abc import Sequence
@@ -65,16 +65,6 @@ def orthonormal_basis(vectors: Sequence[np.ndarray]) -> OrthonormalBasis:
         if flip:
             q[:, i] *= -1.0
     return OrthonormalBasis(q)
-
-
-def project(v: np.ndarray, basis: OrthonormalBasis) -> np.ndarray:
-    """Orthogonal projection of v onto span(P): the nearest point P P^T v."""
-    vec = np.asarray(v, dtype=np.float64)
-    if vec.ndim != 1 or vec.shape[0] != basis.dimension:
-        raise DimensionMismatchError(
-            f"vector shape {vec.shape} does not match basis dimension {basis.dimension}")
-    p = basis.matrix
-    return p @ (p.T @ vec)
 
 
 def fit_least_squares(embeddings: Sequence[np.ndarray], targets: Sequence[np.ndarray],

@@ -14,14 +14,13 @@ from .errors import ValidationError
 class SynthSpec:
     """Shape of a synthetic dataset.
 
-    Class means are drawn uniformly on the sphere of radius ``mean_scale``;
+    Class means are drawn uniformly on the unit sphere;
     examples are isotropic Gaussians around them. Each class's embedding is
     its mean, so semantic similarity mirrors feature geometry.
     """
 
     n_classes: int
     dimension: int
-    mean_scale: float = 1.0
     within_class_stddev: float = 0.3
     support_per_class: int = 25
     query_per_class: int = 25
@@ -51,7 +50,7 @@ def generate(spec: SynthSpec) -> SynthData:
     """
     rng = np.random.default_rng(spec.rng_seed)
     g = rng.standard_normal((spec.n_classes, spec.dimension))
-    means = spec.mean_scale * g / np.linalg.norm(g, axis=1, keepdims=True)
+    means = g / np.linalg.norm(g, axis=1, keepdims=True)
 
     # The store's sorted matrix, filled class by class (support, then query
     # rows) in place with mean + stddev * z: each block is scaled while cached.

@@ -9,9 +9,9 @@ coordinates in place with batched ``matmul`` over the stack and forms no
 gradient. Every member draws its mini-batch shuffles from its own generator
 and keeps its own stall streak. It leaves the stack when it stalls, at
 ``max_epochs``, or at the end of the epoch in which its loss went non-finite
-(it has then diverged; on shuffled mini-batches, its rows stay where the
-first block whose loss was non-finite found them). A member's weights, stop epoch and final loss are
-bit-identical to training it alone.
+(it has then diverged): full batch or mini-batches, a diverged member steps
+to the end of that epoch like any other. A member's weights, stop epoch and
+final loss are bit-identical to training it alone.
 
 Within a session, SGD keeps every row in a small fixed span: its start row,
 its anchor, the training rows, their projections onto the base span and the
@@ -91,10 +91,11 @@ def _epoch_order(n: int, rngs: list[np.random.Generator]) -> np.ndarray | None:
 def _sgd(w: np.ndarray, objective: ObjectiveStack, feats: np.ndarray, label_pos: np.ndarray,
          rngs: list[np.random.Generator]) -> tuple[np.ndarray, list[TrainReport]]:
     """The epoch loop over a stack: coordinates (E, C, q), feature rows
-    (E, n, ·), label positions (E, n). Every member steps on its own blocks
-    and stops on its own stall streak, or at the end of the epoch in which its
-    loss went non-finite; stopped members leave the stack. The per-member bookkeeping
-    runs on Python floats, as cheap for a stack of one as a scalar loop.
+    (E, n, ·), label positions (E, n). Every member steps on every block of
+    an epoch and stops on its own stall streak, or at the end of the epoch in
+    which its loss went non-finite; stopped members leave the stack. The
+    per-member bookkeeping runs on Python floats, as cheap for a stack of one
+    as a scalar loop.
     Returns the final coordinates and one report each; a diverged member's
     coordinates are unusable and its report's ``final_loss`` is non-finite."""
     n_members, n = label_pos.shape
@@ -111,23 +112,11 @@ def _sgd(w: np.ndarray, objective: ObjectiveStack, feats: np.ndarray, label_pos:
         if order is not None:
             members = np.arange(len(live))[:, None]
             ep_feats, ep_labels = feats[members, order], label_pos[members, order]
-        before = None if order is None else np.empty_like(w)
         loss_sum = 0.0
         for start in range(0, n, MINI_BATCH):
             block = slice(start, start + MINI_BATCH)
-            if before is not None:
-                np.copyto(before, w)
             terms = objective.step(w, ep_feats[:, block], ep_labels[:, block])
             loss_sum = loss_sum + terms.total * min(MINI_BATCH, n - start)
-            # With several blocks per epoch, a member whose loss went
-            # non-finite (the sum over members then is too) takes no further
-            # steps, this block's included: its rows go back to where the
-            # block found them. It leaves at the end of the epoch.
-            if before is not None and not math.isfinite(sum(loss_sum.tolist())):
-                bad = ~np.isfinite(loss_sum)
-                w[bad] = before[bad]
-                if bad.all():
-                    break
 
         keep = []
         for j, (e, loss) in enumerate(zip(live, (loss_sum / n).tolist())):

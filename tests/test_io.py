@@ -547,8 +547,8 @@ def test_a_csv_reads_as_the_streamed_reader_reads_it(tmp_path, monkeypatch, text
     path = tmp_path / "t.csv"
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
     load = io.load_feature_store_csv if text.startswith(_F) else io.load_weights_csv
-    streamed, read_streamed = [], io._read_streamed
-    monkeypatch.setattr(io, "_read_streamed", lambda *a: streamed.append(a) or read_streamed(*a))
+    streamed, parse_rows = [], io._parse_rows
+    monkeypatch.setattr(io, "_parse_rows", lambda *a: streamed.append(a) or parse_rows(*a))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _read(load, path)
@@ -609,10 +609,12 @@ def test_a_loader_fault_before_a_codec_fault_is_named_first(tmp_path, text, name
 @pytest.mark.parametrize("bad, named", [
     (b"\xff1.0", "byte 0xff is not UTF-8"),
     (b"1" * 200_000, "field larger than field limit (131072)"),
-], ids=["bad-byte", "long-field"])
+    (b"\xff" + b"1" * 200_000, "field larger than field limit (131072)"),
+], ids=["bad-byte", "long-field", "bad-byte-in-a-long-field"])
 def test_a_bad_byte_or_an_overlong_field_names_its_line(tmp_path, load, header, bad, named):
     # row 30 of 40 (line 32) holds a byte that is not UTF-8, or a field past
-    # csv's size limit: a FormatError naming that line
+    # csv's size limit: a FormatError naming that line. A field past the
+    # limit fails the read of its line, so it is named before a bad byte in it.
     split = b",query" if b"split" in header else b""
     rows = [b"%d%s,1.0" % (c, split) for c in range(40)]
     rows[30] = b"30%s,%s" % (split, bad)
@@ -632,3 +634,49 @@ def test_a_fault_before_a_bad_byte_in_the_same_text_chunk_is_named_first(tmp_pat
     path.write_bytes(b"class_id,w0\n0,1.0\n1,2.0\r2,2.0\r\n3,\xfe\n")
     with pytest.raises(FormatError, match=re.escape(f"{path}:5: byte 0xfe is not UTF-8")):
         io.load_weights_csv(path)
+
+
+def test_a_bad_byte_in_a_quoted_line_end_is_named_at_its_record_s_last_line(tmp_path):
+    # as every other fault of a record that spans lines
+    path = tmp_path / "w.csv"
+    path.write_bytes(b'class_id,w0\n0,1.0\n9,"\xff\n3"\n')
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{path}:4: byte 0xff is not UTF-8')}$"):
+        io.load_weights_csv(path)
+
+
+@pytest.mark.parametrize("load, header", [(io.load_feature_store_csv, b"class_id,split,f0,f"),
+                                          (io.load_weights_csv, b"class_id,w0,w"),
+                                          (io.load_embeddings_csv, b"class_id,e0,e")])
+@pytest.mark.parametrize("line4", [b"2,1.0,2.0", b"2,x,2.0"], ids=["good-rows", "bad-row"])
+def test_a_bad_byte_in_the_header_is_named_at_line_1(tmp_path, load, header, line4):
+    # a bad byte in a value column's name is named at line 1, whether numpy
+    # reads the rows or line 4's fault sends the file to _parse_rows
+    split = b",query" if b"split" in header else b""
+    rows = [b"%d%s,1.0,2.0" % (c, split) for c in range(2)]
+    rows.append(line4.replace(b",", split + b",", 1))
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"\n".join([header + b"\xff1", *rows]) + b"\n")
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{path}:1: byte 0xff is not UTF-8')}$"):
+        load(path)
+    # a label column with a bad byte is a wrong header, as before
+    path.write_bytes(b"\n".join([b"class_id\xff" + header[8:] + b"1", *rows]) + b"\n")
+    with pytest.raises(FormatError, match="expected header"):
+        load(path)
+
+
+@pytest.mark.parametrize("text", [
+    b"class_id,w0\n0,1.0\n1,2.0\n",  # numpy reads it
+    b'class_id,w0\n0,1.0\n1,"2.0"\n',  # the line-by-line reader reads it
+    b"class_id,w0\n0,1.0\n1,x\n",  # a value fault
+    b"class_id,w0\n0,1.0\n1,\xff\n",  # a bad byte
+], ids=["numpy", "quoted", "value-fault", "bad-byte"])
+def test_a_csv_load_opens_its_file_once(tmp_path, monkeypatch, text):
+    path = tmp_path / "w.csv"
+    path.write_bytes(text)
+    opened, open_ = [], Path.open
+    monkeypatch.setattr(Path, "open", lambda self, *a, **k: opened.append(self) or open_(self, *a, **k))
+    try:
+        io.load_weights_csv(path)
+    except FormatError:
+        pass
+    assert opened == [path]

@@ -472,7 +472,7 @@ def test_regularizers_zero_exactly_at_anchor():
         w_at_anchor = WeightMatrix([0, 1, 2], base)
         assert _r_old([(0, 1, 2), ()], anchors, w_at_anchor, 0.4, 0.2)[1].r_old == 0.0
         basis = orthonormal_basis(list(base))
-        coeff = rng.standard_normal(basis.rank)
+        coeff = rng.standard_normal(basis.matrix.shape[1])
         in_span = basis.matrix @ coeff
         assert _r_new("subspace", [9], in_span[None, :], basis=basis)[1].r_new < 1e-20
         tgt = rng.standard_normal(d)

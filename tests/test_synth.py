@@ -35,7 +35,7 @@ def test_base_trainer_accuracy_on_reference_shape():
     # split. A nearest-mean classifier (the error-floor proxy for isotropic
     # Gaussian clusters) scores ~90% here, the trained bias-free linear
     # classifier lands at ~85%; the threshold is frozen from those runs.
-    spec = SynthSpec(n_classes=40, dimension=32, mean_scale=1.0,
+    spec = SynthSpec(n_classes=40, dimension=32,
                      within_class_stddev=0.3, support_per_class=30,
                      query_per_class=25, rng_seed=101)
     data = generate(spec)
