@@ -9,11 +9,11 @@ u32 record count, u32 dimension, then per record u32 class_id, u8 split tag
 class_id to {"label": str, "session": int >= 0}.
 
 The three CSVs share one codec. ``_write_csv`` writes each row's label fields,
-then ``repr`` of each value, with CRLF line ends. A file of at most
-``BLOCK_BYTES`` of rows is written in this process; a larger one is cut into
-even blocks (``_block_count``) that ``pool.fork_map`` formats, one forked
-worker per CPU, and the blocks' text is written in order, so the bytes do not
-depend on the number of workers. ``_read_csv`` opens a CSV once, with a
+then ``repr`` of each value, with CRLF line ends. ``pool.fork_map`` formats
+its rows: a file of at most ``BLOCK_BYTES`` of rows is one block, formatted in
+this process; a larger one is cut into even blocks (``_block_count``), one
+forked worker per CPU, and the blocks' text is written in order, so the bytes
+do not depend on the number of workers. ``_read_csv`` opens a CSV once, with a
 ``surrogateescape`` decoder, and checks the header: its label columns, then
 any byte that is not UTF-8, named at line 1. It reads the rows with
 ``np.loadtxt`` in this process and checks them: finite values, then the
@@ -90,34 +90,23 @@ def _block_count(n_bytes: int) -> int:
     return 1 if n_bytes <= BLOCK_BYTES else -(-4 * n_bytes // BLOCK_BYTES)
 
 
-def _write_rows(write, labels, rows) -> None:
-    """Per row, its label fields (a sequence each) and the ``repr`` of each
-    value, which reads back exactly, with a CRLF line end, to ``write``."""
-    for fields, row in zip(labels, rows):
-        write(",".join([*map(str, fields), *map(repr, row.tolist())]) + "\r\n")
-
-
 def _format_block(columns, rows, start: int, stop: int) -> str:
-    """The text of rows ``start:stop``, for a pool worker to hand back."""
-    text: list[str] = []
-    _write_rows(text.append, zip(*(c[start:stop] for c in columns)), rows[start:stop])
-    return "".join(text)
+    """The text of rows ``start:stop``: per row, its label fields and the
+    ``repr`` of each value, which reads back exactly, with a CRLF line end."""
+    labels = zip(*(c[start:stop] for c in columns))
+    return "".join(",".join([*map(str, fields), *map(repr, row.tolist())]) + "\r\n"
+                   for fields, row in zip(labels, rows[start:stop]))
 
 
 def _write_csv(path, header: list[str], columns, rows: np.ndarray) -> None:
     """A header line, then the rows, each led by its fields of the label
-    ``columns`` (a sequence each). The rows of one block go straight to the
-    file; those of more are formatted block by block by ``pool.fork_map`` and
-    written in order."""
+    ``columns`` (a sequence each), formatted block by block by
+    ``pool.fork_map`` (one block runs in this process) and written in order."""
     n, d = rows.shape
-    blocks = _block_count(n * d * _VALUE_BYTES)
+    step = max(1, -(-n // _block_count(n * d * _VALUE_BYTES)))
+    starts = range(0, n, step)
     with Path(path).open("w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        if blocks < 2:
-            _write_rows(fh.write, zip(*columns), rows)
-            return
-        step = -(-n // blocks)
-        starts = range(0, n, step)
         for text in pool.fork_map(functools.partial(_format_block, columns, rows),
                                   starts, [min(i + step, n) for i in starts]):
             fh.write(text)

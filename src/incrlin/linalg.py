@@ -1,5 +1,7 @@
-"""Dense linear algebra: orthonormal bases via Householder QR, and ridge
-least squares for the embedding-to-weight map."""
+"""Dense linear algebra, one LAPACK SVD per job: the orthonormal basis of a
+span, and the ridge least-squares map from embeddings to weights. The map's
+bias is unpenalised, so it is fit on centred data, and ``ridge=0`` gives the
+``ridge -> 0+`` limit: the minimum-norm matrix with a free bias."""
 from __future__ import annotations
 
 from collections.abc import Sequence
@@ -9,17 +11,15 @@ import numpy as np
 from .datamodel import LinearMap, OrthonormalBasis
 from .errors import DegenerateBasisError, DimensionMismatchError, ValidationError
 
-# Columns whose residual norm falls below RANK_RTOL times the largest input
-# norm are treated as linearly dependent and dropped.
+# Singular values below RANK_RTOL times the largest input norm count as zero:
+# the span has no direction for them.
 RANK_RTOL = 1e-10
 
 
 def orthonormal_basis(vectors: Sequence[np.ndarray]) -> OrthonormalBasis:
-    """Orthonormal basis of the span of the input vectors.
-
-    Householder QR at double precision; near-dependent inputs are dropped, so
-    rank-deficient input yields fewer columns than inputs. The sign convention
-    keeps already-orthonormal inputs unchanged.
+    """Orthonormal basis of the span of the input vectors: their left singular
+    vectors whose singular values are at least ``RANK_RTOL`` times the largest
+    input norm, so rank-deficient input yields fewer columns than inputs.
     """
     if len(vectors) == 0:
         raise DegenerateBasisError("no input vectors")
@@ -31,49 +31,23 @@ def orthonormal_basis(vectors: Sequence[np.ndarray]) -> OrthonormalBasis:
         raise DegenerateBasisError(f"inputs must be non-empty vectors, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValidationError("input vectors contain non-finite entries")
-    d, k = a.shape
     scale = np.linalg.norm(a, axis=0).max()
     if scale == 0.0:
         raise DegenerateBasisError("all input vectors are zero")
-    tol = RANK_RTOL * scale
-
-    r = a.copy()
-    reflectors: list[np.ndarray] = []  # reflectors[i] acts on rows i:
-    flips: list[bool] = []
-    kept = 0
-    for j in range(k):
-        if kept >= d:
-            break
-        x = r[kept:, j]
-        nx = np.linalg.norm(x)
-        if nx < tol:
-            continue  # dependent on the columns already kept
-        v = x.copy()
-        sign = 1.0 if x[0] >= 0 else -1.0
-        v[0] += sign * nx
-        v /= np.linalg.norm(v)
-        r[kept:, j:] -= 2.0 * np.outer(v, v @ r[kept:, j:])
-        reflectors.append(v)
-        flips.append(sign > 0)  # diagonal entry came out as -sign*nx
-        kept += 1
-
-    q = np.eye(d, kept)
-    for i in range(kept - 1, -1, -1):
-        v = reflectors[i]
-        q[i:, :] -= 2.0 * np.outer(v, v @ q[i:, :])
-    for i, flip in enumerate(flips):
-        if flip:
-            q[:, i] *= -1.0
-    return OrthonormalBasis(q)
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    return OrthonormalBasis(u[:, s >= RANK_RTOL * scale])
 
 
 def fit_least_squares(embeddings: Sequence[np.ndarray], targets: Sequence[np.ndarray],
                       ridge: float | None = None) -> LinearMap:
     """Affine least squares: minimize sum_j ||t_j - (A e_j + b)||^2 + ridge ||A||_F^2.
 
-    ``ridge=None`` selects a tiny default (1e-8 times the mean squared
-    embedding scale) and solves the normal equations; ``ridge=0`` on an
-    underdetermined system returns the minimum-norm solution instead.
+    The bias is unpenalised, so ``b = mean(t) - A mean(e)`` and ``A`` comes
+    from one thin SVD of the centred embeddings, ``Ec = U S V^T``:
+    ``A = Tc^T U diag(s / (s^2 + ridge)) V^T``. Singular values at or below
+    ``eps * max(n, d_e) * s_max`` are dropped, so ``ridge=0`` gives the limit
+    ``ridge -> 0+``, the minimum-norm ``A``. ``ridge=None`` selects a tiny
+    default: 1e-8 times the mean squared embedding scale.
     """
     if len(embeddings) == 0 or len(embeddings) != len(targets):
         raise ValidationError(
@@ -88,17 +62,14 @@ def fit_least_squares(embeddings: Sequence[np.ndarray], targets: Sequence[np.nda
     if not (np.all(np.isfinite(e)) and np.all(np.isfinite(t))):
         raise ValidationError("non-finite inputs to least squares")
     n, d_e = e.shape
-    d = t.shape[1]
     if ridge is None:
-        ridge = 1e-8 * float(np.trace(e.T @ e)) / max(1, d_e)
+        ridge = 1e-8 * float(np.square(e).sum()) / max(1, d_e)
     if ridge < 0:
         raise ValidationError(f"ridge must be non-negative, got {ridge}")
 
-    x = np.concatenate([e, np.ones((n, 1))], axis=1)  # bias column last
-    if ridge == 0.0:
-        theta, *_ = np.linalg.lstsq(x, t, rcond=None)
-    else:
-        gram = x.T @ x
-        gram[np.arange(d_e), np.arange(d_e)] += ridge  # bias stays unpenalized
-        theta = np.linalg.solve(gram, x.T @ t)
-    return LinearMap(matrix=theta[:d_e].T, bias=theta[d_e])
+    mean_e, mean_t = e.mean(axis=0), t.mean(axis=0)
+    u, s, vt = np.linalg.svd(e - mean_e, full_matrices=False)
+    keep = s > np.finfo(np.float64).eps * max(n, d_e) * s.max(initial=0.0)
+    u, s, vt = u[:, keep], s[keep], vt[keep]
+    a = ((t - mean_t).T @ u) * (s / (s * s + ridge)) @ vt
+    return LinearMap(matrix=a, bias=mean_t - a @ mean_e)

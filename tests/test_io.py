@@ -236,6 +236,12 @@ def test_weights_round_trip(tmp_path):
     np.testing.assert_array_equal(back.row(0), w.row(0))
 
 
+def test_weight_table_without_rows_writes_its_header(tmp_path):
+    path = tmp_path / "weights.csv"
+    io.save_weights_csv(WeightMatrix([], np.zeros((0, 3))), path)
+    assert path.read_bytes() == b"class_id,w0,w1,w2\r\n"
+
+
 def test_vector_csv_rejects_a_repeated_class(tmp_path):
     p = tmp_path / "v.csv"
     p.write_text("class_id,w0,w1\n3,1.0,2.0\n5,0.0,1.0\n3,4.0,4.0\n")

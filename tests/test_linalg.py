@@ -172,18 +172,48 @@ def test_constant_targets_absorbed_by_bias():
 
 
 def test_underdetermined_minimum_norm():
-    # 2 pairs, 4-dim embeddings: compare against the pseudoinverse solution
+    # 2 pairs, 4-dim embeddings: the bias is free, so compare against the
+    # pseudoinverse solution on centred data
     rng = np.random.default_rng(6)
     e = rng.standard_normal((2, 4))
     t = rng.standard_normal((2, 3))
     lm = fit_least_squares(list(e), list(t), ridge=0.0)
-    x = np.concatenate([e, np.ones((2, 1))], axis=1)
-    theta = np.linalg.pinv(x) @ t
-    np.testing.assert_allclose(lm.matrix, theta[:4].T, atol=1e-8)
-    np.testing.assert_allclose(lm.bias, theta[4], atol=1e-8)
+    mean_e, mean_t = e.mean(axis=0), t.mean(axis=0)
+    a = (np.linalg.pinv(e - mean_e) @ (t - mean_t)).T
+    np.testing.assert_allclose(lm.matrix, a, atol=1e-8)
+    np.testing.assert_allclose(lm.bias, mean_t - a @ mean_e, atol=1e-8)
     # residual is zero: the system is consistent
     for ej, tj in zip(e, t):
         np.testing.assert_allclose(lm.apply(ej), tj, atol=1e-8)
+
+
+def test_zero_ridge_is_the_small_ridge_limit():
+    # underdetermined, with embeddings far from zero mean: the bias takes up
+    # the mean whatever the ridge, so ridge=0 is where ridge -> 0+ tends
+    rng = np.random.default_rng(9)
+    e = rng.standard_normal((5, 12)) + 3.0
+    t = rng.standard_normal((5, 4))
+    exact = fit_least_squares(list(e), list(t), ridge=0.0)
+    small = fit_least_squares(list(e), list(t), ridge=1e-9)
+    np.testing.assert_allclose(exact.matrix, small.matrix, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(exact.bias, small.bias, rtol=0, atol=1e-8)
+
+
+def test_fit_does_not_amplify_a_tiny_target_change():
+    # 20 unit-norm embeddings in R^200 and the default ridge, as linmap fits
+    # its base classes: a 1e-15 change in the targets moves the map's outputs
+    # on other embeddings, as for the novel classes, by about as much, not
+    # 1e8-fold
+    rng = np.random.default_rng(10)
+    e = rng.standard_normal((30, 200))
+    e /= np.linalg.norm(e, axis=1, keepdims=True)
+    e, novel = e[:20], e[20:]
+    t = 0.1 * rng.standard_normal((20, 50))
+    bumped = t + 1e-15 * rng.standard_normal(t.shape)
+    before, after = (fit_least_squares(list(e), list(tt)) for tt in (t, bumped))
+    outputs = np.stack([before.apply(x) for x in novel])
+    moved = np.stack([after.apply(x) for x in novel]) - outputs
+    assert np.abs(moved).max() <= 1e-12 * np.abs(outputs).max()
 
 
 def test_ridge_solution_is_stationary():
