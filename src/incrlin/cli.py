@@ -165,8 +165,9 @@ def _load_result(path) -> dict:
         raise FormatError(f"{path}: invalid JSON ({err})") from None
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: expected a JSON object, got {type(payload).__name__}")
-    if payload.get("schema") != RESULT_SCHEMA:
-        raise FormatError(f"{path}: schema {payload.get('schema')!r} "
+    schema = payload.get("schema")
+    if type(schema) is not int or schema != RESULT_SCHEMA:  # not ==: true and 1.0 equal 1
+        raise FormatError(f"{path}: schema {schema!r} "
                           f"(this tool reads schema {RESULT_SCHEMA})")
     return payload
 

@@ -16,15 +16,14 @@ objective and holds its arrays, the start rows laid out and the data's label
 rows. ``ObjectiveStack.of`` is the one way to stack problems, for
 ``trainer.fine_tune_stack`` and for ``Objective.evaluate_dense``.
 
-The rows are held in coordinates. In weight coordinates they are the (C, d)
-weights. In span coordinates a row is its coefficients on an orthonormal basis
-Q of a session's spanning rows, plus one coefficient each on the parts of its
-start and anchor rows outside span Q, and the stack carries each row's 2 × 2
-Gram of those two parts (its ``metric``). The features lie in span Q, so the
-logits and the gradient are the same products in either coordinates, and the
-gradient is returned in the coordinates it was taken in: one SGD step is the
-same update either way. Only the penalty values read the metric. Weight
-coordinates are the Q = I_d case of the same body, with no outside parts.
+The rows are held in orthonormal coordinates. In weight coordinates they are
+the (C, d) weights. In span coordinates a row is its coefficients on an
+orthonormal basis Q of a session's spanning rows, plus two on an orthonormal
+pair of its own that holds the parts of its start and anchor rows outside
+span Q. Either way a row's squared norm is the sum of squares of its
+coordinates and a logit is a plain dot product, so there is one body: weight
+coordinates are its Q = I_d case, with no pairs. The gradient is returned in
+the coordinates it was taken in.
 
 Every session lays out its weight rows in one order: the old classes
 (ascending), then the session's novel classes (ascending). The penalties only
@@ -116,17 +115,15 @@ class ObjectiveStack:
     entries, so a member's terms, gradient and step do not depend on the other
     members of the stack.
 
-    Without a ``metric`` the coordinates are the weights themselves (q = d):
-    features, anchors, targets and P are in R^d. With a ``metric`` the stack
-    is in span coordinates, built by ``trainer.fine_tune_stack``: a row is
-    x_Q · Qᵀ + s·u + t·v, with Q (d, q - 2) an orthonormal basis of the
-    member's spanning rows, u and v the parts of the row's start and anchor
-    outside span Q (both zero for novel rows), and x = (x_Q, s, t).
-    ``metric`` (E, C, 2, 2) is each row's Gram of (u, v), so a row's squared
-    norm is |x_Q|² + (s, t) ``metric`` (s, t)ᵀ. The features lie in span Q and
-    are given as their coefficients on Q, with s = t = 0, so a logit is the
-    same dot product in either coordinates. A novel row's s and t stay 0:
-    every part of its gradient (features, targets, P) has zero s, t entries.
+    The coordinates are the weights themselves (q = d), or span coordinates
+    built by ``trainer.fine_tune_stack``: a row is x_Q · Qᵀ + s·u + t·v, with
+    Q (d, q - 2) an orthonormal basis of the member's spanning rows, (u, v)
+    the row's own orthonormal pair for the parts of its start and anchor
+    outside span Q, and x = (x_Q, s, t). Either way |x|² is the row's squared
+    norm. The features lie in span Q and are given as their coefficients on
+    Q, with s = t = 0, so a logit is the same dot product in either
+    coordinates. A novel row's s and t stay 0: every part of its gradient
+    (features, targets, P) has zero s, t entries.
 
     Every penalty is quadratic, so its gradient is linear in the rows: row by
     row, rate · x − bias, less 2γ (x P) Pᵀ on the novel rows of a subspace
@@ -139,19 +136,16 @@ class ObjectiveStack:
     gradient from the same rates and biases at lr = 1.
     """
 
-    __slots__ = ("config", "n_old", "anchors", "betas", "projection", "targets", "metric",
-                 "keep", "shift")
+    __slots__ = ("config", "n_old", "anchors", "betas", "projection", "targets", "keep", "shift")
 
     def __init__(self, config: RunConfig, anchors: np.ndarray, betas: np.ndarray,
-                 projection: np.ndarray | None = None, targets: np.ndarray | None = None,
-                 metric: np.ndarray | None = None):
+                 projection: np.ndarray | None = None, targets: np.ndarray | None = None):
         self.config = config
         self.anchors = anchors        # (E, n_old, q); (E, 0, 0) without old rows
         self.betas = betas            # (E, n_old)
         self.n_old = betas.shape[1]
         self.projection = projection  # (E, q, rank) or None
         self.targets = targets        # (E, C - n_old, q) or None
-        self.metric = metric
         self.keep = self.shift = None  # (E, C, q), built by the first step
 
     @classmethod
@@ -180,19 +174,9 @@ class ObjectiveStack:
         """The sub-stack of the given members (an index or boolean mask)."""
         pick = lambda a: None if a is None else a[members]  # noqa: E731
         sub = ObjectiveStack(self.config, self.anchors[members], self.betas[members],
-                             pick(self.projection), pick(self.targets), pick(self.metric))
+                             pick(self.projection), pick(self.targets))
         sub.keep, sub.shift = pick(self.keep), pick(self.shift)
         return sub
-
-    def _image(self, v: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-        """The image of coordinates ``v`` (E, R, q), of the given rows, under
-        the row metric: the row-wise dot of the image with ``v`` is each row's
-        squared norm. In weight coordinates ``v`` is returned as it is."""
-        if self.metric is None:
-            return v
-        image = v.copy()
-        image[..., -2:] = np.einsum("erij,erj->eri", self.metric[:, rows], v[..., -2:])
-        return image
 
     def _penalty_rows(self, shape: tuple[int, int, int], scale: float):
         """``scale`` times the penalties' gradient rates (E, C, 1) and biases
@@ -234,7 +218,7 @@ class ObjectiveStack:
         p /= z[:, :, None]
         p.ravel()[label] -= 1.0
 
-        rp = np.einsum("ecq,ecq->e", self._image(m), m)
+        rp = np.einsum("ecq,ecq->e", m, m)
         # total = data_loss + alpha * rp + ro + gamma * rn, in that order; an
         # absent term adds an exact zero, so it is left out.
         total = data_loss + cfg.alpha * rp
@@ -244,7 +228,7 @@ class ObjectiveStack:
 
         if k:
             diff = m[:, :k] - self.anchors
-            sq = np.einsum("ecq,ecq->ec", self._image(diff, slice(0, k)), diff)
+            sq = np.einsum("ecq,ecq->ec", diff, diff)
             ro = (sq[:, None, :] @ self.betas[:, :, None])[:, 0, 0]
             total += ro
 
@@ -256,8 +240,6 @@ class ObjectiveStack:
                 resid = mn - pull
             else:
                 resid = mn - self.targets
-            # a novel row's metric is zero and its s, t entries are 0, so its
-            # squared norm is its plain sum of squares
             rn = np.einsum("ecq,ecq->e", resid, resid)
             total += cfg.gamma * rn
             if cfg.gamma == 0.0:

@@ -72,10 +72,11 @@ from .trainer import fine_tune_stack, init_novel_weights, train_base
 # fastest over 200 episodes; stacks of 64 and 80 page-faulted on every step.
 # With 64 base classes at d=640, a stack of 24 ran 1.6-2.2x slower than one
 # episode at a time (its passes over (E, C, d) outgrow the cache); the budget
-# gives that shape chunks of one. The chunk is sized on C * d even when episodes
-# train in span coordinates (5-way episodes at d=640 do, see
-# ``trainer.use_span``): their set-up and final weights are still (E, C, d),
-# and no benchmark workload runs them to measure a budget on C * r.
+# gives that shape chunks of one. The chunk is sized on C * d although 5-way
+# 1-shot episodes train in span coordinates (see ``trainer._coordinates``):
+# their set-up and final weights are still (E, C, d). Re-measured so, 400
+# episodes on one CPU at E <= 20/40/80 took 2.6-2.9/1.8-2.1/1.4-1.6 s
+# (finetune) and 4.7-5.0/3.2-3.9/3.7-4.2 s (subspace), two runs each.
 EPISODE_BUDGET = 40 * 25 * 32
 
 

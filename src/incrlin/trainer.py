@@ -15,9 +15,10 @@ final loss are bit-identical to training it alone.
 
 Within a session, SGD keeps every row in a small fixed span: its start row,
 its anchor, the training rows, their projections onto the base span and the
-fixed targets. When that span is small against d (``use_span``), a stack
-trains in span coordinates, on coefficients over an orthonormal basis of that
-span: each step costs O(C r) instead of O(C d), and the (C, d) weights are
+fixed targets. Unless those rows can fill R^d (a base fit), a stack trains in
+span coordinates: each row's coefficients on an orthonormal basis of the
+shared rows, plus two on an orthonormal pair of its own for its start and
+anchor. Each step costs O(C r) instead of O(C d), and the (C, d) weights are
 formed once, at the end. Otherwise the coordinates are the weights. The
 arithmetic differs only in rounding; the loop, the stall rule and the
 mini-batches are the same.
@@ -142,45 +143,34 @@ def _sgd(w: np.ndarray, objective: ObjectiveStack, feats: np.ndarray, label_pos:
     return out, reports
 
 
-def span_width(n_rows: int, n_novel: int, projected: bool, targets: bool) -> int:
-    """Rows of a session's spanning set B: its ``n_rows`` training rows and the
-    start rows of its ``n_novel`` novel rows, then the projections of all of
-    them onto the base span if the pull is a subspace, or the novel rows'
-    fixed targets."""
-    width = n_rows + n_novel
-    return 2 * width if projected else width + (n_novel if targets else 0)
-
-
-def use_span(width: int, dimension: int) -> bool:
-    """Train in span coordinates when the spanning set has at most a quarter
-    as many rows as the feature dimension. A span step makes a few more
-    numpy calls than a weight step (the metric's image of the old rows'
-    coordinates), so it wins only once its arithmetic on (C, r) is well below
-    that on (C, d). Measured per step (one BLAS thread): C=69-100 at d=640 and
-    r=30-125, 2.4-12x faster; C=25 at d=32 and r=10, 0.5-1.2x as fast for
-    stacks of 1-20 members, so 5-way 1-shot episodes at d=32 stay on the
-    weights.
-    """
-    return 4 * width <= dimension
-
-
 def _coordinates(stack: ObjectiveStack, m: np.ndarray, feats: np.ndarray):
     """The coordinates a stack trains in, from its shapes: its objective, start
     coordinates, feature coordinates, and the map from final coordinates back
     to (E, C, d) weights.
 
-    In span coordinates a row is x_Q · Qᵀ + s·u + t·v (see ``ObjectiveStack``),
-    with Q an orthonormal basis of the member's spanning rows B, from one
-    batched QR. Every SGD step keeps a row so: the data gradient lies in the
-    span of the features, r_prior and r_old scale a row and add its anchor,
-    and the pull moves a novel row toward its target or its projection, both
-    in B. This is the one place Q and the rows' coefficients on it are built.
-    An old row's start and anchor are projected onto Q twice, so what is left
-    of them, u and v, is orthogonal to Q to rounding."""
+    A session's spanning set B is its n training rows and its novel rows'
+    start rows, then the projections of all of them onto the base span
+    (subspace pull) or the novel rows' targets. With d rows or more, B can
+    span all of R^d and there is nothing to reduce: the coordinates are the
+    weights. Otherwise a row is x_Q · Qᵀ + s·u + t·v (see ``ObjectiveStack``),
+    with Q an orthonormal basis of the member's B and (u, v) the row's own
+    pair, both from batched Householder QRs: the pairs from each old row's
+    start and its anchor less its start, the parts of both outside span Q,
+    whose triangles give the rows' (s, t) and their anchors'. Every SGD step
+    keeps a row so: the data gradient lies in the span of the features,
+    r_prior and r_old scale a row and add its anchor, and the pull moves a
+    novel row toward its target or its projection, both in B. Where a row
+    starts at its anchor, its anchor less its start is exactly 0, and so are
+    its t and its anchor's. The old rows' parts are projected onto Q twice,
+    so what is left of them is orthogonal to Q to rounding."""
     n_members, c, d = m.shape
     k, n = stack.n_old, feats.shape[1]
-    if not use_span(span_width(n, c - k, stack.projection is not None,
-                               stack.targets is not None), d):
+    width = n + c - k
+    if stack.projection is not None:
+        width *= 2
+    elif stack.targets is not None:
+        width += c - k
+    if width >= d:
         return stack, m, feats, lambda x: x
     b = np.concatenate([feats, m[:, k:]], axis=1)
     if stack.projection is not None:
@@ -188,7 +178,7 @@ def _coordinates(stack: ObjectiveStack, m: np.ndarray, feats: np.ndarray):
         b = np.concatenate([b, (b @ p) @ p.transpose(0, 2, 1)], axis=1)
     elif stack.targets is not None:
         b = np.concatenate([b, stack.targets], axis=1)
-    basis = np.linalg.qr(b.transpose(0, 2, 1))[0]  # (E, d, r), r = min(d, rows of B)
+    basis = np.linalg.qr(b.transpose(0, 2, 1))[0]  # (E, d, r), r = rows of B < d
     r = basis.shape[2]
     q = r + 2
     qt = basis.transpose(0, 2, 1)
@@ -198,24 +188,25 @@ def _coordinates(stack: ObjectiveStack, m: np.ndarray, feats: np.ndarray):
         x[..., :r] = rows @ basis
         return x
 
-    old = np.zeros((n_members, 2 * c, d))  # each old row's start, then its anchor
+    rest = np.empty((n_members, 2 * k, d))  # each old row's start, then its anchor less its start
+    rest[:, :k] = m[:, :k]
     if k:
-        old[:, :k], old[:, c:c + k] = m[:, :k], stack.anchors
-    coef = old @ basis
-    rest = old - coef @ qt
+        np.subtract(stack.anchors, m[:, :k], out=rest[:, k:])
+    coef = rest @ basis
+    rest -= coef @ qt
     again = rest @ basis
     rest -= again @ qt
     coef += again
-    u, v = rest[:, :c], rest[:, c:]
-    pair = rest.reshape(n_members, 2, c, d)
-    metric = np.einsum("eicd,ejcd->ecij", pair, pair)  # (E, C, 2, 2), zero for novel rows
+    # (E, k, d, 2) pairs and (E, k, 2, 2) triangles
+    pair, tri = np.linalg.qr(rest.reshape(n_members, 2, k, d).transpose(0, 2, 3, 1))
+    del rest
 
     x = np.zeros((n_members, c, q))
-    x[:, :k, :r], x[:, :k, r] = coef[:, :k], 1.0
+    x[:, :k, :r], x[:, :k, r:] = coef[:, :k], tri[..., 0]
     x[:, k:, :r] = m[:, k:] @ basis
     anchors = np.zeros((n_members, k, q))
-    anchors[..., :r] = coef[:, c:c + k]
-    anchors[..., r + 1] = 1.0
+    anchors[..., :r] = coef[:, :k] + coef[:, k:]
+    anchors[..., r:] = tri[..., 0] + tri[..., 1]
     projection = targets = None
     if stack.projection is not None:
         projection = np.zeros((n_members, q, p.shape[2]))
@@ -224,9 +215,11 @@ def _coordinates(stack: ObjectiveStack, m: np.ndarray, feats: np.ndarray):
         targets = on_basis(stack.targets)
 
     def to_weights(x):
-        return x[..., :r] @ qt + x[..., r, None] * u + x[..., r + 1, None] * v
+        w = x[..., :r] @ qt
+        w[:, :k] += (pair @ x[:, :k, r:, None])[..., 0]
+        return w
 
-    span = ObjectiveStack(stack.config, anchors, stack.betas, projection, targets, metric)
+    span = ObjectiveStack(stack.config, anchors, stack.betas, projection, targets)
     return span, x, on_basis(feats), to_weights
 
 
@@ -240,10 +233,10 @@ def fine_tune_stack(objectives: Sequence[Objective], rngs: Sequence[np.random.Ge
     classes, then novel classes). Each member stops once its epoch loss
     changes by less than ``convergence_tolerance`` for ``patience_epochs``
     consecutive epochs, or at ``max_epochs``. The stack trains in span
-    coordinates when its spanning set is small against d (``use_span``),
-    else on the weights. A member's result is bit-identical to fine-tuning it
-    alone. A member whose loss goes non-finite gets a ``DivergenceError`` in
-    place of its weights and report; the other members are unaffected.
+    coordinates when its spanning set has fewer than d rows, else on the
+    weights. A member's result is bit-identical to fine-tuning it alone. A
+    member whose loss goes non-finite gets a ``DivergenceError`` in place of
+    its weights and report; the other members are unaffected.
     """
     stack = ObjectiveStack.of(objectives)
     m = np.stack([o.start for o in objectives])

@@ -389,8 +389,11 @@ def _report_on(tmp_path, capsys, text):
 
 
 def test_report_rejects_unknown_schema(tmp_path, capsys):
-    text = json.dumps({"schema": 99, "protocol": "multi-session"})
-    assert _report_on(tmp_path, capsys, text) == (1, True)
+    # a JSON true and 1.0 compare equal to 1, but are not the schema number
+    for schema in (99, True, 1.0):
+        text = _multi_result().replace('"schema": 1', f'"schema": {json.dumps(schema)}')
+        assert _report_on(tmp_path, capsys, text) == (1, True)
+        assert not (tmp_path / "rep").exists()
 
 
 def _multi_result(label="m", session=0):

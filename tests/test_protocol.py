@@ -393,8 +393,8 @@ def test_run_multi_session_all_regularizer_kinds_run():
 _SINGLE_PLAN = (tuple(range(10)), tuple(range(10, 16)))
 
 
-def _single_setup(seed=0):
-    data = generate(SynthSpec(n_classes=16, dimension=8, rng_seed=seed,
+def _single_setup(seed=0, dimension=8):
+    data = generate(SynthSpec(n_classes=16, dimension=dimension, rng_seed=seed,
                               support_per_class=8, query_per_class=6))
     cfg = RunConfig(regularizer_kind="finetune", alpha=1e-3, learning_rate=0.05,
                     max_epochs=40, rng_seed=7)
@@ -569,25 +569,30 @@ def test_run_single_session_does_not_depend_on_chunk_size(monkeypatch, kind, min
     # workers, give the same result, with the middle episode diverging; a
     # MINI_BATCH of 2 below the 3 support rows sends every member through its
     # own shuffled blocks. With ``span`` every episode trains in span
-    # coordinates, its old rows starting at their anchors.
-    bw, cfg, data = _single_setup()
+    # coordinates, its old rows starting at their anchors: at d=16 its
+    # spanning set (at most 12 rows) is below d. Without, every episode
+    # trains on its raw weights, at d=8.
+    d = 16 if span else 8
+    bw, cfg, data = _single_setup(dimension=d)
     cfg = dataclasses.replace(cfg, regularizer_kind=kind, gamma=0.1, tau=0.5)
     if mini_batch is not None:
         monkeypatch.setattr(trainer_mod, "MINI_BATCH", mini_batch)
-    monkeypatch.setattr(trainer_mod, "use_span", lambda width, dimension: span)
+    if not span:
+        monkeypatch.setattr(trainer_mod, "_coordinates",
+                            lambda stack, m, feats: (stack, m, feats, lambda x: x))
     bodies = set()  # the coordinates of every step taken in this process
     step = ObjectiveStack.step
 
-    def spy(self, *args):
-        bodies.add(self.metric is not None)
-        return step(self, *args)
+    def spy(self, m, *args):
+        bodies.add(m.shape[2] != d)
+        return step(self, m, *args)
 
     monkeypatch.setattr(ObjectiveStack, "step", spy)
     monkeypatch.setattr(protocol_mod, "sample_episode", _diverging_at(3, cfg.rng_seed))
 
     def run(chunk, workers):
-        # a budget of ``chunk`` episodes of 10 base + 3 novel rows at d=8
-        monkeypatch.setattr(protocol_mod, "EPISODE_BUDGET", chunk * 13 * 8)
+        # a budget of ``chunk`` episodes of 10 base + 3 novel rows at d
+        monkeypatch.setattr(protocol_mod, "EPISODE_BUDGET", chunk * 13 * d)
         monkeypatch.setattr(pool_mod, "cpus", lambda: workers)
         result = run_single_session(_single_stream(data, cfg, k_shot=1,
                                                    embeddings=data.embeddings),

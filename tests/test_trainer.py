@@ -22,9 +22,7 @@ from incrlin.trainer import (
     _epoch_order,
     fine_tune_stack,
     init_novel_weights,
-    span_width,
     train_base,
-    use_span,
 )
 from incrlin.synth import SynthSpec, generate
 
@@ -247,6 +245,29 @@ def _stack_problem(n=100, seed=3, kind="subspace", d=4, data_scale=None, **field
     return Objective(cfg, registry, 1, w0, data, anchors=anchors, targets=targets)
 
 
+def _width(n_rows, n_novel, projected, targets):
+    """Rows of a session's spanning set: its ``n_rows`` training rows and the
+    start rows of its ``n_novel`` novel rows, then the projections of all of
+    them onto the base span if the pull is a subspace, or the novel rows'
+    fixed targets. The trainer steps in span coordinates below d rows."""
+    width = n_rows + n_novel
+    return 2 * width if projected else width + (n_novel if targets else 0)
+
+
+def _weight_body(stack, m, feats):
+    """``trainer._coordinates`` kept on the weights: the stack over its raw
+    weights, the body a spanning set of d rows or more trains in."""
+    return stack, m, feats, lambda x: x
+
+
+def _in_span(objectives):
+    """Whether the trainer steps a stack of ``objectives`` in span coordinates."""
+    m = np.stack([o.start for o in objectives])
+    x = trainer_mod._coordinates(ObjectiveStack.of(objectives), m,
+                                 np.stack([o.features for o in objectives]))[1]
+    return x.shape[2] != m.shape[2]
+
+
 def _same_run(a, b):
     (wa, ra), (wb, rb) = a, b
     assert wa.class_ids == wb.class_ids
@@ -271,9 +292,10 @@ def test_stack_members_match_solo_runs_on_shuffled_blocks():
 
 
 def test_stack_members_match_solo_runs_in_span_coordinates():
-    d = 4 * span_width(100, 2, projected=True, targets=False)
-    assert use_span(span_width(100, 2, projected=True, targets=False), d)
-    _stack_matches_solo([_stack_problem(seed=s, d=d) for s in (3, 4, 14)])  # 51, 52, 50 epochs
+    d = 4 * _width(100, 2, projected=True, targets=False)
+    objectives = [_stack_problem(seed=s, d=d) for s in (3, 4, 14)]  # 51, 52, 50 epochs
+    assert _in_span(objectives)
+    _stack_matches_solo(objectives)
 
 
 def _episode_problem(seed, kind, d=32, n_base=20, n_way=5):
@@ -295,16 +317,18 @@ def _episode_problem(seed, kind, d=32, n_base=20, n_way=5):
         return Objective(cfg, registry, 1, w0, data, anchors=anchors,
                          basis=orthonormal_basis(list(base)))
     return Objective(cfg, registry, 1, w0, data, anchors=anchors,
-                     targets={c: rng.standard_normal(d) / np.sqrt(d) for c in novel})
+                     targets=None if kind == "finetune" else
+                     {c: rng.standard_normal(d) / np.sqrt(d) for c in novel})
 
 
 @pytest.mark.parametrize("kind", ["subspace", "semantic"])
 def test_large_episode_stack_members_match_solo_runs(kind):
-    # 48 episodes in one weight-coordinate stack, stopping at 73-101 epochs
+    # 48 episodes in one span-coordinate stack, stopping at 73-101 epochs
     # (subspace) or 24-26 (semantic): the one-pass reductions give each member
     # the bits of its solo run
-    assert not use_span(span_width(5, 5, kind == "subspace", kind != "subspace"), 32)
-    _stack_matches_solo([_episode_problem(s, kind) for s in range(48)])
+    objectives = [_episode_problem(s, kind) for s in range(48)]
+    assert _in_span(objectives)
+    _stack_matches_solo(objectives)
 
 
 def _rows_with_labels(feats, label_pos):
@@ -425,19 +449,20 @@ def test_full_batch_sgd_matches_reference_implementation():
 _KINDS = ("finetune", "subspace", "semantic", "description", "linmap")
 
 
-def _both_bodies(monkeypatch, run):
-    """``run()`` with the selection rule forced to weight coordinates, then to
-    span coordinates; each run must step in the coordinates it was sent to."""
+def _both_bodies(monkeypatch, run, dimension):
+    """``run()`` on the raw weights (``_weight_body``), then as the trainer
+    picks; every step of the second run must be in span coordinates, whose
+    width is not the feature ``dimension``."""
     results, spans = [], []
-    step = ObjectiveStack.step
+    step, coordinates = ObjectiveStack.step, trainer_mod._coordinates
 
     def spy(self, m, feats, label_pos):
-        spans.append(self.metric is not None)
+        spans.append(m.shape[2] != dimension)
         return step(self, m, feats, label_pos)
 
     monkeypatch.setattr(ObjectiveStack, "step", spy)
     for span in (False, True):
-        monkeypatch.setattr(trainer_mod, "use_span", lambda width, dimension: span)
+        monkeypatch.setattr(trainer_mod, "_coordinates", coordinates if span else _weight_body)
         spans.clear()
         results.append(run())
         assert spans and set(spans) == {span}
@@ -506,8 +531,8 @@ def _three_sessions(monkeypatch, kind, memory, dimension=12):
 @pytest.mark.parametrize("memory", [False, True])
 @pytest.mark.parametrize("kind", _KINDS)
 def test_span_coordinates_match_weight_coordinates_over_a_run(monkeypatch, kind, memory):
-    run, fallbacks = _three_sessions(monkeypatch, kind, memory)
-    weight_runs, span_runs = _both_bodies(monkeypatch, run)
+    run, fallbacks = _three_sessions(monkeypatch, kind, memory, dimension=64)
+    weight_runs, span_runs = _both_bodies(monkeypatch, run, 64)
     assert fallbacks == [8, 8]
     assert len(weight_runs) == len(span_runs) == 2
     for a, b in zip(weight_runs, span_runs):
@@ -526,62 +551,137 @@ def _basis_rows(to_weights, n_members, c, q):
     return np.concatenate(blocks, axis=1)
 
 
+def _pairs(to_weights, n_members, c, q, k):
+    """Each old row's pair (E, k, d, 2), read off ``to_weights`` at unit s,
+    then unit t."""
+    columns = []
+    for j in (q - 2, q - 1):
+        unit = np.zeros((n_members, c, q))
+        unit[:, :k, j] = 1.0
+        columns.append(to_weights(unit)[:, :k])
+    return np.stack(columns, axis=-1)
+
+
 @pytest.mark.parametrize("dimension", [12, 64])
 @pytest.mark.parametrize("kind", ["finetune", "subspace", "semantic"])
 def test_span_coordinates_round_trip(monkeypatch, kind, dimension):
-    # every fine-tune of a three-session run with memory, in span coordinates:
-    # session 1, whose old rows start at their anchors, and session 2, whose
-    # do not and whose class 8 starts from a random row. At d=12 the spanning
-    # rows outnumber d, so Q spans all of R^d; at d=64 it does not.
+    # every fine-tune of a three-session run with memory: session 1, whose old
+    # rows start at their anchors, and session 2, whose do not and whose class
+    # 8 starts from a random row. At d=12 the spanning rows outnumber d, so
+    # both stay on the weights; at d=64 they do not, and both train in span
+    # coordinates.
     run, fallbacks = _three_sessions(monkeypatch, kind, memory=True, dimension=dimension)
-    monkeypatch.setattr(trainer_mod, "use_span", lambda width, dimension: True)
     coordinates, calls = trainer_mod._coordinates, []
 
     def spy(stack, m, feats):
         span, x, rows, to_weights = coordinates(stack, m, feats)
-        calls.append(((stack, m, feats), (span, x.copy(), rows, to_weights)))  # x is trained in place
+        if x is m:  # the weights are trained in place
+            assert span is stack and rows is feats and to_weights(x) is x
+            calls.append(None)
+        else:
+            calls.append(((stack, m, feats), (span, x.copy(), rows, to_weights)))
         return span, x, rows, to_weights
 
     monkeypatch.setattr(trainer_mod, "_coordinates", spy)
     run()
     assert fallbacks == [8] and len(calls) == 2
-    widths = []
-    for (stack, m, feats), (span, x, rows, to_weights) in calls:
+    assert calls == [None, None] if dimension == 12 else None not in calls
+    for (stack, m, feats), (span, x, rows, to_weights) in filter(None, calls):
         n_members, c, q = x.shape
         k, scale = stack.n_old, np.abs(m).max()
+        assert q - 2 < dimension
         qt = _basis_rows(to_weights, n_members, c, q)
-        widths.append(q - 2)
         np.testing.assert_allclose(qt @ qt.transpose(0, 2, 1), np.broadcast_to(
             np.eye(q - 2), (n_members, q - 2, q - 2)), rtol=0, atol=1e-14)
+        # each old row's pair is orthonormal, and what its start and anchor
+        # hold on it is orthogonal to Q; where the anchor is the start, its
+        # second coefficient is exactly 0
+        pair = _pairs(to_weights, n_members, c, q, k)
+        np.testing.assert_allclose(pair.transpose(0, 1, 3, 2) @ pair, np.broadcast_to(
+            np.eye(2), (n_members, k, 2, 2)), rtol=0, atol=1e-14)
+        for st in (x[:, :k, -2:], span.anchors[..., -2:]):
+            outside = (pair @ st[..., None])[..., 0]
+            assert np.abs(outside @ qt.transpose(0, 2, 1)).max() <= 1e-14 * scale
+        still = (m[:, :k] == stack.anchors).all(axis=2)
+        assert not x[:, :k, -1][still].any() and not span.anchors[..., -1][still].any()
         assert np.abs(to_weights(x) - m).max() <= 1e-14 * scale
         at_anchors = x.copy()
         at_anchors[:, :k] = span.anchors
         assert np.abs(to_weights(at_anchors)[:, :k] - stack.anchors).max() <= 1e-14 * scale
-        assert not rows[..., -2:].any() and not span.metric[:, k:].any()
+        assert not rows[..., -2:].any() and not x[:, k:, -2:].any()
         np.testing.assert_allclose(rows[..., :-2] @ qt, feats, rtol=0,
                                    atol=1e-14 * np.abs(feats).max())
-    assert all(w == dimension for w in widths) if dimension == 12 else max(widths) < dimension
+
+
+@pytest.mark.parametrize("kind", ["finetune", "subspace", "semantic"])
+def test_old_rows_at_their_anchors_keep_a_zero_second_pair_coefficient(monkeypatch, kind):
+    # where an old row starts at its anchor, its anchor less its start is
+    # exactly 0, so its second pair coefficient t is 0 at the start and in
+    # its anchor, and no step moves it: every old row of session 1 of a
+    # three-session run, and of a stack of 5-way 1-shot episodes at d=32
+    step, seen = ObjectiveStack.step, []
+
+    def spy(self, m, feats, label_pos):
+        terms = step(self, m, feats, label_pos)
+        seen.append((self.n_old, m[:, :self.n_old, -1].copy()))
+        return terms
+
+    monkeypatch.setattr(ObjectiveStack, "step", spy)
+    run, _ = _three_sessions(monkeypatch, kind, memory=False, dimension=64)
+    run()
+    first = [t for k, t in seen if k == 6]  # session 1: the six base rows are old
+    assert len(first) > 100 and len(first) < len(seen)
+    assert not np.concatenate([t.ravel() for t in first]).any()
+
+    seen.clear()
+    episodes = [_episode_problem(s, kind) for s in range(8)]
+    assert _in_span(episodes)
+    fine_tune_stack(episodes, [np.random.default_rng(10 + i) for i in range(8)])
+    assert len(seen) > 20
+    assert not np.concatenate([t.ravel() for _, t in seen]).any()
+
+
+@pytest.mark.parametrize("kind", ["subspace", "semantic"])
+def test_an_old_row_in_the_span_round_trips(monkeypatch, kind):
+    # an episode whose first base row is its first support row, so that row's
+    # start and anchor lie in span Q: what is left of them outside Q is
+    # rounding, and so are their coefficients on the pair read off it
+    objective = _episode_problem(0, kind)
+    objective.start[0] = objective.anchors[0] = objective.features[0]
+    m, feats = objective.start[None], objective.features[None]
+    stack = ObjectiveStack.of([objective])
+    span, x, _, to_weights = trainer_mod._coordinates(stack, m, feats)
+    scale = np.abs(m).max()
+    assert x.shape[2] != m.shape[2] and np.abs(x[0, 0, -2:]).max() <= 1e-14 * scale
+    assert np.abs(to_weights(x) - m).max() <= 1e-14 * scale
+    at_anchors = x.copy()
+    at_anchors[:, :stack.n_old] = span.anchors
+    assert np.abs(to_weights(at_anchors)[:, :stack.n_old] - stack.anchors).max() <= 1e-14 * scale
+    weight_run, span_run = _both_bodies(monkeypatch, lambda: fine_tune_stack(
+        [objective], [np.random.default_rng(10)]), m.shape[2])
+    _close_runs(weight_run[0], span_run[0])
 
 
 @pytest.mark.parametrize("span", [False, True])
 @pytest.mark.parametrize("kind", ["finetune", "subspace", "semantic"])
-def test_one_pass_loss_terms_match_two_pass_sums(monkeypatch, kind, span):
+def test_one_pass_loss_terms_match_two_pass_sums(kind, span):
     # each term of a three-member stack, in either coordinates, against sums
     # over its weights taken the long way: form every product, then sum
     n = 20
-    d = 4 * span_width(n, 2, kind == "subspace", kind == "semantic")
+    d = 4 * _width(n, 2, kind == "subspace", kind == "semantic")
     objectives = [_stack_problem(n=n, seed=s, kind=kind, d=d) for s in (3, 4, 5)]
-    monkeypatch.setattr(trainer_mod, "use_span", lambda width, dimension: span)
     stack = ObjectiveStack.of(objectives)
     m = np.stack([obj.start for obj in objectives])
     feats = np.stack([obj.features for obj in objectives])
     label_pos = np.stack([obj.label_pos for obj in objectives])
-    coords, x, rows, to_weights = trainer_mod._coordinates(stack, m, feats)
-    assert (coords.metric is not None) == span
+    coordinates = trainer_mod._coordinates if span else _weight_body
+    coords, x, rows, to_weights = coordinates(stack, m, feats)
+    assert (x.shape[2] != d) == span
     x = x + 0.1 * np.random.default_rng(0).standard_normal(x.shape)
     k = stack.n_old
-    if span:  # a novel row's s, t stay 0 wherever SGD takes it (see below)
-        x[:, k:, -2:] = 0.0
+    if span:  # a novel row's s, t stay 0 wherever SGD takes it (see below), and
+        x[:, k:, -2:] = 0.0  # so does t of an old row that starts at its anchor
+        x[:, :k, -1] = 0.0
     terms = coords.evaluate(x, rows, label_pos)
 
     w = to_weights(x)
@@ -608,19 +708,19 @@ def test_one_pass_loss_terms_match_two_pass_sums(monkeypatch, kind, span):
 
 @pytest.mark.parametrize("span", [False, True])
 @pytest.mark.parametrize("kind", _KINDS)
-def test_one_step_is_a_step_along_the_gradient(monkeypatch, kind, span):
+def test_one_step_is_a_step_along_the_gradient(kind, span):
     # one in-place step of a three-member stack, in either coordinates, lands
     # within rounding of m - lr * gradient, and reports the terms at m
     n = 20
-    d = 4 * span_width(n, 2, kind == "subspace", kind in FIXED_TARGET_KINDS)
+    d = 4 * _width(n, 2, kind == "subspace", kind in FIXED_TARGET_KINDS)
     objectives = [_stack_problem(n=n, seed=s, kind=kind, d=d) for s in (3, 4, 5)]
-    monkeypatch.setattr(trainer_mod, "use_span", lambda width, dimension: span)
     stack = ObjectiveStack.of(objectives)
     m = np.stack([obj.start for obj in objectives])
     feats = np.stack([obj.features for obj in objectives])
     label_pos = np.stack([obj.label_pos for obj in objectives])
-    coords, x, rows, _ = trainer_mod._coordinates(stack, m, feats)
-    assert (coords.metric is not None) == span
+    coordinates = trainer_mod._coordinates if span else _weight_body
+    coords, x, rows, _ = coordinates(stack, m, feats)
+    assert (x.shape[2] != d) == span
     x = x + 0.1 * np.random.default_rng(0).standard_normal(x.shape)  # old rows off their anchors
     if span:
         x[:, stack.n_old:, -2:] = 0.0
@@ -639,16 +739,13 @@ def test_one_step_is_a_step_along_the_gradient(monkeypatch, kind, span):
 @pytest.mark.parametrize("kind", ["subspace", "semantic", "linmap"])
 def test_novel_rows_keep_zero_outside_parts_in_span_coordinates(monkeypatch, kind, memory):
     # a novel row's s and t start at 0, and every part of its step (features,
-    # targets, P) has zero s, t entries, so they stay exactly 0; its metric
-    # rows are 0 too, so r_new is the plain sum of squares of its coordinates
-    run, _ = _three_sessions(monkeypatch, kind, memory)
-    monkeypatch.setattr(trainer_mod, "use_span", lambda width, dimension: True)
+    # targets, P) has zero s, t entries, so they stay exactly 0
+    run, _ = _three_sessions(monkeypatch, kind, memory, dimension=64)
     step, outside = ObjectiveStack.step, []
 
     def spy(self, m, feats, label_pos):
         k = self.n_old
-        assert self.metric is not None and not self.metric[:, k:].any()
-        assert not feats[..., -2:].any()
+        assert m.shape[2] != 64 and not feats[..., -2:].any()
         terms = step(self, m, feats, label_pos)
         outside.append(m[:, k:, -2:].copy())
         return terms
@@ -662,10 +759,11 @@ def test_novel_rows_keep_zero_outside_parts_in_span_coordinates(monkeypatch, kin
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @pytest.mark.parametrize("kind", _KINDS)
 def test_span_stack_with_a_diverging_member_matches_weight_coordinates(monkeypatch, kind):
-    objectives = [_stack_problem(seed=s, kind=kind, data_scale=1e155 if s == 4 else None)
+    d = 4 * _width(100, 2, kind == "subspace", kind in FIXED_TARGET_KINDS)
+    objectives = [_stack_problem(seed=s, kind=kind, d=d, data_scale=1e155 if s == 4 else None)
                   for s in (3, 4, 5)]
     weight_runs, span_runs = _both_bodies(monkeypatch, lambda: fine_tune_stack(
-        objectives, [np.random.default_rng(10 + i) for i in range(3)]))
+        objectives, [np.random.default_rng(10 + i) for i in range(3)]), d)
     assert [isinstance(r, DivergenceError) for r in weight_runs] == [False, True, False]
     for a, b in zip(weight_runs, span_runs):
         _close_runs(a, b)
@@ -683,8 +781,17 @@ def test_span_stack_with_a_diverging_member_matches_weight_coordinates(monkeypat
     (600, 60, False, False, 640, False),
     (500, 20, False, False, 32, False),
     # episodic fine-tunes: 5-way 1-shot at d=32, finetune and subspace
-    (5, 5, False, False, 32, False),
-    (5, 5, True, False, 32, False),
+    (5, 5, False, False, 32, True),
+    (5, 5, True, False, 32, True),
 ])
 def test_span_rule_at_the_bench_shapes(n_rows, n_novel, projected, targets, dimension, span):
-    assert use_span(span_width(n_rows, n_novel, projected, targets), dimension) is span
+    # the trainer's pick, read off the width of its coordinates: a fine-tune
+    # (20 old rows stand in for the 20 or 60 base rows) or a base fit
+    rng = np.random.default_rng(0)
+    n_old = 0 if n_novel > 5 else 20
+    stack = ObjectiveStack(RunConfig(), np.zeros((1, n_old, dimension)), np.ones((1, n_old)),
+                           np.eye(dimension)[None, :, :n_old] if projected else None,
+                           rng.standard_normal((1, n_novel, dimension)) if targets else None)
+    m = rng.standard_normal((1, n_old + n_novel, dimension))
+    x = trainer_mod._coordinates(stack, m, rng.standard_normal((1, n_rows, dimension)))[1]
+    assert (x.shape[2] != dimension) is span
