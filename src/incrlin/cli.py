@@ -57,11 +57,49 @@ def _load_inputs(args):
     return store, io.registry_from_manifest(io.load_manifest(args.manifest)[1])
 
 
+def _grid(rows: list[list[int]], pad: str) -> str:
+    """Integer rows, none of them empty, laid out as ``json.dumps(indent=2)``
+    lays them out where their closing bracket is indented by ``pad``: their
+    ``repr`` with its separators replaced."""
+    if not rows:
+        return "[]"
+    row_pad, cell_pad = pad + "  ", pad + "    "
+    body = (repr(rows)[2:-2]
+            .replace("], [", f"\n{row_pad}],\n{row_pad}[\n{cell_pad}")
+            .replace(", ", ",\n" + cell_pad))
+    return f"[\n{row_pad}[\n{cell_pad}{body}\n{row_pad}]\n{pad}]"
+
+
+def _result_text(payload: dict) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)`` and a newline. The
+    indenting encoder runs in Python, value by value, and confusion counts are
+    nearly all of a multi-session result's values, so each ``counts`` matrix
+    goes in as a placeholder (a NUL, which json escapes) and is laid out by
+    ``_grid`` at the placeholder's indentation."""
+    grids, sessions = [], []
+    for rec in payload.get("sessions", ()):
+        conf = rec.get("confusion")
+        if conf is not None:
+            grids.append(conf["counts"])
+            rec = {**rec, "confusion": {**conf, "counts": "\0"}}
+        sessions.append(rec)
+    text = json.dumps({**payload, "sessions": sessions} if grids else payload,
+                      indent=2, sort_keys=True)
+    parts = text.split(json.dumps("\0"))
+    if len(parts) != len(grids) + 1:  # another string of the payload is a NUL
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    out = [parts[0]]
+    for rows, part in zip(grids, parts[1:]):
+        line = out[-1][out[-1].rfind("\n") + 1:]
+        out += [_grid(rows, " " * (len(line) - len(line.lstrip(" ")))), part]
+    return "".join(out) + "\n"
+
+
 def _write_result(args, cfg, extra: dict) -> None:
     """The result file: schema, resolved config, label, then ``extra``."""
     payload = {"schema": RESULT_SCHEMA, "config": cfg.as_dict(),
                "label": args.label or Path(args.out).stem, **extra}
-    Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(args.out).write_text(_result_text(payload))
 
 
 def cmd_train_base(args) -> int:

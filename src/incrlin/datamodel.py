@@ -17,6 +17,7 @@ tables) is immutable after construction.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import numbers
 from collections.abc import Iterable, Mapping, Sequence
 
@@ -236,8 +237,9 @@ class FeatureStore:
         return self._gather(spans)
 
     def query_batch(self, class_ids: Iterable[int]) -> Batch:
-        """All query examples of the given classes, stacked in ascending class order."""
-        return self._gather(self._span(c)[1:] for c in sorted(set(class_ids)))
+        """All query examples of the given classes, stacked in the order the
+        classes are first given."""
+        return self._gather(self._span(c)[1:] for c in dict.fromkeys(class_ids))
 
     def to_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The store as a read-only row table (class ids, query flags, features):
@@ -524,7 +526,9 @@ class SessionStream:
     optional embeddings, and ``k_shot``, the support examples per novel class.
     A multi-session run trains each incremental session on the first k of each
     class (None: all; the base session uses its full pool); a single-session
-    run needs k, and each episode draws k per class."""
+    run needs k, and each episode draws k per class. The stream keeps the
+    read-only query rows a multi-session run is scored on, gathered once
+    (``query_batch_up_to``)."""
 
     def __init__(self, store: FeatureStore, registry: ClassRegistry, config: RunConfig,
                  embeddings: EmbeddingTable | None = None, k_shot: int | None = None):
@@ -544,5 +548,22 @@ class SessionStream:
         k = None if session == 0 else self.k_shot
         return self.store.support_examples(classes, k=k)
 
+    @functools.cached_property
+    def _queries(self) -> tuple[Batch, list[int]]:
+        """The run's query batch, read-only, and the row at which each
+        session's classes end in it."""
+        plan = [self.registry.classes_in(t) for t in range(self.registry.n_sessions)]
+        batch = self.store.query_batch(c for classes in plan for c in classes)
+        batch.features.setflags(write=False)
+        batch.class_ids.setflags(write=False)
+        rows = [sum(self.store.query(c).shape[0] for c in classes) for classes in plan]
+        return batch, np.cumsum(rows).tolist()
+
     def query_batch_up_to(self, session: int) -> Batch:
-        return self.store.query_batch(self.registry.classes_up_to(session))
+        """The query examples of every class of sessions 0 to ``session``: a
+        view of a prefix of the run's query batch, which holds the query rows
+        of each session's classes (ascending), session after session. That
+        batch is gathered into float64 once, at the first call."""
+        self.registry.classes_in(session)  # a session the plan has
+        batch, ends = self._queries
+        return Batch(batch.features[:ends[session]], batch.class_ids[:ends[session]])

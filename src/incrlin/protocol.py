@@ -283,7 +283,7 @@ def run_multi_session(stream: SessionStream, base_weights: WeightMatrix | None =
                                    expected_classes=registry.classes_in(t - 1))
         if t > 0 and registry.classes_in(t):
             # the problem (its start rows and data) is freed once trained,
-            # before the session's query batch is gathered and scored
+            # before the session is scored
             [outcome] = fine_tune_stack([_session_problem(
                 setup, weights, registry, t, anchors, stream.support_examples(t), rng, memory)],
                 [rng])

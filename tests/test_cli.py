@@ -161,6 +161,36 @@ def test_run_multi_emits_session_records(fixture_dir, tmp_path):
     assert len(final) == 14
 
 
+def _is_json_dumps(path) -> None:
+    """The file holds ``json.dumps(indent=2, sort_keys=True)`` of its payload."""
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("extra", [[], ["--no-confusion"], ["--memory"]])
+def test_run_multi_result_is_laid_out_as_json_dumps_lays_it_out(fixture_dir, tmp_path, extra):
+    out = tmp_path / "result.json"
+    assert main(["run-multi", "--features", str(fixture_dir / "features.csv"),
+                 "--manifest", str(fixture_dir / "manifest.json"), "--k-shot", "3",
+                 "--seed", "2", "--out", str(out)] + extra) == 0
+    _is_json_dumps(out)
+    sessions = json.loads(out.read_text())["sessions"]
+    assert all(("confusion" in rec) != ("--no-confusion" in extra) for rec in sessions)
+
+
+@pytest.mark.parametrize("payload", [
+    {"schema": 1, "sessions": [{"session": 0, "confusion": {"class_ids": [4], "counts": [[3]]}}]},
+    {"schema": 1, "sessions": [{"confusion": {"class_ids": [], "counts": []}},
+                               {"confusion": {"class_ids": [0, 1], "counts": [[2, 0], [1, 1]]},
+                                "acc_novel": None}]},
+    # a NUL in another string of the payload: the writer leaves all to json
+    {"schema": 1, "label": "a\0b",
+     "sessions": [{"confusion": {"class_ids": [0], "counts": [[7]]}}]},
+])
+def test_result_text_is_json_dumps(payload):
+    assert cli_mod._result_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def test_run_single_deterministic_bytes(fixture_dir, tmp_path):
     args = ["run-single", "--features", str(fixture_dir / "features.csv"),
             "--manifest", str(tmp_path / "single_manifest.json"),
@@ -169,13 +199,16 @@ def test_run_single_deterministic_bytes(fixture_dir, tmp_path):
     labels, _ = io.load_manifest(fixture_dir / "manifest.json")
     io.save_manifest(tmp_path / "single_manifest.json", labels,
                      {c: (0 if c < 8 else 1) for c in range(14)})
-    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    assert main(args + ["--out", str(out1)]) == 0
-    assert main(args + ["--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-    payload = json.loads(out1.read_text())
-    assert payload["result"]["n_episodes"] == 6
-    assert "delta" in payload["result"]
+    for extra in ([], ["--keep-episodes"]):
+        out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
+        assert main(args + extra + ["--out", str(out1)]) == 0
+        assert main(args + extra + ["--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        _is_json_dumps(out1)
+        payload = json.loads(out1.read_text())
+        assert payload["result"]["n_episodes"] == 6
+        assert len(payload["result"].get("episodes", ())) == (6 if extra else 0)
+        assert "delta" in payload["result"]
 
 
 @pytest.mark.parametrize("command, extra", [("run-multi", []),

@@ -387,6 +387,72 @@ def test_run_multi_session_all_regularizer_kinds_run():
         assert len(results) == registry.n_sessions
 
 
+def _faulty_multi_run(monkeypatch, score_fault=None, train_fault=None):
+    """A multi-session run whose scoring of session ``score_fault`` raises and
+    whose training of session ``train_fault`` diverges; returns the raised
+    error and the sessions ``on_session_end`` saw."""
+    data, registry, cfg, stream = _bench_setup()
+    bw, _ = train_base(data.store.restrict(registry.base_classes), registry.base_classes, cfg)
+    real_score, real_fit = protocol_mod._evaluate_session, protocol_mod.fine_tune_stack
+    trained = []
+
+    def scoring(weights, query, reg, session, collect_confusion):
+        if session == score_fault:
+            raise ValidationError(f"scoring fault in session {session}")
+        return real_score(weights, query, reg, session, collect_confusion)
+
+    def training(problems, rngs):
+        trained.append(len(trained) + 1)  # every session of _bench_setup trains
+        if trained[-1] == train_fault:
+            return [DivergenceError(f"training fault in session {train_fault}")]
+        return real_fit(problems, rngs)
+
+    monkeypatch.setattr(protocol_mod, "_evaluate_session", scoring)
+    monkeypatch.setattr(protocol_mod, "fine_tune_stack", training)
+    seen = []
+    with pytest.raises(EngineError) as raised:
+        run_multi_session(stream, base_weights=bw, on_session_end=lambda t, w: seen.append(t))
+    return raised.value, seen
+
+
+def test_a_scoring_fault_is_raised_ahead_of_the_next_sessions_training_fault(monkeypatch):
+    err, seen = _faulty_multi_run(monkeypatch, score_fault=2, train_fault=3)
+    assert type(err) is ValidationError and str(err) == "scoring fault in session 2"
+    assert seen == [0, 1]
+
+
+def test_a_training_fault_follows_the_sessions_scored_before_it(monkeypatch):
+    err, seen = _faulty_multi_run(monkeypatch, train_fault=3)
+    assert type(err) is DivergenceError and str(err) == "training fault in session 3"
+    assert seen == [0, 1, 2]
+
+
+def test_query_rows_of_interleaved_sessions():
+    # sessions whose class ids interleave in id order: each session is scored
+    # on a prefix of one batch in session order, with the results of its
+    # classes' query batch in ascending order
+    data = generate(SynthSpec(n_classes=16, dimension=6, rng_seed=5,
+                              support_per_class=6, query_per_class=3))
+    registry = ClassRegistry([range(0, 16, 2), (1, 3), (5, 9, 13), (7, 11, 15)])
+    cfg = RunConfig(regularizer_kind="finetune", alpha=1e-3, learning_rate=0.05,
+                    max_epochs=30, rng_seed=5)
+    stream = SessionStream(data.store, registry, cfg, k_shot=3)
+    bw, _ = train_base(data.store.restrict(registry.base_classes), registry.base_classes, cfg)
+    weights = {}
+    results = run_multi_session(stream, base_weights=bw,
+                                on_session_end=lambda t, w: weights.update({t: w}))
+    table = stream.query_batch_up_to(registry.n_sessions - 1)
+    for t, r in enumerate(results):
+        query = stream.query_batch_up_to(t)
+        assert np.shares_memory(query.features, table.features)
+        assert not query.features.flags.writeable
+        ascending = data.store.query_batch(registry.classes_up_to(t))
+        order = np.argsort(query.class_ids, kind="stable")
+        np.testing.assert_array_equal(query.features[order], ascending.features)
+        want = protocol_mod._evaluate_session(weights[t], ascending, registry, t, True)
+        assert r.as_dict() == want.as_dict()
+
+
 # --- single-session runner ----------------------------------------------------------------
 
 # 10 base classes (0-9) and a novel pool of 6 (10-15), d=8
