@@ -99,7 +99,8 @@ def _write_result(args, cfg, extra: dict) -> None:
     """The result file: schema, resolved config, label, then ``extra``."""
     payload = {"schema": RESULT_SCHEMA, "config": cfg.as_dict(),
                "label": args.label or Path(args.out).stem, **extra}
-    Path(args.out).write_text(_result_text(payload))
+    with io.staged(args.out) as [temp], temp.open("x") as fh:
+        fh.write(_result_text(payload))
 
 
 def cmd_train_base(args) -> int:
@@ -137,13 +138,13 @@ def _run_inputs(args, protocol: str) -> tuple[SessionStream, WeightMatrix | None
 def cmd_run_multi(args) -> int:
     _check_out(args.out, args.dump_weights)
     stream, base_weights = _run_inputs(args, "multi")
-    final_weights: dict = {}
-    hook = (lambda t, w: final_weights.update({t: w})) if args.dump_weights else None
+    last: dict = {}  # the latest session's weights, which replace the session before's
+    hook = (lambda t, w: last.update(weights=w)) if args.dump_weights else None
     results = run_multi_session(stream, base_weights=base_weights,
                                 collect_confusion=not args.no_confusion,
                                 on_session_end=hook)
     if args.dump_weights:
-        io.save_weights_csv(final_weights[max(final_weights)], args.dump_weights)
+        io.save_weights_csv(last["weights"], args.dump_weights)
     _write_result(args, stream.config, {
         "protocol": "multi-session",
         "k_shot": args.k_shot,
@@ -178,19 +179,22 @@ def cmd_synth_gen(args) -> int:
                      within_class_stddev=args.sigma, support_per_class=args.support,
                      query_per_class=args.query, rng_seed=args.seed)
     data = generate(spec)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    features_path = out / ("features.fscf" if args.binary else "features.csv")
-    save = io.save_feature_store_binary if args.binary else io.save_feature_store_csv
-    save(data.store, features_path)
-    io.save_embeddings_csv(data.embeddings, out / "embeddings.csv")
     if args.per_session:
         plan = incremental_split(args.classes, args.base, args.per_session)
         sessions = {c: t for t, classes in enumerate(plan) for c in classes}
     else:
         sessions = {c: 0 for c in range(args.classes)}
     labels = {c: f"class_{c}" for c in range(args.classes)}
-    io.save_manifest(out / "manifest.json", labels, sessions)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    features_path = out / ("features.fscf" if args.binary else "features.csv")
+    save = io.save_feature_store_binary if args.binary else io.save_feature_store_csv
+    # the three files replace any earlier ones together, once all are written
+    with io.staged(features_path, out / "embeddings.csv", out / "manifest.json") as [
+            features, embeddings, manifest]:
+        save(data.store, features)
+        io.save_embeddings_csv(data.embeddings, embeddings)
+        io.save_manifest(manifest, labels, sessions)
     print(f"wrote {features_path}, {out / 'embeddings.csv'}, {out / 'manifest.json'}")
     return 0
 

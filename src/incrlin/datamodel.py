@@ -353,7 +353,7 @@ class WeightMatrix:
         except KeyError:
             missing = [int(c) for c in class_ids if c not in self._index]
             raise ValidationError(f"classes {missing} have no weight row") from None
-        return self._m[idx].copy()
+        return self._m[idx]
 
     def with_rows(self, rows: Mapping[int, np.ndarray]) -> "WeightMatrix":
         """New matrix with additional rows appended (existing rows untouched)."""

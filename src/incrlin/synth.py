@@ -39,7 +39,6 @@ class SynthSpec:
 class SynthData:
     store: FeatureStore
     embeddings: EmbeddingTable
-    class_means: np.ndarray  # (n_classes, dimension)
 
 
 def generate(spec: SynthSpec) -> SynthData:
@@ -66,7 +65,7 @@ def generate(spec: SynthSpec) -> SynthData:
         z.reshape(-1, spec.dimension))
 
     embeddings = EmbeddingTable({c: means[c] for c in range(spec.n_classes)})
-    return SynthData(store, embeddings, means)
+    return SynthData(store, embeddings)
 
 
 def incremental_split(n_classes: int, n_base: int, n_per_session: int) -> list[list[int]]:

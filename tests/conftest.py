@@ -1,6 +1,11 @@
-"""Shared test helpers: finite-difference oracles and the synthetic
-multi-session benchmark used by the acceptance suite."""
+"""Shared test helpers: finite-difference oracles, the synthetic
+multi-session benchmark used by the acceptance suite, and a full disk for
+the writers."""
 from __future__ import annotations
+
+import errno
+import os
+import pathlib
 
 import numpy as np
 
@@ -14,6 +19,34 @@ from incrlin import (
     train_base,
 )
 from incrlin.synth import SynthSpec, generate, incremental_split
+
+
+class _FullDisk:
+    """A file whose first write stores half its data, then fails as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def fill_the_disk(monkeypatch, name: str = "") -> None:
+    """Make every file opened for writing whose name holds ``name`` a ``_FullDisk``."""
+    real_open = pathlib.Path.open
+
+    def opened(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        return _FullDisk(fh) if mode[0] in "wxa" and name in path.name else fh
+
+    monkeypatch.setattr(pathlib.Path, "open", opened)
 
 
 def fd_gradient(fn, w0: np.ndarray, step: float = 1e-5) -> np.ndarray:

@@ -15,6 +15,8 @@ from incrlin.config import load_config_file, preset_config, resolve_run_config
 from incrlin.datamodel import RunConfig, WeightMatrix
 from incrlin.errors import ConfigError
 
+from conftest import fill_the_disk
+
 
 @pytest.fixture()
 def fixture_dir(tmp_path):
@@ -363,6 +365,25 @@ def test_a_dead_worker_is_an_error_line(fixture_dir, tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert err.startswith("error: a worker process died: ") and err.count("\n") == 1
     assert not out.exists()
+    if dies_in == "csv block":  # the file being written is not left cut short either
+        assert not (tmp_path / "synth" / "features.csv").exists()
+        assert not any((tmp_path / "synth").iterdir())
+
+
+@pytest.mark.parametrize("fails, kept", [("w.csv", []), ("r.json", ["w.csv"])])
+def test_a_write_that_fails_partway_leaves_no_file(fixture_dir, tmp_path, capsys,
+                                                   monkeypatch, fails, kept):
+    # run-multi writes --dump-weights, then --out; the one that fails is not
+    # left half written, nor is its temporary file
+    fill_the_disk(monkeypatch, fails)
+    out = tmp_path / "results"
+    out.mkdir()
+    rc = main(["run-multi", "--features", str(fixture_dir / "features.csv"),
+               "--manifest", str(fixture_dir / "manifest.json"), "--k-shot", "2",
+               "--out", str(out / "r.json"), "--dump-weights", str(out / "w.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: No space left on device\n"
+    assert sorted(f.name for f in out.iterdir()) == kept
 
 
 @pytest.mark.parametrize("command", ["run-multi", "run-single"])

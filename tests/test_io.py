@@ -22,7 +22,7 @@ from incrlin.errors import FormatError, ValidationError
 from incrlin.protocol import sample_episode
 from incrlin.synth import SynthSpec, generate
 
-from conftest import pools_store
+from conftest import fill_the_disk, pools_store
 
 
 def _store(seed=0):
@@ -52,6 +52,19 @@ def test_feature_binary_round_trip_f32(tmp_path):
                                       store.support(c).astype("<f4").astype(np.float64))
         np.testing.assert_array_equal(back.query(c),
                                       store.query(c).astype("<f4").astype(np.float64))
+
+
+@pytest.mark.parametrize("save", [io.save_feature_store_csv, io.save_feature_store_binary])
+def test_a_save_that_fails_partway_keeps_the_file_it_would_replace(tmp_path, monkeypatch,
+                                                                   save):
+    path = tmp_path / "store"
+    save(_store(), path)
+    before = path.read_bytes()
+    fill_the_disk(monkeypatch)
+    with pytest.raises(OSError, match="No space left on device"):
+        save(_store(1), path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["store"]
 
 
 def test_feature_loader_dispatches_on_magic(tmp_path):
