@@ -27,9 +27,9 @@ RESULT_SCHEMA = 1
 
 
 def _plain_label(label) -> str:
-    """A run label: one plain, non-empty file-name part, since it names the
-    report's rows and confusion files."""
-    if not isinstance(label, str) or label in ("", ".", "..") or "/" in label or "\\" in label:
+    """A run label: one plain, non-empty file-name part (no ``/``, ``\\`` or
+    NUL), since it names the report's rows and confusion files."""
+    if not isinstance(label, str) or label in ("", ".", "..") or set("/\\\0") & set(label):
         raise argparse.ArgumentTypeError(f"label {label!r} is not a plain name")
     return label
 
@@ -75,7 +75,8 @@ def _result_text(payload: dict) -> str:
     indenting encoder runs in Python, value by value, and confusion counts are
     nearly all of a multi-session result's values, so each ``counts`` matrix
     goes in as a placeholder (a NUL, which json escapes) and is laid out by
-    ``_grid`` at the placeholder's indentation."""
+    ``_grid`` at the placeholder's indentation. No other string of a result
+    is a NUL: the label, its one free text, is a ``_plain_label``."""
     grids, sessions = [], []
     for rec in payload.get("sessions", ()):
         conf = rec.get("confusion")
@@ -86,8 +87,6 @@ def _result_text(payload: dict) -> str:
     text = json.dumps({**payload, "sessions": sessions} if grids else payload,
                       indent=2, sort_keys=True)
     parts = text.split(json.dumps("\0"))
-    if len(parts) != len(grids) + 1:  # another string of the payload is a NUL
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     out = [parts[0]]
     for rows, part in zip(grids, parts[1:]):
         line = out[-1][out[-1].rfind("\n") + 1:]
@@ -215,8 +214,9 @@ def _load_result(path) -> dict:
 
 
 def cmd_report(args) -> int:
-    # Every result is read, its label checked and its rows built before any
-    # report file is written, so a failed report writes nothing.
+    # Every result is read, its label checked and every file's rows built
+    # before any report file is written, and the files are written whole or
+    # not at all, so a failed report leaves none.
     results, path_of = [], {}
     for res_path in args.results:
         payload = _load_result(res_path)
@@ -265,23 +265,19 @@ def cmd_report(args) -> int:
             raise FormatError(f"{res_path}: malformed {protocol} result "
                               f"({type(err).__name__}: {err})") from None
 
+    files = dict(grids)  # file name -> its rows
+    if multi_rows:
+        files["sessions.csv"] = [["model"] + [str(t) for t in range(max_sessions)]] + [
+            [label] + [accs.get(t, "") for t in range(max_sessions)] for label, accs in multi_rows]
+    if single_rows:
+        files["episodes.csv"] = [["model", "acc", "ci95", "delta", "abs_delta",
+                                  "n_episodes", "n_failed"]] + single_rows
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name, rows in grids.items():
-        with (out / name).open("w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
-    if multi_rows:
-        with (out / "sessions.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["model"] + [str(t) for t in range(max_sessions)])
-            for label, accs in multi_rows:
-                writer.writerow([label] + [accs.get(t, "") for t in range(max_sessions)])
-    if single_rows:
-        with (out / "episodes.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["model", "acc", "ci95", "delta", "abs_delta",
-                             "n_episodes", "n_failed"])
-            writer.writerows(single_rows)
+    with io.staged(*(out / name for name in files)) as temps:
+        for temp, rows in zip(temps, files.values()):
+            with temp.open("x", newline="") as fh:
+                csv.writer(fh).writerows(rows)
     print(f"wrote report files under {out}")
     return 0
 

@@ -1,18 +1,22 @@
 """Domain types: feature stores, class registries, weights, embeddings, memory.
 
+Every table (``Batch``, ``FeatureStore``, ``WeightMatrix``, ``OrthonormalBasis``,
+``EmbeddingTable``, ``LinearMap``) checks the arrays it is given, takes them
+over without a copy and makes them read-only; only a dtype conversion copies.
+So a table, an anchor table included, never changes once built, and a
+caller's float64 array is read-only once handed to one.
+
 Examples travel as a ``Batch`` (an (n, d) float64 feature matrix and its
-class ids), the only example type. A ``FeatureStore`` is one read-only matrix
-of rows sorted by class and split, plus per-class row offsets; the matrix
-keeps the dtype its rows were read in (float32 from the binary format,
-float64 otherwise), and every ``Batch`` it hands out is float64. ``from_rows``
+class ids), the only example type. A ``FeatureStore`` is one matrix of rows
+sorted by class and split, plus per-class row offsets; the matrix keeps the
+dtype its rows were read in (float32 from the binary format, float64
+otherwise), and every ``Batch`` it hands out is float64. ``from_rows``
 copies and sorts any row table into a float64 matrix; the constructor takes
 over a sorted one.
 Every way in ends in the constructor, which checks the values (non-negative
-class ids, a query row per class, finite entries) and freezes the matrix,
-while ``io`` checks only the file layout. Single vectors (weight rows,
-embeddings) are checked by ``as_feature``. Everything that survives a session
-boundary (registries, the frozen anchor table of old-class rows, embedding
-tables) is immutable after construction.
+class ids, a query row per class, finite entries), while ``io`` checks only
+the file layout. Single vectors (weight rows, embeddings) are checked by
+``as_feature``.
 """
 from __future__ import annotations
 
@@ -49,6 +53,12 @@ def as_feature(values, dimension: int | None = None) -> np.ndarray:
     return v
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    """Take over checked arrays: no one writes them from here on."""
+    for a in arrays:
+        a.setflags(write=False)
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class Batch:
     """Stacked examples: features (n, d) and class ids (n,)."""
@@ -68,6 +78,7 @@ class Batch:
             raise ValidationError("batch is empty")
         if not np.all(np.isfinite(f)):
             raise ValidationError("batch features contain non-finite entries")
+        _read_only(f, c)
         object.__setattr__(self, "features", f)
         object.__setattr__(self, "class_ids", c)
 
@@ -112,22 +123,21 @@ def _check_row_table(dimension: int, ids: np.ndarray, flags: np.ndarray,
 class FeatureStore:
     """Class-labeled feature vectors split into a support pool and a query pool.
 
-    One read-only (n, d) float32 or float64 matrix holds the rows, sorted by
-    class, then split (support first), each pool in table order; per-class row
+    One (n, d) float32 or float64 matrix holds the rows, sorted by class,
+    then split (support first), each pool in table order; per-class row
     offsets locate the pools, and ``support``, ``query`` and ``to_rows`` are
-    read-only views of it, in its dtype. ``support_examples`` and
+    views of it, in its dtype. ``support_examples`` and
     ``query_batch`` gather into a fresh float64 ``Batch``. Every class has a
     query example; support pools may be empty.
     ``from_rows`` copies and sorts any row table, and the constructor takes
-    over a sorted one; either way stores are read-only, so safe to share.
+    over a sorted one.
     """
 
     def __init__(self, dimension: int, class_ids: np.ndarray, is_query: np.ndarray,
                  matrix: np.ndarray):
         """Take over a row table already sorted by class, then split (support
         first): integer class ids (n,), bool query flags (n,) and an (n, d)
-        float32 or float64 ``matrix``. The arrays are checked and frozen, not
-        copied."""
+        float32 or float64 ``matrix``."""
         ids, flags, matrix = np.asarray(class_ids), np.asarray(is_query), np.asarray(matrix)
         if ids.dtype.kind not in "iu" or flags.dtype != bool \
                 or matrix.dtype not in (np.float32, np.float64):
@@ -152,8 +162,7 @@ class FeatureStore:
             bad = ~np.isfinite(matrix[s:e]).all(axis=1)
             if bad.any():
                 raise ValidationError(f"class {ids[s + bad.argmax()]}: non-finite feature entries")
-        for arr in (ids, flags, matrix):
-            arr.setflags(write=False)
+        _read_only(ids, flags, matrix)
         self._dimension = int(dimension)
         self._ids, self._flags, self._matrix = ids, flags, matrix
         self._classes = tuple(ids[starts].tolist())
@@ -300,17 +309,14 @@ class ClassRegistry:
 
 
 class WeightMatrix:
-    """Per-class weight vectors, one row per class, no bias term.
-
-    Row order is insertion order. The backing matrix is exposed directly;
-    only a single owning trainer may mutate it at a time.
-    """
+    """Per-class weight vectors, one row per class in insertion order, no
+    bias term."""
 
     def __init__(self, class_ids: Sequence[int], matrix: np.ndarray):
         ids = tuple(int(c) for c in class_ids)
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate class ids in weight matrix")
-        m = np.array(matrix, dtype=np.float64)
+        m = np.asarray(matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != len(ids):
             raise ValidationError(
                 f"matrix shape {m.shape} does not match {len(ids)} classes")
@@ -318,6 +324,7 @@ class WeightMatrix:
             raise ValidationError("weight dimension must be positive")
         if not np.all(np.isfinite(m)):
             raise ValidationError("weight matrix contains non-finite entries")
+        _read_only(m)
         self._ids = ids
         self._index = {c: i for i, c in enumerate(ids)}
         self._m = m
@@ -364,11 +371,6 @@ class WeightMatrix:
         extra = np.stack([as_feature(rows[c], self.dimension) for c in rows])
         return WeightMatrix(new_ids, np.concatenate([self._m, extra], axis=0))
 
-    def frozen(self) -> "WeightMatrix":
-        out = WeightMatrix(self._ids, self._m)
-        out._m.setflags(write=False)
-        return out
-
     def norms(self) -> np.ndarray:
         return np.linalg.norm(self._m, axis=1)
 
@@ -387,8 +389,8 @@ class OrthonormalBasis:
         gram = p.T @ p
         if np.max(np.abs(gram - np.eye(p.shape[1]))) > self.ORTHO_TOL:
             raise ValidationError("basis columns are not orthonormal")
-        self._p = p.copy()
-        self._p.setflags(write=False)
+        _read_only(p)
+        self._p = p
 
     @property
     def matrix(self) -> np.ndarray:
@@ -409,9 +411,8 @@ class EmbeddingTable:
         dims = {v.shape[0] for v in items.values()}
         if len(dims) != 1:
             raise DimensionMismatchError(f"inconsistent embedding dimensions {sorted(dims)}")
+        _read_only(*items.values())
         self._vectors = items
-        for v in self._vectors.values():
-            v.setflags(write=False)
 
     @property
     def classes(self) -> tuple[int, ...]:
@@ -513,6 +514,7 @@ class LinearMap:
             raise ValidationError(f"inconsistent map shapes {m.shape} / {b.shape}")
         if not (np.all(np.isfinite(m)) and np.all(np.isfinite(b))):
             raise ValidationError("linear map contains non-finite entries")
+        _read_only(m, b)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "bias", b)
 
@@ -527,7 +529,7 @@ class SessionStream:
     A multi-session run trains each incremental session on the first k of each
     class (None: all; the base session uses its full pool); a single-session
     run needs k, and each episode draws k per class. The stream keeps the
-    read-only query rows a multi-session run is scored on, gathered once
+    query rows a multi-session run is scored on, gathered once
     (``query_batch_up_to``)."""
 
     def __init__(self, store: FeatureStore, registry: ClassRegistry, config: RunConfig,
@@ -550,12 +552,10 @@ class SessionStream:
 
     @functools.cached_property
     def _queries(self) -> tuple[Batch, list[int]]:
-        """The run's query batch, read-only, and the row at which each
-        session's classes end in it."""
+        """The run's query batch and the row at which each session's classes
+        end in it."""
         plan = [self.registry.classes_in(t) for t in range(self.registry.n_sessions)]
         batch = self.store.query_batch(c for classes in plan for c in classes)
-        batch.features.setflags(write=False)
-        batch.class_ids.setflags(write=False)
         rows = [sum(self.store.query(c).shape[0] for c in classes) for classes in plan]
         return batch, np.cumsum(rows).tolist()
 

@@ -172,7 +172,7 @@ def _evaluate_session(weights: WeightMatrix, query: Batch, registry: ClassRegist
 @dataclasses.dataclass(frozen=True, eq=False)
 class RunSetup:
     """What every session of a run shares: the config, the base weights
-    (snapshot 0, frozen: the first anchor table) and the new-class
+    (snapshot 0: the first anchor table) and the new-class
     regularizer's one component, if any: the subspace ``basis``, or the static
     ``targets`` row of every novel class of the run."""
 
@@ -221,7 +221,7 @@ def prepare_run(stream: SessionStream, base_weights: WeightMatrix | None,
     if missing or extra:
         raise ValidationError("base weights must have rows for exactly the base classes; "
                               f"missing {missing}, extra {extra}")
-    snapshot0 = WeightMatrix(base, base_weights.subset(base)).frozen()
+    snapshot0 = WeightMatrix(base, base_weights.subset(base))
     basis = targets = None
     base_rows = [snapshot0.row(c) for c in base]
     if kind == "subspace":
@@ -258,8 +258,8 @@ def run_multi_session(stream: SessionStream, base_weights: WeightMatrix | None =
     generator); each later session fine-tunes on its support set (plus the
     memory when enabled) and is scored on the query pools of every class seen
     so far. Each class's row as it stood after its own session joins the
-    anchor table. ``on_session_end(t, weights)`` is called with a frozen
-    weight copy after each session, for weight export. Every novel class
+    anchor table. ``on_session_end(t, weights)`` is called with the
+    session's weights after each session, for weight export. Every novel class
     needs ``k_shot`` support examples (at least one without ``k_shot``),
     checked before any base fit.
     """
@@ -290,12 +290,11 @@ def run_multi_session(stream: SessionStream, base_weights: WeightMatrix | None =
             if isinstance(outcome, DivergenceError):
                 raise outcome
             weights, _ = outcome
-            anchors = anchors.with_rows(
-                {c: weights.row(c) for c in registry.classes_in(t)}).frozen()
+            anchors = anchors.with_rows({c: weights.row(c) for c in registry.classes_in(t)})
         results.append(_evaluate_session(weights, stream.query_batch_up_to(t),
                                          registry, t, collect_confusion))
         if on_session_end is not None:
-            on_session_end(t, weights.frozen())
+            on_session_end(t, weights)
     return results
 
 

@@ -141,6 +141,19 @@ def test_train_base_writes_weights(fixture_dir, tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+def test_train_base_without_a_manifest_fits_every_class(tmp_path):
+    # on a flat fixture every class is a base class, with or without the manifest
+    data = tmp_path / "flat"
+    assert main(["synth-gen", "--out-dir", str(data), "--classes", "5", "--dim", "4",
+                 "--support", "6", "--query", "2", "--seed", "3"]) == 0
+    args = ["train-base", "--features", str(data / "features.csv"), "--seed", "1"]
+    assert main(args + ["--out", str(tmp_path / "bare.csv")]) == 0
+    assert main(args + ["--manifest", str(data / "manifest.json"),
+                        "--out", str(tmp_path / "flat.csv")]) == 0
+    assert io.load_weights_csv(tmp_path / "bare.csv").class_ids == tuple(range(5))
+    assert (tmp_path / "bare.csv").read_bytes() == (tmp_path / "flat.csv").read_bytes()
+
+
 def test_run_multi_emits_session_records(fixture_dir, tmp_path):
     out = tmp_path / "result.json"
     dump = tmp_path / "final_weights.csv"
@@ -185,7 +198,8 @@ def test_run_multi_result_is_laid_out_as_json_dumps_lays_it_out(fixture_dir, tmp
     {"schema": 1, "sessions": [{"confusion": {"class_ids": [], "counts": []}},
                                {"confusion": {"class_ids": [0, 1], "counts": [[2, 0], [1, 1]]},
                                 "acc_novel": None}]},
-    # a NUL in another string of the payload: the writer leaves all to json
+    # a NUL inside another string of the payload is no placeholder: json
+    # escapes it within that string's quotes
     {"schema": 1, "label": "a\0b",
      "sessions": [{"confusion": {"class_ids": [0], "counts": [[7]]}}]},
 ])
@@ -508,6 +522,35 @@ def test_a_failed_report_writes_no_file(tmp_path, capsys):
     out.mkdir()
     assert main(["report", "--results", str(good), str(bad), "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {bad}: malformed multi-session result")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("label, error", [
+    ("a" * 300, "File name too long"),
+    ("x\0y", "is not a plain name"),
+], ids=["too-long", "nul"])
+def test_a_report_that_cannot_name_a_file_writes_none(tmp_path, capsys, label, error):
+    # the first result's confusion grid has a name; the second's has none
+    first, second = tmp_path / "a.json", tmp_path / "long.json"
+    first.write_text(_multi_result(label="a"))
+    second.write_text(_multi_result(label=label))
+    out = tmp_path / "rep"
+    out.mkdir()
+    assert main(["report", "--results", str(first), str(second), "--out-dir", str(out)]) == 1
+    assert error in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_a_report_on_a_full_disk_writes_no_file(tmp_path, capsys, monkeypatch):
+    # the first confusion grid is written whole before the second fails
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        path.write_text(_multi_result(label=path.stem))
+    fill_the_disk(monkeypatch, "confusion_b")
+    out = tmp_path / "rep"
+    out.mkdir()
+    assert main(["report", "--results", *map(str, paths), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == "error: No space left on device\n"
     assert list(out.iterdir()) == []
 
 

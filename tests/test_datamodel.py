@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from incrlin import io
 from incrlin.datamodel import (
     Batch,
     ClassRegistry,
     EmbeddingTable,
     FeatureStore,
+    LinearMap,
     OrthonormalBasis,
     RunConfig,
     SessionStream,
@@ -19,6 +21,9 @@ from incrlin.errors import (
     MissingExampleError,
     ValidationError,
 )
+
+from incrlin.objectives import Objective
+from incrlin.trainer import fine_tune_stack, train_base
 
 from conftest import pools_store
 
@@ -343,3 +348,65 @@ def test_session_stream_validation_and_k_shot():
     assert len(q) == 4
     with pytest.raises(MissingExampleError):
         SessionStream(store, ClassRegistry([(0, 7)]), RunConfig())
+
+
+# --- one ownership rule for every table ----------------------------------------
+
+def _rows(*shape):
+    return np.random.default_rng(0).standard_normal(shape)
+
+
+def _built_tables():
+    """Each table built from float64 arrays: (the arrays given, the arrays
+    the table holds)."""
+    f, c = _rows(3, 2), np.array([0, 1, 0])
+    batch = Batch(f, c)
+    ids, flags, matrix = np.array([0, 0, 2]), np.array([False, True, True]), _rows(3, 2)
+    store = FeatureStore(2, ids, flags, matrix)
+    m = _rows(2, 3)
+    weights = WeightMatrix([4, 7], m)
+    q = np.linalg.qr(_rows(4, 2))[0]
+    basis = OrthonormalBasis(q)
+    v0, v1 = _rows(3), _rows(3)
+    table = EmbeddingTable({0: v0, 1: v1})
+    a, b = _rows(2, 3), _rows(2)
+    linear_map = LinearMap(a, b)
+    return [((f, c), (batch.features, batch.class_ids)),
+            ((ids, flags, matrix), store.to_rows()),
+            ((m,), (weights.matrix,)),
+            ((q,), (basis.matrix,)),
+            ((v0, v1), (table.vector(0), table.vector(1))),
+            ((a, b), (linear_map.matrix, linear_map.bias))]
+
+
+@pytest.mark.parametrize("index", range(6), ids=["Batch", "FeatureStore", "WeightMatrix",
+                                                  "OrthonormalBasis", "EmbeddingTable",
+                                                  "LinearMap"])
+def test_a_table_takes_over_its_arrays_read_only(index):
+    given, held = _built_tables()[index]
+    for mine, its in zip(given, held):
+        assert np.shares_memory(mine, its)
+        assert not mine.flags.writeable
+        with pytest.raises(ValueError):
+            mine[...] = 0
+
+
+def _returned_weights(tmp_path):
+    """A ``WeightMatrix`` from each way a run makes one."""
+    store = pools_store(2, {0: _rows(3, 2), 1: _rows(3, 2) + 1.0},
+                        {0: _rows(1, 2), 1: _rows(1, 2)})
+    config = RunConfig(max_epochs=3)
+    base, _ = train_base(store, [0, 1], config)
+    problem = Objective(config, ClassRegistry([[0, 1]]), 0, base, store.support_examples([0, 1]))
+    [(tuned, _)] = fine_tune_stack([problem], [np.random.default_rng(0)])
+    io.save_weights_csv(base, tmp_path / "w.csv")
+    return [base, tuned, base.with_rows({5: _rows(2)}), io.load_weights_csv(tmp_path / "w.csv")]
+
+
+@pytest.mark.parametrize("index", range(4),
+                         ids=["train_base", "fine_tune_stack", "with_rows", "load_weights_csv"])
+def test_returned_weight_tables_are_read_only(tmp_path, index):
+    weights = _returned_weights(tmp_path)[index]
+    assert not weights.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        weights.matrix[0, 0] = 1.0
