@@ -26,11 +26,28 @@ from .trainer import train_base
 RESULT_SCHEMA = 1
 
 
+# The most bytes a label may take: a file name holds 255 (Linux's NAME_MAX),
+# and the widest report file name around a label is a confusion grid's staged
+# temporary name, ``.confusion_<label>_s<t>.csv.<pid>.tmp``, with 7 digits for
+# the session and 7 for the process id (Linux's pid ceiling is 2**22).
+_LABEL_BYTES = 255 - len(f".confusion__s{2**22}.csv.{2**22}.tmp")
+
+
 def _plain_label(label) -> str:
     """A run label: one plain, non-empty file-name part (no ``/``, ``\\`` or
-    NUL), since it names the report's rows and confusion files."""
-    if not isinstance(label, str) or label in ("", ".", "..") or set("/\\\0") & set(label):
+    NUL), since it names the report's rows and confusion files, of at most
+    ``_LABEL_BYTES`` bytes."""
+    try:
+        name = (isinstance(label, str) and label not in ("", ".", "..")
+                and not set("/\\\0") & set(label) and os.fsencode(label))
+    except UnicodeError:  # a lone surrogate, which no file name holds
+        name = None
+    if not name:
         raise argparse.ArgumentTypeError(f"label {label!r} is not a plain name")
+    if len(name) > _LABEL_BYTES:
+        raise argparse.ArgumentTypeError(
+            f"label of {len(name)} bytes is too long for a report file name "
+            f"(at most {_LABEL_BYTES} bytes)")
     return label
 
 
@@ -178,7 +195,7 @@ def cmd_synth_gen(args) -> int:
                      within_class_stddev=args.sigma, support_per_class=args.support,
                      query_per_class=args.query, rng_seed=args.seed)
     data = generate(spec)
-    if args.per_session:
+    if args.per_session is not None:
         plan = incremental_split(args.classes, args.base, args.per_session)
         sessions = {c: t for t, classes in enumerate(plan) for c in classes}
     else:
@@ -296,14 +313,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="rng seed override")
         p.add_argument("--out", required=True, help="output path")
 
+    def add_run(p):
+        add_common(p)
+        p.add_argument("--base-weights", help="ingest base weights CSV instead of training")
+        p.add_argument("--regularizer", choices=REGULARIZER_KINDS)
+        p.add_argument("--label", type=_plain_label,
+                       help="run label used in reports (default: the --out file's stem)")
+
     p = sub.add_parser("train-base", help="fit base-class weights on a feature store")
     add_common(p)
     p.set_defaults(func=cmd_train_base)
 
     p = sub.add_parser("run-multi", help="run the multi-session incremental protocol")
-    add_common(p)
-    p.add_argument("--base-weights", help="ingest base weights CSV instead of training")
-    p.add_argument("--regularizer", choices=REGULARIZER_KINDS)
+    add_run(p)
     p.add_argument("--memory", action="store_true",
                    help="retain one example per archived class for replay")
     p.add_argument("--k-shot", type=int, default=None,
@@ -311,22 +333,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-confusion", action="store_true",
                    help="omit confusion matrices from the output")
     p.add_argument("--dump-weights", help="export the final-session weights to this CSV")
-    p.add_argument("--label", type=_plain_label,
-                   help="run label used in reports (default: the --out file's stem)")
     p.set_defaults(func=cmd_run_multi)
 
     p = sub.add_parser("run-single", help="run the episodic single-session protocol")
-    add_common(p)
-    p.add_argument("--base-weights", help="ingest base weights CSV instead of training")
-    p.add_argument("--regularizer", choices=REGULARIZER_KINDS)
+    add_run(p)
     p.add_argument("--episodes", type=int, default=2000)
     p.add_argument("--n-way", type=int, default=5)
     p.add_argument("--k-shot", type=int, default=1)
     p.add_argument("--n-query", type=int, default=50)
     p.add_argument("--keep-episodes", action="store_true",
                    help="include per-episode records in the output")
-    p.add_argument("--label", type=_plain_label,
-                   help="run label used in reports (default: the --out file's stem)")
     p.set_defaults(func=cmd_run_single)
 
     p = sub.add_parser("synth-gen", help="write synthetic fixtures")

@@ -19,11 +19,11 @@ _PRESETS: dict[tuple[str, str, int | None], dict] = {
     ("multi", "semantic", None): dict(learning_rate=0.002, alpha=5e-4, gamma=1.0, tau=3.0),
     ("multi", "description", None): dict(learning_rate=0.002, alpha=5e-4, gamma=1.0, tau=3.0),
     ("multi", "linmap", None): dict(learning_rate=0.002, alpha=5e-4, gamma=0.1),
-    ("single", "finetune", 1): dict(learning_rate=0.003, alpha=5e-3, gamma=0.0),
-    ("single", "subspace", 1): dict(learning_rate=0.003, alpha=5e-5, gamma=0.005),
-    ("single", "semantic", 1): dict(learning_rate=0.003, alpha=5e-4, gamma=0.005, tau=1.5),
-    ("single", "description", 1): dict(learning_rate=0.003, alpha=5e-4, gamma=0.005, tau=1.5),
-    ("single", "linmap", 1): dict(learning_rate=0.003, alpha=5e-4, gamma=0.005),
+    ("single", "finetune", None): dict(learning_rate=0.003, alpha=5e-3, gamma=0.0),
+    ("single", "subspace", None): dict(learning_rate=0.003, alpha=5e-5, gamma=0.005),
+    ("single", "semantic", None): dict(learning_rate=0.003, alpha=5e-4, gamma=0.005, tau=1.5),
+    ("single", "description", None): dict(learning_rate=0.003, alpha=5e-4, gamma=0.005, tau=1.5),
+    ("single", "linmap", None): dict(learning_rate=0.003, alpha=5e-4, gamma=0.005),
     ("single", "finetune", 5): dict(learning_rate=0.002, alpha=5e-3, gamma=0.0,
                                     beta_base=0.03, beta_prev_novel=0.03),
     ("single", "subspace", 5): dict(learning_rate=0.002, alpha=5e-5, gamma=0.03,
@@ -72,11 +72,7 @@ def preset_config(protocol: str = "multi", kind: str = "finetune",
     if protocol not in ("multi", "single"):
         raise ConfigError(f"unknown protocol {protocol!r}")
     RunConfig(regularizer_kind=kind)  # the kind check, before the kind keys a preset
-    entry = _PRESETS.get((protocol, kind, k_shot)) or _PRESETS.get((protocol, kind, None))
-    if entry is None:
-        # single-session with an unlisted shot count: fall back to the 1-shot row
-        entry = _PRESETS[(protocol, kind, 1)]
-    fields = dict(entry)
+    fields = dict(_PRESETS.get((protocol, kind, k_shot)) or _PRESETS[(protocol, kind, None)])
     fields["regularizer_kind"] = kind
     fields.update(overrides)
     return RunConfig(**fields)

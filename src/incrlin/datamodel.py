@@ -176,13 +176,10 @@ class FeatureStore:
         and split. Rows keep their table order within each class and split."""
         ids = np.asarray(class_ids, dtype=np.int64)
         flags = np.asarray(is_query, dtype=bool)
-        feats = np.asarray(features)
+        feats = np.asarray(features, dtype=np.float64)
         _check_row_table(dimension, ids, flags, feats)
         order = np.lexsort((flags, ids))  # by class, support first; stable
-        matrix = np.empty(feats.shape)
-        for s, e in row_blocks(ids.size, matrix.itemsize * dimension):
-            matrix[s:e] = feats[order[s:e]]
-        return cls(dimension, ids[order], flags[order], matrix)
+        return cls(dimension, ids[order], flags[order], feats[order])
 
     @property
     def dimension(self) -> int:

@@ -34,12 +34,12 @@ reads the labels block by block into one reused record buffer, then re-reads
 the blocks and scatters each record's float32 values into its sorted row of
 the float32 matrix it hands to the ``FeatureStore`` constructor, which keeps
 it as it is; the binary writer fills one reused block of records at a time
-from ``to_rows``. The CSV and binary writers write a temporary file beside
-their destination and give it the destination's name once it is complete
-(``staged``), so a failed write leaves no partial file. Every layout fault
-(header, fields, split tags, sizes, short reads, no rows) and every CSV fault
-(values, a byte that is not UTF-8, a field past ``csv``'s size limit) is a
-``FormatError`` naming the file and the line or byte offset.
+from ``to_rows``. Every writer (CSV, binary and manifest) writes a temporary
+file beside its destination and gives it the destination's name once it is
+complete (``staged``), so a failed write leaves no partial file. Every layout
+fault (header, fields, split tags, sizes, short reads, no rows) and every CSV
+fault (values, a byte that is not UTF-8, a field past ``csv``'s size limit)
+is a ``FormatError`` naming the file and the line or byte offset.
 """
 from __future__ import annotations
 
@@ -395,7 +395,8 @@ def load_weights_csv(path) -> WeightMatrix:
 def save_manifest(path, labels: dict[int, str], sessions: dict[int, int]) -> None:
     obj = {str(c): {"label": labels.get(c, f"class_{c}"), "session": int(sessions[c])}
            for c in sorted(sessions)}
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    with staged(path) as [temp], temp.open("x") as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def load_manifest(path) -> tuple[dict[int, str], dict[int, int]]:

@@ -68,15 +68,14 @@ from .trainer import fine_tune_stack, init_novel_weights, train_base
 # 0.667 s as five of 40; subspace 0.81 s either way). Results do not depend
 # on it: each episode's arithmetic is its own.
 # The budget is 40 episodes of 5-way 1-shot over 20 base classes at d=32
-# (C=25): of 24, 40, 64 and 80, the smallest stack within noise of the
-# fastest over 200 episodes; stacks of 64 and 80 page-faulted on every step.
-# With 64 base classes at d=640, a stack of 24 ran 1.6-2.2x slower than one
-# episode at a time (its passes over (E, C, d) outgrow the cache); the budget
-# gives that shape chunks of one. The chunk is sized on C * d although 5-way
-# 1-shot episodes train in span coordinates (see ``trainer._coordinates``):
-# their set-up and final weights are still (E, C, d). Re-measured so, 400
-# episodes on one CPU at E <= 20/40/80 took 2.6-2.9/1.8-2.1/1.4-1.6 s
-# (finetune) and 4.7-5.0/3.2-3.9/3.7-4.2 s (subspace), two runs each.
+# (C=25), set when episodes stepped on (E, C, d) weights. They now step on
+# their coordinates in a small span (see ``trainer._coordinates``); only their
+# set-up and final weights are (E, C, d). Measured so at d=32 (200 episodes on
+# one CPU of a 2-vCPU VM, one BLAS thread, four runs), stacks of at most
+# 1/10/24/40/80 took 5.0-6.0/1.1-1.4/0.8-1.0/0.7-0.8/0.6 s (finetune) and
+# 8.6-9.4/1.8-2.6/1.2-1.6/1.2-1.9/1.1-1.2 s (subspace). With 64 base classes
+# at d=640 the budget gives chunks of one, though there stacks of 10-40 ran
+# about 1.5-2x faster than one episode at a time: the rule undersizes them.
 EPISODE_BUDGET = 40 * 25 * 32
 
 
@@ -223,11 +222,10 @@ def prepare_run(stream: SessionStream, base_weights: WeightMatrix | None,
                               f"missing {missing}, extra {extra}")
     snapshot0 = WeightMatrix(base, base_weights.subset(base))
     basis = targets = None
-    base_rows = [snapshot0.row(c) for c in base]
     if kind == "subspace":
-        basis = orthonormal_basis(base_rows)
+        basis = orthonormal_basis(snapshot0.matrix)
     elif kind == "linmap":
-        linear_map = fit_least_squares([embeddings.vector(c) for c in base], base_rows)
+        linear_map = fit_least_squares([embeddings.vector(c) for c in base], snapshot0.matrix)
         targets = {c: linear_map.apply(embeddings.vector(c)) for c in novel}
     elif kind in ("semantic", "description"):
         targets = semantic_targets(embeddings.subset(novel), embeddings.subset(base),

@@ -29,10 +29,13 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_classes < 1 or self.dimension < 1:
             raise ValidationError("need at least one class and one dimension")
-        if self.within_class_stddev <= 0:
-            raise ValidationError("within_class_stddev must be positive")
+        if not 0 < self.within_class_stddev < float("inf"):  # nan fails too
+            raise ValidationError(f"within_class_stddev must be positive and finite, "
+                                  f"got {self.within_class_stddev}")
         if self.support_per_class < 1 or self.query_per_class < 1:
             raise ValidationError("per-class counts must be >= 1")
+        if self.rng_seed < 0:
+            raise ValidationError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -13,7 +13,7 @@ from incrlin import io
 from incrlin.cli import main
 from incrlin.config import load_config_file, preset_config, resolve_run_config
 from incrlin.datamodel import RunConfig, WeightMatrix
-from incrlin.errors import ConfigError
+from incrlin.errors import ConfigError, FormatError
 
 from conftest import fill_the_disk
 
@@ -35,6 +35,7 @@ def test_presets_by_protocol_kind_and_shots():
     assert multi_sub.learning_rate == 0.002
     one_shot = preset_config("single", "subspace", k_shot=1)
     assert one_shot.gamma == 0.005 and one_shot.learning_rate == 0.003
+    assert preset_config("single", "subspace", k_shot=3) == one_shot  # an unlisted count
     five_shot = preset_config("single", "subspace", k_shot=5)
     assert five_shot.gamma == 0.03 and five_shot.beta_base == 0.03
     desc5 = preset_config("single", "description", k_shot=5)
@@ -72,6 +73,23 @@ def test_config_file_rejects_unknown_sections(tmp_path):
             load_config_file(p)
         with pytest.raises(ConfigError):
             resolve_run_config("multi", text, {})
+    with pytest.raises(ConfigError, match="bad config field"):
+        resolve_run_config("multi", None, {"warmup": 5})
+
+
+@pytest.mark.parametrize("text, error, named", [
+    (None, ConfigError, "config file not found"),
+    ("{not json", FormatError, "invalid JSON"),
+    ("[1]", FormatError, "config must be a JSON object"),
+    ('{"optimizer": [1]}', ConfigError, "section 'optimizer' must be an object"),
+], ids=["missing", "not-json", "not-an-object", "section-not-an-object"])
+def test_a_config_file_that_is_not_a_config_names_itself(tmp_path, text, error, named):
+    p = tmp_path / "cfg.json"
+    if text is not None:
+        p.write_text(text)
+    with pytest.raises(error, match=named) as exc:
+        load_config_file(p)
+    assert str(p) in str(exc.value)
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -79,7 +97,8 @@ def test_config_file_rejects_unknown_sections(tmp_path):
     ("protocol", "rng_seed", 1.0), ("protocol", "memory_enabled", "false"),
     ("regularizer", "alpha", True), ("regularizer", "alpha", "0.1"),
     ("regularizer", "tau", float("nan")), ("optimizer", "learning_rate", float("inf")),
-    ("optimizer", "convergence_tolerance", float("-inf")), ("regularizer", "kind", 5)])
+    ("optimizer", "convergence_tolerance", float("-inf")), ("regularizer", "kind", 5),
+    ("optimizer", "max_epochs", 0)])
 def test_config_file_rejects_mistyped_counts_and_flags(tmp_path, section, key, value):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({section: {key: value}}))
@@ -128,6 +147,21 @@ def test_synth_gen_binary_format(tmp_path):
     assert rc == 0
     store = io.load_feature_store(tmp_path / "features.fscf")
     assert store.classes == (0, 1, 2)
+
+
+@pytest.mark.parametrize("extra, named", [
+    (["--seed", "-1"], "rng_seed must be non-negative, got -1"),
+    (["--per-session", "0"], "n_per_session must be >= 1"),
+    (["--sigma", "nan"], "within_class_stddev must be positive and finite, got nan"),
+    (["--sigma", "inf"], "within_class_stddev must be positive and finite, got inf"),
+], ids=["seed", "per-session", "sigma-nan", "sigma-inf"])
+def test_synth_gen_options_out_of_range_are_error_lines(tmp_path, capsys, extra, named):
+    # only an omitted --per-session means a flat plan
+    rc = main(["synth-gen", "--out-dir", str(tmp_path / "d"), "--classes", "4", "--dim", "2",
+               "--base", "2"] + extra)
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {named}\n"
+    assert not (tmp_path / "d").exists()
 
 
 def test_train_base_writes_weights(fixture_dir, tmp_path, capsys):
@@ -271,11 +305,16 @@ def test_base_weights_that_csv_cannot_read_are_an_error_line(fixture_dir, tmp_pa
     ("run-multi", ["--regularizer", "semantic"], "needs an embedding table"),
     ("run-multi", ["--regularizer", "description", "--embeddings", "data/embeddings.csv",
                    "--config", "tau0.json"], "temperature must be positive"),
+    ("run-multi", ["--seed", "-1"], "rng_seed must be non-negative, got -1"),
+    ("run-single", ["--episodes", "0"], "n_episodes must be >= 1, got 0"),
+    ("run-single", ["--manifest", "three.json"],
+     "single-session plan needs sessions 0 and 1, got 3"),
 ])
 def test_run_faults_are_reported_before_any_base_fit(fixture_dir, tmp_path, capsys,
                                                      monkeypatch, command, extra, named):
     labels, _ = io.load_manifest(fixture_dir / "manifest.json")
     io.save_manifest(tmp_path / "manifest.json", labels, {c: int(c >= 8) for c in range(14)})
+    io.save_manifest(tmp_path / "three.json", labels, {c: min(c // 5, 2) for c in range(14)})
     (tmp_path / "tau0.json").write_text(json.dumps({"regularizer": {"tau": 0.0}}))
     monkeypatch.chdir(tmp_path)
     for module in (cli_mod, protocol_mod):
@@ -296,6 +335,15 @@ def test_run_multi_rejects_base_weights_of_non_base_classes(fixture_dir, tmp_pat
                "--out", str(tmp_path / "r.json")])
     assert rc == 1
     assert "missing [], extra [8, 9]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run-multi", "run-single"])
+def test_a_run_without_a_manifest_is_an_error_line(fixture_dir, tmp_path, capsys, command):
+    rc = main([command, "--features", str(fixture_dir / "features.csv"),
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: this command needs --manifest for the session plan\n"
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_unknown_flag_exits_with_usage(capsys):
@@ -479,8 +527,10 @@ def _multi_result(label="m", session=0):
     _multi_result(label=".."),
     _multi_result(label=""),
     _multi_result(session="1"),
+    json.dumps({"schema": 1, "protocol": "weekly", "label": "x"}),
+    _multi_result(label="\ud800"),
 ], ids=["array", "no-sessions", "bad-result", "invalid-json", "label-path", "label-dotdot",
-        "label-empty", "session-string"])
+        "label-empty", "session-string", "unknown-protocol", "label-surrogate"])
 def test_report_rejects_malformed_result_files(tmp_path, capsys, text):
     # with confusion_x/ present, the label-path case escaped --out-dir
     (tmp_path / "rep" / "confusion_x").mkdir(parents=True)
@@ -526,7 +576,7 @@ def test_a_failed_report_writes_no_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("label, error", [
-    ("a" * 300, "File name too long"),
+    ("a" * 300, "long.json: label of 300 bytes is too long for a report file name"),
     ("x\0y", "is not a plain name"),
 ], ids=["too-long", "nul"])
 def test_a_report_that_cannot_name_a_file_writes_none(tmp_path, capsys, label, error):
@@ -539,6 +589,24 @@ def test_a_report_that_cannot_name_a_file_writes_none(tmp_path, capsys, label, e
     assert main(["report", "--results", str(first), str(second), "--out-dir", str(out)]) == 1
     assert error in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["run-multi", "run-single"])
+def test_a_label_too_long_for_a_report_file_name_is_a_usage_error(tmp_path, capsys, command):
+    # 110 characters, 220 bytes: the bound counts the bytes a file name takes
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--features", str(tmp_path / "nope.csv"), "--label", "é" * 110,
+              "--out", str(tmp_path / "r.json")])
+    assert exc.value.code == 2
+    assert "label of 220 bytes is too long for a report file name" in capsys.readouterr().err
+
+
+def test_the_longest_label_names_a_confusion_file_of_the_widest_session(tmp_path):
+    label = "é" * 109 + "a"  # 219 bytes, the most a label may take
+    result = tmp_path / "r.json"
+    result.write_text(_multi_result(label=label, session=9_999_999))
+    assert main(["report", "--results", str(result), "--out-dir", str(tmp_path / "rep")]) == 0
+    assert (tmp_path / "rep" / f"confusion_{label}_s9999999.csv").exists()
 
 
 def test_a_report_on_a_full_disk_writes_no_file(tmp_path, capsys, monkeypatch):

@@ -54,7 +54,12 @@ def test_feature_binary_round_trip_f32(tmp_path):
                                       store.query(c).astype("<f4").astype(np.float64))
 
 
-@pytest.mark.parametrize("save", [io.save_feature_store_csv, io.save_feature_store_binary])
+def _save_manifest(store, path):
+    io.save_manifest(path, {}, {c: 0 for c in store.classes})
+
+
+@pytest.mark.parametrize("save", [io.save_feature_store_csv, io.save_feature_store_binary,
+                                  _save_manifest])
 def test_a_save_that_fails_partway_keeps_the_file_it_would_replace(tmp_path, monkeypatch,
                                                                    save):
     path = tmp_path / "store"
@@ -112,6 +117,7 @@ def test_feature_binary_bad_files(tmp_path):
 @pytest.mark.parametrize("name, content, named", [
     ("empty.fscf", io.FEATURE_MAGIC + struct.pack("<III", 1, 0, 3), "no records"),
     ("empty.csv", b"class_id,split,f0,f1,f2\r\n", "no data rows"),
+    ("short.fscf", io.FEATURE_MAGIC + bytes(11), "truncated header"),
 ])
 def test_feature_store_file_without_rows_names_itself(tmp_path, name, content, named):
     # a well-formed header and not one row: a fault of the file, named by it
@@ -641,6 +647,14 @@ def test_a_bad_byte_or_an_overlong_field_names_its_line(tmp_path, load, header, 
     path.write_bytes(b"\n".join([header, *rows]) + b"\n")
     with pytest.raises(FormatError, match=f"^{re.escape(f'{path}:32: {named}')}$"):
         load(path)
+
+
+def test_a_header_field_past_csv_s_size_limit_is_named_at_line_1(tmp_path):
+    path = tmp_path / "w.csv"
+    path.write_bytes(b"class_id,w" + b"0" * 200_000 + b"\n0,1.0\n")
+    named = f"{path}:1: field larger than field limit (131072)"
+    with pytest.raises(FormatError, match=f"^{re.escape(named)}$"):
+        io.load_weights_csv(path)
 
 
 def test_a_fault_before_a_bad_byte_in_the_same_text_chunk_is_named_first(tmp_path):

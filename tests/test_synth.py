@@ -91,6 +91,11 @@ def test_spec_validation():
         SynthSpec(n_classes=2, dimension=4, within_class_stddev=0.0)
     with pytest.raises(ValidationError):
         SynthSpec(n_classes=2, dimension=4, support_per_class=0)
+    for stddev in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            SynthSpec(n_classes=2, dimension=4, within_class_stddev=stddev)
+    with pytest.raises(ValidationError, match="rng_seed must be non-negative"):
+        SynthSpec(n_classes=2, dimension=4, rng_seed=-1)
 
 
 def test_incremental_split():
