@@ -12,7 +12,6 @@ import errno
 import json
 import os
 import sys
-from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 from . import io
@@ -380,7 +379,12 @@ def main(argv=None) -> int:
         where = "" if err.filename is None else f": {err.filename}"
         print(f"error: {err.strerror or err}{where}", file=sys.stderr)
         return 1
-    except BrokenExecutor as err:  # a pool worker was killed (say, out of memory)
+    except Exception as err:
+        # A pool whose worker was killed (say, out of memory) raises
+        # BrokenExecutor. Its module loads only with a pool (incrlin.pool).
+        futures = sys.modules.get("concurrent.futures")
+        if futures is None or not isinstance(err, futures.BrokenExecutor):
+            raise
         print(f"error: a worker process died: {err}", file=sys.stderr)
         return 1
 

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import struct
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -371,12 +372,21 @@ def _expect_groups(store, labels, feats):
                                                       if lab == (c, q)]])
 
 
-# 18 records: fewer than one block, not a multiple of it, one record per block
-@pytest.mark.parametrize("per_block", [64, 4, 5, 1])
-def test_fscf_load_any_block_split(tmp_path, monkeypatch, per_block):
+def _on_shares(values):
+    """Each of ``values`` with a share count: 1 under the value's own id, then
+    2 and 4, which the FSCF codec runs on as many threads."""
+    return ([pytest.param(v, 1, id=str(v)) for v in values]
+            + [pytest.param(v, k, id=f"{v}-{k}-shares") for k in (2, 4) for v in values])
+
+
+# 18 records: fewer than one block, not a multiple of it, one record per
+# block; the records are out of store order, so the loader scatters them
+@pytest.mark.parametrize("per_block, shares", _on_shares([64, 4, 5, 1]))
+def test_fscf_load_any_block_split(tmp_path, monkeypatch, per_block, shares):
     labels, feats = _interleaved()
     _write_fscf(tmp_path / "in.fscf", 4, labels, feats)
     _small_blocks(monkeypatch, 4, per_block)
+    monkeypatch.setattr(pool_mod, "cpus", lambda: shares)
     store = io.load_feature_store_binary(tmp_path / "in.fscf")
     assert store.classes == (0, 1, 2)
     _expect_groups(store, labels, feats)
@@ -394,9 +404,60 @@ def test_fscf_bad_tag_in_second_block_names_record_and_offset(tmp_path, monkeypa
     blob[16 + 6 * _record_bytes(4) + 4] = 2  # record 6's split tag
     path.write_bytes(bytes(blob))
     _small_blocks(monkeypatch, 4, 4)  # record 6 is in the second block
-    with pytest.raises(FormatError, match=rf"tag.fscf: record 6 at byte offset "
-                                          rf"{16 + 6 * _record_bytes(4)}: unknown split tag 2"):
+    for shares in (1, 2, 4):  # the blocks of 4, 2 or 1 records on as many threads
+        monkeypatch.setattr(pool_mod, "cpus", lambda: shares)
+        with pytest.raises(FormatError, match=rf"tag.fscf: record 6 at byte offset "
+                                              rf"{16 + 6 * _record_bytes(4)}: unknown split tag 2"):
+            io.load_feature_store_binary(path)
+
+
+_TAG, _SHORT = "unknown split tag 3", "short read in records 16-17"
+
+
+@pytest.mark.parametrize("shares", [1, 2, 4])
+@pytest.mark.parametrize("tags, named", [
+    ([14], _TAG), ([17], _SHORT), ([2, 14], _TAG), ([], _SHORT),
+], ids=["tag-before-short", "tag-in-short-block", "two-tags", "short"])
+def test_fscf_faults_on_threads_name_the_lowest_offset(tmp_path, monkeypatch, shares, tags,
+                                                       named):
+    # 18 records in blocks of 2 and the file 7 bytes short: a bad split tag
+    # or the short read of records 16-17, whichever comes first in the file,
+    # and the first of two bad tags, as one thread reading the file in order
+    labels, feats = _interleaved()
+    path = tmp_path / "f.fscf"
+    _write_fscf(path, 4, labels, feats)
+    size = path.stat().st_size
+    blob = bytearray(path.read_bytes()[:-7])
+    for i in tags:
+        blob[16 + i * _record_bytes(4) + 4] = 3
+    path.write_bytes(bytes(blob))
+    monkeypatch.setattr(io.os, "fstat", lambda fd: os.stat_result((0,) * 6 + (size,) + (0,) * 3))
+    _small_blocks(monkeypatch, 4, 2 * shares)
+    monkeypatch.setattr(pool_mod, "cpus", lambda: shares)
+    first = tags[0] if tags and tags[0] < 16 else 16
+    with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: .*{named}") as err:
         io.load_feature_store_binary(path)
+    assert f"at byte offset {16 + first * _record_bytes(4)}" in str(err.value)
+
+
+def test_fscf_codec_on_more_threads_than_cpus(tmp_path, monkeypatch):
+    # 8 threads of one-record blocks switching every microsecond: each load
+    # gives the rows and each save the bytes of one thread
+    labels, feats = _interleaved()
+    _write_fscf(tmp_path / "in.fscf", 4, labels, feats)
+    store = io.load_feature_store_binary(tmp_path / "in.fscf")
+    io.save_feature_store_binary(store, tmp_path / "one.fscf")
+    _small_blocks(monkeypatch, 4, 1)
+    monkeypatch.setattr(pool_mod, "cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            _expect_groups(io.load_feature_store_binary(tmp_path / "in.fscf"), labels, feats)
+            io.save_feature_store_binary(store, tmp_path / "many.fscf")
+            assert (tmp_path / "many.fscf").read_bytes() == (tmp_path / "one.fscf").read_bytes()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_fscf_non_finite_in_later_block_names_its_class(tmp_path, monkeypatch):
@@ -450,6 +511,11 @@ def test_fscf_load_peaks_at_the_store_plus_two_blocks(tmp_path):
     assert peak <= n * 640 * 4 + 2 * datamodel.BLOCK_BYTES + 64 * n
 
 
+def test_fscf_load_on_four_threads_peaks_at_the_store_plus_two_blocks(tmp_path, monkeypatch):
+    monkeypatch.setattr(pool_mod, "cpus", lambda: 4)  # 10 MB of records: 4 shares
+    test_fscf_load_peaks_at_the_store_plus_two_blocks(tmp_path)
+
+
 def test_a_store_keeps_the_dtype_its_rows_were_read_in(tmp_path):
     # float32 from FSCF, float64 from CSV, synth and from_rows; every Batch
     # any of them hands out is float64, with the rows' values
@@ -486,33 +552,41 @@ def _recording(monkeypatch, tmp_path, name):
     job, log = getattr(io, name), tmp_path / f"{name}.pids"
 
     def recorded(*args):
-        with log.open("a") as fh:
+        with open(log, "a") as fh:  # not Path.open, which a test may count
             fh.write(f"{os.getpid()}\n")
         return job(*args)
 
+    def calls():
+        if not log.exists():
+            return []
+        with open(log) as fh:
+            return fh.read().split()
+
     monkeypatch.setattr(io, name, recorded)
-    return lambda: log.read_text().split() if log.exists() else []
+    return calls
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_feature_csv_in_blocks_gives_the_same_bytes_and_rows(tmp_path, monkeypatch, workers):
     # ~9 kB of rows written in blocks of ~256 B: the bytes of one block written
     # in this process whatever the number of workers; and the rows read back,
-    # which numpy reads in blocks of 12
+    # which numpy reads in byte ranges of ~256 B, also on the workers
     store = _block_store()
     io.save_feature_store_csv(store, tmp_path / "whole.csv")
     monkeypatch.setattr(io, "BLOCK_BYTES", 1024)
     monkeypatch.setattr(pool_mod, "cpus", lambda: workers)
     formatted = _recording(monkeypatch, tmp_path, "_format_block")
+    parsed = _recording(monkeypatch, tmp_path, "_parse_range")
     path = tmp_path / "blocks.csv"
     io.save_feature_store_csv(store, path)
     assert path.read_bytes() == (tmp_path / "whole.csv").read_bytes()
     back = io.load_feature_store_csv(path)
     for got, want in zip(back.to_rows(), store.to_rows()):
         np.testing.assert_array_equal(got, want)
-    pids = set(formatted())
-    assert len(formatted()) > 5
-    assert (pids == {str(os.getpid())}) == (workers == 1) and len(pids) <= workers
+    for calls in (formatted(), parsed()):
+        pids = set(calls)
+        assert len(calls) > 5
+        assert (pids == {str(os.getpid())}) == (workers == 1) and len(pids) <= workers
 
 
 def _read(load, path):
@@ -530,54 +604,73 @@ _F = "class_id,split,f0,f1\r\n"  # a feature CSV
 _W = "class_id,w0,w1\r\n"  # a weight CSV
 
 
-@pytest.mark.parametrize("text, fast", [
+_READS = [  # (id, text, whether numpy reads it)
     # numpy's parser reads these as int() and float() do
-    (_F + " 1 ,query, 2.5 ,\t3\t\r\n", True),
-    (_F + "+1,query,+3,1E5\r\n+1,support,-0.0,5e-324\r\n", True),
-    (_W + f"{2**63 - 1},1,2\r\n{-2**63},1,2\r\n", True),
-    (_F + "0,query,1,2\r1,query,3,4\r", True),
-    (_F + "0,query,1,2\n1,query,3,4\r\n2,query,5,6\r0,support,7,8\r\n", True),
-    (_F + "0,query,1,2\r\n\r\n0,support,3,4\r\n", True),
-    (_W + "7,1.0,2.0\r\n3,0.5,0.25\r\n", True),
+    ("padded", _F + " 1 ,query, 2.5 ,\t3\t\r\n", True),
+    ("signs-exponent-zero-subnormal", _F + "+1,query,+3,1E5\r\n+1,support,-0.0,5e-324\r\n", True),
+    ("int64-bounds", _W + f"{2**63 - 1},1,2\r\n{-2**63},1,2\r\n", True),
+    ("lone-cr", _F + "0,query,1,2\r1,query,3,4\r", True),
+    ("mixed-line-ends", _F + "0,query,1,2\n1,query,3,4\r\n2,query,5,6\r0,support,7,8\r\n", True),
+    ("blank-line", _F + "0,query,1,2\r\n\r\n0,support,3,4\r\n", True),
+    ("weights", _W + "7,1.0,2.0\r\n3,0.5,0.25\r\n", True),
+    ("blank-lines-between", _F + "0,query,1,2\n\n\r\r\n\r0,support,3,4\r\n\n", True),
+    ("header-quoted-line-end", 'class_id,split,"f\r\n0",f1\r\n0,query,1,2\r\n0,support,3,4\n', True),
     # numpy rejects these, and the streamed reader reads them
-    (_F + "1_000,query,1_000,2\r\n", False),
-    (_F + "\u0661,query,\u0661,2\r\n", False),
-    (_F + '1,"query","2.5",3\r\n', False),
-    (_W + '9,"3\n",1\r\n', False),
+    ("underscores", _F + "1_000,query,1_000,2\r\n", False),
+    ("arabic-digit", _F + "\u0661,query,\u0661,2\r\n", False),
+    ("quoted", _F + '1,"query","2.5",3\r\n', False),
+    ("quoted-line-end", _W + '9,"3\n",1\r\n', False),
+    ("quoted-line-ends", _W + '1,1,1\r\n9,"3\r\n\r\n",1\r\n2,"\r4\n",1\r\n3,1,1\r\n', False),
     # faults, which only the streamed reader names
-    (_F + "0,query,1,2\r\n1,query,2.5\x1d,3\r\n", False),
-    (_F + "\x1c1,query,2.5,3\r\n", False),
-    (_F + "1,query," + "0" * 200_000 + ",3\r\n", False),
-    (_F + "1,query,1,2\r\n  \r\n", False),
-    (_F + "1,query,1,2\r\n#1,query,1,2\r\n", False),
-    (_F + "1,supportive,1,2\r\n", False),
-    (_F + "1, support,1,2\r\n", False),
-    (_F + "1.0,query,1,2\r\n", False),
-    (_F + f"{2**63},query,1,2\r\n", False),
-    (_F + "1,query,nan,2\r\n", False),
-    (_F + "1,query,x,2\r\n2,query,y,2\r\n", False),
-    (_F + "1,query,1,2\r\n2,query,\udcff,2\r\n", False),
-    (_F, False),
-    (_F + "\r\n\r\n", False),
-    (_W + "7,1.0,2.0\r\n3,0.5,0.25\r\n7,1.0,2.0\r\n", False),
-], ids=["padded", "signs-exponent-zero-subnormal", "int64-bounds", "lone-cr",
-        "mixed-line-ends", "blank-line", "weights",
-        "underscores", "arabic-digit", "quoted", "quoted-line-end",
-        "separator-after", "separator-before", "long-field", "whitespace-line", "hash-line",
-        "supportive", "space-support", "id-1.0", "id-2**63", "nan", "two-bad-values",
-        "bad-byte", "header-only", "blank-lines-only", "repeated-class"])
-def test_a_csv_reads_as_the_streamed_reader_reads_it(tmp_path, monkeypatch, text, fast):
+    ("separator-after", _F + "0,query,1,2\r\n1,query,2.5\x1d,3\r\n", False),
+    ("separator-before", _F + "\x1c1,query,2.5,3\r\n", False),
+    ("long-field", _F + "1,query," + "0" * 200_000 + ",3\r\n", False),
+    ("whitespace-line", _F + "1,query,1,2\r\n  \r\n", False),
+    ("hash-line", _F + "1,query,1,2\r\n#1,query,1,2\r\n", False),
+    ("supportive", _F + "1,supportive,1,2\r\n", False),
+    ("space-support", _F + "1, support,1,2\r\n", False),
+    ("id-1.0", _F + "1.0,query,1,2\r\n", False),
+    ("id-2**63", _F + f"{2**63},query,1,2\r\n", False),
+    ("nan", _F + "1,query,nan,2\r\n", False),
+    ("two-bad-values", _F + "1,query,x,2\r\n2,query,y,2\r\n", False),
+    ("bad-byte", _F + "1,query,1,2\r\n2,query,\udcff,2\r\n", False),
+    ("header-only", _F, False),
+    ("blank-lines-only", _F + "\r\n\r\n", False),
+    ("repeated-class", _W + "7,1.0,2.0\r\n3,0.5,0.25\r\n7,1.0,2.0\r\n", False),
+    # a fault in the last byte range of a pooled read
+    ("value-fault-last", _F + "0,query,1,2\r\n" * 4 + "1,query,1,x\r\n", False),
+    ("bad-byte-last", _F + "0,query,1,2\n" * 4 + "1,query,1,\udcfe\n", False),
+    ("split-last", _F + "0,query,1,2\r" * 4 + "1,test,1,2\r", False),
+]
+
+
+# Each case read in this process, under its id, then with BLOCK_BYTES at 8, so
+# that numpy reads the rows in byte ranges of a line or two, on 1 to 3 workers.
+@pytest.mark.parametrize("text, fast, workers", [
+    pytest.param(text, fast, workers, id=name if workers is None else f"{name}-{workers}-workers")
+    for workers in (None, 1, 2, 3) for name, text, fast in _READS])
+def test_a_csv_reads_as_the_streamed_reader_reads_it(tmp_path, monkeypatch, text, fast, workers):
     # bit for bit the rows, or the fault's text, that the loader gives with no
     # line left to numpy; numpy reads the file where it reads it the same
     path = tmp_path / "t.csv"
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
-    load = io.load_feature_store_csv if text.startswith(_F) else io.load_weights_csv
+    load = io.load_feature_store_csv if text.startswith("class_id,split") else io.load_weights_csv
     streamed, parse_rows = [], io._parse_rows
     monkeypatch.setattr(io, "_parse_rows", lambda *a: streamed.append(a) or parse_rows(*a))
+    if workers:
+        monkeypatch.setattr(io, "BLOCK_BYTES", 8)
+        monkeypatch.setattr(pool_mod, "cpus", lambda: workers)
+    parsed = _recording(monkeypatch, tmp_path, "_parse_range")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _read(load, path)
     assert (not streamed) == fast
+    calls = parsed()
+    assert calls or not fast
+    if (workers or 1) > 1 and len(calls) > 1:  # the ranges were parsed in forked workers
+        assert str(os.getpid()) not in calls and len(set(calls)) <= workers
+    else:
+        assert set(calls) <= {str(os.getpid())}
 
     def no_lines(fh):
         raise ValueError("no line for numpy")
@@ -697,19 +790,46 @@ def test_a_bad_byte_in_the_header_is_named_at_line_1(tmp_path, load, header, lin
         load(path)
 
 
-@pytest.mark.parametrize("text", [
-    b"class_id,w0\n0,1.0\n1,2.0\n",  # numpy reads it
-    b'class_id,w0\n0,1.0\n1,"2.0"\n',  # the line-by-line reader reads it
-    b"class_id,w0\n0,1.0\n1,x\n",  # a value fault
-    b"class_id,w0\n0,1.0\n1,\xff\n",  # a bad byte
-], ids=["numpy", "quoted", "value-fault", "bad-byte"])
-def test_a_csv_load_opens_its_file_once(tmp_path, monkeypatch, text):
+def _store_file(path, save):
+    save(_block_store(), path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("load, text, workers", [
+    (io.load_weights_csv, b"class_id,w0\n0,1.0\n1,2.0\n", None),  # numpy reads it
+    (io.load_weights_csv, b'class_id,w0\n0,1.0\n1,"2.0"\n', None),  # the line-by-line reader
+    (io.load_weights_csv, b"class_id,w0\n0,1.0\n1,x\n", None),  # a value fault
+    (io.load_weights_csv, b"class_id,w0\n0,1.0\n1,\xff\n", None),  # a bad byte
+    (io.load_feature_store, io.save_feature_store_csv, None),
+    (io.load_feature_store, io.save_feature_store_binary, None),
+    (io.load_feature_store, io.save_feature_store_csv, 2),  # numpy reads it in forked workers
+    (io.load_feature_store, b"class_id,split,f0\n0,query,1\n" * 40 + b"0,query,x\n", 2),
+], ids=["numpy", "quoted", "value-fault", "bad-byte", "store-csv", "store-fscf",
+        "store-csv-pooled", "store-csv-pooled-fault"])
+def test_a_csv_load_opens_its_file_once(tmp_path, monkeypatch, load, text, workers):
+    # load_feature_store reads the magic bytes from the file its loader reads;
+    # the workers of a pooled read read the file through the descriptor they
+    # inherited, so no process opens it again
     path = tmp_path / "w.csv"
+    if not isinstance(text, bytes):
+        text = _store_file(path, text)
     path.write_bytes(text)
-    opened, open_ = [], Path.open
-    monkeypatch.setattr(Path, "open", lambda self, *a, **k: opened.append(self) or open_(self, *a, **k))
+    if workers:
+        monkeypatch.setattr(io, "BLOCK_BYTES", 256)
+        monkeypatch.setattr(pool_mod, "cpus", lambda: workers)
+    parsed = _recording(monkeypatch, tmp_path, "_parse_range")
+    log, open_ = tmp_path / "opened", Path.open
+
+    def opening(self, *args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {self}\n")
+        return open_(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", opening)
     try:
-        io.load_weights_csv(path)
+        load(path)
     except FormatError:
         pass
-    assert opened == [path]
+    with open(log) as fh:
+        assert fh.read().splitlines() == [f"{os.getpid()} {path}"]
+    assert (len(set(parsed()) - {str(os.getpid())}) > 0) == bool(workers)

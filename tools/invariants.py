@@ -1,8 +1,9 @@
 """The determinism table: the same inputs and seed give the same bytes. Each row
 runs two variants of one ``incrlin`` command (on all CPUs, where pools fork
-workers, or on one; on one BLAS thread or two; on two input formats; or twice
-alike) and compares the named outputs; it exits 1 if a row fails. Run it on 2+
-CPUs, as ``PYTHONPATH=src python tools/invariants.py`` or with incrlin installed."""
+workers and the FSCF codec runs threads, or on one; on one BLAS thread or two;
+on two input formats; or twice alike) and compares the named outputs; it exits
+1 if a row fails. Run it on 2+ CPUs, as ``PYTHONPATH=src python
+tools/invariants.py`` or with incrlin installed."""
 import os
 import subprocess
 import sys
@@ -36,6 +37,7 @@ FIXTURES = {  # name: synth-gen options, then a step on the written directory
         io.load_feature_store(d / "features.fscf"), d / "features.csv")),
     "wide": ("--classes 30 --dim 640 --base 20 --per-session 10 --binary", None),
     "wide40": ("--classes 40 --dim 640 --base 20 --per-session 5 --binary", None),
+    "bigb": ("--classes 60 --dim 640 --base 20 --per-session 20 --binary", None),  # 7.7 MB
 }
 POOLED, ONE_CPU = {"name": "pooled"}, {"name": "one CPU", "one_cpu": True}
 BLAS1 = {"name": "1 BLAS thread", "env": {"OPENBLAS_NUM_THREADS": "1"}}
@@ -56,6 +58,10 @@ ROWS = [  # name, fixture features, command, variant a, variant b, {output: chec
      POOLED, ONE_CPU, {"features.csv": lambda a, b: same_bytes(a, b, 8 << 20)}),
     ("train-base", "big/features.csv", BASE, POOLED, ONE_CPU, W),
     ("train-base", "big/features.csv", BASE, CSV, QUOTED, W),
+    ("synth-gen --binary in blocks", "bigb/features.fscf",
+     "synth-gen --out-dir {out} " + FIXTURES["bigb"][0], POOLED, ONE_CPU,
+     {"features.fscf": lambda a, b: same_bytes(a, b, 6 << 20)}),
+    ("train-base", "bigb/features.fscf", BASE, POOLED, ONE_CPU, W),
     ("run-multi memory", "fb/features.csv", MULTI + " --memory", FSCF, CSV, R | W),
     ("run-single", "fb/features.csv", SINGLE, FSCF, CSV, R),
     ("run-multi linmap", "wide/features.fscf", EMBEDDED + "linmap", BLAS1, BLAS2,
